@@ -57,7 +57,6 @@ func run() error {
 		cache  = flag.Uint64("cache", 256, "default DRAM cache size in MB (paper scale)")
 		gap    = flag.Uint("gapscale", 2, "instruction-gap multiplier")
 		seed   = flag.Uint64("seed", 1, "workload seed")
-		shards = flag.Int("shards", 0, "per-simulation front-end workers (0 = auto; results identical for every value)")
 	)
 	flag.Parse()
 
@@ -69,7 +68,6 @@ func run() error {
 	p.CacheMB = *cache
 	p.GapScale = uint32(*gap)
 	p.Seed = *seed
-	p.Shards = *shards
 	p.Progress = os.Stderr
 
 	// One slog logger is shared by the daemon and the runner, so a job's

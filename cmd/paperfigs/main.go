@@ -26,7 +26,6 @@ import (
 	"syscall"
 	"time"
 
-	"alloysim/internal/core"
 	"alloysim/internal/experiments"
 	"alloysim/internal/obs"
 )
@@ -79,7 +78,6 @@ func main() {
 		checkpoint = flag.String("checkpoint", "", "memo checkpoint file: completed points are saved here and restored on the next run")
 		timeout    = flag.Duration("timeout", 0, "per-simulation timeout (0 = none), e.g. 90s")
 		retries    = flag.Int("retries", 1, "retry attempts for a failed simulation point")
-		shards     = flag.Int("shards", 0, "front-end worker goroutines per simulation (0 = auto: min(GOMAXPROCS, stacked channels); 1 = serial; results are identical for every value)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		metricsOut = flag.String("metrics", "", `write a sweep-metrics dump at exit ("-" = stdout, Prometheus text)`)
@@ -119,12 +117,6 @@ func main() {
 	}
 	params.PointTimeout = *timeout
 	params.Retries = *retries
-	params.Shards = *shards
-	if params.Shards == 0 {
-		// Auto: derived from the machine and the stacked-DRAM geometry.
-		// Results are bit-identical for every value (core.Config.Shards).
-		params.Shards = core.DefaultConfig("mcf_r").DefaultShards()
-	}
 	runner := experiments.NewRunner(params)
 
 	var reg *obs.Registry

@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"alloysim/internal/cpu"
 	"alloysim/internal/dram"
@@ -147,16 +146,6 @@ type Config struct {
 	// trace files). Must contain exactly Cores entries. Workload is then
 	// used only as a label and need not name a known profile.
 	Generators []trace.Generator
-
-	// Shards enables the decoupled front-end: cores are partitioned
-	// round-robin over this many worker goroutines, each precomputing its
-	// cores' reference streams (trace generation + private L2) into
-	// per-core rings while the engine replays the shared memory system.
-	// The front-end is timing-independent (see frontend.go), so results
-	// are bit-identical for every value; only wall-clock time changes.
-	// Values <= 1 select the serial in-line front-end; values above Cores
-	// are clamped to Cores. Use DefaultShards for a machine-derived value.
-	Shards int
 }
 
 // DefaultConfig returns the paper's system configuration for a workload at
@@ -232,34 +221,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: unknown predictor %q", c.Predictor)
 	}
 	return nil
-}
-
-// effectiveShards resolves Shards to the worker count actually used:
-// clamped to [1, Cores], where 1 means the serial front-end.
-func (c Config) effectiveShards() int {
-	n := c.Shards
-	if n > c.Cores {
-		n = c.Cores
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// DefaultShards returns the front-end shard count used when the caller
-// asks for "auto": min(GOMAXPROCS, stacked-DRAM channels), at least 1.
-// Channels bound the useful parallelism of the memory system the workers
-// feed; GOMAXPROCS bounds what the machine can run.
-func (c Config) DefaultShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if ch := c.Stacked.Channels; ch > 0 && n > ch {
-		n = ch
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // ScaledCacheBytes returns the simulated DRAM cache capacity.

@@ -46,14 +46,11 @@ func LoadConfig(r io.Reader) (Config, error) {
 }
 
 // Fingerprint returns a short stable hash over the run-defining
-// parameters. Generators (runtime state) and Shards (an execution knob —
-// results are bit-identical for every front-end arrangement) are excluded,
-// so the same simulation fingerprints identically however it was run. Run
-// manifests record it so any results file can be matched against the
-// exact configuration that produced it.
+// parameters: the saved-config JSON without Generators, which are runtime
+// state. Run manifests record it so any results file can be matched
+// against the exact configuration that produced it.
 func (c Config) Fingerprint() string {
 	c.Generators = nil
-	c.Shards = 0
 	data, err := json.Marshal(configJSON{Config: c})
 	if err != nil {
 		// Config is plain data; Marshal cannot fail on it.

@@ -1,224 +1,40 @@
-//alloyvet:allow(confine) audited concurrency runtime: the front-end
-// workers are one of the three files allowed to use goroutine machinery in
-// the model cone (DESIGN.md §12); TestShardedFrontEndBitIdentical checks
-// the handoff under -race.
-
 package core
 
 import (
-	"sync"
-
 	"alloysim/internal/cache"
 	"alloysim/internal/cpu"
-	"alloysim/internal/sim"
 	"alloysim/internal/trace"
 )
 
-// The core front-end — trace generation plus the private L2 — is
-// timing-independent: generators never observe simulated time, rate-mode
-// copies touch disjoint address regions, and each L2 is private to its
-// core. A core's FrontRef stream is therefore a pure function of the
-// seed, which is what lets the sharded mode (shards.go) compute these
-// streams on worker goroutines ahead of the engine while keeping results
-// bit-identical to the serial mode.
+// directSource is a core's front-end: the trace generator plus the private
+// L2. It computes each FrontRef inline when the core asks for it. The
+// front-end never observes simulated time, so the stream is a pure
+// function of the core's seed.
+type directSource struct {
+	gen trace.Generator
+	l2  *cache.Cache // nil when the configuration has no private L2
+}
 
-// computeRef advances one core's front-end by one reference: the trace
-// generator, then the private L2 (nil when the configuration has none).
-// Serial and sharded modes both call this, so the per-reference state
-// transitions are identical by construction.
+// NextRef implements cpu.RefSource: it advances the trace generator by one
+// reference, then the private L2 when there is one.
 //
 //alloyvet:hotpath
-func computeRef(gen trace.Generator, l2 *cache.Cache) cpu.FrontRef {
-	ref := gen.Next()
+func (d *directSource) NextRef() cpu.FrontRef {
+	ref := d.gen.Next()
 	fr := cpu.FrontRef{Line: ref.Line, PC: ref.PC, Gap: ref.Gap, Write: ref.Write}
-	if l2 == nil {
+	if d.l2 == nil {
 		return fr
 	}
 	if ref.Write {
 		// Stores probe the L2 (no allocate on write miss).
-		fr.L2Hit = l2.Probe(ref.Line, true)
+		fr.L2Hit = d.l2.Probe(ref.Line, true)
 		return fr
 	}
-	hit, ev := l2.Access(ref.Line, false)
+	hit, ev := d.l2.Access(ref.Line, false)
 	fr.L2Hit = hit
 	if ev.Valid && ev.Dirty {
 		fr.L2WB = true
 		fr.Victim = ev.Line
 	}
 	return fr
-}
-
-// directSource is the serial front-end: it computes each FrontRef inline
-// when the core asks for it, on the engine goroutine.
-type directSource struct {
-	gen trace.Generator
-	l2  *cache.Cache // nil when the configuration has no private L2
-}
-
-// NextRef implements cpu.RefSource.
-//
-//alloyvet:hotpath
-func (d *directSource) NextRef() cpu.FrontRef { return computeRef(d.gen, d.l2) }
-
-// frontRingCap is the per-core FrontRef ring capacity in sharded mode: how
-// far a front-end worker may run ahead of the engine for one core. Large
-// enough to ride out bursty consumption, small enough (~200 KB per core)
-// that precomputed records stay cache-resident.
-const frontRingCap = 1 << 12
-
-// mailboxSource is the sharded front-end: the core pops records a worker
-// precomputed into its ring. The stream carries exactly the number of
-// records the core will consume (the producer mirrors the consumption
-// arithmetic), so running dry mid-run means the two sides disagree about
-// that count — a desynchronization bug, not a recoverable condition.
-type mailboxSource struct {
-	box  *sim.Mailbox[cpu.FrontRef]
-	stop <-chan struct{}
-}
-
-// NextRef implements cpu.RefSource.
-//
-//alloyvet:hotpath
-func (m *mailboxSource) NextRef() cpu.FrontRef {
-	var r cpu.FrontRef
-	if !m.box.Pop(&r, m.stop) {
-		panicStreamEnded()
-	}
-	return r
-}
-
-// panicStreamEnded reports a producer/consumer desync, which aborts the
-// run. Out of line: boxing the message would be an escape in NextRef.
-//
-//go:noinline
-func panicStreamEnded() {
-	panic("core: front-end ref stream ended before the core finished")
-}
-
-// frontProducer owns one core's front-end state (generator + private L2)
-// during a sharded run. It is touched only by the shard worker the core is
-// assigned to.
-type frontProducer struct {
-	gen        trace.Generator
-	l2         *cache.Cache
-	box        *sim.Mailbox[cpu.FrontRef]
-	warmLeft   uint64 // warmup records still to produce
-	toRetire   uint64 // measured-phase retirement budget not yet covered
-	pending    cpu.FrontRef
-	hasPending bool
-	closed     bool
-}
-
-// fill computes the core's next record into pending. It reports false when
-// the core's whole stream — warmup plus measured phase — has been produced.
-// The measured count mirrors cpu.Core's consumption rule exactly: the core
-// asks for another record while retired < budget, so the producer emits one
-// while the budget is not yet covered and charges Gap+1 per record.
-func (p *frontProducer) fill() bool {
-	if p.warmLeft > 0 {
-		p.warmLeft--
-		p.pending = computeRef(p.gen, p.l2)
-		p.hasPending = true
-		if p.warmLeft == 0 && p.l2 != nil {
-			// The warmup/measured statistics boundary for a private L2 is
-			// positional in its core's own stream, so the producer can reset
-			// at production time with the same effect serial mode gets from
-			// resetting at consumption time.
-			p.l2.ResetStats()
-		}
-		return true
-	}
-	if p.toRetire == 0 {
-		return false
-	}
-	ref := computeRef(p.gen, p.l2)
-	ret := uint64(ref.Gap) + 1
-	if ret >= p.toRetire {
-		p.toRetire = 0
-	} else {
-		p.toRetire -= ret
-	}
-	p.pending = ref
-	p.hasPending = true
-	return true
-}
-
-// frontShardStats is one front-end worker's operational counters. Written
-// by that worker during the run, read by metric dumps after it; nothing
-// simulated depends on them.
-type frontShardStats struct {
-	Refs   uint64 // records produced
-	Stalls uint64 // pushes deferred because the core's ring was full
-}
-
-// startFrontEnd switches the system to the decoupled front-end: core i's
-// reference stream is precomputed by worker i%shards into a per-core ring,
-// and s.srcs is repointed at the rings. Callers must close(stop) and Wait
-// on the returned group before abandoning the run.
-func (s *System) startFrontEnd(shards int, stop <-chan struct{}) *sync.WaitGroup {
-	owned := make([][]*frontProducer, shards)
-	for i, src := range s.srcs {
-		d := src.(*directSource)
-		box := sim.NewMailbox[cpu.FrontRef](frontRingCap)
-		p := &frontProducer{
-			gen:      d.gen,
-			l2:       d.l2,
-			box:      box,
-			warmLeft: s.cfg.WarmupRefs,
-			toRetire: s.cfg.InstructionsPerCore,
-		}
-		w := i % shards
-		owned[w] = append(owned[w], p)
-		s.srcs[i] = &mailboxSource{box: box, stop: stop}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			frontWorker(owned[w], &s.frontStats[w], stop)
-		}(w)
-	}
-	return &wg
-}
-
-// frontWorker produces the streams of its assigned cores. It round-robins
-// across them, skipping cores whose rings are full, and blocks only when
-// every live core's ring is full — at which point the engine cannot be
-// starved on any of this worker's cores, so a blocking push can always be
-// satisfied by consumer progress and never deadlocks.
-func frontWorker(ps []*frontProducer, st *frontShardStats, stop <-chan struct{}) {
-	live := len(ps)
-	for live > 0 {
-		progress := false
-		var blocked *frontProducer
-		for _, p := range ps {
-			if p.closed {
-				continue
-			}
-			if !p.hasPending && !p.fill() {
-				p.box.Close()
-				p.closed = true
-				live--
-				continue
-			}
-			if p.box.TryPush(p.pending) {
-				p.hasPending = false
-				st.Refs++
-				progress = true
-			} else {
-				st.Stalls++
-				if blocked == nil {
-					blocked = p
-				}
-			}
-		}
-		if !progress && blocked != nil {
-			if !blocked.box.Push(blocked.pending, stop) {
-				return // run abandoned (cancellation)
-			}
-			blocked.hasPending = false
-			st.Refs++
-		}
-	}
 }

@@ -19,15 +19,14 @@ import (
 // goroutine publishes rendered snapshots between quanta, scrape handlers
 // serve only published bytes, and no reader ever touches a live
 // component field. It also checks freshness: counters visible over HTTP
-// must advance while the run is in flight (serial front-end publishes
-// per quantum), and the run's result must be byte-identical to an
-// unobserved run.
+// must advance while the run is in flight (snapshots refresh every
+// quantum), and the run's result must be byte-identical to an unobserved
+// run.
 func TestMetricsScrapeDuringSystemRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulation in -short mode")
 	}
 	cfg := smallConfig("mcf_r", DesignAlloy)
-	cfg.Shards = 1 // serial front-end: snapshots refresh every quantum
 	plain := runOne(t, cfg)
 
 	sys, err := NewSystem(cfg)

@@ -521,6 +521,13 @@ func TestLoadConfigRejectsInvalid(t *testing.T) {
 	if _, err := LoadConfig(strings.NewReader(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	// A -saveconfig file written while Config still had the sharded
+	// front-end's worker-count field: otherwise valid, but strict decoding
+	// must reject the removed key rather than silently drop it.
+	_, err := LoadConfigFile("testdata/saveconfig-with-shards.json")
+	if err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Fatalf("config with a removed field: got %v, want an unknown-field error", err)
+	}
 }
 
 func TestConfigFileRoundTrip(t *testing.T) {

@@ -115,17 +115,19 @@ func TestPerBankColumnsSumToReads(t *testing.T) {
 	}
 }
 
-// TestTimeSeriesByteIdenticalAcrossShards is the acceptance gate: the
-// phase export is a pure function of the configuration — identical bytes
-// across repeated runs and across front-end shard counts, because only
-// engine-owned counters are sampled and the engine replay is
-// bit-identical at every quantum boundary.
-func TestTimeSeriesByteIdenticalAcrossShards(t *testing.T) {
-	cfg := shardConfig("mcf_r", DesignAlloy)
-	export := func(shards int) string {
-		c := cfg
-		c.Shards = shards
-		_, ts, _ := runWithTelemetry(t, c)
+// TestTimeSeriesDeterministic is the acceptance gate: the phase export is
+// a pure function of the configuration, identical bytes across repeated
+// runs.
+func TestTimeSeriesDeterministic(t *testing.T) {
+	// A private L2 makes the front-end carry state between references.
+	cfg := DefaultConfig("mcf_r")
+	cfg.Design = DesignAlloy
+	cfg.InstructionsPerCore = 40_000
+	cfg.WarmupRefs = 3_000
+	cfg.GapScale = 2
+	cfg.L2Bytes = 1 << 20
+	export := func() string {
+		_, ts, _ := runWithTelemetry(t, cfg)
 		var sb strings.Builder
 		if err := ts.WriteCSV(&sb); err != nil {
 			t.Fatal(err)
@@ -135,14 +137,8 @@ func TestTimeSeriesByteIdenticalAcrossShards(t *testing.T) {
 		}
 		return sb.String()
 	}
-	ref := export(0) // serial
-	if again := export(0); again != ref {
-		t.Fatal("repeated serial runs exported different bytes")
-	}
-	for _, shards := range []int{1, 2, 4} {
-		if got := export(shards); got != ref {
-			t.Fatalf("shards=%d exported different bytes than serial", shards)
-		}
+	if export() != export() {
+		t.Fatal("repeated runs exported different bytes")
 	}
 }
 

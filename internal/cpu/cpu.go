@@ -20,11 +20,9 @@ import (
 
 // FrontRef is one reference record emitted by a core's front-end: the
 // trace reference plus the private-L2 outcome. The front-end (trace
-// generation and the private L2) is timing-independent — its state is a
+// generation and the private L2) is timing-independent: its state is a
 // pure function of the core's own reference stream, never of simulated
-// time — so FrontRef streams can be produced ahead of the engine, on
-// another goroutine, or inline, without changing a single simulated
-// cycle. That property is what the sharded simulation mode rests on.
+// time, so warmup can consume the same stream with the clock stopped.
 type FrontRef struct {
 	Line   memaddr.Line // referenced line
 	PC     uint64       // address of the memory instruction

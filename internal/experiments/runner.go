@@ -53,12 +53,6 @@ type Params struct {
 	// The runner serializes all writes, so any writer is safe even under
 	// concurrent Prefetch.
 	Progress io.Writer
-	// Shards is the per-simulation front-end worker count
-	// (core.Config.Shards): <= 1 runs the serial front-end, larger values
-	// precompute reference streams in parallel. Results are bit-identical
-	// for every value — like Parallelism it steers execution, not
-	// outcomes, and is excluded from the checkpoint fingerprint.
-	Shards int
 	// Logger, when non-nil, receives structured point-lifecycle records
 	// (run/retry/failure) tagged with the request ID carried by the
 	// caller's context (WithRequestID). Additive: the human-oriented
@@ -473,7 +467,6 @@ func (r *Runner) pointConfig(key Point) core.Config {
 	cfg.Cores = r.p.Cores
 	cfg.GapScale = r.p.GapScale
 	cfg.Seed = r.p.Seed
-	cfg.Shards = r.p.Shards
 	if key.CacheMB > 0 {
 		cfg.DRAMCacheBytes = key.CacheMB << 20
 	}

@@ -161,7 +161,6 @@ func runTable3(ctx context.Context, r *Runner, w io.Writer) error {
 		cfg.WarmupRefs = r.p.WarmupRefs / 4
 		cfg.Cores = r.p.Cores
 		cfg.GapScale = r.p.GapScale
-		cfg.Shards = r.p.Shards
 		cfg.Design = core.DesignNone
 		cfg.TrackFootprint = true
 		sys, err := core.NewSystem(cfg)

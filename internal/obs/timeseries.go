@@ -31,10 +31,9 @@ type tsColumn struct {
 //   - Zero overhead when off: a nil *TimeSeries is valid and every method
 //     is a nil-safe early return.
 //   - Determinism when on: sampling happens at fixed epoch boundaries
-//     (the engine's 2^16-cycle cancellation quantum, which is also the
-//     sharded mode's barrier quantum), and only engine-goroutine-owned
-//     counters are registered, so the same configuration exports
-//     byte-identical series across runs and across shard counts.
+//     (the engine's 2^16-cycle cancellation quantum) on the simulation
+//     goroutine, so the same configuration exports byte-identical series
+//     across runs.
 //
 // The buffer keeps the OLDEST rows when capacity is exceeded — dropping
 // the newest preserves epoch alignment of what is kept (row i is always

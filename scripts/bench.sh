@@ -7,9 +7,8 @@
 #   BENCHTIME=3x scripts/bench.sh pr2   # more iterations, steadier ns/op
 #
 # The set covers the two figure benchmarks the ROADMAP tracks (Fig4, Fig9),
-# the sharded-front-end variants of Fig9 (Shards2/4/8 — same results, the
-# wall-time delta is the point), the raw simulator-throughput benchmark,
-# and the engine micro-benchmarks (which must stay at 0 allocs/op).
+# the raw simulator-throughput benchmark, and the engine micro-benchmarks
+# (which must stay at 0 allocs/op).
 # Numbers land in BENCH_sim.json next to the labels recorded by earlier
 # PRs, so the perf trajectory is diffable.
 set -euo pipefail
@@ -19,7 +18,7 @@ LABEL="${1:-current}"
 BENCHTIME="${BENCHTIME:-1x}"
 
 {
-  go test -run '^$' -bench 'BenchmarkFig4$|BenchmarkFig9$|BenchmarkFig9Shards[248]$|BenchmarkSimulationThroughput$' \
+  go test -run '^$' -bench 'BenchmarkFig4$|BenchmarkFig9$|BenchmarkSimulationThroughput$' \
     -benchmem -benchtime "$BENCHTIME" -timeout 30m .
   go test -run '^$' -bench 'BenchmarkSchedule|BenchmarkEngineMixed' \
     -benchmem -benchtime 1s ./internal/sim
