@@ -8,6 +8,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -73,19 +74,54 @@ func (s Stats) HitRate() float64 {
 // simulator is single-threaded and deterministic by design.
 //
 // Contents are stored struct-of-arrays: a flat tag array plus one valid and
-// one dirty bitmask per set (hence the 64-way limit). The lookup loop walks
-// only the valid ways through the tag array — half the memory traffic of an
-// array-of-structs layout — and a free way is found in O(1) by counting
-// trailing zeros of the inverted valid mask.
+// one dirty bitmask per set (hence the 64-way limit). A free way is found in
+// O(1) by counting trailing zeros of the inverted valid mask.
+//
+// Set-associative caches also keep a one-byte signature per way, a hash of
+// the line, and the lookup compares eight signatures per 64-bit word before
+// it reads any tag; a signature match is only a candidate, confirmed
+// against the valid mask and the full tag, so a collision costs one compare
+// and never changes an outcome. A direct-mapped cache tests its one way's
+// valid bit and tag directly, and since it has no replacement choice it
+// keeps no policy at all.
 type Cache struct {
 	cfg     Config
 	lines   []memaddr.Line // sets*assoc tags
+	sigs    []byte         // sets*assoc signatures plus 8 bytes of padding; nil below swarMinAssoc
 	valid   []uint64       // per-set way bitmask
 	dirty   []uint64       // per-set way bitmask
 	full    uint64         // assoc ones: the value of a full set's valid mask
 	setMask uint64         // Sets-1 when Sets is a power of two, else 0
-	pol     policy.Policy
+	pol     policy.Policy  // nil when Assoc is 1
+	occ     int            // valid lines, kept by fill and Invalidate
 	stats   Stats
+}
+
+// swarMinAssoc is the smallest associativity that keeps signatures.
+// BenchmarkAccess (2-CPU Xeon, two sets of 6 alternating rounds) puts
+// signatures at 13–24% less time per access for a 2-way array and 29–30%
+// less for a 4-way one, which skip the tag row on most misses, and 13%
+// more for a direct-mapped one, whose plain lookup is one valid test and
+// one tag compare.
+const swarMinAssoc = 2
+
+// Byte-lane constants of the zero-byte test: every zero byte of a word x
+// sets its lane's top bit in (x - lowBits) &^ x & highBits. The borrow out
+// of a zero byte can also set the bit of a 0x01 byte above it, one more
+// reason every candidate is confirmed.
+const (
+	lowBits  = 0x0101010101010101
+	highBits = 0x8080808080808080
+)
+
+// signature hashes a line to its one-byte lookup signature: the top byte
+// of a Fibonacci hash depends on every bit of the line, so the lines of one
+// set, which share their low (set-index) bits, still spread across all 256
+// values.
+//
+//alloyvet:hotpath
+func signature(line memaddr.Line) byte {
+	return byte(uint64(line) * 0x9E3779B97F4A7C15 >> 56)
 }
 
 // New creates a cache from the config. An empty Policy defaults to "lru".
@@ -97,7 +133,15 @@ func New(cfg Config) (*Cache, error) {
 	if name == "" {
 		name = "lru"
 	}
-	pol, err := policy.NewSeeded(name, cfg.Sets, cfg.Assoc, cfg.Seed)
+	var pol policy.Policy
+	var err error
+	if cfg.Assoc == 1 {
+		// Every policy's Victim returns the only way, and no other policy
+		// state is observable, so a direct-mapped cache only checks the name.
+		err = policy.Check(name)
+	} else {
+		pol, err = policy.NewSeeded(name, cfg.Sets, cfg.Assoc, cfg.Seed)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -109,9 +153,15 @@ func New(cfg Config) (*Cache, error) {
 	if s := uint64(cfg.Sets); s&(s-1) == 0 {
 		setMask = s - 1
 	}
+	var sigs []byte
+	if cfg.Assoc >= swarMinAssoc {
+		// The padding lets the last set's final word load stay in bounds.
+		sigs = make([]byte, cfg.Sets*cfg.Assoc+8)
+	}
 	return &Cache{
 		cfg:     cfg,
 		lines:   make([]memaddr.Line, cfg.Sets*cfg.Assoc),
+		sigs:    sigs,
 		valid:   make([]uint64, cfg.Sets),
 		dirty:   make([]uint64, cfg.Sets),
 		full:    full,
@@ -156,10 +206,26 @@ func (c *Cache) SetOf(line memaddr.Line) int {
 //alloyvet:hotpath
 func (c *Cache) findWay(set int, line memaddr.Line) int {
 	base := set * c.cfg.Assoc
-	for m := c.valid[set]; m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if c.lines[base+w] == line {
-			return w
+	valid := c.valid[set]
+	if c.sigs == nil {
+		for m := valid; m != 0; m &= m - 1 {
+			w := bits.TrailingZeros64(m)
+			if c.lines[base+w] == line {
+				return w
+			}
+		}
+		return -1
+	}
+	pattern := uint64(signature(line)) * lowBits
+	for off := 0; off < c.cfg.Assoc; off += 8 {
+		x := binary.LittleEndian.Uint64(c.sigs[base+off:]) ^ pattern
+		// Lanes past Assoc belong to the next set or the padding; their
+		// valid bits are clear, so they never confirm.
+		for m := (x - lowBits) &^ x & highBits; m != 0; m &= m - 1 {
+			w := off + bits.TrailingZeros64(m)>>3
+			if valid&(1<<uint(w)) != 0 && c.lines[base+w] == line {
+				return w
+			}
 		}
 	}
 	return -1
@@ -186,14 +252,18 @@ func (c *Cache) Access(line memaddr.Line, write bool) (hit bool, ev Eviction) {
 			c.stats.WriteHits++
 			c.dirty[set] |= 1 << uint(w)
 		}
-		c.pol.Touch(set, w)
+		if c.pol != nil {
+			c.pol.Touch(set, w)
+		}
 		return true, Eviction{}
 	}
 	c.stats.Misses++
 	if write {
 		c.stats.WriteMisses++
 	}
-	c.pol.Miss(set)
+	if c.pol != nil {
+		c.pol.Miss(set)
+	}
 	ev = c.fill(set, line, write)
 	return false, ev
 }
@@ -211,14 +281,18 @@ func (c *Cache) Probe(line memaddr.Line, write bool) bool {
 			c.stats.WriteHits++
 			c.dirty[set] |= 1 << uint(w)
 		}
-		c.pol.Touch(set, w)
+		if c.pol != nil {
+			c.pol.Touch(set, w)
+		}
 		return true
 	}
 	c.stats.Misses++
 	if write {
 		c.stats.WriteMisses++
 	}
-	c.pol.Miss(set)
+	if c.pol != nil {
+		c.pol.Miss(set)
+	}
 	return false
 }
 
@@ -243,8 +317,12 @@ func (c *Cache) fill(set int, line memaddr.Line, dirty bool) Eviction {
 	if free := ^c.valid[set] & c.full; free != 0 {
 		// Lowest invalid way first, matching the policy's insertion model.
 		way = bits.TrailingZeros64(free)
+		c.occ++
 	} else {
-		way = c.pol.Victim(set)
+		// A direct-mapped cache keeps no policy: its victim is way 0.
+		if c.pol != nil {
+			way = c.pol.Victim(set)
+		}
 		if invariants.Enabled && (way < 0 || way >= c.cfg.Assoc) {
 			// An out-of-range victim indexes into the neighboring set's
 			// tags — silent cross-set corruption, not a bounds panic.
@@ -258,13 +336,18 @@ func (c *Cache) fill(set int, line memaddr.Line, dirty bool) Eviction {
 		}
 	}
 	c.lines[base+way] = line
+	if c.sigs != nil {
+		c.sigs[base+way] = signature(line)
+	}
 	c.valid[set] |= 1 << uint(way)
 	if dirty {
 		c.dirty[set] |= 1 << uint(way)
 	} else {
 		c.dirty[set] &^= 1 << uint(way)
 	}
-	c.pol.Insert(set, way)
+	if c.pol != nil {
+		c.pol.Insert(set, way)
+	}
 	if invariants.Enabled {
 		c.checkSet(set)
 	}
@@ -272,15 +355,27 @@ func (c *Cache) fill(set int, line memaddr.Line, dirty bool) Eviction {
 }
 
 // checkSet asserts the set's occupancy bitmasks are consistent: a dirty
-// bit implies a valid bit, and no bit exceeds the associativity. Only
-// meaningful under -tags invariants; a dirty-without-valid bit turns into
-// a phantom writeback the next time the way is reused.
+// bit implies a valid bit, and no bit exceeds the associativity. Every
+// valid way's signature must match its tag, or the lookup would miss a
+// resident line. Only meaningful under -tags invariants; a
+// dirty-without-valid bit turns into a phantom writeback the next time
+// the way is reused.
 func (c *Cache) checkSet(set int) {
 	if orphan := c.dirty[set] &^ c.valid[set]; orphan != 0 {
 		invariants.Failf("cache: set %d has dirty bits %#x without valid bits (valid %#x)", set, orphan, c.valid[set])
 	}
 	if over := c.valid[set] &^ c.full; over != 0 {
 		invariants.Failf("cache: set %d valid mask %#x exceeds %d ways", set, c.valid[set], c.cfg.Assoc)
+	}
+	if c.sigs == nil {
+		return
+	}
+	base := set * c.cfg.Assoc
+	for m := c.valid[set]; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		if got, want := c.sigs[base+w], signature(c.lines[base+w]); got != want {
+			invariants.Failf("cache: set %d way %d signature %#x, want %#x for line %d", set, w, got, want, c.lines[base+w])
+		}
 	}
 }
 
@@ -296,6 +391,7 @@ func (c *Cache) Invalidate(line memaddr.Line) (present, dirty bool) {
 	c.valid[set] &^= bit
 	c.dirty[set] &^= bit
 	c.lines[set*c.cfg.Assoc+w] = 0
+	c.occ--
 	if invariants.Enabled {
 		c.checkSet(set)
 	}
@@ -303,10 +399,4 @@ func (c *Cache) Invalidate(line memaddr.Line) (present, dirty bool) {
 }
 
 // Occupancy returns the number of valid lines; useful for warmup checks.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for _, m := range c.valid {
-		n += bits.OnesCount64(m)
-	}
-	return n
-}
+func (c *Cache) Occupancy() int { return c.occ }

@@ -26,6 +26,10 @@ func TestConfigValidate(t *testing.T) {
 	if _, err := New(Config{Sets: 4, Assoc: 2, Policy: "nope"}); err == nil {
 		t.Fatal("bad policy accepted")
 	}
+	// A direct-mapped cache builds no policy but still checks the name.
+	if _, err := New(Config{Sets: 4, Assoc: 1, Policy: "nope"}); err == nil {
+		t.Fatal("bad policy accepted for a direct-mapped cache")
+	}
 	if c := (Config{Sets: 10, Assoc: 4}); c.Lines() != 40 {
 		t.Fatalf("Lines = %d, want 40", c.Lines())
 	}

@@ -43,16 +43,24 @@ func TestValidMaskOverflowPanics(t *testing.T) {
 	mustPanic(t, "exceeds 2 ways", func() { c.Invalidate(memaddr.Line(0)) })
 }
 
+func TestStaleSignaturePanics(t *testing.T) {
+	c := MustNew(Config{Sets: 4, Assoc: 8})
+	c.Fill(memaddr.Line(0), false)
+	// A signature that no longer matches its tag hides a resident line.
+	c.sigs[0] ^= 0xff
+	mustPanic(t, "signature", func() { c.Fill(memaddr.Line(4), false) })
+}
+
 // rogueVictim is a replacement policy that returns an out-of-range way, the
 // bug class the fill invariant exists to catch: the bad index would land in
 // the neighboring set's tags, not in a bounds panic.
 type rogueVictim struct{}
 
-func (rogueVictim) Touch(set, way int) {}
+func (rogueVictim) Touch(set, way int)  {}
 func (rogueVictim) Insert(set, way int) {}
-func (rogueVictim) Victim(set int) int { return 99 }
-func (rogueVictim) Miss(set int)       {}
-func (rogueVictim) Name() string       { return "rogue" }
+func (rogueVictim) Victim(set int) int  { return 99 }
+func (rogueVictim) Miss(set int)        {}
+func (rogueVictim) Name() string        { return "rogue" }
 
 func TestVictimOutOfRangePanics(t *testing.T) {
 	c := MustNew(Config{Sets: 4, Assoc: 1})

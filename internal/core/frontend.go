@@ -15,20 +15,31 @@ type directSource struct {
 	l2  *cache.Cache // nil when the configuration has no private L2
 }
 
-// NextRef implements cpu.RefSource: it advances the trace generator by one
-// reference, then the private L2 when there is one.
+// NextRef implements cpu.RefSource.
 //
 //alloyvet:hotpath
 func (d *directSource) NextRef() cpu.FrontRef {
+	var fr cpu.FrontRef
+	d.next(&fr)
+	return fr
+}
+
+// next advances the trace generator by one reference, then the private L2
+// when there is one, and writes the record into fr. Warmup calls it
+// directly on one reused record, so the 40-byte FrontRef is written in
+// place instead of being returned and copied.
+//
+//alloyvet:hotpath
+func (d *directSource) next(fr *cpu.FrontRef) {
 	ref := d.gen.Next()
-	fr := cpu.FrontRef{Line: ref.Line, PC: ref.PC, Gap: ref.Gap, Write: ref.Write}
+	*fr = cpu.FrontRef{Line: ref.Line, PC: ref.PC, Gap: ref.Gap, Write: ref.Write}
 	if d.l2 == nil {
-		return fr
+		return
 	}
 	if ref.Write {
 		// Stores probe the L2 (no allocate on write miss).
 		fr.L2Hit = d.l2.Probe(ref.Line, true)
-		return fr
+		return
 	}
 	hit, ev := d.l2.Access(ref.Line, false)
 	fr.L2Hit = hit
@@ -36,5 +47,4 @@ func (d *directSource) NextRef() cpu.FrontRef {
 		fr.L2WB = true
 		fr.Victim = ev.Line
 	}
-	return fr
 }

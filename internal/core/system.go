@@ -32,7 +32,7 @@ type System struct {
 	mem     *dram.DRAM
 	stacked *dram.DRAM
 	gens    []trace.Generator
-	srcs    []cpu.RefSource // per-core front-ends (see frontend.go)
+	srcs    []*directSource // per-core front-ends (see frontend.go)
 	cores   []*cpu.Core
 
 	// Measured statistics (reset after warmup).
@@ -282,7 +282,16 @@ func (s *System) publishMetrics() {
 // without advancing time, then clears all timing state and statistics so
 // measurement starts from warm contents and cold clocks. It checks ctx
 // periodically so long warmups cancel as promptly as the measured phase.
+//
+// The stacked DRAM runs warm-only (dram.DRAM.WarmOnly) until the closing
+// Reset: organizations take no contents decision from a DRAM result, and
+// Reset discards every bank, bus and statistic reservation warmup would
+// have made, so skipping them changes no simulated number.
+//
+//alloyvet:hotpath
 func (s *System) warm(ctx context.Context) error {
+	s.stacked.WarmOnly()
+	var ref cpu.FrontRef
 	for n := uint64(0); n < s.cfg.WarmupRefs; n++ {
 		if n&0xfff == 0 {
 			if err := ctx.Err(); err != nil {
@@ -290,7 +299,7 @@ func (s *System) warm(ctx context.Context) error {
 			}
 		}
 		for _, src := range s.srcs {
-			ref := src.NextRef()
+			src.next(&ref)
 			if ref.L2Hit {
 				continue
 			}

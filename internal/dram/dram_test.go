@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -228,5 +229,33 @@ func TestQuickLatencyFloor(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// In warm-only mode every access writes a zero Result and leaves bank,
+// channel and statistics state exactly as it was; Reset leaves the mode.
+func TestWarmOnlyReservesNothing(t *testing.T) {
+	d := MustNew(StackedConfig())
+	for i := 0; i < 200; i++ {
+		d.AccessLine(sim.Ticks(3*i), memaddr.Line(37*i), i%4 == 0)
+	}
+	banks, channels, stats := slices.Clone(d.banks), slices.Clone(d.channels), d.Stats()
+	d.WarmOnly()
+	for i := 0; i < 200; i++ {
+		r := Result{Done: 1, RowHit: true}
+		d.AccessRowInto(sim.Ticks(i), uint64(i), 5, i%3 == 0, &r)
+		if r != (Result{}) {
+			t.Fatalf("warm-only AccessRowInto wrote %+v, want a zero Result", r)
+		}
+		if r := d.AccessLine(sim.Ticks(i), memaddr.Line(i), false); r != (Result{}) {
+			t.Fatalf("warm-only AccessLine returned %+v, want a zero Result", r)
+		}
+	}
+	if !slices.Equal(d.banks, banks) || !slices.Equal(d.channels, channels) || d.Stats() != stats {
+		t.Fatal("warm-only accesses changed bank, channel or statistics state")
+	}
+	d.Reset()
+	if r := d.AccessLine(0, 0, false); r.Latency != 40 {
+		t.Fatalf("first access after Reset took %d cycles, want a timed 40", r.Latency)
 	}
 }

@@ -16,6 +16,16 @@
 // bursts, replacement updates, fills — to the shared stacked-DRAM device
 // (internal/dram), so bandwidth contention between designs' flows emerges
 // structurally, exactly the effect Table 4 quantifies.
+//
+// Contents never depend on DRAM results. Which lines are resident, which
+// way a fill takes, and every predictor, steering or admission decision
+// (Gemini's region steering, Banshee's fill filter) follow from the
+// sequence of accessed lines and write flags alone; a dram.Result only
+// feeds the timestamps and row-hit flags of the AccessResult. Warmup
+// relies on this rule: core.System.warm runs the stacked device warm-only
+// (dram.DRAM.WarmOnly), where every Result is zero, and a design that
+// broke the rule would warm to different contents.
+// TestWarmOnlyContentsExact checks every registered design.
 package dramcache
 
 import (

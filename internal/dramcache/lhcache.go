@@ -67,11 +67,7 @@ func NewLHCache(capacityBytes uint64, stacked *dram.DRAM, opts ...LHOption) (*LH
 		return nil, fmt.Errorf("dramcache: capacity %d smaller than one row", capacityBytes)
 	}
 	sets := int(rows) * LHDataLinesPerRow / p.assoc
-	pol := p.policy
-	if p.assoc == 1 {
-		pol = "lru"
-	}
-	tags, err := cache.New(cache.Config{Sets: sets, Assoc: p.assoc, Policy: pol, Seed: p.seed})
+	tags, err := cache.New(cache.Config{Sets: sets, Assoc: p.assoc, Policy: p.policy, Seed: p.seed})
 	if err != nil {
 		return nil, err
 	}

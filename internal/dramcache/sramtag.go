@@ -34,11 +34,7 @@ func NewSRAMTag(capacityBytes uint64, assoc int, stacked *dram.DRAM) (*SRAMTag, 
 		return nil, fmt.Errorf("dramcache: capacity %d smaller than one row", capacityBytes)
 	}
 	sets := int(rows) * linesPerRow / assoc
-	pol := "dip"
-	if assoc == 1 {
-		pol = "lru" // no replacement choice exists for direct-mapped
-	}
-	tags, err := cache.New(cache.Config{Sets: sets, Assoc: assoc, Policy: pol})
+	tags, err := cache.New(cache.Config{Sets: sets, Assoc: assoc, Policy: "dip"})
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,10 @@
 // configurations need no policy at all.
 package policy
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Policy tracks replacement metadata for a cache of Sets x Assoc lines.
 // Way indices are dense in [0, Assoc).
@@ -60,13 +63,24 @@ func NewSeeded(name string, sets, assoc int, seed uint64) (Policy, error) {
 	case "nru":
 		return NewNRU(sets, assoc), nil
 	}
-	return nil, fmt.Errorf("policy: unknown policy %q", name)
+	return nil, unknown(name)
 }
 
 // Known lists every policy name New accepts, in a stable order.
 func Known() []string {
 	return []string{"lru", "random", "bip", "dip", "nru", "srrip", "brrip", "ship"}
 }
+
+// Check reports the error New would return for the name, without building
+// a policy.
+func Check(name string) error {
+	if slices.Contains(Known(), name) {
+		return nil
+	}
+	return unknown(name)
+}
+
+func unknown(name string) error { return fmt.Errorf("policy: unknown policy %q", name) }
 
 // LRU is true least-recently-used replacement using per-line stamps.
 type LRU struct {
@@ -200,6 +214,14 @@ func (p *BIP) Victim(set int) int { return p.lru.Victim(set) }
 // every dedicationStride-th set is dedicated to LRU, the next to BIP, and
 // misses in dedicated sets steer a saturating PSEL counter that decides the
 // policy for all follower sets.
+//
+// DIP keeps two recency rows per set, each stamped from its own clock: its
+// LRU's row, whose minimum is the victim, and its BIP's row, whose minimum
+// places a BIP (LRU-position) insertion. A fill stamps the row of the
+// insertion policy in force and copies that stamp into the other row, so
+// the rows exchange values on every fill while the two clocks drift apart.
+// Victim choice depends on both clocks: one shared clock would evict
+// differently.
 type DIP struct {
 	lru  *LRU
 	bip  *BIP
@@ -246,14 +268,14 @@ func (p *DIP) usesBIP(set int) bool {
 	return p.psel > p.max/2
 }
 
-// Touch implements Policy. Both sub-policies share the LRU stamps, so we
-// touch through the LRU core (BIP delegates there anyway).
+// Touch implements Policy: each row takes a fresh stamp from its own clock.
 func (p *DIP) Touch(set, way int) {
 	p.lru.Touch(set, way)
 	p.bip.lru.Touch(set, way)
 }
 
-// Insert implements Policy.
+// Insert implements Policy: the row of the insertion policy in force
+// stamps the way, and the other row copies the stamp.
 func (p *DIP) Insert(set, way int) {
 	if p.usesBIP(set) {
 		p.bip.Insert(set, way)
