@@ -2,30 +2,17 @@ package cache
 
 import "alloysim/internal/obs"
 
-// RegisterMetrics exposes the cache's event counters in reg under the
-// given prefix (e.g. "l3"). Only read-back closures are registered; the
-// lookup and fill paths keep incrementing their plain stat fields.
-func (c *Cache) RegisterMetrics(reg *obs.Registry, prefix string) {
-	reg.RegisterCounterFunc(prefix+"_hits_total", "demand accesses that hit", func() uint64 { return c.stats.Hits })
-	reg.RegisterCounterFunc(prefix+"_misses_total", "demand accesses that missed", func() uint64 { return c.stats.Misses })
-	reg.RegisterCounterFunc(prefix+"_write_hits_total", "write accesses that hit", func() uint64 { return c.stats.WriteHits })
-	reg.RegisterCounterFunc(prefix+"_write_misses_total", "write accesses that missed", func() uint64 { return c.stats.WriteMisses })
-	reg.RegisterCounterFunc(prefix+"_evictions_total", "valid lines displaced by fills", func() uint64 { return c.stats.Evictions })
-	reg.RegisterCounterFunc(prefix+"_writebacks_total", "dirty lines displaced by fills", func() uint64 { return c.stats.Writebacks })
-	reg.RegisterGaugeFunc(prefix+"_hit_rate", "hits over demand accesses", func() float64 { return c.stats.HitRate() })
-	reg.RegisterGaugeFunc(prefix+"_occupancy_lines", "valid lines currently resident", func() float64 { return float64(c.Occupancy()) })
-}
-
-// RegisterTimeSeries exposes the cache's event counters as phase
-// time-series columns; hit rate per epoch is derived by readers from the
-// hits/misses deltas. Occupancy rides along as a uint64 level — it is
-// the one non-monotone column, and the phase figures read it directly.
-func (c *Cache) RegisterTimeSeries(sink obs.ColumnSink, prefix string) {
-	sink.AddColumn(prefix+"_hits_total", func() uint64 { return c.stats.Hits })
-	sink.AddColumn(prefix+"_misses_total", func() uint64 { return c.stats.Misses })
-	sink.AddColumn(prefix+"_write_hits_total", func() uint64 { return c.stats.WriteHits })
-	sink.AddColumn(prefix+"_write_misses_total", func() uint64 { return c.stats.WriteMisses })
-	sink.AddColumn(prefix+"_evictions_total", func() uint64 { return c.stats.Evictions })
-	sink.AddColumn(prefix+"_writebacks_total", func() uint64 { return c.stats.Writebacks })
-	sink.AddColumn(prefix+"_occupancy_lines", func() uint64 { return uint64(c.Occupancy()) })
+// RegisterMetrics exports the cache's event counters under the given
+// prefix (e.g. "l3"). Only read-back closures are registered; the lookup
+// and fill paths keep incrementing their plain stat fields. Occupancy is
+// the one non-monotone level, and the phase figures read it directly.
+func (c *Cache) RegisterMetrics(x obs.Exporter, prefix string) {
+	x.Counter(prefix+"_hits_total", "demand accesses that hit", func() uint64 { return c.stats.Hits })
+	x.Counter(prefix+"_misses_total", "demand accesses that missed", func() uint64 { return c.stats.Misses })
+	x.Counter(prefix+"_write_hits_total", "write accesses that hit", func() uint64 { return c.stats.WriteHits })
+	x.Counter(prefix+"_write_misses_total", "write accesses that missed", func() uint64 { return c.stats.WriteMisses })
+	x.Counter(prefix+"_evictions_total", "valid lines displaced by fills", func() uint64 { return c.stats.Evictions })
+	x.Counter(prefix+"_writebacks_total", "dirty lines displaced by fills", func() uint64 { return c.stats.Writebacks })
+	x.Gauge(prefix+"_hit_rate", "hits over demand accesses", func() float64 { return c.stats.HitRate() })
+	x.Level(prefix+"_occupancy_lines", "valid lines currently resident", func() uint64 { return uint64(c.Occupancy()) })
 }

@@ -19,20 +19,12 @@ func (s *System) EnableObservability(reg *obs.Registry, trc *obs.Tracer) {
 		return
 	}
 	s.reg = reg
-	s.eng.RegisterMetrics(reg, "sim_engine")
-	s.l3.RegisterMetrics(reg, "l3")
-	s.mem.RegisterMetrics(reg, "dram_offchip")
-	s.stacked.RegisterMetrics(reg, "dram_stacked")
-	if s.org != nil {
-		s.org.RegisterMetrics(reg, "dramcache")
-		s.acc.RegisterMetrics(reg, "predictor")
-	}
-	reg.RegisterCounterFunc("below_reads_total", "L3 read misses serviced below the L3", func() uint64 { return s.belowReads.Value() })
-	reg.RegisterCounterFunc("below_writes_total", "write traffic below the L3", func() uint64 { return s.belowWrites.Value() })
-	reg.RegisterCounterFunc("wasted_mem_reads_total", "parallel memory probes discarded on cache hits", func() uint64 { return s.wastedMemReads.Value() })
+	s.export(reg)
+	// The samplers key every row by cycle and have no histogram form, so
+	// these three go to the registry alone.
+	reg.Counter("sim_engine_cycles_total", "current simulated cycle", func() uint64 { return s.eng.Now().Count() })
 	reg.RegisterHistogram("hit_latency_cycles", "DRAM-cache hit latency from L3-miss detection", s.hitLatHist)
 	reg.RegisterHistogram("miss_latency_cycles", "DRAM-cache miss latency from L3-miss detection", s.missLatHist)
-	reg.RegisterGaugeFunc("read_latency_mean_cycles", "mean latency of reads serviced below the L3", func() float64 { return s.readLat.Value() })
 	// Publish the t=0 snapshot now, while nothing is running: from here
 	// on, debug-server scrapes serve rendered snapshots (refreshed
 	// between quanta by RunContext) instead of racing live fields.
@@ -50,7 +42,7 @@ func (s *System) EnableTimeSeries(ts *obs.TimeSeries) {
 		return
 	}
 	s.ts = ts
-	s.registerColumns(ts)
+	s.exportColumns(ts)
 }
 
 // EnableFlightRecorder attaches the always-on black box: the same column
@@ -64,31 +56,38 @@ func (s *System) EnableFlightRecorder(fr *obs.FlightRecorder) {
 		return
 	}
 	s.fr = fr
-	s.registerColumns(fr)
+	s.exportColumns(fr)
 	if s.trc == nil {
 		s.trc = fr.Tracer()
 	}
 }
 
-// registerColumns registers the phase columns into a sink;
-// shared by EnableTimeSeries and EnableFlightRecorder so both consumers
-// see the same schema. The sampled cycle itself is the row key, so the
-// engine contributes only its event counters. Per-bank columns are
-// registered for the stacked device only (the object of the paper's
-// bank-occupancy analysis); the off-chip device exports aggregates.
-func (s *System) registerColumns(sink obs.ColumnSink) {
-	s.eng.RegisterTimeSeries(sink, "sim_engine")
-	s.l3.RegisterTimeSeries(sink, "l3")
-	s.mem.RegisterTimeSeries(sink, "dram_offchip")
-	s.stacked.RegisterTimeSeries(sink, "dram_stacked")
+// export hands every component's counters to x: the one list that the
+// registry, the time series and the flight recorder all read.
+func (s *System) export(x obs.Exporter) {
+	s.eng.RegisterMetrics(x, "sim_engine")
+	s.l3.RegisterMetrics(x, "l3")
+	s.mem.RegisterMetrics(x, "dram_offchip")
+	s.stacked.RegisterMetrics(x, "dram_stacked")
 	if s.org != nil {
-		s.org.RegisterTimeSeries(sink, "dramcache")
-		s.acc.RegisterTimeSeries(sink, "predictor")
-		s.stacked.RegisterBankTimeSeries(sink, "dram_stacked")
+		s.org.RegisterMetrics(x, "dramcache")
+		s.acc.RegisterMetrics(x, "predictor")
 	}
-	sink.AddColumn("below_reads_total", func() uint64 { return s.belowReads.Value() })
-	sink.AddColumn("below_writes_total", func() uint64 { return s.belowWrites.Value() })
-	sink.AddColumn("wasted_mem_reads_total", func() uint64 { return s.wastedMemReads.Value() })
+	x.Counter("below_reads_total", "L3 read misses serviced below the L3", func() uint64 { return s.belowReads.Value() })
+	x.Counter("below_writes_total", "write traffic below the L3", func() uint64 { return s.belowWrites.Value() })
+	x.Counter("wasted_mem_reads_total", "parallel memory probes discarded on cache hits", func() uint64 { return s.wastedMemReads.Value() })
+	x.Gauge("read_latency_mean_cycles", "mean latency of reads serviced below the L3", func() float64 { return s.readLat.Value() })
+}
+
+// exportColumns is export plus, when there is a DRAM cache, one column
+// per stacked bank (the object of the paper's bank-occupancy analysis):
+// the phase samplers' schema. The off-chip device exports aggregates
+// only, and the registry never carries per-bank series.
+func (s *System) exportColumns(x obs.Exporter) {
+	s.export(x)
+	if s.org != nil {
+		s.stacked.RegisterBankTimeSeries(x, "dram_stacked")
+	}
 }
 
 // TimeSeries returns the attached sampler (nil when disabled); the CLIs

@@ -161,16 +161,8 @@ func (b *Banshee) ResetStats() {
 
 // RegisterMetrics implements Organization, adding the fill-filter counters
 // to the base set.
-func (b *Banshee) RegisterMetrics(reg *obs.Registry, prefix string) {
-	b.base.RegisterMetrics(reg, prefix)
-	reg.RegisterCounterFunc(prefix+"_bypassed_fills_total", "read misses bypassed to memory by the fill filter", func() uint64 { return b.bypassed.Value() })
-	reg.RegisterCounterFunc(prefix+"_admitted_fills_total", "read misses admitted past the fill filter", func() uint64 { return b.admitted.Value() })
-}
-
-// RegisterTimeSeries implements Organization, adding the fill-filter
-// counters to the base set.
-func (b *Banshee) RegisterTimeSeries(sink obs.ColumnSink, prefix string) {
-	b.base.RegisterTimeSeries(sink, prefix)
-	sink.AddColumn(prefix+"_bypassed_fills_total", func() uint64 { return b.bypassed.Value() })
-	sink.AddColumn(prefix+"_admitted_fills_total", func() uint64 { return b.admitted.Value() })
+func (b *Banshee) RegisterMetrics(x obs.Exporter, prefix string) {
+	b.base.RegisterMetrics(x, prefix)
+	x.Counter(prefix+"_bypassed_fills_total", "read misses bypassed to memory by the fill filter", func() uint64 { return b.bypassed.Value() })
+	x.Counter(prefix+"_admitted_fills_total", "read misses admitted past the fill filter", func() uint64 { return b.admitted.Value() })
 }

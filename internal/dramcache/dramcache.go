@@ -108,12 +108,9 @@ type Organization interface {
 	// ResetStats zeroes counters while keeping contents; separates warmup
 	// from measurement.
 	ResetStats()
-	// RegisterMetrics exposes the organization's counters in reg under
-	// the given prefix. Registration is setup-time only.
-	RegisterMetrics(reg *obs.Registry, prefix string)
-	// RegisterTimeSeries exposes the organization's counters as phase
-	// time-series columns under the given prefix. Setup-time only.
-	RegisterTimeSeries(sink obs.ColumnSink, prefix string)
+	// RegisterMetrics exports the organization's counters under the
+	// given prefix. Registration is setup-time only.
+	RegisterMetrics(x obs.Exporter, prefix string)
 }
 
 // base carries the machinery shared by all organizations.
@@ -163,24 +160,16 @@ func (b *base) RowBufferHitRate() float64 {
 
 // RegisterMetrics implements Organization for every design that embeds
 // base: the tag-store counters plus the organization-level access, row
-// locality, and hit-latency statistics. The shared stacked DRAM device is
-// registered once by the system, not per organization.
-func (b *base) RegisterMetrics(reg *obs.Registry, prefix string) {
-	b.tags.RegisterMetrics(reg, prefix+"_tags")
-	reg.RegisterCounterFunc(prefix+"_accesses_total", "demand accesses serviced", func() uint64 { return b.accs.Value() })
-	reg.RegisterCounterFunc(prefix+"_row_buffer_hits_total", "demand accesses whose first DRAM access hit an open row", func() uint64 { return b.rowHits.Value() })
-	reg.RegisterGaugeFunc(prefix+"_row_buffer_hit_rate", "row-buffer hit fraction of demand accesses", func() float64 { return b.RowBufferHitRate() })
-	reg.RegisterGaugeFunc(prefix+"_hit_latency_mean_cycles", "mean cache-internal hit latency", func() float64 { return b.hitLat.Value() })
-}
-
-// RegisterTimeSeries implements Organization for every design that embeds
-// base: the tag-store counters plus the organization-level access and row
-// locality counts (the hit-rate-vs-time phase figure divides the epoch
-// deltas of tags hits over accesses).
-func (b *base) RegisterTimeSeries(sink obs.ColumnSink, prefix string) {
-	b.tags.RegisterTimeSeries(sink, prefix+"_tags")
-	sink.AddColumn(prefix+"_accesses_total", func() uint64 { return b.accs.Value() })
-	sink.AddColumn(prefix+"_row_buffer_hits_total", func() uint64 { return b.rowHits.Value() })
+// locality, and hit-latency statistics (the hit-rate-vs-time phase
+// figure divides the epoch deltas of tags hits over accesses). The
+// shared stacked DRAM device is registered once by the system, not per
+// organization.
+func (b *base) RegisterMetrics(x obs.Exporter, prefix string) {
+	b.tags.RegisterMetrics(x, prefix+"_tags")
+	x.Counter(prefix+"_accesses_total", "demand accesses serviced", func() uint64 { return b.accs.Value() })
+	x.Counter(prefix+"_row_buffer_hits_total", "demand accesses whose first DRAM access hit an open row", func() uint64 { return b.rowHits.Value() })
+	x.Gauge(prefix+"_row_buffer_hit_rate", "row-buffer hit fraction of demand accesses", func() float64 { return b.RowBufferHitRate() })
+	x.Gauge(prefix+"_hit_latency_mean_cycles", "mean cache-internal hit latency", func() float64 { return b.hitLat.Value() })
 }
 
 // RowBufferHitRater is implemented by organizations exposing row-locality

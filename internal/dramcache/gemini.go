@@ -328,21 +328,12 @@ func (g *Gemini) ResetStats() {
 
 // RegisterMetrics implements Organization: per-region tag counters plus
 // the organization-level statistics.
-func (g *Gemini) RegisterMetrics(reg *obs.Registry, prefix string) {
-	g.dm.RegisterMetrics(reg, prefix+"_dm_tags")
-	g.sa.RegisterMetrics(reg, prefix+"_sa_tags")
-	reg.RegisterCounterFunc(prefix+"_accesses_total", "demand accesses serviced", func() uint64 { return g.accs.Value() })
-	reg.RegisterCounterFunc(prefix+"_row_buffer_hits_total", "demand accesses whose first DRAM access hit an open row", func() uint64 { return g.rowHits.Value() })
-	reg.RegisterCounterFunc(prefix+"_steer_misroutes_total", "hits found in the region the steering predictor did not probe first", func() uint64 { return g.saMisrouted.Value() })
-	reg.RegisterGaugeFunc(prefix+"_row_buffer_hit_rate", "row-buffer hit fraction of demand accesses", func() float64 { return g.RowBufferHitRate() })
-	reg.RegisterGaugeFunc(prefix+"_hit_latency_mean_cycles", "mean cache-internal hit latency", func() float64 { return g.hitLat.Value() })
-}
-
-// RegisterTimeSeries implements Organization.
-func (g *Gemini) RegisterTimeSeries(sink obs.ColumnSink, prefix string) {
-	g.dm.RegisterTimeSeries(sink, prefix+"_dm_tags")
-	g.sa.RegisterTimeSeries(sink, prefix+"_sa_tags")
-	sink.AddColumn(prefix+"_accesses_total", func() uint64 { return g.accs.Value() })
-	sink.AddColumn(prefix+"_row_buffer_hits_total", func() uint64 { return g.rowHits.Value() })
-	sink.AddColumn(prefix+"_steer_misroutes_total", func() uint64 { return g.saMisrouted.Value() })
+func (g *Gemini) RegisterMetrics(x obs.Exporter, prefix string) {
+	g.dm.RegisterMetrics(x, prefix+"_dm_tags")
+	g.sa.RegisterMetrics(x, prefix+"_sa_tags")
+	x.Counter(prefix+"_accesses_total", "demand accesses serviced", func() uint64 { return g.accs.Value() })
+	x.Counter(prefix+"_row_buffer_hits_total", "demand accesses whose first DRAM access hit an open row", func() uint64 { return g.rowHits.Value() })
+	x.Counter(prefix+"_steer_misroutes_total", "hits found in the region the steering predictor did not probe first", func() uint64 { return g.saMisrouted.Value() })
+	x.Gauge(prefix+"_row_buffer_hit_rate", "row-buffer hit fraction of demand accesses", func() float64 { return g.RowBufferHitRate() })
+	x.Gauge(prefix+"_hit_latency_mean_cycles", "mean cache-internal hit latency", func() float64 { return g.hitLat.Value() })
 }

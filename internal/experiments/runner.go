@@ -584,17 +584,17 @@ func (r *Runner) WriteSummary(w io.Writer) {
 	}
 }
 
-// RegisterMetrics exposes the runner's sweep counters in reg under the
-// given prefix (e.g. "runner"). Reads snapshot under the runner lock at
-// dump time.
-func (r *Runner) RegisterMetrics(reg *obs.Registry, prefix string) {
-	reg.RegisterCounterFunc(prefix+"_points_run_total", "simulations actually executed", func() uint64 { return r.Metrics().PointsRun })
-	reg.RegisterCounterFunc(prefix+"_memo_hits_total", "Run calls served from the in-memory memo", func() uint64 { return r.Metrics().MemoHits })
-	reg.RegisterCounterFunc(prefix+"_checkpoint_hits_total", "points restored from a checkpoint file", func() uint64 { return r.Metrics().CheckpointHits })
-	reg.RegisterCounterFunc(prefix+"_inflight_joins_total", "Run calls that joined a concurrent duplicate", func() uint64 { return r.Metrics().FlightJoins })
-	reg.RegisterCounterFunc(prefix+"_retries_total", "re-attempts after transient failures", func() uint64 { return r.Metrics().Retries })
-	reg.RegisterCounterFunc(prefix+"_failures_total", "points whose every attempt failed", func() uint64 { return r.Metrics().Failures })
-	reg.RegisterGaugeFunc(prefix+"_sim_wall_seconds", "cumulative wall time inside successful simulations", func() float64 { return r.Metrics().SimWall.Seconds() })
+// RegisterMetrics exports the runner's sweep counters under the given
+// prefix (e.g. "runner"). Reads snapshot under the runner lock at dump
+// time.
+func (r *Runner) RegisterMetrics(x obs.Exporter, prefix string) {
+	x.Counter(prefix+"_points_run_total", "simulations actually executed", func() uint64 { return r.Metrics().PointsRun })
+	x.Counter(prefix+"_memo_hits_total", "Run calls served from the in-memory memo", func() uint64 { return r.Metrics().MemoHits })
+	x.Counter(prefix+"_checkpoint_hits_total", "points restored from a checkpoint file", func() uint64 { return r.Metrics().CheckpointHits })
+	x.Counter(prefix+"_inflight_joins_total", "Run calls that joined a concurrent duplicate", func() uint64 { return r.Metrics().FlightJoins })
+	x.Counter(prefix+"_retries_total", "re-attempts after transient failures", func() uint64 { return r.Metrics().Retries })
+	x.Counter(prefix+"_failures_total", "points whose every attempt failed", func() uint64 { return r.Metrics().Failures })
+	x.Gauge(prefix+"_sim_wall_seconds", "cumulative wall time inside successful simulations", func() float64 { return r.Metrics().SimWall.Seconds() })
 }
 
 // progressf writes one progress line, serialized across goroutines.

@@ -22,8 +22,10 @@ import (
 // escape hatch is gone).
 func TestDebugServerScrapeDuringWrites(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("scrape_test_events_total", "events")
-	g := reg.Gauge("scrape_test_level", "level")
+	var c uint64
+	var g float64
+	reg.Counter("scrape_test_events_total", "events", func() uint64 { return c })
+	reg.Gauge("scrape_test_level", "level", func() float64 { return g })
 	reg.PublishSnapshot()
 
 	ds, err := StartDebugServer("127.0.0.1:0", reg)
@@ -46,18 +48,16 @@ func TestDebugServerScrapeDuringWrites(t *testing.T) {
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
-		v := 0.0
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			c.Inc()
-			v++
-			g.Set(v)
+			c++
+			g++
 			if i < 20 {
-				reg.Counter(fmt.Sprintf("scrape_test_late_%d_total", i), "late registration")
+				reg.Counter(fmt.Sprintf("scrape_test_late_%d_total", i), "late registration", func() uint64 { return 0 })
 			}
 			reg.PublishSnapshot()
 		}
@@ -101,7 +101,7 @@ func TestDebugServerScrapeDuringWrites(t *testing.T) {
 	close(stop)
 	writer.Wait()
 
-	if c.Value() == 0 {
+	if c == 0 {
 		t.Fatal("counter never advanced")
 	}
 }
@@ -111,10 +111,10 @@ func TestDebugServerScrapeDuringWrites(t *testing.T) {
 // after the next PublishSnapshot.
 func TestSnapshotServesPublishedValues(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("snap_events_total", "events")
-	c.Add(7)
+	var c uint64 = 7
+	reg.Counter("snap_events_total", "events", func() uint64 { return c })
 	reg.PublishSnapshot()
-	c.Add(100) // not yet published
+	c += 100 // not yet published
 
 	mux := DebugMux(reg)
 	get := func(path string) string {
@@ -172,7 +172,8 @@ func TestDebugServerCloseStopsServing(t *testing.T) {
 // proves every Close observer gets the same verdict.
 func TestDebugServerConcurrentCloseAndScrape(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("close_race_events_total", "events")
+	var c uint64
+	reg.Counter("close_race_events_total", "events", func() uint64 { return c })
 	reg.PublishSnapshot()
 
 	ds, err := StartDebugServer("127.0.0.1:0", reg)
@@ -182,7 +183,7 @@ func TestDebugServerConcurrentCloseAndScrape(t *testing.T) {
 	base := "http://" + ds.Addr().String()
 
 	var wg sync.WaitGroup
-	// One writer owns the counter (obs.Counter is single-writer by
+	// One writer owns the counter (exported fields are single-writer by
 	// contract) and keeps publishing snapshots throughout the shutdown.
 	writerStop := make(chan struct{})
 	var writer sync.WaitGroup
@@ -195,7 +196,7 @@ func TestDebugServerConcurrentCloseAndScrape(t *testing.T) {
 				return
 			default:
 			}
-			c.Inc()
+			c++
 			reg.PublishSnapshot()
 		}
 	}()

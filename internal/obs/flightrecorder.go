@@ -25,13 +25,8 @@ import (
 // WriteJSON on a live recorder is only safe from the sampling goroutine
 // or after the run.
 type FlightRecorder struct {
-	cols   []tsColumn
-	data   []uint64 // ring, row-major; allocated once by seal
-	cycles []uint64
-	head   int // next write position
-	n      int // rows retained (<= cap)
-	cap    int
-	drops  uint64
+	columnStore
+	head int // next ring row to write
 
 	trc *Tracer // sparse always-on lifecycle tracer; may be nil
 
@@ -48,8 +43,8 @@ func NewFlightRecorder(epochCap int, spanSample uint64, spanCap int) *FlightReco
 		epochCap = 64
 	}
 	return &FlightRecorder{
-		cap: epochCap,
-		trc: NewTracer(spanSample, spanCap),
+		columnStore: columnStore{cap: epochCap},
+		trc:         NewTracer(spanSample, spanCap),
 	}
 }
 
@@ -61,36 +56,18 @@ func (f *FlightRecorder) Tracer() *Tracer {
 	return f.trc
 }
 
-// AddColumn registers a named column; same contract as
-// TimeSeries.AddColumn (cold-path, before the first Sample, panics on
-// duplicates). FlightRecorder is a ColumnSink, so components register
-// into it through the same RegisterTimeSeries methods.
-func (f *FlightRecorder) AddColumn(name string, read func() uint64) {
-	if f == nil {
-		return
+// Counter adds a column, like TimeSeries.Counter. Implements Exporter.
+func (f *FlightRecorder) Counter(name, help string, read func() uint64) {
+	if f != nil {
+		f.add(name, read)
 	}
-	if f.data != nil {
-		panic("obs: FlightRecorder.AddColumn after sampling started: " + name)
-	}
-	if !validName(name) {
-		panic("obs: invalid column name: " + name)
-	}
-	for _, c := range f.cols {
-		if c.name == name {
-			panic("obs: duplicate column: " + name)
-		}
-	}
-	f.cols = append(f.cols, tsColumn{name: name, read: read})
 }
 
-// seal allocates the ring on the first Sample; out of line, like
-// TimeSeries.seal.
-//
-//go:noinline
-func (f *FlightRecorder) seal() {
-	f.data = make([]uint64, f.cap*len(f.cols))
-	f.cycles = make([]uint64, f.cap)
-}
+// Level adds a column, exactly like Counter. Implements Exporter.
+func (f *FlightRecorder) Level(name, help string, read func() uint64) { f.Counter(name, help, read) }
+
+// Gauge is a no-op, like TimeSeries.Gauge. Implements Exporter.
+func (f *FlightRecorder) Gauge(name, help string, read func() float64) {}
 
 // Sample snapshots every column at the given engine cycle, overwriting
 // the oldest row once the ring is full. Zero-alloc after the first call.
@@ -100,19 +77,12 @@ func (f *FlightRecorder) Sample(cycle uint64) {
 	if f == nil {
 		return
 	}
-	if f.data == nil {
-		f.seal()
-	}
 	if f.n == f.cap {
 		f.drops++
 	} else {
 		f.n++
 	}
-	f.cycles[f.head] = cycle
-	base := f.head * len(f.cols)
-	for i := range f.cols {
-		f.data[base+i] = f.cols[i].read()
-	}
+	f.write(f.head, cycle)
 	f.head++
 	if f.head == f.cap {
 		f.head = 0
@@ -140,11 +110,7 @@ func (f *FlightRecorder) Columns() []string {
 	if f == nil {
 		return nil
 	}
-	names := make([]string, len(f.cols))
-	for i, c := range f.cols {
-		names[i] = c.name
-	}
-	return names
+	return f.names()
 }
 
 // eachRow visits retained rows oldest-first with the row's ring index.
@@ -188,9 +154,8 @@ func (f *FlightRecorder) WriteJSON(w io.Writer) error {
 			}
 			first = false
 			fmt.Fprintf(&sb, "\n[%d", f.cycles[ring])
-			base := ring * len(f.cols)
-			for i := range f.cols {
-				fmt.Fprintf(&sb, ",%d", f.data[base+i])
+			for _, v := range f.row(ring) {
+				fmt.Fprintf(&sb, ",%d", v)
 			}
 			sb.WriteByte(']')
 			_, err := io.WriteString(w, sb.String())

@@ -6,12 +6,16 @@
 // The design splits responsibilities so no hot path ever touches a map or
 // an interface:
 //
-//   - Hot paths increment plain struct fields (Counter, Gauge, the
-//     existing stats counters) they own directly. The //alloyvet:hotpath
-//     analyzer verifies the increment methods allocate nothing.
-//   - The Registry only remembers *where* those fields live. Components
-//     register a counter pointer or a read-back closure once at setup;
-//     lookups, sorting, and formatting happen exclusively at dump time.
+//   - Hot paths increment plain fields their component owns
+//     (stats.Counter and the per-component stats structs). The
+//     //alloyvet:hotpath analyzer and the escape gate keep those paths
+//     allocation-free.
+//   - Each component lists its counters once, in a
+//     RegisterMetrics(Exporter, prefix) method that hands the Exporter a
+//     read-back closure per counter at setup. The Registry, TimeSeries
+//     and FlightRecorder all implement Exporter, so one list feeds
+//     /metrics, the phase time series and the flight recorder; lookups,
+//     sorting and formatting happen only at dump or sample time.
 //   - The Tracer records fixed-size span records into a preallocated ring
 //     buffer; sampling is a deterministic 1-in-N counter, never a clock
 //     or RNG, so traced runs remain byte-reproducible.
@@ -25,11 +29,11 @@
 // serve the snapshot and never touch live fields. The old "torn reads
 // are harmless for eyeballing" escape hatch is gone: a registry is
 // either dumped live by a reader that is synchronized with its writers
-// (the CLIs dumping after the run, Func metrics locking their owner's
-// mutex), or scraped through a published snapshot. Hot-path writes stay
-// plain single-writer field increments — zero allocations and zero added
-// cycles. SyncWriter serializes log lines from the experiment runner's
-// worker goroutines.
+// (the CLIs dumping after the run, read-back closures locking their
+// owner's mutex), or scraped through a published snapshot. Hot-path
+// writes stay plain single-writer field increments — zero allocations
+// and zero added cycles. SyncWriter serializes log lines from the
+// experiment runner's worker goroutines.
 package obs
 
 import (
@@ -37,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,53 +49,29 @@ import (
 	"alloysim/internal/stats"
 )
 
-// Counter is a monotonically increasing event count incremented on hot
-// paths. It is deliberately not atomic: the simulator is single-threaded,
-// and an uncontended add is the whole point of the idiom (an atomic RMW
-// costs several ns per event — measured >20% on the engine mixed bench).
-// Hold the counter as a struct field and increment it directly; never
-// look it up through the Registry per event. Concurrent scrapes must go
-// through Registry.PublishSnapshot, published by the writer.
-type Counter struct{ v uint64 }
-
-// Inc adds one.
-//
-//alloyvet:hotpath
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds d.
-//
-//alloyvet:hotpath
-func (c *Counter) Add(d uint64) { c.v += d }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
-// Gauge is an instantaneous level (queue depth, occupancy). Like Counter
-// it is a plain field for single-threaded hot-path updates.
-type Gauge struct{ v float64 }
-
-// Set replaces the gauge value.
-//
-//alloyvet:hotpath
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add adjusts the gauge by d (use a negative d to decrease).
-//
-//alloyvet:hotpath
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current level.
-func (g *Gauge) Value() float64 { return g.v }
+// Exporter is the one hook through which a component publishes its
+// counters. Each component has a single RegisterMetrics(Exporter, prefix)
+// that lists them once; the Registry renders that list for /metrics, and
+// the TimeSeries and FlightRecorder sample it at epoch boundaries. Every
+// method takes a read-back closure over a field the component already
+// owns, so exporting changes nothing on the component's hot path.
+type Exporter interface {
+	// Counter exports a monotone event count.
+	Counter(name, help string, read func() uint64)
+	// Level exports an integral instantaneous level (occupancy, queue
+	// depth): a gauge in the registry, a column in the samplers.
+	Level(name, help string, read func() uint64)
+	// Gauge exports a derived ratio or mean. The samplers skip it:
+	// readers derive rates from the counters' epoch deltas.
+	Gauge(name, help string, read func() float64)
+}
 
 // metricKind discriminates registry entries.
 type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
-	kindCounterFunc
 	kindGauge
-	kindGaugeFunc
 	kindHistogram
 )
 
@@ -101,11 +82,9 @@ type metric struct {
 	help string
 	kind metricKind
 
-	counter   *Counter
-	counterFn func() uint64
-	gauge     *Gauge
-	gaugeFn   func() float64
-	hist      *stats.Histogram
+	counter func() uint64
+	gauge   func() float64
+	hist    *stats.Histogram
 }
 
 // value returns the metric's current scalar reading (histograms report
@@ -113,13 +92,9 @@ type metric struct {
 func (m *metric) value() float64 {
 	switch m.kind {
 	case kindCounter:
-		return float64(m.counter.Value())
-	case kindCounterFunc:
-		return float64(m.counterFn())
+		return float64(m.counter())
 	case kindGauge:
-		return m.gauge.Value()
-	case kindGaugeFunc:
-		return m.gaugeFn()
+		return m.gauge()
 	case kindHistogram:
 		return float64(m.hist.N())
 	}
@@ -131,8 +106,8 @@ func (m *metric) value() float64 {
 // deterministic. The index itself is guarded by a mutex so late
 // registration (a daemon wiring a new component) cannot race a
 // concurrent scrape; the lock is never touched on metric hot paths,
-// which increment their own Counter/Gauge fields directly. The zero
-// Registry is not usable — call NewRegistry.
+// which increment their owner's fields directly. The zero Registry is
+// not usable — call NewRegistry.
 type Registry struct {
 	mu      sync.RWMutex
 	metrics []metric       //alloyvet:guard mu
@@ -162,11 +137,6 @@ func (r *Registry) register(m metric) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.registerLocked(m)
-}
-
-// registerLocked is register with r.mu already held.
-func (r *Registry) registerLocked(m metric) {
 	if _, dup := r.byName[m.name]; dup {
 		panic(fmt.Sprintf("obs: metric %q registered twice", m.name))
 	}
@@ -193,26 +163,22 @@ func validName(s string) bool {
 	return true
 }
 
-// RegisterCounter exposes an existing hot-path counter field under name.
-func (r *Registry) RegisterCounter(name, help string, c *Counter) {
-	r.register(metric{name: name, help: help, kind: kindCounter, counter: c})
+// Counter registers a counter read through read at dump time.
+// Implements Exporter.
+func (r *Registry) Counter(name, help string, read func() uint64) {
+	r.register(metric{name: name, help: help, kind: kindCounter, counter: read})
 }
 
-// RegisterCounterFunc exposes a counter read through fn at dump time.
-// This is how components with pre-existing plain stat fields (cache
-// hits, DRAM reads) join the registry without changing their hot paths.
-func (r *Registry) RegisterCounterFunc(name, help string, fn func() uint64) {
-	r.register(metric{name: name, help: help, kind: kindCounterFunc, counterFn: fn})
+// Level registers an integral level, rendered as a gauge. Implements
+// Exporter.
+func (r *Registry) Level(name, help string, read func() uint64) {
+	r.Gauge(name, help, func() float64 { return float64(read()) })
 }
 
-// RegisterGauge exposes an existing gauge field under name.
-func (r *Registry) RegisterGauge(name, help string, g *Gauge) {
-	r.register(metric{name: name, help: help, kind: kindGauge, gauge: g})
-}
-
-// RegisterGaugeFunc exposes a level read through fn at dump time.
-func (r *Registry) RegisterGaugeFunc(name, help string, fn func() float64) {
-	r.register(metric{name: name, help: help, kind: kindGaugeFunc, gaugeFn: fn})
+// Gauge registers a gauge read through read at dump time. Implements
+// Exporter.
+func (r *Registry) Gauge(name, help string, read func() float64) {
+	r.register(metric{name: name, help: help, kind: kindGauge, gauge: read})
 }
 
 // RegisterHistogram exposes a stats.Histogram. The registry does not own
@@ -220,47 +186,6 @@ func (r *Registry) RegisterGaugeFunc(name, help string, fn func() float64) {
 // Observe on the hot path.
 func (r *Registry) RegisterHistogram(name, help string, h *stats.Histogram) {
 	r.register(metric{name: name, help: help, kind: kindHistogram, hist: h})
-}
-
-// Counter returns the counter registered under name, creating and
-// registering a fresh one if absent. This is a setup-time convenience:
-// call it once, keep the returned pointer, and increment that on the hot
-// path. The hotpath analyzer flags Registry method calls inside
-// //alloyvet:hotpath functions precisely to keep this lookup cold.
-func (r *Registry) Counter(name, help string) *Counter {
-	if !validName(name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", name))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i, ok := r.byName[name]; ok {
-		if r.metrics[i].kind != kindCounter {
-			panic(fmt.Sprintf("obs: metric %q is not a counter", name))
-		}
-		return r.metrics[i].counter
-	}
-	c := &Counter{}
-	r.registerLocked(metric{name: name, help: help, kind: kindCounter, counter: c})
-	return c
-}
-
-// Gauge returns the gauge registered under name, creating one if absent.
-// Setup-time only, like Counter.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if !validName(name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", name))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i, ok := r.byName[name]; ok {
-		if r.metrics[i].kind != kindGauge {
-			panic(fmt.Sprintf("obs: metric %q is not a gauge", name))
-		}
-		return r.metrics[i].gauge
-	}
-	g := &Gauge{}
-	r.registerLocked(metric{name: name, help: help, kind: kindGauge, gauge: g})
-	return g
 }
 
 // Value reads the current value of the named metric (histograms report
@@ -276,22 +201,10 @@ func (r *Registry) Value(name string) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	// The value read happens outside the index lock: Func metrics may
-	// take their owner's lock (the runner's), and holding r.mu across a
-	// foreign lock invites ordering deadlocks.
+	// The value read happens outside the index lock: read-back closures
+	// may take their owner's lock (the runner's), and holding r.mu across
+	// a foreign lock invites ordering deadlocks.
 	return m.value(), true
-}
-
-// Names returns all registered metric names in sorted order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.metrics))
-	for _, m := range r.metrics {
-		names = append(names, m.name)
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-	return names
 }
 
 // sorted returns the metrics ordered by name; dump output must not
@@ -318,17 +231,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 		}
 		switch m.kind {
-		case kindCounter, kindCounterFunc:
-			var v uint64
-			if m.kind == kindCounter {
-				v = m.counter.Value()
-			} else {
-				v = m.counterFn()
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", m.name, m.name, v); err != nil {
+		case kindCounter:
+			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", m.name, m.name, m.counter()); err != nil {
 				return err
 			}
-		case kindGauge, kindGaugeFunc:
+		case kindGauge:
 			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", m.name, m.name, formatFloat(m.value())); err != nil {
 				return err
 			}
@@ -357,9 +264,9 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	for _, m := range r.sorted() {
 		switch m.kind {
-		case kindCounter, kindCounterFunc:
-			field(m.name, fmt.Sprintf("%d", uint64(m.value())))
-		case kindGauge, kindGaugeFunc:
+		case kindCounter:
+			field(m.name, strconv.FormatUint(m.counter(), 10))
+		case kindGauge:
 			field(m.name, formatFloat(m.value()))
 		case kindHistogram:
 			h := m.hist
@@ -387,8 +294,8 @@ func formatFloat(v float64) string {
 // and atomically publishes the result for concurrent scrapers. It MUST
 // be called by a goroutine that is allowed to read every registered
 // metric — in practice the goroutine that owns them: the simulation loop
-// between quanta, or a daemon thread whose metrics are all atomic or
-// lock-guarded Func reads. Scrape handlers (see DebugMux) serve the last
+// between quanta, or a daemon thread whose metrics all read atomics or
+// take their owner's lock. Scrape handlers (see DebugMux) serve the last
 // published snapshot without ever touching live fields, which is what
 // makes many concurrent daemon clients race-free against a running
 // simulation. Publishing is cold-path: it allocates and formats freely.

@@ -14,30 +14,18 @@ import (
 
 func TestRegistryValues(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("reads_total", "reads")
-	c.Add(3)
-	c.Inc()
-	if got := c.Value(); got != 4 {
-		t.Fatalf("counter = %d, want 4", got)
-	}
-	if same := r.Counter("reads_total", "reads"); same != c {
-		t.Fatalf("Counter lookup returned a different pointer")
-	}
-
-	g := r.Gauge("depth", "queue depth")
-	g.Set(2.5)
-	g.Add(-0.5)
-	var hits uint64 = 7
-	r.RegisterCounterFunc("hits_total", "hits", func() uint64 { return hits })
-	r.RegisterGaugeFunc("rate", "hit rate", func() float64 { return 0.25 })
+	var hits, depth uint64 = 7, 2
+	r.Counter("hits_total", "hits", func() uint64 { return hits })
+	r.Level("depth", "queue depth", func() uint64 { return depth })
+	r.Gauge("rate", "hit rate", func() float64 { return 0.25 })
+	hits++
 
 	for _, tc := range []struct {
 		name string
 		want float64
 	}{
-		{"reads_total", 4},
+		{"hits_total", 8},
 		{"depth", 2},
-		{"hits_total", 7},
 		{"rate", 0.25},
 	} {
 		got, ok := r.Value(tc.name)
@@ -60,25 +48,26 @@ func TestRegistryPanics(t *testing.T) {
 		}()
 		fn()
 	}
+	zero := func() uint64 { return 0 }
 	r := NewRegistry()
-	r.Counter("a_total", "")
-	expectPanic("duplicate", func() { r.RegisterCounter("a_total", "", &Counter{}) })
-	expectPanic("invalid char", func() { r.Counter("a-b", "") })
-	expectPanic("leading digit", func() { r.Counter("9lives", "") })
-	expectPanic("empty", func() { r.Counter("", "") })
-	expectPanic("kind mismatch", func() { r.Gauge("a_total", "") })
+	r.Counter("a_total", "", zero)
+	expectPanic("duplicate", func() { r.Level("a_total", "", zero) })
+	expectPanic("invalid char", func() { r.Counter("a-b", "", zero) })
+	expectPanic("leading digit", func() { r.Counter("9lives", "", zero) })
+	expectPanic("empty", func() { r.Counter("", "", zero) })
 }
 
 func TestWritePrometheusSortedAndParsable(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zz_total", "last").Add(2)
-	r.Counter("aa_total", "first").Add(1)
+	r.Counter("zz_total", "last", func() uint64 { return 2 })
+	r.Counter("aa_total", "first", func() uint64 { return 1 })
 	h := stats.NewHistogram(10, 8)
 	h.Observe(5)
 	h.Observe(15)
 	h.Observe(999) // overflow bucket
 	r.RegisterHistogram("lat", "latency", h)
-	r.Gauge("mid", "a gauge").Set(1.5)
+	r.Gauge("mid", "a gauge", func() float64 { return 1.5 })
+	r.Level("lvl", "a level", func() uint64 { return 3 })
 
 	var b bytes.Buffer
 	if err := r.WritePrometheus(&b); err != nil {
@@ -93,6 +82,7 @@ func TestWritePrometheusSortedAndParsable(t *testing.T) {
 		"# TYPE aa_total counter\naa_total 1\n",
 		"# TYPE zz_total counter\nzz_total 2\n",
 		"# TYPE mid gauge\nmid 1.5\n",
+		"# TYPE lvl gauge\nlvl 3\n",
 		"# TYPE lat histogram\n",
 		"lat_bucket{le=\"10\"} 1\n",
 		"lat_bucket{le=\"20\"} 2\n",
@@ -107,8 +97,9 @@ func TestWritePrometheusSortedAndParsable(t *testing.T) {
 
 func TestWriteJSONValid(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c_total", "").Add(9)
-	r.Gauge("g", "").Set(0.5)
+	r.Counter("c_total", "", func() uint64 { return 9 })
+	r.Counter("big_total", "", func() uint64 { return 1<<53 + 1 })
+	r.Gauge("g", "", func() float64 { return 0.5 })
 	h := stats.NewHistogram(4, 16)
 	for i := uint64(1); i <= 10; i++ {
 		h.Observe(i)
@@ -128,6 +119,11 @@ func TestWriteJSONValid(t *testing.T) {
 	}
 	if m["h_mean"] != 5.5 {
 		t.Fatalf("h_mean = %v, want 5.5", m["h_mean"])
+	}
+	// Counters render from their uint64 read, exactly as WritePrometheus
+	// does: a float64 round trip would print 2^53+1 as 2^53.
+	if want := `"big_total":9007199254740993,`; !strings.Contains(b.String(), want) {
+		t.Fatalf("missing %s in %s", want, b.String())
 	}
 }
 
@@ -255,29 +251,6 @@ func TestTracerExportsByteIdentical(t *testing.T) {
 	}
 	if ph := v.TraceEvents[0]["ph"]; ph != "X" {
 		t.Fatalf("ph = %v, want X", ph)
-	}
-}
-
-func TestMeanBreakdownAdditive(t *testing.T) {
-	tr := NewTracer(1, 8)
-	for i := uint64(1); i <= 4; i++ {
-		id := tr.Sample()
-		tr.Record(Breakdown{
-			ReqID: id, Total: 100 * i,
-			Pred: 10 * i, CacheBank: 40 * i, CacheBurst: 30 * i, Other: 20 * i,
-		})
-	}
-	mean, n := tr.MeanBreakdown()
-	if n != 4 {
-		t.Fatalf("n = %d, want 4", n)
-	}
-	sum := mean.Pred + mean.CacheQueue + mean.CacheBank + mean.CacheBus + mean.CacheBurst +
-		mean.MemQueue + mean.MemBank + mean.MemBus + mean.MemBurst + mean.Other
-	if sum != mean.Total {
-		t.Fatalf("component sum %d != mean total %d", sum, mean.Total)
-	}
-	if mean.Total != 250 {
-		t.Fatalf("mean total = %d, want 250", mean.Total)
 	}
 }
 

@@ -6,22 +6,81 @@ import (
 	"strings"
 )
 
-// ColumnSink is the registration half of phase-resolved telemetry: a
-// component exposes its phase-sampled counters by handing the sink a
-// read-back closure per column, exactly like Registry.RegisterCounterFunc
-// but restricted to uint64 monotone counts (rates and ratios are derived
-// by readers from epoch deltas, never sampled). Both TimeSeries and
-// FlightRecorder implement it, so one RegisterTimeSeries method per
-// component feeds either consumer.
-type ColumnSink interface {
-	AddColumn(name string, read func() uint64)
-}
-
-// tsColumn is one registered column: a metric name plus the closure that
-// reads its current value. Shared by TimeSeries and FlightRecorder.
-type tsColumn struct {
+// column is one registered column: a metric name plus the closure that
+// reads its current value.
+type column struct {
 	name string
 	read func() uint64
+}
+
+// columnStore is the state TimeSeries and FlightRecorder share: the
+// registered columns and one row-major sample buffer allocated when the
+// first row is written. The two samplers differ only in which row a
+// sample lands in (keep the oldest rows vs. a ring of the newest) and in
+// their export format.
+type columnStore struct {
+	cols   []column
+	data   []uint64 // row-major: cap rows of len(cols); allocated once by seal
+	cycles []uint64
+	cap    int
+	n      int // rows retained
+	drops  uint64
+}
+
+// add registers a named column. Registration is cold-path and must
+// finish before the first sample; names follow the Registry charset and
+// duplicates panic, mirroring Registry.register.
+func (c *columnStore) add(name string, read func() uint64) {
+	if c.data != nil {
+		panic("obs: column registered after sampling started: " + name)
+	}
+	if !validName(name) {
+		panic("obs: invalid column name: " + name)
+	}
+	for _, col := range c.cols {
+		if col.name == name {
+			panic("obs: duplicate column: " + name)
+		}
+	}
+	c.cols = append(c.cols, column{name: name, read: read})
+}
+
+// seal allocates the sample storage once the column set is final. Kept
+// out of line so the per-epoch path itself never allocates.
+//
+//go:noinline
+func (c *columnStore) seal() {
+	c.data = make([]uint64, c.cap*len(c.cols))
+	c.cycles = make([]uint64, c.cap)
+}
+
+// write snapshots every column into storage row r at the given cycle,
+// sealing the storage on first use. Zero-alloc after the first call.
+//
+//alloyvet:hotpath
+func (c *columnStore) write(r int, cycle uint64) {
+	if c.data == nil {
+		c.seal()
+	}
+	c.cycles[r] = cycle
+	row := c.row(r)
+	for i := range c.cols {
+		row[i] = c.cols[i].read()
+	}
+}
+
+// row returns storage row r.
+func (c *columnStore) row(r int) []uint64 {
+	return c.data[r*len(c.cols) : (r+1)*len(c.cols)]
+}
+
+// names returns the registered column names in registration order.
+func (c *columnStore) names() []string {
+	names := make([]string, len(c.cols))
+	for i, col := range c.cols {
+		names[i] = col.name
+	}
+	return names
 }
 
 // TimeSeries samples registered columns at fixed cycle epochs into one
@@ -41,12 +100,7 @@ type tsColumn struct {
 // exports can say so. Single-owner like Tracer: the simulation goroutine
 // samples, everyone else reads after the run.
 type TimeSeries struct {
-	cols   []tsColumn
-	data   []uint64 // row-major: rows*len(cols); allocated once by seal
-	cycles []uint64
-	rows   int
-	cap    int
-	drops  uint64
+	columnStore
 }
 
 // NewTimeSeries creates a sampler holding up to capacity epoch rows
@@ -56,39 +110,23 @@ func NewTimeSeries(capacity int) *TimeSeries {
 	if capacity <= 0 {
 		capacity = 1 << 14
 	}
-	return &TimeSeries{cap: capacity}
+	return &TimeSeries{columnStore{cap: capacity}}
 }
 
-// AddColumn registers a named column. Registration is cold-path and must
-// finish before the first Sample; names follow the Registry charset and
-// duplicates panic, mirroring Registry.register.
-func (t *TimeSeries) AddColumn(name string, read func() uint64) {
-	if t == nil {
-		return
+// Counter adds a column read through read; the help text is the
+// registry's and is not kept. Implements Exporter.
+func (t *TimeSeries) Counter(name, help string, read func() uint64) {
+	if t != nil {
+		t.add(name, read)
 	}
-	if t.data != nil {
-		panic("obs: TimeSeries.AddColumn after sampling started: " + name)
-	}
-	if !validName(name) {
-		panic("obs: invalid column name: " + name)
-	}
-	for _, c := range t.cols {
-		if c.name == name {
-			panic("obs: duplicate column: " + name)
-		}
-	}
-	t.cols = append(t.cols, tsColumn{name: name, read: read})
 }
 
-// seal allocates the sample storage once the column set is final. Called
-// lazily by the first Sample, and kept out of line so the hot path itself
-// never allocates.
-//
-//go:noinline
-func (t *TimeSeries) seal() {
-	t.data = make([]uint64, t.cap*len(t.cols))
-	t.cycles = make([]uint64, t.cap)
-}
+// Level adds a column, exactly like Counter. Implements Exporter.
+func (t *TimeSeries) Level(name, help string, read func() uint64) { t.Counter(name, help, read) }
+
+// Gauge is a no-op: readers derive rates from epoch deltas. Implements
+// Exporter.
+func (t *TimeSeries) Gauge(name, help string, read func() float64) {}
 
 // Sample snapshots every column at the given engine cycle. Zero-alloc
 // after the first call; drops (and counts) samples past capacity.
@@ -98,19 +136,12 @@ func (t *TimeSeries) Sample(cycle uint64) {
 	if t == nil {
 		return
 	}
-	if t.data == nil {
-		t.seal()
-	}
-	if t.rows == t.cap {
+	if t.n == t.cap {
 		t.drops++
 		return
 	}
-	t.cycles[t.rows] = cycle
-	base := t.rows * len(t.cols)
-	for i := range t.cols {
-		t.data[base+i] = t.cols[i].read()
-	}
-	t.rows++
+	t.write(t.n, cycle)
+	t.n++
 }
 
 // Len returns the number of retained epoch rows.
@@ -118,7 +149,7 @@ func (t *TimeSeries) Len() int {
 	if t == nil {
 		return 0
 	}
-	return t.rows
+	return t.n
 }
 
 // Drops returns how many samples were discarded because the buffer
@@ -135,18 +166,14 @@ func (t *TimeSeries) Columns() []string {
 	if t == nil {
 		return nil
 	}
-	names := make([]string, len(t.cols))
-	for i, c := range t.cols {
-		names[i] = c.name
-	}
-	return names
+	return t.names()
 }
 
 // Cycle returns the engine cycle of epoch row i.
 func (t *TimeSeries) Cycle(row int) uint64 { return t.cycles[row] }
 
 // Value returns column col at epoch row i.
-func (t *TimeSeries) Value(row, col int) uint64 { return t.data[row*len(t.cols)+col] }
+func (t *TimeSeries) Value(row, col int) uint64 { return t.row(row)[col] }
 
 // ColumnIndex returns the index of a named column, or -1.
 func (t *TimeSeries) ColumnIndex(name string) int {
@@ -181,12 +208,11 @@ func (t *TimeSeries) WriteCSV(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	for r := 0; r < t.rows; r++ {
+	for r := 0; r < t.n; r++ {
 		sb.Reset()
 		fmt.Fprintf(&sb, "%d,%d", r, t.cycles[r])
-		base := r * len(t.cols)
-		for i := range t.cols {
-			fmt.Fprintf(&sb, ",%d", t.data[base+i])
+		for _, v := range t.row(r) {
+			fmt.Fprintf(&sb, ",%d", v)
 		}
 		sb.WriteByte('\n')
 		if _, err := io.WriteString(w, sb.String()); err != nil {
@@ -212,15 +238,14 @@ func (t *TimeSeries) WriteJSON(w io.Writer) error {
 		return err
 	}
 	if t != nil {
-		for r := 0; r < t.rows; r++ {
+		for r := 0; r < t.n; r++ {
 			sb.Reset()
 			if r > 0 {
 				sb.WriteByte(',')
 			}
 			fmt.Fprintf(&sb, "\n[%d,%d", r, t.cycles[r])
-			base := r * len(t.cols)
-			for i := range t.cols {
-				fmt.Fprintf(&sb, ",%d", t.data[base+i])
+			for _, v := range t.row(r) {
+				fmt.Fprintf(&sb, ",%d", v)
 			}
 			sb.WriteByte(']')
 			if _, err := io.WriteString(w, sb.String()); err != nil {

@@ -9,8 +9,9 @@ import (
 func TestTimeSeriesSampleAndExport(t *testing.T) {
 	ts := NewTimeSeries(8)
 	var a, b uint64
-	ts.AddColumn("a_total", func() uint64 { return a })
-	ts.AddColumn("b_total", func() uint64 { return b })
+	ts.Counter("a_total", "", func() uint64 { return a })
+	ts.Gauge("a_rate", "", func() float64 { return 1 }) // samplers skip gauges
+	ts.Level("b_total", "", func() uint64 { return b })
 
 	for i := 0; i < 3; i++ {
 		a += 10
@@ -68,7 +69,7 @@ func TestTimeSeriesSampleAndExport(t *testing.T) {
 func TestTimeSeriesKeepsOldestOnOverflow(t *testing.T) {
 	ts := NewTimeSeries(2)
 	var v uint64
-	ts.AddColumn("v", func() uint64 { return v })
+	ts.Counter("v", "", func() uint64 { return v })
 	for i := 0; i < 5; i++ {
 		v = uint64(i)
 		ts.Sample(uint64(i))
@@ -88,7 +89,9 @@ func TestTimeSeriesKeepsOldestOnOverflow(t *testing.T) {
 
 func TestTimeSeriesNilSafe(t *testing.T) {
 	var ts *TimeSeries
-	ts.AddColumn("x", func() uint64 { return 1 })
+	ts.Counter("x", "", func() uint64 { return 1 })
+	ts.Level("y", "", func() uint64 { return 1 })
+	ts.Gauge("z", "", func() float64 { return 1 })
 	ts.Sample(0)
 	if ts.Len() != 0 || ts.Drops() != 0 || ts.Columns() != nil {
 		t.Fatal("nil TimeSeries should report empty state")
@@ -124,18 +127,18 @@ func TestTimeSeriesPanics(t *testing.T) {
 	}
 	expectPanic("duplicate", func() {
 		ts := NewTimeSeries(4)
-		ts.AddColumn("x", func() uint64 { return 0 })
-		ts.AddColumn("x", func() uint64 { return 0 })
+		ts.Counter("x", "", func() uint64 { return 0 })
+		ts.Counter("x", "", func() uint64 { return 0 })
 	})
 	expectPanic("invalid name", func() {
 		ts := NewTimeSeries(4)
-		ts.AddColumn("bad name", func() uint64 { return 0 })
+		ts.Counter("bad name", "", func() uint64 { return 0 })
 	})
 	expectPanic("add after sample", func() {
 		ts := NewTimeSeries(4)
-		ts.AddColumn("x", func() uint64 { return 0 })
+		ts.Counter("x", "", func() uint64 { return 0 })
 		ts.Sample(0)
-		ts.AddColumn("y", func() uint64 { return 0 })
+		ts.Counter("y", "", func() uint64 { return 0 })
 	})
 }
 
@@ -143,7 +146,7 @@ func TestTimeSeriesExportByteIdentical(t *testing.T) {
 	build := func() string {
 		ts := NewTimeSeries(16)
 		var v uint64
-		ts.AddColumn("v_total", func() uint64 { return v })
+		ts.Counter("v_total", "", func() uint64 { return v })
 		for i := 0; i < 10; i++ {
 			v += uint64(i * i)
 			ts.Sample(uint64(i) * 65536)
@@ -165,7 +168,7 @@ func TestTimeSeriesExportByteIdentical(t *testing.T) {
 func TestFlightRecorderKeepsNewest(t *testing.T) {
 	fr := NewFlightRecorder(3, 0, 0)
 	var v uint64
-	fr.AddColumn("v", func() uint64 { return v })
+	fr.Counter("v", "", func() uint64 { return v })
 	for i := 0; i < 7; i++ {
 		v = uint64(100 + i)
 		fr.Sample(uint64(i))
@@ -199,7 +202,7 @@ func TestFlightRecorderKeepsNewest(t *testing.T) {
 
 func TestFlightRecorderSpansInDump(t *testing.T) {
 	fr := NewFlightRecorder(4, 1, 8)
-	fr.AddColumn("v", func() uint64 { return 7 })
+	fr.Counter("v", "", func() uint64 { return 7 })
 	fr.Sample(100)
 	trc := fr.Tracer()
 	id := trc.Sample()
@@ -230,7 +233,7 @@ func TestFlightRecorderSpansInDump(t *testing.T) {
 
 func TestFlightRecorderSnapshot(t *testing.T) {
 	fr := NewFlightRecorder(4, 0, 0)
-	fr.AddColumn("v", func() uint64 { return 1 })
+	fr.Counter("v", "", func() uint64 { return 1 })
 	if _, ok := fr.Snapshot(); ok {
 		t.Fatal("Snapshot before publish should report nothing")
 	}
@@ -250,7 +253,9 @@ func TestFlightRecorderSnapshot(t *testing.T) {
 
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var fr *FlightRecorder
-	fr.AddColumn("x", func() uint64 { return 1 })
+	fr.Counter("x", "", func() uint64 { return 1 })
+	fr.Level("y", "", func() uint64 { return 1 })
+	fr.Gauge("z", "", func() float64 { return 1 })
 	fr.Sample(0)
 	fr.PublishSnapshot()
 	if fr.Len() != 0 || fr.Drops() != 0 || fr.Columns() != nil || fr.Tracer() != nil {
@@ -271,7 +276,7 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 func TestTimeSeriesSampleZeroAllocs(t *testing.T) {
 	ts := NewTimeSeries(1 << 12)
 	var v uint64
-	ts.AddColumn("v", func() uint64 { return v })
+	ts.Counter("v", "", func() uint64 { return v })
 	ts.Sample(0) // first call seals (allocates once)
 	allocs := testing.AllocsPerRun(1000, func() {
 		v++
@@ -282,7 +287,7 @@ func TestTimeSeriesSampleZeroAllocs(t *testing.T) {
 	}
 
 	fr := NewFlightRecorder(64, 0, 0)
-	fr.AddColumn("v", func() uint64 { return v })
+	fr.Counter("v", "", func() uint64 { return v })
 	fr.Sample(0)
 	allocs = testing.AllocsPerRun(1000, func() {
 		v++

@@ -337,43 +337,3 @@ func (t *Tracer) WriteBreakdownCSV(w io.Writer) error {
 		return err
 	})
 }
-
-// MeanBreakdown averages the retained breakdown components; used by the
-// EXPERIMENTS.md "Reading a latency breakdown" flow and by tests that
-// check component sums reproduce the run's mean access latency.
-func (t *Tracer) MeanBreakdown() (mean Breakdown, n uint64) {
-	if t == nil || t.brkLen == 0 {
-		return Breakdown{}, 0
-	}
-	var sum Breakdown
-	_ = t.eachBreakdown(func(b *Breakdown) error {
-		sum.Total += b.Total
-		sum.Pred += b.Pred
-		sum.CacheQueue += b.CacheQueue
-		sum.CacheBank += b.CacheBank
-		sum.CacheBus += b.CacheBus
-		sum.CacheBurst += b.CacheBurst
-		sum.MemQueue += b.MemQueue
-		sum.MemBank += b.MemBank
-		sum.MemBus += b.MemBus
-		sum.MemBurst += b.MemBurst
-		sum.Other += b.Other
-		return nil
-	})
-	n = uint64(t.brkLen)
-	div := func(v uint64) uint64 { return v / n }
-	mean = Breakdown{
-		Total:      div(sum.Total),
-		Pred:       div(sum.Pred),
-		CacheQueue: div(sum.CacheQueue),
-		CacheBank:  div(sum.CacheBank),
-		CacheBus:   div(sum.CacheBus),
-		CacheBurst: div(sum.CacheBurst),
-		MemQueue:   div(sum.MemQueue),
-		MemBank:    div(sum.MemBank),
-		MemBus:     div(sum.MemBus),
-		MemBurst:   div(sum.MemBurst),
-		Other:      div(sum.Other),
-	}
-	return mean, n
-}

@@ -2,22 +2,14 @@ package predictor
 
 import "alloysim/internal/obs"
 
-// RegisterMetrics exposes the four Table 5 outcome quadrants and the
-// overall accuracy in reg under the given prefix (e.g. "predictor").
-func (a *Accuracy) RegisterMetrics(reg *obs.Registry, prefix string) {
-	reg.RegisterCounterFunc(prefix+"_mem_pred_mem_total", "serviced by memory, predicted memory (correct)", func() uint64 { return a.MemPredMem })
-	reg.RegisterCounterFunc(prefix+"_mem_pred_cache_total", "serviced by memory, predicted cache (serialized miss)", func() uint64 { return a.MemPredCache })
-	reg.RegisterCounterFunc(prefix+"_cache_pred_mem_total", "serviced by cache, predicted memory (wasted memory read)", func() uint64 { return a.CachePredMem })
-	reg.RegisterCounterFunc(prefix+"_cache_pred_cache_total", "serviced by cache, predicted cache (correct)", func() uint64 { return a.CachePredCache })
-	reg.RegisterGaugeFunc(prefix+"_accuracy", "fraction of correct hit/miss predictions", func() float64 { return a.Overall() })
-}
-
-// RegisterTimeSeries exposes the four outcome quadrants as phase
-// time-series columns; per-epoch accuracy is derived by readers from the
-// quadrant deltas (correct = mem_pred_mem + cache_pred_cache).
-func (a *Accuracy) RegisterTimeSeries(sink obs.ColumnSink, prefix string) {
-	sink.AddColumn(prefix+"_mem_pred_mem_total", func() uint64 { return a.MemPredMem })
-	sink.AddColumn(prefix+"_mem_pred_cache_total", func() uint64 { return a.MemPredCache })
-	sink.AddColumn(prefix+"_cache_pred_mem_total", func() uint64 { return a.CachePredMem })
-	sink.AddColumn(prefix+"_cache_pred_cache_total", func() uint64 { return a.CachePredCache })
+// RegisterMetrics exports the four Table 5 outcome quadrants and the
+// overall accuracy under the given prefix (e.g. "predictor"). The
+// samplers keep only the quadrants; per-epoch accuracy is derived from
+// their deltas (correct = mem_pred_mem + cache_pred_cache).
+func (a *Accuracy) RegisterMetrics(x obs.Exporter, prefix string) {
+	x.Counter(prefix+"_mem_pred_mem_total", "serviced by memory, predicted memory (correct)", func() uint64 { return a.MemPredMem })
+	x.Counter(prefix+"_mem_pred_cache_total", "serviced by memory, predicted cache (serialized miss)", func() uint64 { return a.MemPredCache })
+	x.Counter(prefix+"_cache_pred_mem_total", "serviced by cache, predicted memory (wasted memory read)", func() uint64 { return a.CachePredMem })
+	x.Counter(prefix+"_cache_pred_cache_total", "serviced by cache, predicted cache (correct)", func() uint64 { return a.CachePredCache })
+	x.Gauge(prefix+"_accuracy", "fraction of correct hit/miss predictions", func() float64 { return a.Overall() })
 }

@@ -136,8 +136,8 @@ func (s *Server) logw(level slog.Level, msg string, args ...any) {
 
 // serveMetrics are the daemon's own counters. They are written from many
 // HTTP-handler and worker goroutines, so unlike the simulator's
-// single-writer obs.Counter fields they are atomics, exposed through
-// Func metrics (the registry's read-back-closure idiom).
+// single-writer stat fields they are atomics, exported through the
+// registry's read-back closures.
 type serveMetrics struct {
 	sweeps           atomic.Uint64
 	rejectedQueue    atomic.Uint64
@@ -185,22 +185,22 @@ func New(backend Backend, cfg Config, reg *obs.Registry) *Server {
 }
 
 func (s *Server) registerMetrics() {
-	s.reg.RegisterCounterFunc("serve_sweeps_total", "sweep requests admitted", s.m.sweeps.Load)
-	s.reg.RegisterCounterFunc("serve_rejected_queue_total", "sweeps refused with 429: queue full", s.m.rejectedQueue.Load)
-	s.reg.RegisterCounterFunc("serve_rejected_quota_total", "sweeps refused with 429: tenant quota", s.m.rejectedQuota.Load)
-	s.reg.RegisterCounterFunc("serve_rejected_draining_total", "sweeps refused with 503: draining", s.m.rejectedDraining.Load)
-	s.reg.RegisterCounterFunc("serve_points_done_total", "points completed successfully", s.m.pointsDone.Load)
-	s.reg.RegisterCounterFunc("serve_points_failed_total", "points whose execution failed", s.m.pointsFailed.Load)
-	s.reg.RegisterCounterFunc("serve_result_cache_hits_total", "points served from the content-addressed LRU", s.m.cacheHits.Load)
-	s.reg.RegisterGaugeFunc("serve_sse_clients", "connected event-stream subscribers", func() float64 {
+	s.reg.Counter("serve_sweeps_total", "sweep requests admitted", s.m.sweeps.Load)
+	s.reg.Counter("serve_rejected_queue_total", "sweeps refused with 429: queue full", s.m.rejectedQueue.Load)
+	s.reg.Counter("serve_rejected_quota_total", "sweeps refused with 429: tenant quota", s.m.rejectedQuota.Load)
+	s.reg.Counter("serve_rejected_draining_total", "sweeps refused with 503: draining", s.m.rejectedDraining.Load)
+	s.reg.Counter("serve_points_done_total", "points completed successfully", s.m.pointsDone.Load)
+	s.reg.Counter("serve_points_failed_total", "points whose execution failed", s.m.pointsFailed.Load)
+	s.reg.Counter("serve_result_cache_hits_total", "points served from the content-addressed LRU", s.m.cacheHits.Load)
+	s.reg.Gauge("serve_sse_clients", "connected event-stream subscribers", func() float64 {
 		return float64(s.m.sseClients.Load())
 	})
-	s.reg.RegisterGaugeFunc("serve_queue_depth", "points admitted but not yet running", func() float64 {
+	s.reg.Gauge("serve_queue_depth", "points admitted but not yet running", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return float64(s.queued)
 	})
-	s.reg.RegisterGaugeFunc("serve_jobs_active", "jobs queued or running", func() float64 {
+	s.reg.Gauge("serve_jobs_active", "jobs queued or running", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		n := 0
@@ -209,7 +209,7 @@ func (s *Server) registerMetrics() {
 		}
 		return float64(n)
 	})
-	s.reg.RegisterCounterFunc("serve_result_cache_entries", "entries resident in the result LRU", func() uint64 {
+	s.reg.Level("serve_result_cache_entries", "entries resident in the result LRU", func() uint64 {
 		return uint64(s.rcache.Len())
 	})
 }

@@ -574,7 +574,9 @@ func TestJobCancel(t *testing.T) {
 }
 
 // TestServeMetricsExposed: the daemon's counters appear on the shared
-// debug mux after a snapshot is published.
+// debug mux after a snapshot is published, each under the Prometheus
+// TYPE of what it measures. The result LRU's resident-entry count is
+// bounded and shrinks on eviction, so it is a gauge, not a counter.
 func TestServeMetricsExposed(t *testing.T) {
 	fb := newFakeBackend()
 	s := New(fb, Config{Workers: 1, QueueDepth: 8}, nil)
@@ -586,15 +588,27 @@ func TestServeMetricsExposed(t *testing.T) {
 	readSSE(t, ts, sr.ID, "")
 	s.Registry().PublishSnapshot()
 
-	resp, err := ts.Client().Get(ts.URL + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{`"serve_sweeps_total":1`, `"serve_points_done_total":1`} {
-		if !strings.Contains(string(body), want) {
-			t.Fatalf("metrics missing %s:\n%s", want, body)
+	for _, c := range []struct {
+		path  string
+		wants []string
+	}{
+		{"/metrics.json", []string{`"serve_sweeps_total":1`, `"serve_points_done_total":1`}},
+		{"/metrics", []string{
+			"# TYPE serve_sweeps_total counter\n",
+			"# TYPE serve_queue_depth gauge\n",
+			"# TYPE serve_result_cache_entries gauge\nserve_result_cache_entries 1\n",
+		}},
+	} {
+		resp, err := ts.Client().Get(ts.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		for _, want := range c.wants {
+			if !strings.Contains(string(body), want) {
+				t.Errorf("%s missing %q:\n%s", c.path, want, body)
+			}
 		}
 	}
 }

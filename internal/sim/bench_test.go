@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"alloysim/internal/obs"
+	"alloysim/internal/stats"
 )
 
 type benchHandler struct{ fired uint64 }
@@ -15,10 +16,10 @@ type benchHandler struct{ fired uint64 }
 func (h *benchHandler) Fire(now Cycle) { h.fired++ }
 
 // meteredBenchHandler is benchHandler with the observability layer in its
-// "enabled but quiet" configuration: a pre-bound counter increments on
-// every fire, and a disabled (nil) tracer is offered each event.
+// "enabled but quiet" configuration: an exported stats counter increments
+// on every fire, and a disabled (nil) tracer is offered each event.
 type meteredBenchHandler struct {
-	fired obs.Counter
+	fired stats.Counter
 	trc   *obs.Tracer // nil: sampling off, all methods no-ops
 }
 
@@ -156,7 +157,7 @@ func BenchmarkEngineMixedFlightOn(b *testing.B) {
 	e := NewEngine()
 	fr := obs.NewFlightRecorder(0, 4096, 256)
 	h := &meteredBenchHandler{trc: fr.Tracer()}
-	fr.AddColumn("fired_total", h.fired.Value)
+	fr.Counter("fired_total", "", h.fired.Value)
 	e.ScheduleHandler(WheelSpan+1, h)
 	e.Run()
 	fr.Sample(e.Now().Count()) // seal before measuring, like the epoch-0 sample

@@ -2,20 +2,12 @@ package sim
 
 import "alloysim/internal/obs"
 
-// RegisterMetrics exposes the engine's progress counters in reg under the
-// given prefix (e.g. "sim_engine"). The event loop itself is untouched:
-// the registry reads these fields only at dump time.
-func (e *Engine) RegisterMetrics(reg *obs.Registry, prefix string) {
-	reg.RegisterCounterFunc(prefix+"_cycles_total", "current simulated cycle", func() uint64 { return e.now.Count() })
-	reg.RegisterCounterFunc(prefix+"_events_total", "events executed", func() uint64 { return e.nSteps })
-	reg.RegisterGaugeFunc(prefix+"_pending_events", "events waiting to execute", func() float64 { return float64(e.pending) })
-}
-
-// RegisterTimeSeries exposes the engine's progress counters as phase
-// time-series columns. Same contract as RegisterMetrics: closures over
-// existing fields, read only at epoch boundaries by the sampling
-// goroutine that owns the engine.
-func (e *Engine) RegisterTimeSeries(sink obs.ColumnSink, prefix string) {
-	sink.AddColumn(prefix+"_events_total", func() uint64 { return e.nSteps })
-	sink.AddColumn(prefix+"_pending_events", func() uint64 { return uint64(e.pending) })
+// RegisterMetrics exports the engine's progress counters under the given
+// prefix (e.g. "sim_engine"). The event loop itself is untouched: the
+// exporter reads these fields only at dump or epoch time. The current
+// cycle is not among them: the samplers key every row by it, and the
+// system adds it to the registry alone.
+func (e *Engine) RegisterMetrics(x obs.Exporter, prefix string) {
+	x.Counter(prefix+"_events_total", "events executed", func() uint64 { return e.nSteps })
+	x.Level(prefix+"_pending_events", "events waiting to execute", func() uint64 { return uint64(e.pending) })
 }

@@ -8,9 +8,10 @@
 //     field- or global-held slice calls runtime.growslice, which -m never
 //     reports; local appends into reused buffers are amortized-free and
 //     permitted.
-//   - obs.Registry method calls: a map lookup per event, allocation-free
-//     but hostile to the event loop. Hot paths hoist the *obs.Counter or
-//     *obs.Gauge into a struct field at setup.
+//   - obs.Registry method calls: a registration or map lookup per event
+//     is hostile to the event loop even when it does not allocate. Hot
+//     paths increment a plain field their component owns, and the
+//     registry reads it through a closure registered once at setup.
 //
 // A function is hot when anzkit.IsHot says so: annotated
 // //alloyvet:hotpath, or a Sample method of obs.TimeSeries or
