@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"alloysim/internal/invariants"
 	"alloysim/internal/memaddr"
@@ -400,3 +401,36 @@ func (c *Cache) Invalidate(line memaddr.Line) (present, dirty bool) {
 
 // Occupancy returns the number of valid lines; useful for warmup checks.
 func (c *Cache) Occupancy() int { return c.occ }
+
+// Clone returns an independent copy of the cache: contents, statistics and
+// replacement state. The copy answers every later operation exactly as the
+// original would.
+func (c *Cache) Clone() *Cache {
+	d := *c
+	d.lines = slices.Clone(c.lines)
+	d.sigs = slices.Clone(c.sigs)
+	d.valid = slices.Clone(c.valid)
+	d.dirty = slices.Clone(c.dirty)
+	if c.pol != nil {
+		d.pol = c.pol.Clone()
+	}
+	return &d
+}
+
+// CopyFrom overwrites the cache's contents, statistics and replacement
+// state with an independent copy of src's. It copies in place, so every
+// holder of a pointer to c (metric closures, organizations) sees the new
+// state. src must have the same Config; anything else is a caller bug.
+func (c *Cache) CopyFrom(src *Cache) {
+	if c.cfg != src.cfg {
+		panic(fmt.Sprintf("cache: CopyFrom between configs %+v and %+v", c.cfg, src.cfg))
+	}
+	copy(c.lines, src.lines)
+	copy(c.sigs, src.sigs)
+	copy(c.valid, src.valid)
+	copy(c.dirty, src.dirty)
+	if src.pol != nil {
+		c.pol = src.pol.Clone()
+	}
+	c.occ, c.stats = src.occ, src.stats
+}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"alloysim/internal/memaddr"
+	"alloysim/internal/policy"
 )
 
 func mustPanic(t *testing.T, substr string, f func()) {
@@ -56,11 +57,12 @@ func TestStaleSignaturePanics(t *testing.T) {
 // the neighboring set's tags, not in a bounds panic.
 type rogueVictim struct{}
 
-func (rogueVictim) Touch(set, way int)  {}
-func (rogueVictim) Insert(set, way int) {}
-func (rogueVictim) Victim(set int) int  { return 99 }
-func (rogueVictim) Miss(set int)        {}
-func (rogueVictim) Name() string        { return "rogue" }
+func (rogueVictim) Touch(set, way int)     {}
+func (rogueVictim) Insert(set, way int)    {}
+func (rogueVictim) Victim(set int) int     { return 99 }
+func (rogueVictim) Miss(set int)           {}
+func (rogueVictim) Name() string           { return "rogue" }
+func (r rogueVictim) Clone() policy.Policy { return r }
 
 func TestVictimOutOfRangePanics(t *testing.T) {
 	c := MustNew(Config{Sets: 4, Assoc: 1})

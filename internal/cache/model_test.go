@@ -136,34 +136,56 @@ func sameSignature(sets, set, n int) []memaddr.Line {
 	return out
 }
 
+// modelStream is the random operation stream of the model tests: lines
+// over three times the capacity, so there are hits and evictions, half of
+// them drawn from lines brute-forced to share one signature in set 1, the
+// worst case for the signature match.
+type modelStream struct {
+	x         uint64
+	span      uint64
+	colliding []memaddr.Line
+}
+
+func newModelStream(sets, assoc int) *modelStream {
+	return &modelStream{
+		x:         uint64(0x9E3779B97F4A7C15) ^ uint64(assoc),
+		span:      uint64(3 * sets * assoc),
+		colliding: sameSignature(sets, 1, 2*assoc),
+	}
+}
+
+func (s *modelStream) rnd(n uint64) uint64 {
+	s.x ^= s.x << 13
+	s.x ^= s.x >> 7
+	s.x ^= s.x << 17
+	return s.x % n
+}
+
+// next draws one operation: a line, a write flag and an operation code
+// in [0, 10): Access below 5, Probe below 7, Fill below 9, else
+// Invalidate.
+func (s *modelStream) next() (line memaddr.Line, write bool, op uint64) {
+	line = memaddr.Line(s.rnd(s.span))
+	if s.rnd(2) == 0 {
+		line = s.colliding[s.rnd(uint64(len(s.colliding)))]
+	}
+	return line, s.rnd(3) == 0, s.rnd(10)
+}
+
 // TestCacheMatchesLRUModel drives Cache under "lru" and the reference
 // model with the same random Access, Probe, Fill and Invalidate stream and
 // compares every outcome: hit flags, evicted line and dirty bit,
-// invalidation results, residency, statistics and occupancy. Half the
-// stream draws from lines brute-forced to share one signature in set 1,
-// the worst case for the signature match.
+// invalidation results, residency, statistics and occupancy.
 func TestCacheMatchesLRUModel(t *testing.T) {
 	const sets, ops = 16, 200000
 	for _, assoc := range []int{1, 2, 8, 16, 29, 32, 64} {
 		t.Run(fmt.Sprintf("assoc%d", assoc), func(t *testing.T) {
 			c := MustNew(Config{Sets: sets, Assoc: assoc, Policy: "lru"})
 			m := newLRUModel(sets, assoc)
-			colliding := sameSignature(sets, 1, 2*assoc)
-			span := uint64(3 * sets * assoc) // 3x capacity: hits and evictions
-			x := uint64(0x9E3779B97F4A7C15) ^ uint64(assoc)
-			rnd := func(n uint64) uint64 {
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				return x % n
-			}
+			st := newModelStream(sets, assoc)
 			for i := 0; i < ops; i++ {
-				line := memaddr.Line(rnd(span))
-				if rnd(2) == 0 {
-					line = colliding[rnd(uint64(len(colliding)))]
-				}
-				write := rnd(3) == 0
-				switch op := rnd(10); {
+				line, write, op := st.next()
+				switch {
 				case op < 5:
 					gh, gev := c.Access(line, write)
 					wh, wev := m.Access(line, write)
@@ -195,12 +217,75 @@ func TestCacheMatchesLRUModel(t *testing.T) {
 			if c.Occupancy() != m.Occupancy() {
 				t.Fatalf("occupancy %d, model %d", c.Occupancy(), m.Occupancy())
 			}
-			for _, l := range colliding {
+			for _, l := range st.colliding {
 				if _, j := m.find(l); c.Contains(l) != (j >= 0) {
 					t.Fatalf("colliding line %d: Contains = %v, model %v", l, j < 0, j >= 0)
 				}
 			}
 		})
+	}
+}
+
+// TestCopiesMatchOriginal runs the model stream halfway through a cache,
+// then takes a Clone and a CopyFrom into a cache that held other lines,
+// and drives all three with the rest of the stream. The copies are the
+// reference: every Access, Probe, Fill and Invalidate outcome (eviction
+// line and dirty bit included) must match the original's, and so must the
+// statistics, the occupancy and residency over the stream's span.
+func TestCopiesMatchOriginal(t *testing.T) {
+	const sets, ops = 16, 100000
+	for _, pol := range []string{"dip", "srrip", "random", "ship"} {
+		for _, assoc := range []int{1, 16, 29, 32} {
+			t.Run(fmt.Sprintf("%s/assoc%d", pol, assoc), func(t *testing.T) {
+				cfg := Config{Sets: sets, Assoc: assoc, Policy: pol}
+				c := MustNew(cfg)
+				st := newModelStream(sets, assoc)
+				apply := func(c *Cache, line memaddr.Line, write bool, op uint64) string {
+					switch {
+					case op < 5:
+						hit, ev := c.Access(line, write)
+						return fmt.Sprint(hit, ev)
+					case op < 7:
+						return fmt.Sprint(c.Probe(line, write))
+					case op < 9:
+						return fmt.Sprint(c.Fill(line, write))
+					default:
+						present, dirty := c.Invalidate(line)
+						return fmt.Sprint(present, dirty)
+					}
+				}
+				for i := 0; i < ops/2; i++ {
+					line, write, op := st.next()
+					apply(c, line, write, op)
+				}
+				clone := c.Clone()
+				copied := MustNew(cfg)
+				for l := memaddr.Line(0); l < memaddr.Line(st.span); l += 3 {
+					copied.Access(l+memaddr.Line(st.span), true)
+				}
+				copied.CopyFrom(c)
+				for i := ops / 2; i < ops; i++ {
+					line, write, op := st.next()
+					want := apply(c, line, write, op)
+					if got := apply(clone, line, write, op); got != want {
+						t.Fatalf("op %d (%d on line %d): clone %s, original %s", i, op, line, got, want)
+					}
+					if got := apply(copied, line, write, op); got != want {
+						t.Fatalf("op %d (%d on line %d): CopyFrom copy %s, original %s", i, op, line, got, want)
+					}
+				}
+				for _, cp := range []*Cache{clone, copied} {
+					if cp.Stats() != c.Stats() || cp.Occupancy() != c.Occupancy() {
+						t.Fatalf("copy stats %+v occupancy %d, original %+v %d", cp.Stats(), cp.Occupancy(), c.Stats(), c.Occupancy())
+					}
+					for l := memaddr.Line(0); l < memaddr.Line(2*st.span); l++ {
+						if cp.Contains(l) != c.Contains(l) {
+							t.Fatalf("line %d: copy resident %v, original %v", l, cp.Contains(l), c.Contains(l))
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -84,6 +84,11 @@ type System struct {
 	// path owns one.
 	rres, wres dramcache.AccessResult
 
+	// rec is the record warm writes its front into (RecordWarmup), and
+	// replay the record it warms from instead (ReplayWarmup); at most one
+	// is set, and both are nil for a plain direct warmup.
+	rec, replay *WarmRecord
+
 	ran bool
 }
 
@@ -288,9 +293,18 @@ func (s *System) publishMetrics() {
 // Reset discards every bank, bus and statistic reservation warmup would
 // have made, so skipping them changes no simulated number.
 //
+// Given a record to write (RecordWarmup), the loop also stores each
+// reference's outcome in it, and the record takes a copy of the L3 after
+// the closing resets. Given a record to replay (ReplayWarmup), warm runs
+// replayWarm instead of simulating the L3.
+//
 //alloyvet:hotpath
 func (s *System) warm(ctx context.Context) error {
 	s.stacked.WarmOnly()
+	if s.replay != nil {
+		return s.replayWarm(ctx)
+	}
+	rec := s.rec
 	var ref cpu.FrontRef
 	for n := uint64(0); n < s.cfg.WarmupRefs; n++ {
 		if n&0xfff == 0 {
@@ -300,29 +314,41 @@ func (s *System) warm(ctx context.Context) error {
 		}
 		for _, src := range s.srcs {
 			src.next(&ref)
-			if ref.L2Hit {
-				continue
-			}
-			// ref.L2WB is deliberately ignored: warmup streams contents
-			// only, and an L2 victim writeback installs no new line below.
-			if ref.Write {
-				if !s.l3.Probe(ref.Line, true) && s.org != nil {
-					s.org.AccessInto(0, ref.Line, true, &s.wres)
+			code, victim := warmSkip, memaddr.Line(0)
+			switch {
+			case ref.L2Hit:
+			case ref.Write:
+				// ref.L2WB is deliberately ignored: warmup streams contents
+				// only, and an L2 victim writeback installs no new line below.
+				if !s.l3.Probe(ref.Line, true) {
+					code = warmForward
 				}
-				continue
-			}
-			hit, ev := s.l3.Access(ref.Line, false)
-			if hit {
-				continue
-			}
-			if s.org != nil {
-				if ev.Valid && ev.Dirty {
-					s.org.AccessInto(0, ev.Line, true, &s.wres)
+			default:
+				if hit, ev := s.l3.Access(ref.Line, false); !hit {
+					code = warmForward
+					if ev.Valid && ev.Dirty {
+						code, victim = warmVictim, ev.Line
+					}
 				}
-				s.org.AccessInto(0, ref.Line, false, &s.rres)
+			}
+			if rec != nil {
+				rec.put(code, victim)
+			}
+			if code != warmSkip && s.org != nil {
+				s.forwardWarm(code, victim, ref.Line, ref.Write)
 			}
 		}
 	}
+	s.endWarm()
+	if rec != nil {
+		rec.complete(s.l3)
+	}
+	return nil
+}
+
+// endWarm clears the timing state and statistics warmup left behind,
+// keeping every cache's contents and replacement state.
+func (s *System) endWarm() {
 	s.mem.Reset()
 	s.stacked.Reset()
 	s.l3.ResetStats()
@@ -332,7 +358,6 @@ func (s *System) warm(ctx context.Context) error {
 	if s.org != nil {
 		s.org.ResetStats()
 	}
-	return nil
 }
 
 // Read implements cpu.MemPort: the demand-load path. It returns the cycle

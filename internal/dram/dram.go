@@ -219,7 +219,10 @@ type DRAM struct {
 	chMask  uint64 // Channels-1
 	chShift uint   // log2(Channels)
 	bkMask  uint64 // BanksPerChannel-1
-	stats   Stats
+	// linesPerRow is cfg.LinesPerRow(), fixed at construction for the
+	// per-access line-to-row decode.
+	linesPerRow uint64
+	stats       Stats
 	// warmOnly is set between WarmOnly and the next Reset: accesses then
 	// reserve nothing and return a zero Result.
 	warmOnly bool
@@ -236,9 +239,10 @@ func New(cfg Config) (*DRAM, error) {
 		banks[i].openRow = noRow
 	}
 	d := &DRAM{
-		cfg:      cfg,
-		banks:    banks,
-		channels: make([]channel, cfg.Channels),
+		cfg:         cfg,
+		banks:       banks,
+		channels:    make([]channel, cfg.Channels),
+		linesPerRow: uint64(cfg.LinesPerRow()),
 	}
 	ch, bk := uint64(cfg.Channels), uint64(cfg.BanksPerChannel)
 	if ch&(ch-1) == 0 && bk&(bk-1) == 0 {
@@ -274,8 +278,12 @@ func MustNew(cfg Config) *DRAM {
 	return d
 }
 
-// Config returns the device configuration.
+// Config returns the device configuration. It copies the whole struct, so
+// per-access callers read BurstLine instead.
 func (d *DRAM) Config() Config { return d.cfg }
+
+// BurstLine returns the data-bus occupancy, in cycles, of one 64 B line.
+func (d *DRAM) BurstLine() Cycle { return d.cfg.BurstLine }
 
 // Stats returns a copy of the activity counters.
 func (d *DRAM) Stats() Stats { return d.stats }
@@ -285,7 +293,7 @@ func (d *DRAM) Stats() Stats { return d.stats }
 // the device-side mapping used by off-chip memory; DRAM-cache organizations
 // compute their own row index and call AccessRow directly.
 func (d *DRAM) RowOfLine(line memaddr.Line) uint64 {
-	return uint64(line) / uint64(d.cfg.LinesPerRow())
+	return uint64(line) / d.linesPerRow
 }
 
 // AccessLine services a line-granularity request arriving at cycle now.

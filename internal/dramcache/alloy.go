@@ -150,7 +150,7 @@ func (a *Alloy) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessRe
 		if hit {
 			// Write the updated data back into the TAD (row is open).
 			var wr dram.Result
-			a.stacked.AccessRowInto(r.TagKnown, row, a.stacked.Config().BurstLine, true, &wr)
+			a.stacked.AccessRowInto(r.TagKnown, row, a.stacked.BurstLine(), true, &wr)
 			r.Hit, r.DataReady = true, wr.Done
 		}
 		a.observe(r, now)

@@ -109,7 +109,7 @@ func (b *Banshee) AccessInto(now Cycle, line memaddr.Line, write bool, r *Access
 	set := b.tags.SetOf(line)
 	hit := b.tags.Probe(line, write)
 	if hit {
-		b.stacked.AccessRowInto(r.TagKnown, b.rowOf(set), b.stacked.Config().BurstLine, write, &r.First)
+		b.stacked.AccessRowInto(r.TagKnown, b.rowOf(set), b.stacked.BurstLine(), write, &r.First)
 		r.Hit, r.DataReady, r.RowHit = true, r.First.Done, r.First.RowHit
 		r.Probed = true
 	} else if !write {
@@ -139,7 +139,7 @@ func (b *Banshee) AccessInto(now Cycle, line memaddr.Line, write bool, r *Access
 // Fill implements Organization: one line write; tags live on-chip, so no
 // tag traffic is charged.
 func (b *Banshee) Fill(now Cycle, line memaddr.Line) FillResult {
-	res := b.stacked.AccessRow(now, b.rowOf(b.tags.SetOf(line)), b.stacked.Config().BurstLine, true)
+	res := b.stacked.AccessRow(now, b.rowOf(b.tags.SetOf(line)), b.stacked.BurstLine(), true)
 	return FillResult{Done: res.Done}
 }
 

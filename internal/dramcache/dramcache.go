@@ -25,7 +25,11 @@
 // relies on this rule: core.System.warm runs the stacked device warm-only
 // (dram.DRAM.WarmOnly), where every Result is zero, and a design that
 // broke the rule would warm to different contents.
-// TestWarmOnlyContentsExact checks every registered design.
+// TestWarmOnlyContentsExact checks every registered design. Replayed
+// warmups (core.WarmRecord) rely on the same rule: with contents a
+// function of the call sequence alone, an organization handed the calls
+// another point's record describes, the very sequence its own direct
+// warmup would issue, warms to the same contents.
 package dramcache
 
 import (

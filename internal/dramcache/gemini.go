@@ -143,7 +143,7 @@ func (g *Gemini) probeDM(t Cycle, line memaddr.Line, res *dram.Result) (tagKnown
 //
 //alloyvet:hotpath
 func (g *Gemini) probeSA(t Cycle, line memaddr.Line, res *dram.Result) (tagKnown Cycle) {
-	burst := LHTagLines * g.stacked.Config().BurstLine
+	burst := LHTagLines * g.stacked.BurstLine()
 	g.stacked.AccessRowInto(t, g.saRowOf(g.sa.SetOf(line)), burst, false, res)
 	return res.Done + TagCheckCycles
 }
@@ -256,13 +256,13 @@ func (g *Gemini) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessR
 //
 //alloyvet:hotpath
 func (g *Gemini) hitIn(tagKnown Cycle, line memaddr.Line, write, hitSA bool, r *AccessResult) {
-	cfg := g.stacked.Config()
+	burst := g.stacked.BurstLine()
 	var data dram.Result
 	if hitSA {
 		g.sa.Probe(line, write)
 		// Compound scheduling keeps the row open for the data column
 		// access, then a one-beat replacement-state update.
-		g.stacked.AccessRowInto(tagKnown, g.saRowOf(g.sa.SetOf(line)), cfg.BurstLine, write, &data)
+		g.stacked.AccessRowInto(tagKnown, g.saRowOf(g.sa.SetOf(line)), burst, write, &data)
 		var upd dram.Result
 		g.stacked.AccessRowInto(data.Done, g.saRowOf(g.sa.SetOf(line)), 1, true, &upd)
 		r.Hit, r.DataReady = true, data.Done
@@ -271,7 +271,7 @@ func (g *Gemini) hitIn(tagKnown Cycle, line memaddr.Line, write, hitSA bool, r *
 	g.dm.Probe(line, write)
 	if write {
 		// Alloy-style: write the updated TAD back (row open).
-		g.stacked.AccessRowInto(tagKnown, g.dmRowOf(g.dm.SetOf(line)), cfg.BurstLine, true, &data)
+		g.stacked.AccessRowInto(tagKnown, g.dmRowOf(g.dm.SetOf(line)), burst, true, &data)
 		r.Hit, r.DataReady = true, data.Done
 		return
 	}
@@ -284,11 +284,11 @@ func (g *Gemini) hitIn(tagKnown Cycle, line memaddr.Line, write, hitSA bool, r *
 // direct-mapped region, tag read plus data-and-tag write for the
 // set-associative region.
 func (g *Gemini) Fill(now Cycle, line memaddr.Line) FillResult {
-	cfg := g.stacked.Config()
 	if g.sa.Contains(line) {
+		burst := g.stacked.BurstLine()
 		row := g.saRowOf(g.sa.SetOf(line))
-		tagRead := g.stacked.AccessRow(now, row, LHTagLines*cfg.BurstLine, false)
-		write := g.stacked.AccessRow(tagRead.Done+TagCheckCycles, row, cfg.BurstLine+1, true)
+		tagRead := g.stacked.AccessRow(now, row, LHTagLines*burst, false)
+		write := g.stacked.AccessRow(tagRead.Done+TagCheckCycles, row, burst+1, true)
 		return FillResult{Done: write.Done}
 	}
 	if invariants.Enabled && !g.dm.Contains(line) {

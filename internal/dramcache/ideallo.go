@@ -93,7 +93,7 @@ func (d *IdealLO) AccessInto(now Cycle, line memaddr.Line, write bool, r *Access
 		hit, ev = d.tags.Access(line, false)
 	}
 	if hit {
-		d.stacked.AccessRowInto(now, d.rowOf(set), d.stacked.Config().BurstLine, write, &r.First)
+		d.stacked.AccessRowInto(now, d.rowOf(set), d.stacked.BurstLine(), write, &r.First)
 		r.Hit, r.DataReady, r.RowHit = true, r.First.Done, r.First.RowHit
 		r.Probed = true
 	} else if !write {
@@ -104,6 +104,6 @@ func (d *IdealLO) AccessInto(now Cycle, line memaddr.Line, write bool, r *Access
 
 // Fill implements Organization: one line write.
 func (d *IdealLO) Fill(now Cycle, line memaddr.Line) FillResult {
-	res := d.stacked.AccessRow(now, d.rowOf(d.tags.SetOf(line)), d.stacked.Config().BurstLine, true)
+	res := d.stacked.AccessRow(now, d.rowOf(d.tags.SetOf(line)), d.stacked.BurstLine(), true)
 	return FillResult{Done: res.Done}
 }

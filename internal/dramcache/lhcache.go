@@ -101,7 +101,7 @@ func (c *LHCache) rowOf(set int) uint64 { return uint64(set / c.setsPerRow) }
 // for the set-associative organization, one 16 B beat for direct-mapped.
 func (c *LHCache) tagBurst() Cycle {
 	if c.assoc == LHDataLinesPerRow {
-		return LHTagLines * c.stacked.Config().BurstLine
+		return LHTagLines * c.stacked.BurstLine()
 	}
 	return 1
 }
@@ -120,7 +120,6 @@ func (c *LHCache) Access(now Cycle, line memaddr.Line, write bool) AccessResult 
 //
 //alloyvet:hotpath
 func (c *LHCache) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult) {
-	cfg := c.stacked.Config()
 	set := c.tags.SetOf(line)
 	row := c.rowOf(set)
 
@@ -142,7 +141,7 @@ func (c *LHCache) AccessInto(now Cycle, line memaddr.Line, write bool, r *Access
 		// Compound access scheduling: the row is still open, so the data
 		// access is a guaranteed row-buffer hit (CAS + one line burst).
 		var data dram.Result
-		c.stacked.AccessRowInto(tagKnown, row, cfg.BurstLine, write, &data)
+		c.stacked.AccessRowInto(tagKnown, row, c.stacked.BurstLine(), write, &data)
 		r.Hit, r.DataReady = true, data.Done
 		if c.update {
 			// Replacement-state update (16 B beat), drained at write
@@ -161,9 +160,8 @@ func (c *LHCache) AccessInto(now Cycle, line memaddr.Line, write bool, r *Access
 // lines (victim selection, §5.1 of the paper), then writing the data line
 // and the updated tag line.
 func (c *LHCache) Fill(now Cycle, line memaddr.Line) FillResult {
-	cfg := c.stacked.Config()
 	row := c.rowOf(c.tags.SetOf(line))
 	tagRead := c.stacked.AccessRow(now, row, c.tagBurst(), false)
-	write := c.stacked.AccessRow(tagRead.Done+TagCheckCycles, row, cfg.BurstLine+1, true)
+	write := c.stacked.AccessRow(tagRead.Done+TagCheckCycles, row, c.stacked.BurstLine()+1, true)
 	return FillResult{Done: write.Done}
 }

@@ -85,7 +85,7 @@ func (s *SRAMTag) AccessInto(now Cycle, line memaddr.Line, write bool, r *Access
 		// Write: probe only; a hit updates the line in place, a miss is
 		// forwarded to memory without allocating.
 		if s.tags.Probe(line, true) {
-			s.stacked.AccessRowInto(tagKnown, s.rowOf(set), s.stacked.Config().BurstLine, true, &r.First)
+			s.stacked.AccessRowInto(tagKnown, s.rowOf(set), s.stacked.BurstLine(), true, &r.First)
 			r.Hit, r.DataReady, r.RowHit = true, r.First.Done, r.First.RowHit
 			r.Probed = true
 		}
@@ -94,7 +94,7 @@ func (s *SRAMTag) AccessInto(now Cycle, line memaddr.Line, write bool, r *Access
 	}
 	hit, ev := s.tags.Access(line, false)
 	if hit {
-		s.stacked.AccessRowInto(tagKnown, s.rowOf(set), s.stacked.Config().BurstLine, false, &r.First)
+		s.stacked.AccessRowInto(tagKnown, s.rowOf(set), s.stacked.BurstLine(), false, &r.First)
 		r.Hit, r.DataReady, r.RowHit = true, r.First.Done, r.First.RowHit
 		r.Probed = true
 	} else {
@@ -107,6 +107,6 @@ func (s *SRAMTag) AccessInto(now Cycle, line memaddr.Line, write bool, r *Access
 // write occupies the stacked DRAM for one line burst.
 func (s *SRAMTag) Fill(now Cycle, line memaddr.Line) FillResult {
 	set := s.tags.SetOf(line)
-	res := s.stacked.AccessRow(now, s.rowOf(set), s.stacked.Config().BurstLine, true)
+	res := s.stacked.AccessRow(now, s.rowOf(set), s.stacked.BurstLine(), true)
 	return FillResult{Done: res.Done}
 }

@@ -99,14 +99,14 @@ func (t *TDRAM) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessRe
 		r.Probed = true
 		if t.tags.Probe(line, true) {
 			var wr dram.Result
-			t.stacked.AccessRowInto(r.TagKnown, row, t.stacked.Config().BurstLine, true, &wr)
+			t.stacked.AccessRowInto(r.TagKnown, row, t.stacked.BurstLine(), true, &wr)
 			r.Hit, r.DataReady = true, wr.Done
 		}
 		t.observe(r, now)
 		return
 	}
 
-	t.stacked.AccessRowInto(now, row, t.stacked.Config().BurstLine, false, &r.First)
+	t.stacked.AccessRowInto(now, row, t.stacked.BurstLine(), false, &r.First)
 	// Dedicated tag path: the outcome resolves with the column access, not
 	// after the burst drains (Alloy learns it only at First.Done).
 	r.TagKnown = r.First.CASDone + TagCheckCycles
@@ -129,6 +129,6 @@ func (t *TDRAM) Fill(now Cycle, line memaddr.Line) FillResult {
 	if invariants.Enabled {
 		t.checkRow(line, set, row)
 	}
-	res := t.stacked.AccessRow(now, row, t.stacked.Config().BurstLine, true)
+	res := t.stacked.AccessRow(now, row, t.stacked.BurstLine(), true)
 	return FillResult{Done: res.Done}
 }

@@ -11,6 +11,7 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -39,8 +40,8 @@ type Params struct {
 	// Seed perturbs the generators.
 	Seed uint64
 	// Parallelism bounds concurrent simulations during Prefetch (each
-	// simulation is single-threaded and independent). Zero means
-	// runtime.NumCPU.
+	// simulation is single-threaded and independent), and the number of
+	// recorded warmup fronts the runner keeps. Zero means runtime.NumCPU.
 	Parallelism int
 	// Retries is how many times a failed point is re-attempted before the
 	// failure is recorded as final. Configuration errors and parent-context
@@ -129,6 +130,20 @@ type Runner struct {
 	// point's FailureRecord; success dumps serve the validate harness,
 	// which attaches them to gate-trip reports after runs complete.
 	flights []flightEntry //alloyvet:guard mu
+
+	// fronts holds recorded warmup fronts (core.WarmRecord), one per
+	// workload, least recently used first and at most parallelism() of
+	// them. Every point of a workload shares one front, since the Params
+	// are fixed, so the workload name is the key.
+	fronts []frontEntry //alloyvet:guard mu
+}
+
+// frontEntry is one workload's warmup record. ready is false while the
+// point recording it runs; points that find it so warm directly.
+type frontEntry struct {
+	workload string
+	rec      *core.WarmRecord
+	ready    bool
 }
 
 // flightEntry pairs a point with its most recent flight dump.
@@ -181,6 +196,9 @@ type Metrics struct {
 	Retries uint64
 	// Failures counts points whose every attempt failed.
 	Failures uint64
+	// WarmReplays counts simulation attempts that warmed from another
+	// point's recorded warmup front instead of simulating the L3.
+	WarmReplays uint64
 	// SimWall is cumulative wall time inside successful simulations.
 	SimWall time.Duration
 	// MaxPointWall is the slowest successful simulation.
@@ -238,11 +256,7 @@ func (r *Runner) normalize(pt Point) Point {
 // input order. Cancelling ctx stops launching new points and cancels the
 // in-flight ones.
 func (r *Runner) Prefetch(ctx context.Context, points []Point) error {
-	par := r.p.Parallelism
-	if par <= 0 {
-		par = runtime.NumCPU()
-	}
-	sem := make(chan struct{}, par)
+	sem := make(chan struct{}, r.parallelism())
 	errs := make([]error, len(points))
 	var wg sync.WaitGroup
 	for i, pt := range points {
@@ -279,6 +293,14 @@ func (r *Runner) Prefetch(ctx context.Context, points []Point) error {
 
 // Params returns the runner's parameters.
 func (r *Runner) Params() Params { return r.p }
+
+// parallelism resolves Params.Parallelism's default.
+func (r *Runner) parallelism() int {
+	if r.p.Parallelism > 0 {
+		return r.p.Parallelism
+	}
+	return runtime.NumCPU()
+}
 
 // Run simulates one (workload, design, predictor, cacheMB) point. cacheMB
 // is paper-scale; zero uses the runner default. Results are memoized;
@@ -434,8 +456,21 @@ func (p permanentError) Unwrap() error { return p.err }
 // simulatePoint is the real point execution: build a system from the
 // runner params and run it under ctx, with the always-on flight
 // recorder attached so a failing run leaves its final epochs behind.
+// The first point of a workload records its warmup front and later
+// points replay it (takeFront).
 func (r *Runner) simulatePoint(ctx context.Context, key Point) (core.Result, error) {
 	sys, err := core.NewSystem(r.pointConfig(key))
+	if err != nil {
+		return core.Result{}, permanentError{err}
+	}
+	rec, replay := r.takeFront(key.Workload)
+	switch {
+	case replay:
+		err = sys.ReplayWarmup(rec)
+	case rec != nil:
+		defer r.publishFront(rec)
+		err = sys.RecordWarmup(rec)
+	}
 	if err != nil {
 		return core.Result{}, permanentError{err}
 	}
@@ -452,6 +487,56 @@ func (r *Runner) simulatePoint(ctx context.Context, key Point) (core.Result, err
 		}
 	}
 	return res, err
+}
+
+// takeFront looks up the workload's warmup front. A ready record comes
+// back to replay. Without an entry the point records a new one, unless
+// every slot holds a record still being recorded; then, and while the
+// workload's own record is being recorded, the point warms directly
+// (nil), with no waiting.
+func (r *Runner) takeFront(workload string) (rec *core.WarmRecord, replay bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i := slices.IndexFunc(r.fronts, func(e frontEntry) bool { return e.workload == workload }); i >= 0 {
+		e := r.fronts[i]
+		if !e.ready {
+			return nil, false
+		}
+		r.fronts = append(slices.Delete(r.fronts, i, i+1), e)
+		r.m.WarmReplays++
+		return e.rec, true
+	}
+	if len(r.fronts) >= r.parallelism() {
+		i := slices.IndexFunc(r.fronts, func(e frontEntry) bool { return e.ready })
+		if i < 0 {
+			return nil, false
+		}
+		r.fronts = slices.Delete(r.fronts, i, i+1)
+	}
+	rec = &core.WarmRecord{}
+	r.fronts = append(r.fronts, frontEntry{workload: workload, rec: rec})
+	return rec, false
+}
+
+// publishFront ends a recording point's hold on its entry: a complete
+// record becomes ready to replay, and an incomplete one (the run failed
+// or was cancelled during warmup) is dropped, so a later point records
+// afresh.
+func (r *Runner) publishFront(rec *core.WarmRecord) {
+	complete := rec.Complete()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, e := range r.fronts {
+		if e.rec != rec {
+			continue
+		}
+		if complete {
+			r.fronts[i].ready = true
+		} else {
+			r.fronts = slices.Delete(r.fronts, i, i+1)
+		}
+		return
+	}
 }
 
 // pointConfig derives the core.Config one point simulates under the
@@ -572,9 +657,9 @@ func (r *Runner) WriteSummary(w io.Writer) {
 	if m.PointsRun > 0 {
 		mean = m.SimWall / time.Duration(m.PointsRun)
 	}
-	r.pw.Fprintf(w, "sweep summary: simulations_run=%d memo_hits=%d checkpoint_hits=%d inflight_joins=%d retries=%d failures=%d sim_wall_s=%.1f point_mean_s=%.2f point_max_s=%.2f\n",
+	r.pw.Fprintf(w, "sweep summary: simulations_run=%d memo_hits=%d checkpoint_hits=%d inflight_joins=%d retries=%d failures=%d sim_wall_s=%.1f point_mean_s=%.2f point_max_s=%.2f warm_replays=%d\n",
 		m.PointsRun, m.MemoHits, m.CheckpointHits, m.FlightJoins, m.Retries, m.Failures,
-		m.SimWall.Seconds(), mean.Seconds(), m.MaxPointWall.Seconds())
+		m.SimWall.Seconds(), mean.Seconds(), m.MaxPointWall.Seconds(), m.WarmReplays)
 	for _, f := range r.FailureRecords() {
 		note := ""
 		if f.Flight != "" {
@@ -594,6 +679,7 @@ func (r *Runner) RegisterMetrics(x obs.Exporter, prefix string) {
 	x.Counter(prefix+"_inflight_joins_total", "Run calls that joined a concurrent duplicate", func() uint64 { return r.Metrics().FlightJoins })
 	x.Counter(prefix+"_retries_total", "re-attempts after transient failures", func() uint64 { return r.Metrics().Retries })
 	x.Counter(prefix+"_failures_total", "points whose every attempt failed", func() uint64 { return r.Metrics().Failures })
+	x.Counter(prefix+"_warm_replays_total", "simulation attempts warmed from a recorded warmup front", func() uint64 { return r.Metrics().WarmReplays })
 	x.Gauge(prefix+"_sim_wall_seconds", "cumulative wall time inside successful simulations", func() float64 { return r.Metrics().SimWall.Seconds() })
 }
 

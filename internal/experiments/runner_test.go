@@ -355,7 +355,9 @@ func TestWriteSummaryShape(t *testing.T) {
 // TestPrefetchAtQuickScale runs real simulations through Prefetch at
 // QuickParams scale with a shared Progress writer; the dedicated CI -race
 // step runs exactly this test to catch harness data races at a realistic
-// concurrency level. Skipped under -short.
+// concurrency level. Concurrent points share recorded warmup fronts, so
+// every memoized result must also equal a directly warmed run. Skipped
+// under -short.
 func TestPrefetchAtQuickScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("QuickParams-scale prefetch in -short mode")
@@ -379,6 +381,7 @@ func TestPrefetchAtQuickScale(t *testing.T) {
 	if got := strings.Count(progress.String(), "ran "); got != len(pts) {
 		t.Fatalf("progress recorded %d lines, want %d", got, len(pts))
 	}
+	checkMemoMatchesDirect(t, r, pts)
 }
 
 // TestPointString keeps the progress-output key format stable.

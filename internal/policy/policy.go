@@ -26,6 +26,10 @@ type Policy interface {
 	Miss(set int)
 	// Name identifies the policy in reports.
 	Name() string
+	// Clone returns an independent copy of the replacement state: the
+	// copy and the original make the same decisions for the same
+	// operations, and neither observes the other's later operations.
+	Clone() Policy
 }
 
 // New constructs a policy by name: "lru", "random", "bip", "dip", "nru",
@@ -97,6 +101,15 @@ func NewLRU(sets, assoc int) *LRU {
 // Name implements Policy.
 func (p *LRU) Name() string { return "lru" }
 
+// Clone implements Policy.
+func (p *LRU) Clone() Policy { return p.clone() }
+
+func (p *LRU) clone() *LRU {
+	c := *p
+	c.stamps = slices.Clone(p.stamps)
+	return &c
+}
+
 // Touch implements Policy.
 func (p *LRU) Touch(set, way int) {
 	p.clock++
@@ -156,6 +169,12 @@ func NewRandom(sets, assoc int, seed uint64) *Random {
 // Name implements Policy.
 func (p *Random) Name() string { return "random" }
 
+// Clone implements Policy: the copy continues the same victim sequence.
+func (p *Random) Clone() Policy {
+	c := *p
+	return &c
+}
+
 // Touch implements Policy; random replacement keeps no recency state.
 func (p *Random) Touch(int, int) {}
 
@@ -190,6 +209,11 @@ func NewBIP(sets, assoc int) *BIP {
 
 // Name implements Policy.
 func (p *BIP) Name() string { return "bip" }
+
+// Clone implements Policy.
+func (p *BIP) Clone() Policy { return p.clone() }
+
+func (p *BIP) clone() *BIP { return &BIP{lru: p.lru.clone(), counter: p.counter} }
 
 // Touch implements Policy.
 func (p *BIP) Touch(set, way int) { p.lru.Touch(set, way) }
@@ -245,6 +269,13 @@ func NewDIP(sets, assoc int) *DIP {
 
 // Name implements Policy.
 func (p *DIP) Name() string { return "dip" }
+
+// Clone implements Policy.
+func (p *DIP) Clone() Policy {
+	c := *p
+	c.lru, c.bip = p.lru.clone(), p.bip.clone()
+	return &c
+}
 
 // setKind classifies a set: 0 = LRU-dedicated, 1 = BIP-dedicated, 2 = follower.
 func (p *DIP) setKind(set int) int {
@@ -323,6 +354,11 @@ func NewNRU(sets, assoc int) *NRU {
 
 // Name implements Policy.
 func (p *NRU) Name() string { return "nru" }
+
+// Clone implements Policy.
+func (p *NRU) Clone() Policy {
+	return &NRU{assoc: p.assoc, ref: slices.Clone(p.ref), hand: slices.Clone(p.hand)}
+}
 
 // Touch implements Policy.
 func (p *NRU) Touch(set, way int) { p.ref[set*p.assoc+way] = true }

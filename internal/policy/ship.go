@@ -1,5 +1,7 @@
 package policy
 
+import "slices"
+
 // SHiP is Signature-based Hit Prediction (Wu et al., MICRO 2011) layered on
 // RRIP. Each line remembers the signature that filled it and whether it was
 // ever re-referenced; a table of saturating counters (the SHCT) learns, per
@@ -41,6 +43,17 @@ func NewSHiP(sets, assoc int) *SHiP {
 
 // Name implements Policy.
 func (p *SHiP) Name() string { return "ship" }
+
+// Clone implements Policy.
+func (p *SHiP) Clone() Policy {
+	return &SHiP{
+		srrip:  p.srrip.clone(),
+		shct:   slices.Clone(p.shct),
+		sig:    slices.Clone(p.sig),
+		reused: slices.Clone(p.reused),
+		filled: slices.Clone(p.filled),
+	}
+}
 
 // signature hashes the set index into the SHCT index space.
 func (p *SHiP) signature(set int) uint16 {
