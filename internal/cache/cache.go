@@ -82,20 +82,43 @@ func (s Stats) HitRate() float64 {
 // the line, and the lookup compares eight signatures per 64-bit word before
 // it reads any tag; a signature match is only a candidate, confirmed
 // against the valid mask and the full tag, so a collision costs one compare
-// and never changes an outcome. A direct-mapped cache tests its one way's
-// valid bit and tag directly, and since it has no replacement choice it
-// keeps no policy at all.
+// and never changes an outcome.
+//
+// A direct-mapped cache keeps none of those rows: each set is one 16-byte
+// dmEntry holding the line and its valid and dirty flags, so a lookup and
+// a fill touch one memory cache line instead of three. It has no
+// replacement choice, so it keeps no policy at all.
 type Cache struct {
 	cfg     Config
-	lines   []memaddr.Line // sets*assoc tags
+	lines   []memaddr.Line // sets*assoc tags; nil when Assoc is 1
 	sigs    []byte         // sets*assoc signatures plus 8 bytes of padding; nil below swarMinAssoc
-	valid   []uint64       // per-set way bitmask
-	dirty   []uint64       // per-set way bitmask
+	valid   []uint64       // per-set way bitmask; nil when Assoc is 1
+	dirty   []uint64       // per-set way bitmask; nil when Assoc is 1
+	dm      []dmEntry      // per-set line and flags when Assoc is 1, else nil
 	full    uint64         // assoc ones: the value of a full set's valid mask
 	setMask uint64         // Sets-1 when Sets is a power of two, else 0
 	pol     policy.Policy  // nil when Assoc is 1
 	occ     int            // valid lines, kept by fill and Invalidate
 	stats   Stats
+}
+
+// dmEntry is one direct-mapped set: its line and its dmValid and dmDirty
+// flags.
+type dmEntry struct {
+	line  memaddr.Line
+	flags uint64
+}
+
+const (
+	dmValid = 1 << iota
+	dmDirty
+)
+
+// holds reports whether the set holds line.
+//
+//alloyvet:hotpath
+func (e *dmEntry) holds(line memaddr.Line) bool {
+	return e.flags&dmValid != 0 && e.line == line
 }
 
 // swarMinAssoc is the smallest associativity that keeps signatures.
@@ -154,21 +177,19 @@ func New(cfg Config) (*Cache, error) {
 	if s := uint64(cfg.Sets); s&(s-1) == 0 {
 		setMask = s - 1
 	}
-	var sigs []byte
+	c := &Cache{cfg: cfg, full: full, setMask: setMask, pol: pol}
+	if cfg.Assoc == 1 {
+		c.dm = make([]dmEntry, cfg.Sets)
+		return c, nil
+	}
+	c.lines = make([]memaddr.Line, cfg.Sets*cfg.Assoc)
+	c.valid = make([]uint64, cfg.Sets)
+	c.dirty = make([]uint64, cfg.Sets)
 	if cfg.Assoc >= swarMinAssoc {
 		// The padding lets the last set's final word load stay in bounds.
-		sigs = make([]byte, cfg.Sets*cfg.Assoc+8)
+		c.sigs = make([]byte, cfg.Sets*cfg.Assoc+8)
 	}
-	return &Cache{
-		cfg:     cfg,
-		lines:   make([]memaddr.Line, cfg.Sets*cfg.Assoc),
-		sigs:    sigs,
-		valid:   make([]uint64, cfg.Sets),
-		dirty:   make([]uint64, cfg.Sets),
-		full:    full,
-		setMask: setMask,
-		pol:     pol,
-	}, nil
+	return c, nil
 }
 
 // MustNew is New but panics on error; for tests and fixed configurations.
@@ -202,7 +223,8 @@ func (c *Cache) SetOf(line memaddr.Line) int {
 	return int(line.Mod(uint64(c.cfg.Sets)))
 }
 
-// findWay returns the way holding line in set, or -1.
+// findWay returns the way holding line in a set-associative cache's set,
+// or -1.
 //
 //alloyvet:hotpath
 func (c *Cache) findWay(set int, line memaddr.Line) int {
@@ -236,7 +258,11 @@ func (c *Cache) findWay(set int, line memaddr.Line) int {
 // replacement state or statistics. The idealized MissMap and the Perfect
 // predictor are built on this probe.
 func (c *Cache) Contains(line memaddr.Line) bool {
-	return c.findWay(c.SetOf(line), line) >= 0
+	set := c.SetOf(line)
+	if c.dm != nil {
+		return c.dm[set].holds(line)
+	}
+	return c.findWay(set, line) >= 0
 }
 
 // Access performs a demand access with allocate-on-miss semantics: on a
@@ -247,24 +273,27 @@ func (c *Cache) Contains(line memaddr.Line) bool {
 //alloyvet:hotpath
 func (c *Cache) Access(line memaddr.Line, write bool) (hit bool, ev Eviction) {
 	set := c.SetOf(line)
+	if c.dm != nil {
+		e := &c.dm[set]
+		if c.hitDM(e, line, write) {
+			return true, Eviction{}
+		}
+		return false, c.fillDM(e, line, write)
+	}
 	if w := c.findWay(set, line); w >= 0 {
 		c.stats.Hits++
 		if write {
 			c.stats.WriteHits++
 			c.dirty[set] |= 1 << uint(w)
 		}
-		if c.pol != nil {
-			c.pol.Touch(set, w)
-		}
+		c.pol.Touch(set, w)
 		return true, Eviction{}
 	}
 	c.stats.Misses++
 	if write {
 		c.stats.WriteMisses++
 	}
-	if c.pol != nil {
-		c.pol.Miss(set)
-	}
+	c.pol.Miss(set)
 	ev = c.fill(set, line, write)
 	return false, ev
 }
@@ -276,24 +305,23 @@ func (c *Cache) Access(line memaddr.Line, write bool) (hit bool, ev Eviction) {
 //alloyvet:hotpath
 func (c *Cache) Probe(line memaddr.Line, write bool) bool {
 	set := c.SetOf(line)
+	if c.dm != nil {
+		return c.hitDM(&c.dm[set], line, write)
+	}
 	if w := c.findWay(set, line); w >= 0 {
 		c.stats.Hits++
 		if write {
 			c.stats.WriteHits++
 			c.dirty[set] |= 1 << uint(w)
 		}
-		if c.pol != nil {
-			c.pol.Touch(set, w)
-		}
+		c.pol.Touch(set, w)
 		return true
 	}
 	c.stats.Misses++
 	if write {
 		c.stats.WriteMisses++
 	}
-	if c.pol != nil {
-		c.pol.Miss(set)
-	}
+	c.pol.Miss(set)
 	return false
 }
 
@@ -301,6 +329,16 @@ func (c *Cache) Probe(line memaddr.Line, write bool) bool {
 // eviction it caused. Filling a line already present is a no-op.
 func (c *Cache) Fill(line memaddr.Line, dirty bool) Eviction {
 	set := c.SetOf(line)
+	if c.dm != nil {
+		e := &c.dm[set]
+		if !e.holds(line) {
+			return c.fillDM(e, line, dirty)
+		}
+		if dirty {
+			e.flags |= dmDirty
+		}
+		return Eviction{}
+	}
 	if w := c.findWay(set, line); w >= 0 {
 		if dirty {
 			c.dirty[set] |= 1 << uint(w)
@@ -308,6 +346,48 @@ func (c *Cache) Fill(line memaddr.Line, dirty bool) Eviction {
 		return Eviction{}
 	}
 	return c.fill(set, line, dirty)
+}
+
+// hitDM is a direct-mapped set's lookup for Access and Probe: on a hit it
+// counts it and marks a write dirty, on a miss it counts the miss.
+//
+//alloyvet:hotpath
+func (c *Cache) hitDM(e *dmEntry, line memaddr.Line, write bool) bool {
+	if e.holds(line) {
+		c.stats.Hits++
+		if write {
+			c.stats.WriteHits++
+			e.flags |= dmDirty
+		}
+		return true
+	}
+	c.stats.Misses++
+	if write {
+		c.stats.WriteMisses++
+	}
+	return false
+}
+
+// fillDM installs line in direct-mapped set e and returns what it
+// displaced.
+//
+//alloyvet:hotpath
+func (c *Cache) fillDM(e *dmEntry, line memaddr.Line, dirty bool) Eviction {
+	var ev Eviction
+	if e.flags&dmValid == 0 {
+		c.occ++
+	} else {
+		ev = Eviction{Line: e.line, Dirty: e.flags&dmDirty != 0, Valid: true}
+		c.stats.Evictions++
+		if ev.Dirty {
+			c.stats.Writebacks++
+		}
+	}
+	e.line, e.flags = line, dmValid
+	if dirty {
+		e.flags |= dmDirty
+	}
+	return ev
 }
 
 //alloyvet:hotpath
@@ -320,10 +400,7 @@ func (c *Cache) fill(set int, line memaddr.Line, dirty bool) Eviction {
 		way = bits.TrailingZeros64(free)
 		c.occ++
 	} else {
-		// A direct-mapped cache keeps no policy: its victim is way 0.
-		if c.pol != nil {
-			way = c.pol.Victim(set)
-		}
+		way = c.pol.Victim(set)
 		if invariants.Enabled && (way < 0 || way >= c.cfg.Assoc) {
 			// An out-of-range victim indexes into the neighboring set's
 			// tags — silent cross-set corruption, not a bounds panic.
@@ -346,21 +423,19 @@ func (c *Cache) fill(set int, line memaddr.Line, dirty bool) Eviction {
 	} else {
 		c.dirty[set] &^= 1 << uint(way)
 	}
-	if c.pol != nil {
-		c.pol.Insert(set, way)
-	}
+	c.pol.Insert(set, way)
 	if invariants.Enabled {
 		c.checkSet(set)
 	}
 	return ev
 }
 
-// checkSet asserts the set's occupancy bitmasks are consistent: a dirty
-// bit implies a valid bit, and no bit exceeds the associativity. Every
-// valid way's signature must match its tag, or the lookup would miss a
-// resident line. Only meaningful under -tags invariants; a
-// dirty-without-valid bit turns into a phantom writeback the next time
-// the way is reused.
+// checkSet asserts a set-associative set's occupancy bitmasks are
+// consistent: a dirty bit implies a valid bit, and no bit exceeds the
+// associativity. Every valid way's signature must match its tag, or the
+// lookup would miss a resident line. Only meaningful under -tags
+// invariants; a dirty-without-valid bit turns into a phantom writeback the
+// next time the way is reused.
 func (c *Cache) checkSet(set int) {
 	if orphan := c.dirty[set] &^ c.valid[set]; orphan != 0 {
 		invariants.Failf("cache: set %d has dirty bits %#x without valid bits (valid %#x)", set, orphan, c.valid[set])
@@ -383,6 +458,16 @@ func (c *Cache) checkSet(set int) {
 // Invalidate removes a line if present and returns whether it was dirty.
 func (c *Cache) Invalidate(line memaddr.Line) (present, dirty bool) {
 	set := c.SetOf(line)
+	if c.dm != nil {
+		e := &c.dm[set]
+		if !e.holds(line) {
+			return false, false
+		}
+		dirty = e.flags&dmDirty != 0
+		*e = dmEntry{}
+		c.occ--
+		return true, dirty
+	}
 	w := c.findWay(set, line)
 	if w < 0 {
 		return false, false
@@ -411,6 +496,7 @@ func (c *Cache) Clone() *Cache {
 	d.sigs = slices.Clone(c.sigs)
 	d.valid = slices.Clone(c.valid)
 	d.dirty = slices.Clone(c.dirty)
+	d.dm = slices.Clone(c.dm)
 	if c.pol != nil {
 		d.pol = c.pol.Clone()
 	}
@@ -429,6 +515,7 @@ func (c *Cache) CopyFrom(src *Cache) {
 	copy(c.sigs, src.sigs)
 	copy(c.valid, src.valid)
 	copy(c.dirty, src.dirty)
+	copy(c.dm, src.dm)
 	if src.pol != nil {
 		c.pol = src.pol.Clone()
 	}

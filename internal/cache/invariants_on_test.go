@@ -65,8 +65,9 @@ func (rogueVictim) Name() string           { return "rogue" }
 func (r rogueVictim) Clone() policy.Policy { return r }
 
 func TestVictimOutOfRangePanics(t *testing.T) {
-	c := MustNew(Config{Sets: 4, Assoc: 1})
-	c.Fill(memaddr.Line(0), false) // set 0 is now full
+	c := MustNew(Config{Sets: 4, Assoc: 2})
+	c.Fill(memaddr.Line(0), false)
+	c.Fill(memaddr.Line(4), false) // set 0 is now full
 	c.pol = rogueVictim{}
-	mustPanic(t, "victim way 99", func() { c.Fill(memaddr.Line(4), false) })
+	mustPanic(t, "victim way 99", func() { c.Fill(memaddr.Line(8), false) })
 }

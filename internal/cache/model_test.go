@@ -290,7 +290,7 @@ func TestCopiesMatchOriginal(t *testing.T) {
 }
 
 // TestOccupancyMatchesRecount checks the running occupancy count against a
-// recount of the valid masks after a random stream of every operation
+// recount of the valid masks and direct-mapped flags after a random stream of every operation
 // that can change residency, on direct-mapped and set-associative fill
 // paths.
 func TestOccupancyMatchesRecount(t *testing.T) {
@@ -317,6 +317,9 @@ func TestOccupancyMatchesRecount(t *testing.T) {
 		n := 0
 		for _, m := range c.valid {
 			n += bits.OnesCount64(m)
+		}
+		for _, e := range c.dm {
+			n += int(e.flags & dmValid)
 		}
 		if c.Occupancy() != n {
 			t.Errorf("%+v: Occupancy %d, recount %d", cfg, c.Occupancy(), n)

@@ -31,7 +31,6 @@ type System struct {
 	auth    bool // predictor has perfect contents knowledge
 	mem     *dram.DRAM
 	stacked *dram.DRAM
-	gens    []trace.Generator
 	srcs    []*directSource // per-core front-ends (see frontend.go)
 	cores   []*cpu.Core
 
@@ -86,8 +85,10 @@ type System struct {
 
 	// rec is the record warm writes its front into (RecordWarmup), and
 	// replay the record it warms from instead (ReplayWarmup); at most one
-	// is set, and both are nil for a plain direct warmup.
+	// is set, and both are nil for a plain direct warmup. cursors holds
+	// each core's position in the record's line stream while either runs.
 	rec, replay *WarmRecord
+	cursors     []lineCursor
 
 	ran bool
 }
@@ -163,9 +164,8 @@ func NewSystem(cfg Config) (*System, error) {
 		s.footprint = memaddr.NewLineSet()
 	}
 
-	if cfg.Generators != nil {
-		s.gens = append(s.gens, cfg.Generators...)
-	} else {
+	gens := cfg.Generators
+	if gens == nil {
 		// One generator per rate-mode copy, at disjoint physical bases.
 		prof, _ := trace.ByName(cfg.Workload)
 		if cfg.GapScale > 1 {
@@ -181,10 +181,10 @@ func NewSystem(cfg Config) (*System, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.gens = append(s.gens, g)
+			gens = append(gens, g)
 		}
 	}
-	for i, g := range s.gens {
+	for i, g := range gens {
 		var l2 *cache.Cache
 		if s.l2 != nil && i < len(s.l2) {
 			l2 = s.l2[i]
@@ -294,9 +294,9 @@ func (s *System) publishMetrics() {
 // have made, so skipping them changes no simulated number.
 //
 // Given a record to write (RecordWarmup), the loop also stores each
-// reference's outcome in it, and the record takes a copy of the L3 after
-// the closing resets. Given a record to replay (ReplayWarmup), warm runs
-// replayWarm instead of simulating the L3.
+// reference's code and forwarded line in it, and the record takes copies
+// of the front after the closing resets. Given a record to replay
+// (ReplayWarmup), warm runs replayWarm instead of simulating the front.
 //
 //alloyvet:hotpath
 func (s *System) warm(ctx context.Context) error {
@@ -312,7 +312,7 @@ func (s *System) warm(ctx context.Context) error {
 				return err
 			}
 		}
-		for _, src := range s.srcs {
+		for c, src := range s.srcs {
 			src.next(&ref)
 			code, victim := warmSkip, memaddr.Line(0)
 			switch {
@@ -321,27 +321,28 @@ func (s *System) warm(ctx context.Context) error {
 				// ref.L2WB is deliberately ignored: warmup streams contents
 				// only, and an L2 victim writeback installs no new line below.
 				if !s.l3.Probe(ref.Line, true) {
-					code = warmForward
+					code = warmWrite
 				}
 			default:
 				if hit, ev := s.l3.Access(ref.Line, false); !hit {
-					code = warmForward
+					code = warmRead
 					if ev.Valid && ev.Dirty {
 						code, victim = warmVictim, ev.Line
 					}
 				}
 			}
-			if rec != nil {
-				rec.put(code, victim)
+			if rec != nil && !rec.put(&s.cursors[c], c, code, victim, ref.Line) {
+				s.abandonRecord()
+				rec = nil
 			}
 			if code != warmSkip && s.org != nil {
-				s.forwardWarm(code, victim, ref.Line, ref.Write)
+				s.forwardWarm(code, victim, ref.Line)
 			}
 		}
 	}
 	s.endWarm()
 	if rec != nil {
-		rec.complete(s.l3)
+		rec.complete(s)
 	}
 	return nil
 }

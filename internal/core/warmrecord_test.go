@@ -119,6 +119,95 @@ func TestWarmReplayMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestWarmReplayRestoresFront requires a replayed System's sources to
+// continue exactly where a directly warmed System's do: the next 10k
+// FrontRefs of every core, L2 outcomes included, are equal.
+func TestWarmReplayRestoresFront(t *testing.T) {
+	for _, l2 := range []uint64{0, 256 << 10 << 6} {
+		cfg := quickConfig("lbm_r", DesignAlloy)
+		cfg.L2Bytes = l2
+		_, rec := recordRun(t, cfg)
+		warmed := func(rec *WarmRecord) *System {
+			s, err := NewSystem(cfg)
+			if err == nil && rec != nil {
+				err = s.ReplayWarmup(rec)
+			}
+			if err == nil {
+				err = s.warm(context.Background())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		direct, replayed := warmed(nil), warmed(rec)
+		for c := range direct.srcs {
+			for i := 0; i < 10_000; i++ {
+				if a, b := replayed.srcs[c].NextRef(), direct.srcs[c].NextRef(); a != b {
+					t.Fatalf("L2Bytes %d core %d ref %d: replayed %+v, direct %+v", l2, c, i, a, b)
+				}
+			}
+		}
+		if direct.l3.Stats() != replayed.l3.Stats() || direct.l3.Occupancy() != replayed.l3.Occupancy() {
+			t.Fatalf("L2Bytes %d: L3 after the streams differs", l2)
+		}
+	}
+}
+
+// TestWarmRecordRefusesUncodableLines: a line at or above 2^63 has no
+// gathered form, so put refuses it instead of coding a wrong line, and a
+// System that meets one abandons its record and warms on directly.
+func TestWarmRecordRefusesUncodableLines(t *testing.T) {
+	rec := &WarmRecord{codes: make([]byte, 1), lines: make([][]byte, 1)}
+	var cur lineCursor
+	if !rec.put(&cur, 0, warmRead, 0, maxGatherLine-1) {
+		t.Fatal("put refused the largest codable line")
+	}
+	if rec.put(&cur, 0, warmWrite, 0, maxGatherLine) {
+		t.Fatal("put accepted a line at 2^63")
+	}
+	var dec lineCursor
+	if got := dec.next(rec.lines[0]); got != maxGatherLine-1 || dec.pos != len(rec.lines[0]) {
+		t.Fatalf("decoded %#x after %d of %d bytes", uint64(got), dec.pos, len(rec.lines[0]))
+	}
+
+	run := func(record bool) (Result, *WarmRecord) {
+		s, err := NewSystem(smallConfig("mcf_r", DesignAlloy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &WarmRecord{}
+		if record {
+			if err := s.RecordWarmup(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.srcs[1].gen = highLines{s.srcs[1].gen}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, rec
+	}
+	direct, _ := run(false)
+	recorded, rec := run(true)
+	if rec.Complete() {
+		t.Fatal("a record that met an uncodable line completed")
+	}
+	if recorded != direct {
+		t.Fatalf("abandoning the record changed the run: %+v, direct %+v", recorded, direct)
+	}
+}
+
+// highLines moves every line of a stream to 2^63 and above.
+type highLines struct{ trace.Generator }
+
+func (h highLines) Next() trace.Ref {
+	r := h.Generator.Next()
+	r.Line |= maxGatherLine
+	return r
+}
+
 // TestWarmReplayRejectsOtherFronts replays a record into Systems whose
 // warmup front differs from the recorder's; each must refuse it.
 func TestWarmReplayRejectsOtherFronts(t *testing.T) {
@@ -198,7 +287,8 @@ func TestWarmReplayCancels(t *testing.T) {
 }
 
 // BenchmarkWarm times one Fig 9 point's warmup (mcf_r at the experiments
-// package's DefaultParams warmup) warmed directly and from a record.
+// package's DefaultParams warmup) warmed directly and from a record, and
+// reports the record's line-stream bytes per forwarded reference.
 func BenchmarkWarm(b *testing.B) {
 	for _, d := range []Design{DesignAlloy, DesignLH} {
 		cfg := DefaultConfig("mcf_r")
@@ -233,7 +323,25 @@ func BenchmarkWarm(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				if mode == "replay" {
+					b.ReportMetric(rec.lineBytesPerForward(), "B/fwd")
+				}
 			})
 		}
 	}
+}
+
+// lineBytesPerForward is the size of the record's line streams per
+// forwarded reference.
+func (r *WarmRecord) lineBytesPerForward() float64 {
+	var bytes, fwd int
+	for _, l := range r.lines {
+		bytes += len(l)
+	}
+	for i := uint64(0); i < r.n; i++ {
+		if r.codes[i>>2]>>((i&3)*2)&3 != warmSkip {
+			fwd++
+		}
+	}
+	return float64(bytes) / float64(fwd)
 }

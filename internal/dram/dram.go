@@ -360,7 +360,11 @@ func (d *DRAM) AccessRowInto(now Cycle, row uint64, burst Cycle, write bool, out
 		c.writeReady = done
 		c.busBusy += burst
 		d.stats.BusBusy += burst
-		*out = Result{Done: done, Start: start, CASDone: casDone, BusStart: casDone, Latency: done - now}
+		// Field by field: a composite literal is built in a stack
+		// temporary and copied out with 16-byte loads that straddle its
+		// 8-byte stores, which the CPU cannot forward.
+		out.Done, out.Start, out.CASDone, out.BusStart = done, start, casDone, casDone
+		out.RowHit, out.Latency = false, done-now
 		return
 	}
 	d.stats.Reads++
@@ -430,7 +434,8 @@ func (d *DRAM) AccessRowInto(now Cycle, row uint64, burst Cycle, write bool, out
 	b.ready = bankNext
 	b.lastUse = casDone
 
-	*out = Result{Done: done, Start: start, CASDone: casDone, BusStart: busStart, RowHit: rowHit, Latency: done - now}
+	out.Done, out.Start, out.CASDone, out.BusStart = done, start, casDone, busStart
+	out.RowHit, out.Latency = rowHit, done-now
 }
 
 // refreshAdjust pushes a command start time out of any refresh window.

@@ -57,11 +57,27 @@ const PageShift = 6
 // cache sets instead of structurally aliasing across rate-mode copies,
 // and spatial locality survives within pages exactly as on real systems.
 func PageScatter(l Line) Line {
-	const mult = 0x9E3779B97F4A7C15 // odd → bijective modulo 2^57
 	vpage := uint64(l) >> PageShift
-	ppage := (vpage * mult) & (1<<57 - 1)
+	ppage := (vpage * scatterMult) & (1<<57 - 1)
 	return Line(ppage<<PageShift | uint64(l)&(1<<PageShift-1))
 }
+
+// PageGather inverts PageScatter: PageGather(PageScatter(l)) == l and
+// PageScatter(PageGather(l)) == l for every line below 2^63, the lines
+// whose page number fits the scatter's 57 bits. Multiplying by the
+// multiplier's inverse mod 2^64 undoes the multiplication mod 2^57 too.
+// Gathered lines of one reference stream keep its strides and page runs
+// as small differences, which is what core's warmup records code.
+func PageGather(l Line) Line {
+	ppage := uint64(l) >> PageShift
+	vpage := (ppage * gatherMult) & (1<<57 - 1)
+	return Line(vpage<<PageShift | uint64(l)&(1<<PageShift-1))
+}
+
+const (
+	scatterMult = 0x9E3779B97F4A7C15 // odd → bijective modulo 2^57
+	gatherMult  = 0xF1DE83E19937733D // scatterMult * gatherMult == 1 mod 2^64
+)
 
 // IsPow2 reports whether v is a positive power of two.
 func IsPow2(v uint64) bool { return v != 0 && v&(v-1) == 0 }

@@ -140,3 +140,34 @@ func TestPageScatterDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestPageGatherInvertsPageScatter(t *testing.T) {
+	if m, g := uint64(scatterMult), uint64(gatherMult); m*g != 1 {
+		t.Fatalf("multipliers %#x and %#x are not inverses mod 2^64", m, g)
+	}
+	check := func(l Line) {
+		t.Helper()
+		if got := PageGather(PageScatter(l)); got != l {
+			t.Fatalf("PageGather(PageScatter(%#x)) = %#x", uint64(l), uint64(got))
+		}
+		if got := PageScatter(PageGather(l)); got != l {
+			t.Fatalf("PageScatter(PageGather(%#x)) = %#x", uint64(l), uint64(got))
+		}
+	}
+	for _, l := range []Line{0, 1, 1<<PageShift - 1, 1 << PageShift, 1<<PageShift + 1, 1<<63 - 1 - (1<<PageShift - 1), 1<<63 - 1} {
+		check(l)
+	}
+	x := uint64(0x243F6A8885A308D3) // splitmix64 state
+	for i := 0; i < 1_000_000; i++ {
+		x += 0x9E3779B97F4A7C15
+		z := x
+		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		z ^= z >> 31
+		l := Line(z >> 1) // below 2^63
+		check(l)
+		// The first and last line of its page.
+		check(l &^ (1<<PageShift - 1))
+		check(l | (1<<PageShift - 1))
+	}
+}

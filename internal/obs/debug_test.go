@@ -32,7 +32,14 @@ func TestDebugServerScrapeDuringWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The scrapers get their own Transport, and it drops its idle
+	// connections before the server shuts down: Shutdown counts a
+	// connection still in StateNew as active for 5 s, as long as the
+	// deadline below, and a shared pool can leave one dialled but unused.
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
 	defer func() {
+		tr.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := ds.Close(ctx); err != nil {
@@ -74,7 +81,7 @@ func TestDebugServerScrapeDuringWrites(t *testing.T) {
 				path = "/metrics.json"
 			}
 			for j := 0; j < 25; j++ {
-				resp, err := http.Get(base + path)
+				resp, err := client.Get(base + path)
 				if err != nil {
 					t.Errorf("scrape %d: %v", i, err)
 					return

@@ -265,18 +265,24 @@ func (e *Engine) nextOccupied() int {
 	return -1
 }
 
-// popNext removes and returns the earliest pending node, advancing the
-// clock when the wheel must jump forward to the far heap.
+// step executes the earliest pending event when its cycle is at most
+// limit, advancing the clock to that cycle (and, when the wheel is empty,
+// jumping it to the far heap first). Otherwise it changes nothing, and
+// drained reports whether nothing is pending at all. Step and RunUntil
+// share it, so each event's bucket is found once.
 //
 //alloyvet:hotpath
-func (e *Engine) popNext() *node {
+func (e *Engine) step(limit Cycle) (ran, drained bool) {
 	if e.pending == 0 {
-		return nil
+		return false, true
 	}
 	i := e.nextOccupied()
 	if i < 0 {
 		// Wheel drained: jump to the far heap's earliest cycle and
 		// cascade everything now inside the horizon.
+		if e.far[0].at > limit {
+			return false, false
+		}
 		e.now = e.far[0].at
 		e.migrate()
 		i = e.nextOccupied()
@@ -286,6 +292,9 @@ func (e *Engine) popNext() *node {
 	}
 	b := &e.wheel[i]
 	n := b.head
+	if n.at > limit {
+		return false, false
+	}
 	b.head = n.next
 	if b.head == nil {
 		b.tail = nil
@@ -295,29 +304,7 @@ func (e *Engine) popNext() *node {
 		}
 	}
 	e.pending--
-	return n
-}
 
-// peekAt reports the cycle of the earliest pending event.
-func (e *Engine) peekAt() (Cycle, bool) {
-	if e.pending == 0 {
-		return 0, false
-	}
-	if i := e.nextOccupied(); i >= 0 {
-		return e.wheel[i].head.at, true
-	}
-	return e.far[0].at, true
-}
-
-// Step executes the next pending event, advancing the clock to its cycle.
-// It reports whether an event was executed.
-//
-//alloyvet:hotpath
-func (e *Engine) Step() bool {
-	n := e.popNext()
-	if n == nil {
-		return false
-	}
 	if invariants.Enabled && n.at < e.now {
 		invariants.Failf("sim: event time %d precedes clock %d; per-Step monotonicity broken", n.at, e.now)
 	}
@@ -331,7 +318,16 @@ func (e *Engine) Step() bool {
 	} else {
 		fn()
 	}
-	return true
+	return true, false
+}
+
+// Step executes the next pending event, advancing the clock to its cycle.
+// It reports whether an event was executed.
+//
+//alloyvet:hotpath
+func (e *Engine) Step() bool {
+	ran, _ := e.step(^Cycle(0))
+	return ran
 }
 
 // Run executes events until the queue drains.
@@ -342,16 +338,13 @@ func (e *Engine) Run() {
 
 // RunUntil executes events with cycle <= limit. Events scheduled beyond the
 // limit remain queued. It reports whether the queue drained.
+//
+//alloyvet:hotpath
 func (e *Engine) RunUntil(limit Cycle) bool {
 	for {
-		at, ok := e.peekAt()
-		if !ok {
-			return true
+		if ran, drained := e.step(limit); !ran {
+			return drained
 		}
-		if at > limit {
-			return false
-		}
-		e.Step()
 	}
 }
 

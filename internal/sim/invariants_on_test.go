@@ -32,7 +32,7 @@ func TestWheelBitmapCorruptionPanics(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(20, func() {})
 	// Phantom occupancy: slot 5's bit claims an event the bucket doesn't
-	// hold. Without the check, popNext would dereference a nil head.
+	// hold. Without the check, step would dereference a nil head.
 	e.occ[0] |= 1 << 5
 	mustPanic(t, "occupancy bit", func() { e.Step() })
 }

@@ -20,6 +20,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"alloysim/internal/memaddr"
 )
@@ -283,6 +284,22 @@ func (p Profile) MustBuild(seed, scale uint64, base memaddr.Line) Generator {
 		panic(err)
 	}
 	return g
+}
+
+// Clone returns an independent copy of a profile-built generator (Build):
+// the copy emits exactly the references the original emits next, and
+// advancing either leaves the other unchanged. It copies the component
+// cursors, page-run state, RNG and burst counters, and shares the profile
+// and cumulative weights, which never change after Build. Any other
+// Generator, such as a file Replay, reports false.
+func Clone(g Generator) (Generator, bool) {
+	src, ok := g.(*gen)
+	if !ok {
+		return nil, false
+	}
+	c := *src
+	c.comps = slices.Clone(src.comps)
+	return &c, true
 }
 
 func (g *gen) pickComponent() {

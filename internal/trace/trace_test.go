@@ -372,3 +372,45 @@ func TestV2PPreservesPageOffsets(t *testing.T) {
 		t.Fatal("adjacent pages collided")
 	}
 }
+
+func TestCloneContinuesTheStream(t *testing.T) {
+	profiles := All()
+	raw, _ := ByName("lbm_r")
+	raw.Name, raw.NoV2P = "lbm_r-nov2p", true
+	profiles = append(profiles, raw)
+	for _, p := range profiles {
+		// at returns a fresh generator advanced past n references.
+		at := func(n int) Generator {
+			g := p.MustBuild(11, 64, 1<<20)
+			for i := 0; i < n; i++ {
+				g.Next()
+			}
+			return g
+		}
+		g := at(1000)
+		c, ok := Clone(g)
+		if !ok {
+			t.Fatalf("%s: Clone refused a profile-built generator", p.Name)
+		}
+		twin := at(1000)
+		for i := 0; i < 10000; i++ {
+			if a, b := c.Next(), twin.Next(); a != b {
+				t.Fatalf("%s: clone diverged at ref %d: %+v, want %+v", p.Name, i, a, b)
+			}
+		}
+		// The clone's references left the original at the clone point.
+		fresh := at(1000)
+		for i := 0; i < 100; i++ {
+			if a, b := g.Next(), fresh.Next(); a != b {
+				t.Fatalf("%s: advancing the clone moved the original at ref %d: %+v, want %+v", p.Name, i, a, b)
+			}
+		}
+	}
+	r, err := NewReplay([]Ref{{Line: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := Clone(r); ok {
+		t.Fatal("Clone accepted a file replay")
+	}
+}
