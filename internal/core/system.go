@@ -288,10 +288,12 @@ func (s *System) publishMetrics() {
 // measurement starts from warm contents and cold clocks. It checks ctx
 // periodically so long warmups cancel as promptly as the measured phase.
 //
-// The stacked DRAM runs warm-only (dram.DRAM.WarmOnly) until the closing
-// Reset: organizations take no contents decision from a DRAM result, and
-// Reset discards every bank, bus and statistic reservation warmup would
-// have made, so skipping them changes no simulated number.
+// Warmup is contents-only: each forwarded reference reaches the
+// organization through Warm, which applies AccessInto's contents effect
+// without its DRAM calls, AccessResult or statistics. Organizations take
+// no contents decision from a DRAM result, and the closing resets discard
+// every timing reservation and statistic a timed warmup would have left,
+// so skipping them changes no simulated number.
 //
 // Given a record to write (RecordWarmup), the loop also stores each
 // reference's code and forwarded line in it, and the record takes copies
@@ -300,7 +302,6 @@ func (s *System) publishMetrics() {
 //
 //alloyvet:hotpath
 func (s *System) warm(ctx context.Context) error {
-	s.stacked.WarmOnly()
 	if s.replay != nil {
 		return s.replayWarm(ctx)
 	}

@@ -43,12 +43,13 @@ const (
 //     generator and private L2, and of the L3.
 //
 // The front never observes the design, the DRAM-cache size or the clock:
-// warmup stops the clock and discards every AccessResult. So every System
-// whose front configuration matches reaches the recorded post-warmup front
-// and hands its organization the call sequence the record describes.
-// Organizations take no contents decision from DRAM results (the
-// dramcache package rule), so that sequence warms each of them to exactly
-// the contents direct warmup would. A replay runs no generator, L2 or L3.
+// warmup stops the clock and takes nothing back from the organization's
+// Warm calls. So every System whose front configuration matches reaches
+// the recorded post-warmup front and hands its organization the Warm call
+// sequence the record describes. An organization's contents follow from
+// that sequence alone (the dramcache package rule), so it warms each of
+// them to exactly the contents direct warmup would. A replay runs no
+// generator, L2 or L3.
 //
 // The zero WarmRecord is empty, ready for RecordWarmup. A record is
 // written by one System's Run and is read-only once Complete; any number
@@ -290,18 +291,20 @@ func (s *System) restoreFront() {
 	s.l3.CopyFrom(rec.l3)
 }
 
-// forwardWarm issues the organization calls of one forwarded warmup
-// reference: a dirty L3 victim's writeback first, then the reference.
+// forwardWarm applies the contents effect of one forwarded warmup
+// reference to the organization (dramcache.Organization.Warm): a dirty L3
+// victim's writeback first, then the reference. Direct warmup, recording
+// and replay all come through here.
 //
 //alloyvet:hotpath
 func (s *System) forwardWarm(code uint8, victim, line memaddr.Line) {
 	switch code {
 	case warmVictim:
-		s.org.AccessInto(0, victim, true, &s.wres)
-		s.org.AccessInto(0, line, false, &s.rres)
+		s.org.Warm(victim, true)
+		s.org.Warm(line, false)
 	case warmRead:
-		s.org.AccessInto(0, line, false, &s.rres)
+		s.org.Warm(line, false)
 	default:
-		s.org.AccessInto(0, line, true, &s.wres)
+		s.org.Warm(line, true)
 	}
 }

@@ -220,12 +220,16 @@ func (c *Core) readComplete(now sim.Cycle) {
 	}
 	if c.stalled && c.outstanding < c.cfg.MLP {
 		c.stalled = false
-		at := c.nextReady
-		if now > at {
-			at = now
+		if c.nextReady <= now && c.eng.NoneDueNow() {
+			// The issue event would fire next: run it here.
+			c.eng.StepInline()
+			c.issue(now)
+		} else {
+			c.eng.ScheduleHandler(max(c.nextReady, now), &c.issueEv)
 		}
-		c.eng.ScheduleHandler(at, &c.issueEv)
 	}
+	// A core that un-stalls has not reached its budget, so this finishes
+	// only a core whose last read just drained.
 	c.maybeFinish(now)
 }
 

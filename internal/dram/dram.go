@@ -223,9 +223,6 @@ type DRAM struct {
 	// per-access line-to-row decode.
 	linesPerRow uint64
 	stats       Stats
-	// warmOnly is set between WarmOnly and the next Reset: accesses then
-	// reserve nothing and return a zero Result.
-	warmOnly bool
 }
 
 // New constructs a device from the config.
@@ -337,10 +334,6 @@ func (d *DRAM) AccessRow(now Cycle, row uint64, burst Cycle, write bool) Result 
 //
 //alloyvet:hotpath
 func (d *DRAM) AccessRowInto(now Cycle, row uint64, burst Cycle, write bool, out *Result) {
-	if d.warmOnly {
-		*out = Result{}
-		return
-	}
 	ch, bk, idx := d.bankOf(row)
 	b := &d.banks[idx]
 	c := &d.channels[ch]
@@ -476,16 +469,8 @@ func (d *DRAM) BusUtilization(elapsed Cycle) float64 {
 	return float64(d.stats.BusBusy) / (float64(elapsed) * float64(d.cfg.Channels))
 }
 
-// WarmOnly puts the device in warm-only mode until the next Reset: every
-// access writes a zero Result and touches no bank, channel or statistic.
-// core.System.warm streams its warmup traffic in this mode, because the
-// Reset that ends warmup would discard every reservation anyway. That is
-// exact only while no caller takes a contents decision from a Result —
-// the rule the dramcache package documents for every organization.
-func (d *DRAM) WarmOnly() { d.warmOnly = true }
-
-// Reset clears bank state and statistics and leaves warm-only mode; used
-// between warmup and measurement phases.
+// Reset clears bank state and statistics; used between warmup and
+// measurement phases.
 func (d *DRAM) Reset() {
 	for i := range d.banks {
 		d.banks[i] = bank{openRow: noRow}
@@ -494,5 +479,4 @@ func (d *DRAM) Reset() {
 		d.channels[i] = channel{}
 	}
 	d.stats = Stats{}
-	d.warmOnly = false
 }

@@ -8,12 +8,9 @@ import (
 )
 
 // buildDesign constructs a registered design over its own stacked device.
-func buildDesign(t *testing.T, name string) Organization {
+func buildDesign(t testing.TB, name string) Organization {
 	t.Helper()
-	o, err := Build(name, Params{CapacityBytes: testCap, Stacked: stacked()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	o, _ := variant{design: name}.build(t)
 	return o
 }
 
@@ -55,9 +52,9 @@ func (d *demandStream) step(o Organization, r *AccessResult) (write bool) {
 	return write
 }
 
-// Every registered design's demand access and fill must allocate nothing
-// once the contents are warm: the simulator calls them once per below-L3
-// access.
+// Every registered design's demand access, fill and warmup step must
+// allocate nothing once the contents are warm: the simulator calls them
+// once per below-L3 access or forwarded warmup reference.
 func TestAccessIntoAndFillZeroAllocs(t *testing.T) {
 	for _, name := range Names() {
 		o := buildDesign(t, name)
@@ -69,6 +66,28 @@ func TestAccessIntoAndFillZeroAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(2000, func() { d.step(o, &r) }); allocs != 0 {
 			t.Errorf("%s: AccessInto+Fill allocated %.3f allocs/op, want 0", name, allocs)
 		}
+		if allocs := testing.AllocsPerRun(2000, func() { o.Warm(d.next()) }); allocs != 0 {
+			t.Errorf("%s: Warm allocated %.3f allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
+// BenchmarkWarm times one warmup step per design on warm contents, the
+// organization's share of a forwarded warmup reference.
+func BenchmarkWarm(b *testing.B) {
+	for _, name := range Names() {
+		b.Run(name, func(b *testing.B) {
+			o := buildDesign(b, name)
+			d := newDemandStream()
+			for i := 0; i < 200000; i++ {
+				o.Warm(d.next())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o.Warm(d.next())
+			}
+		})
 	}
 }
 

@@ -143,23 +143,16 @@ func (a *Alloy) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessRe
 	r.RowHit = r.First.RowHit
 	r.Probed = true
 
-	var hit bool
-	var ev cache.Eviction
-	if write {
-		hit = a.tags.Probe(line, true)
-		if hit {
-			// Write the updated data back into the TAD (row is open).
-			var wr dram.Result
-			a.stacked.AccessRowInto(r.TagKnown, row, a.stacked.BurstLine(), true, &wr)
-			r.Hit, r.DataReady = true, wr.Done
-		}
-		a.observe(r, now)
-		return
-	}
-	hit, ev = a.tags.Access(line, false)
-	if hit {
+	hit, ev := a.contents(line, write)
+	switch {
+	case hit && write:
+		// Write the updated data back into the TAD (row is open).
+		var wr dram.Result
+		a.stacked.AccessRowInto(r.TagKnown, row, a.stacked.BurstLine(), true, &wr)
+		r.Hit, r.DataReady = true, wr.Done
+	case hit:
 		r.Hit, r.DataReady = true, r.First.Done
-	} else {
+	case !write:
 		r.Victim, r.Allocated = ev, true
 	}
 	a.observe(r, now)

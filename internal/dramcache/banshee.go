@@ -106,34 +106,56 @@ func (b *Banshee) Access(now Cycle, line memaddr.Line, write bool) AccessResult 
 func (b *Banshee) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult) {
 	*r = AccessResult{}
 	r.TagKnown = now + TagCheckCycles
-	set := b.tags.SetOf(line)
-	hit := b.tags.Probe(line, write)
-	if hit {
-		b.stacked.AccessRowInto(r.TagKnown, b.rowOf(set), b.stacked.BurstLine(), write, &r.First)
+	hit, admitted, ev := b.contents(line, write)
+	switch {
+	case hit:
+		b.stacked.AccessRowInto(r.TagKnown, b.rowOf(b.tags.SetOf(line)), b.stacked.BurstLine(), write, &r.First)
 		r.Hit, r.DataReady, r.RowHit = true, r.First.Done, r.First.RowHit
 		r.Probed = true
-	} else if !write {
-		idx := b.freqIndex(line)
-		c := b.freq[idx]
-		if c < bansheeFreqMax {
-			c++
-			b.freq[idx] = c
-		}
-		if c >= b.threshold {
-			r.Victim = b.tags.Fill(line, false)
-			r.Allocated = true
-			b.admitted.Inc()
-			if invariants.Enabled && !b.tags.Contains(line) {
-				invariants.Failf("dramcache: Banshee admitted line %d but contents do not hold it", line)
-			}
-		} else {
-			b.bypassed.Inc()
-			if invariants.Enabled && b.tags.Contains(line) {
-				invariants.Failf("dramcache: Banshee bypassed line %d that is already resident", line)
-			}
-		}
+	case admitted:
+		r.Victim, r.Allocated = ev, true
+		b.admitted.Inc()
+	case !write:
+		b.bypassed.Inc()
 	}
 	b.observe(r, now)
+}
+
+// Warm implements Organization.
+//
+//alloyvet:hotpath
+func (b *Banshee) Warm(line memaddr.Line, write bool) { b.contents(line, write) }
+
+// contents is Banshee's contents step: the tag probe and, on a read miss,
+// the page counter's update and the fill of a line the filter admits. It
+// reports the hit, and for a read miss whether the line was admitted and
+// what its fill evicted.
+//
+//alloyvet:hotpath
+func (b *Banshee) contents(line memaddr.Line, write bool) (hit, admitted bool, ev cache.Eviction) {
+	if b.tags.Probe(line, write) {
+		return true, false, cache.Eviction{}
+	}
+	if write {
+		return false, false, cache.Eviction{}
+	}
+	idx := b.freqIndex(line)
+	c := b.freq[idx]
+	if c < bansheeFreqMax {
+		c++
+		b.freq[idx] = c
+	}
+	if c < b.threshold {
+		if invariants.Enabled && b.tags.Contains(line) {
+			invariants.Failf("dramcache: Banshee bypassed line %d that is already resident", line)
+		}
+		return false, false, cache.Eviction{}
+	}
+	ev = b.tags.Fill(line, false)
+	if invariants.Enabled && !b.tags.Contains(line) {
+		invariants.Failf("dramcache: Banshee admitted line %d but contents do not hold it", line)
+	}
+	return false, true, ev
 }
 
 // Fill implements Organization: one line write; tags live on-chip, so no

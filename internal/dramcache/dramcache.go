@@ -21,15 +21,18 @@
 // way a fill takes, and every predictor, steering or admission decision
 // (Gemini's region steering, Banshee's fill filter) follow from the
 // sequence of accessed lines and write flags alone; a dram.Result only
-// feeds the timestamps and row-hit flags of the AccessResult. Warmup
-// relies on this rule: core.System.warm runs the stacked device warm-only
-// (dram.DRAM.WarmOnly), where every Result is zero, and a design that
-// broke the rule would warm to different contents.
-// TestWarmOnlyContentsExact checks every registered design. Replayed
-// warmups (core.WarmRecord) rely on the same rule: with contents a
-// function of the call sequence alone, an organization handed the calls
-// another point's record describes, the very sequence its own direct
-// warmup would issue, warms to the same contents.
+// feeds the timestamps and row-hit flags of the AccessResult. The rule is
+// structural: each design has one contents step, taking a line and a
+// write flag and returning only what its timing needs, and both
+// AccessInto and Warm call it. Warm is the step alone, with no DRAM call,
+// no AccessResult and no statistic, and it is how core.System.warm fills
+// every organization. TestWarmMatchesAccess checks that a design warmed
+// through Warm holds what one driven through timed AccessInto calls
+// holds, and TestWarmOnlyContentsExact that Warm touches nothing but
+// contents. Replayed warmups (core.WarmRecord) rely on the same rule:
+// with contents a function of the call sequence alone, an organization
+// handed the calls another point's record describes, the very sequence
+// its own direct warmup would issue, warms to the same contents.
 package dramcache
 
 import (
@@ -95,6 +98,12 @@ type Organization interface {
 	// a pointer passed through an interface method escapes, so a stack
 	// variable's address costs one heap allocation per call.
 	AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult)
+	// Warm applies the contents effect of AccessInto(_, line, write, _):
+	// the tag store, its replacement state and any state that outlives
+	// ResetStats (Banshee's page counters, Gemini's steering table). It
+	// makes no DRAM call, produces no AccessResult and counts no
+	// statistic beyond the tag store's own. Warmup's entry point.
+	Warm(line memaddr.Line, write bool)
 	// Fill models the DRAM traffic of installing a line after its memory
 	// response arrives at cycle now. Contents were already reserved by the
 	// missing Access; Fill only charges the write traffic.
@@ -138,6 +147,25 @@ func (b *base) ResetStats() {
 }
 func (b *base) TagStats() cache.Stats   { return b.tags.Stats() }
 func (b *base) HitLatencyMean() float64 { return b.hitLat.Value() }
+
+// contents is the contents step of every design whose contents are one
+// tag store: a write probes (a hit updates the line in place, a miss is
+// forwarded to memory without allocating), a read accesses (a miss
+// allocates, reporting what it evicted).
+//
+//alloyvet:hotpath
+func (b *base) contents(line memaddr.Line, write bool) (hit bool, ev cache.Eviction) {
+	if write {
+		return b.tags.Probe(line, true), cache.Eviction{}
+	}
+	return b.tags.Access(line, false)
+}
+
+// Warm implements Organization for the designs whose contents step is
+// base.contents.
+//
+//alloyvet:hotpath
+func (b *base) Warm(line memaddr.Line, write bool) { b.contents(line, write) }
 
 // observe records the outcome of a demand access.
 //

@@ -162,33 +162,26 @@ func (g *Gemini) Access(now Cycle, line memaddr.Line, write bool) AccessResult {
 //
 //alloyvet:hotpath
 func (g *Gemini) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult) {
-	inDM := g.dm.Contains(line)
-	inSA := g.sa.Contains(line)
-	if invariants.Enabled && inDM && inSA {
-		invariants.Failf("dramcache: Gemini line %d resident in both regions", line)
-	}
-	saFirst := g.steer[g.steerIndex(line)] >= 2
-
+	st := g.contents(line, write)
 	*r = AccessResult{}
 	r.Probed = true
 
 	// First probe: the predicted region.
 	var tagKnown Cycle
-	if saFirst {
+	if st.saFirst {
 		tagKnown = g.probeSA(now, line, &r.First)
 	} else {
 		tagKnown = g.probeDM(now, line, &r.First)
 	}
 	r.RowHit = r.First.RowHit
-	inFirst := (saFirst && inSA) || (!saFirst && inDM)
-	hitSA := inSA
+	inFirst := (st.saFirst && st.inSA) || (!st.saFirst && st.inDM)
 
-	if !inFirst && (inDM || inSA) {
+	if !inFirst && (st.inDM || st.inSA) {
 		// Predicted the wrong region: the other region's probe starts only
 		// once the first tag check comes back empty.
 		g.saMisrouted.Inc()
 		var second dram.Result
-		if saFirst {
+		if st.saFirst {
 			tagKnown = g.probeDM(tagKnown, line, &second)
 			// The DM probe's TAD stream is what carries the data (and the
 			// row-buffer outcome) for this hit; the SA tag lines held
@@ -202,9 +195,8 @@ func (g *Gemini) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessR
 	}
 	r.TagKnown = tagKnown
 
-	if inDM || inSA {
-		g.hitIn(tagKnown, line, write, hitSA, r)
-		g.trainToward(line, hitSA)
+	if st.inDM || st.inSA {
+		g.hitIn(tagKnown, line, write, st.inSA, r)
 		g.observe(r, now)
 		return
 	}
@@ -212,43 +204,78 @@ func (g *Gemini) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessR
 	// Miss in the predicted region; the other region's tags are checked in
 	// the shadow of the miss handling (its probe bandwidth is charged).
 	var second dram.Result
-	if saFirst {
+	if st.saFirst {
 		tagKnown = g.probeDM(tagKnown, line, &second)
 	} else {
 		tagKnown = g.probeSA(tagKnown, line, &second)
 	}
 	r.TagKnown = tagKnown
+	if !write {
+		r.Victim, r.Allocated = st.ev, true
+	}
+	g.observe(r, now)
+}
 
-	if write {
+// Warm implements Organization.
+//
+//alloyvet:hotpath
+func (g *Gemini) Warm(line memaddr.Line, write bool) { g.contents(line, write) }
+
+// geminiStep is what Gemini's contents step decided, as its timing flow
+// needs it.
+type geminiStep struct {
+	saFirst    bool           // the steering predictor probes the SA region first
+	inDM, inSA bool           // where the line was resident: a hit, in that region
+	ev         cache.Eviction // what a read miss's install evicted
+}
+
+// contents is Gemini's contents step: the residency checks, the steering
+// choice, the hit's update in its region or the miss's probe or install
+// in the predicted region, and every steering update. A hit trains the
+// line toward its region; a direct-mapped conflict eviction trains the
+// victim toward associativity.
+//
+//alloyvet:hotpath
+func (g *Gemini) contents(line memaddr.Line, write bool) (st geminiStep) {
+	st.inDM = g.dm.Contains(line)
+	st.inSA = g.sa.Contains(line)
+	if invariants.Enabled && st.inDM && st.inSA {
+		invariants.Failf("dramcache: Gemini line %d resident in both regions", line)
+	}
+	st.saFirst = g.steer[g.steerIndex(line)] >= 2
+
+	switch {
+	case st.inSA:
+		g.sa.Probe(line, write)
+		g.trainToward(line, true)
+	case st.inDM:
+		g.dm.Probe(line, write)
+		g.trainToward(line, false)
+	case write:
 		// Forwarded to memory; count the write miss against the region the
 		// line would install into.
-		if saFirst {
+		if st.saFirst {
 			g.sa.Probe(line, true)
 		} else {
 			g.dm.Probe(line, true)
 		}
-		g.observe(r, now)
-		return
-	}
-	var ev cache.Eviction
-	if saFirst {
-		_, ev = g.sa.Access(line, false)
+	case st.saFirst:
+		_, st.ev = g.sa.Access(line, false)
 		if invariants.Enabled && !g.sa.Contains(line) {
 			invariants.Failf("dramcache: Gemini SA install of line %d did not take", line)
 		}
-	} else {
-		_, ev = g.dm.Access(line, false)
+	default:
+		_, st.ev = g.dm.Access(line, false)
 		if invariants.Enabled && !g.dm.Contains(line) {
 			invariants.Failf("dramcache: Gemini DM install of line %d did not take", line)
 		}
-		if ev.Valid {
+		if st.ev.Valid {
 			// A direct-mapped conflict evicted the victim: next time, steer
 			// the victim toward associativity.
-			g.trainToward(ev.Line, true)
+			g.trainToward(st.ev.Line, true)
 		}
 	}
-	r.Victim, r.Allocated = ev, true
-	g.observe(r, now)
+	return st
 }
 
 // hitIn models the data movement of a hit in the owning region, starting
@@ -259,7 +286,6 @@ func (g *Gemini) hitIn(tagKnown Cycle, line memaddr.Line, write, hitSA bool, r *
 	burst := g.stacked.BurstLine()
 	var data dram.Result
 	if hitSA {
-		g.sa.Probe(line, write)
 		// Compound scheduling keeps the row open for the data column
 		// access, then a one-beat replacement-state update.
 		g.stacked.AccessRowInto(tagKnown, g.saRowOf(g.sa.SetOf(line)), burst, write, &data)
@@ -268,7 +294,6 @@ func (g *Gemini) hitIn(tagKnown Cycle, line memaddr.Line, write, hitSA bool, r *
 		r.Hit, r.DataReady = true, data.Done
 		return
 	}
-	g.dm.Probe(line, write)
 	if write {
 		// Alloy-style: write the updated TAD back (row open).
 		g.stacked.AccessRowInto(tagKnown, g.dmRowOf(g.dm.SetOf(line)), burst, true, &data)

@@ -84,16 +84,9 @@ func (d *IdealLO) Access(now Cycle, line memaddr.Line, write bool) AccessResult 
 func (d *IdealLO) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult) {
 	*r = AccessResult{}
 	r.TagKnown = now
-	set := d.tags.SetOf(line)
-	var hit bool
-	var ev cache.Eviction
-	if write {
-		hit = d.tags.Probe(line, true)
-	} else {
-		hit, ev = d.tags.Access(line, false)
-	}
+	hit, ev := d.contents(line, write)
 	if hit {
-		d.stacked.AccessRowInto(now, d.rowOf(set), d.stacked.BurstLine(), write, &r.First)
+		d.stacked.AccessRowInto(now, d.rowOf(d.tags.SetOf(line)), d.stacked.BurstLine(), write, &r.First)
 		r.Hit, r.DataReady, r.RowHit = true, r.First.Done, r.First.RowHit
 		r.Probed = true
 	} else if !write {

@@ -130,13 +130,7 @@ func (c *LHCache) AccessInto(now Cycle, line memaddr.Line, write bool, r *Access
 	r.RowHit = r.First.RowHit
 	r.Probed = true
 
-	var hit bool
-	var ev cache.Eviction
-	if write {
-		hit = c.tags.Probe(line, true)
-	} else {
-		hit, ev = c.tags.Access(line, false)
-	}
+	hit, ev := c.contents(line, write)
 	if hit {
 		// Compound access scheduling: the row is still open, so the data
 		// access is a guaranteed row-buffer hit (CAS + one line burst).

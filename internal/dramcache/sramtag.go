@@ -81,23 +81,13 @@ func (s *SRAMTag) AccessInto(now Cycle, line memaddr.Line, write bool, r *Access
 	set := s.tags.SetOf(line)
 	*r = AccessResult{}
 	r.TagKnown = tagKnown
-	if write {
-		// Write: probe only; a hit updates the line in place, a miss is
-		// forwarded to memory without allocating.
-		if s.tags.Probe(line, true) {
-			s.stacked.AccessRowInto(tagKnown, s.rowOf(set), s.stacked.BurstLine(), true, &r.First)
-			r.Hit, r.DataReady, r.RowHit = true, r.First.Done, r.First.RowHit
-			r.Probed = true
-		}
-		s.observe(r, now)
-		return
-	}
-	hit, ev := s.tags.Access(line, false)
+	hit, ev := s.contents(line, write)
 	if hit {
-		s.stacked.AccessRowInto(tagKnown, s.rowOf(set), s.stacked.BurstLine(), false, &r.First)
+		// A write hit updates the line in place, a read hit reads it.
+		s.stacked.AccessRowInto(tagKnown, s.rowOf(set), s.stacked.BurstLine(), write, &r.First)
 		r.Hit, r.DataReady, r.RowHit = true, r.First.Done, r.First.RowHit
 		r.Probed = true
-	} else {
+	} else if !write {
 		r.Victim, r.Allocated = ev, true
 	}
 	s.observe(r, now)

@@ -97,7 +97,7 @@ func (t *TDRAM) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessRe
 		r.TagKnown = r.First.CASDone + TagCheckCycles
 		r.RowHit = r.First.RowHit
 		r.Probed = true
-		if t.tags.Probe(line, true) {
+		if hit, _ := t.contents(line, true); hit {
 			var wr dram.Result
 			t.stacked.AccessRowInto(r.TagKnown, row, t.stacked.BurstLine(), true, &wr)
 			r.Hit, r.DataReady = true, wr.Done
@@ -112,7 +112,7 @@ func (t *TDRAM) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessRe
 	r.TagKnown = r.First.CASDone + TagCheckCycles
 	r.RowHit = r.First.RowHit
 	r.Probed = true
-	hit, ev := t.tags.Access(line, false)
+	hit, ev := t.contents(line, false)
 	if hit {
 		r.Hit, r.DataReady = true, r.First.Done
 	} else {

@@ -1,9 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"io"
-	"strings"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -113,20 +112,6 @@ func (f *FlightRecorder) Columns() []string {
 	return f.names()
 }
 
-// eachRow visits retained rows oldest-first with the row's ring index.
-func (f *FlightRecorder) eachRow(fn func(ring int) error) error {
-	start := f.head - f.n
-	if start < 0 {
-		start += f.cap
-	}
-	for i := 0; i < f.n; i++ {
-		if err := fn((start + i) % f.cap); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteJSON renders the ring (oldest-first) and the recent sampled spans
 // as one object with a fixed field order, hand-formatted so identical
 // states produce byte-identical dumps:
@@ -134,63 +119,74 @@ func (f *FlightRecorder) eachRow(fn func(ring int) error) error {
 //	{"columns":[...],"drops":N,"rows":[["cycle",v...],...],
 //	 "spans_sampled":S,"spans":[{...},...]}
 func (f *FlightRecorder) WriteJSON(w io.Writer) error {
-	var sb strings.Builder
-	sb.WriteString(`{"columns":["cycle"`)
+	_, err := w.Write(f.appendJSON(make([]byte, 0, 4096)))
+	return err
+}
+
+// appendJSON appends WriteJSON's rendering to b. The runner renders a
+// dump for every sweep point, so it formats into the one buffer with no
+// per-value allocation.
+func (f *FlightRecorder) appendJSON(b []byte) []byte {
+	b = append(b, `{"columns":["cycle"`...)
 	if f != nil {
 		for _, c := range f.cols {
-			fmt.Fprintf(&sb, ",%q", c.name)
+			b = append(b, ',')
+			b = strconv.AppendQuote(b, c.name)
 		}
 	}
-	fmt.Fprintf(&sb, `],"drops":%d,"rows":[`, f.Drops())
-	if _, err := io.WriteString(w, sb.String()); err != nil {
-		return err
-	}
+	b = append(b, `],"drops":`...)
+	b = strconv.AppendUint(b, f.Drops(), 10)
+	b = append(b, `,"rows":[`...)
 	if f != nil {
-		first := true
-		err := f.eachRow(func(ring int) error {
-			sb.Reset()
-			if !first {
-				sb.WriteByte(',')
+		start := f.head - f.n
+		if start < 0 {
+			start += f.cap
+		}
+		for i := 0; i < f.n; i++ {
+			ring := (start + i) % f.cap
+			if i > 0 {
+				b = append(b, ',')
 			}
-			first = false
-			fmt.Fprintf(&sb, "\n[%d", f.cycles[ring])
+			b = append(b, "\n["...)
+			b = strconv.AppendUint(b, f.cycles[ring], 10)
 			for _, v := range f.row(ring) {
-				fmt.Fprintf(&sb, ",%d", v)
+				b = append(b, ',')
+				b = strconv.AppendUint(b, v, 10)
 			}
-			sb.WriteByte(']')
-			_, err := io.WriteString(w, sb.String())
-			return err
-		})
-		if err != nil {
-			return err
+			b = append(b, ']')
 		}
 	}
-	if _, err := fmt.Fprintf(w, "\n],\"spans_sampled\":%d,\"spans\":[", f.Tracer().Sampled()); err != nil {
-		return err
-	}
+	b = append(b, "\n],\"spans_sampled\":"...)
+	b = strconv.AppendUint(b, f.Tracer().Sampled(), 10)
+	b = append(b, `,"spans":[`...)
 	if t := f.Tracer(); t != nil {
-		first := true
-		err := t.eachSpan(func(s *Span) error {
-			sep := ",\n"
-			if first {
-				sep = "\n"
-				first = false
-			}
-			hit := 0
+		sep := "\n"
+		_ = t.eachSpan(func(s *Span) error {
+			b = append(b, sep...)
+			sep = ",\n"
+			b = append(b, `{"req":`...)
+			b = strconv.AppendUint(b, s.ReqID, 10)
+			b = append(b, `,"kind":`...)
+			b = strconv.AppendQuote(b, s.Kind.String())
+			b = append(b, `,"start":`...)
+			b = strconv.AppendUint(b, s.Start, 10)
+			b = append(b, `,"dur":`...)
+			b = strconv.AppendUint(b, s.Dur, 10)
+			b = append(b, `,"core":`...)
+			b = strconv.AppendInt(b, int64(s.Core), 10)
+			b = append(b, `,"line":`...)
+			b = strconv.AppendUint(b, s.Line, 10)
+			b = append(b, `,"hit":`...)
 			if s.Hit {
-				hit = 1
+				b = append(b, '1')
+			} else {
+				b = append(b, '0')
 			}
-			_, err := fmt.Fprintf(w,
-				"%s{\"req\":%d,\"kind\":%q,\"start\":%d,\"dur\":%d,\"core\":%d,\"line\":%d,\"hit\":%d}",
-				sep, s.ReqID, s.Kind.String(), s.Start, s.Dur, s.Core, s.Line, hit)
-			return err
+			b = append(b, '}')
+			return nil
 		})
-		if err != nil {
-			return err
-		}
 	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
+	return append(b, "\n]}\n"...)
 }
 
 // PublishSnapshot renders the current state and stores it for concurrent
@@ -202,11 +198,7 @@ func (f *FlightRecorder) PublishSnapshot() {
 	if f == nil {
 		return
 	}
-	var sb strings.Builder
-	if err := f.WriteJSON(&sb); err != nil {
-		return
-	}
-	b := []byte(sb.String())
+	b := f.appendJSON(nil)
 	f.snap.Store(&b)
 }
 

@@ -231,6 +231,55 @@ func TestFlightRecorderSpansInDump(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderDumpBytes pins a dump's exact bytes for a recorder
+// whose epoch and span rings have both wrapped, and bounds the
+// allocations of rendering it: the runner renders a dump for every sweep
+// point, so formatting must not allocate per value.
+func TestFlightRecorderDumpBytes(t *testing.T) {
+	fr := NewFlightRecorder(3, 1, 2)
+	var v uint64
+	fr.Counter("reads_total", "", func() uint64 { return v })
+	fr.Level("queue_depth", "", func() uint64 { return v % 7 })
+	for i := uint64(0); i < 5; i++ {
+		v = 1000*i + 3
+		fr.Sample(64 * i)
+	}
+	trc := fr.Tracer()
+	for i := 0; i < 3; i++ {
+		trc.Span(trc.Sample(), SpanKind(i), int32(i), uint64(4096+i), uint64(100*i), uint64(40+i), i%2 == 0)
+	}
+	const want = `{"columns":["cycle","reads_total","queue_depth"],"drops":2,"rows":[
+[128,2003,1],
+[192,3003,0],
+[256,4003,6]
+],"spans_sampled":3,"spans":[
+{"req":2,"kind":"predict","start":100,"dur":41,"core":1,"line":4097,"hit":0},
+{"req":3,"kind":"dc.queue","start":200,"dur":42,"core":2,"line":4098,"hit":1}
+]}
+`
+	var sb strings.Builder
+	if err := fr.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != want {
+		t.Fatalf("dump:\n%s\nwant:\n%s", got, want)
+	}
+	fr.PublishSnapshot()
+	if b, _ := fr.Snapshot(); string(b) != want {
+		t.Fatalf("snapshot:\n%s\nwant:\n%s", b, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		sb.Reset()
+		if err := fr.WriteJSON(&sb); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The render buffer and the builder's copy.
+	if allocs > 2 {
+		t.Fatalf("WriteJSON allocated %v times, want at most 2", allocs)
+	}
+}
+
 func TestFlightRecorderSnapshot(t *testing.T) {
 	fr := NewFlightRecorder(4, 0, 0)
 	fr.Counter("v", "", func() uint64 { return 1 })

@@ -91,6 +91,24 @@ func (e *Engine) Steps() uint64 { return e.nSteps }
 // Pending returns the number of events waiting to execute.
 func (e *Engine) Pending() int { return e.pending }
 
+// NoneDueNow reports whether no event is pending at the current cycle. A
+// handler about to schedule a follow-up at Now() may then run it inline
+// instead: the follow-up would fire next, because events at one cycle
+// fire in scheduling order and far events enter the wheel before their
+// cycle comes. The handler calls StepInline for it.
+//
+//alloyvet:hotpath
+func (e *Engine) NoneDueNow() bool {
+	return e.wheel == nil || e.wheel[int(e.now)&wheelMask].head == nil
+}
+
+// StepInline counts one event a handler ran inline in place of scheduling
+// it at Now() (see NoneDueNow), so Steps and the exported event count are
+// those of the scheduled run.
+//
+//alloyvet:hotpath
+func (e *Engine) StepInline() { e.nSteps++ }
+
 func (e *Engine) lazyInit() {
 	if e.wheel == nil {
 		e.initWheel()

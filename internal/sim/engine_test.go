@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -343,5 +344,31 @@ func TestPendingCount(t *testing.T) {
 	e.Step()
 	if e.Pending() != 1 {
 		t.Fatalf("Pending after one step = %d, want 1", e.Pending())
+	}
+}
+
+// NoneDueNow sees the events pending at the current cycle, whether they
+// were scheduled into the wheel or migrated from the far heap, and
+// nothing later; StepInline counts as one step.
+func TestNoneDueNow(t *testing.T) {
+	var e Engine
+	if !e.NoneDueNow() {
+		t.Fatal("fresh engine reports an event due")
+	}
+	far := Cycle(3 * WheelSpan)
+	var got []bool
+	probe := func() { got = append(got, e.NoneDueNow()) }
+	for _, at := range []Cycle{5, 5, 6, far, far, far + 1} {
+		e.Schedule(at, probe)
+	}
+	e.Run()
+	want := []bool{false, true, true, false, true, true}
+	if !slices.Equal(got, want) {
+		t.Fatalf("NoneDueNow at each event = %v, want %v", got, want)
+	}
+	steps := e.Steps()
+	e.StepInline()
+	if e.Steps() != steps+1 {
+		t.Fatalf("Steps after StepInline = %d, want %d", e.Steps(), steps+1)
 	}
 }
