@@ -195,8 +195,10 @@ func main() {
 	runID := "r-" + strings.TrimPrefix(cfg.Fingerprint(), "cfg-")[:12]
 	man.Extra["run_id"] = runID
 
+	// The flight recorder's mid-run snapshot is published alongside the
+	// registry's, between engine quanta, so -flight needs a registry too.
 	var reg *obs.Registry
-	if *metricsOut != "" || *debugAddr != "" {
+	if *metricsOut != "" || *debugAddr != "" || *flightOut != "" {
 		reg = obs.NewRegistry()
 	}
 	var trc *obs.Tracer
@@ -212,8 +214,7 @@ func main() {
 	if *flightOut != "" {
 		fr = obs.NewFlightRecorder(0, 4096, 256)
 		// SIGQUIT prints the most recently published snapshot without
-		// stopping the run (snapshots refresh between engine quanta when a
-		// registry is attached).
+		// stopping the run (snapshots refresh between engine quanta).
 		quitCh := make(chan os.Signal, 1)
 		signal.Notify(quitCh, syscall.SIGQUIT)
 		defer signal.Stop(quitCh)

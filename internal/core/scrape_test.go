@@ -14,7 +14,7 @@ import (
 )
 
 // TestMetricsScrapeDuringSystemRun scrapes /metrics continuously while a
-// real System executes — the single-CLI face of the daemon race fix.
+// real System executes, as `alloysim -debug-addr` serves it.
 // Under -race this proves the snapshot path end to end: the simulation
 // goroutine publishes rendered snapshots between quanta, scrape handlers
 // serve only published bytes, and no reader ever touches a live

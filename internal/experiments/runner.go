@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"runtime"
 	"slices"
 	"sort"
@@ -54,12 +53,6 @@ type Params struct {
 	// The runner serializes all writes, so any writer is safe even under
 	// concurrent Prefetch.
 	Progress io.Writer
-	// Logger, when non-nil, receives structured point-lifecycle records
-	// (run/retry/failure) tagged with the request ID carried by the
-	// caller's context (WithRequestID). Additive: the human-oriented
-	// Progress lines are unchanged. Excluded from the checkpoint
-	// fingerprint like Progress.
-	Logger *slog.Logger
 	// DisableFlight turns off the per-simulation flight recorder. The
 	// recorder is on by default (its cost is a handful of counter reads
 	// per 2^16 cycles) so every failure record carries the final epochs
@@ -232,14 +225,9 @@ func (pt Point) String() string {
 	return fmt.Sprintf("%s|%s|%s|%d", pt.Workload, pt.Design, pt.Predictor, pt.CacheMB)
 }
 
-// Normalize returns the canonical spelling of pt under this runner's
-// defaults — the form under which distinct argument spellings of the
-// same simulation share one memo slot (and, in the daemon, one content
-// address).
-func (r *Runner) Normalize(pt Point) Point { return r.normalize(pt) }
-
-// normalize applies the runner defaults that make distinct argument
-// spellings of the same simulation share one memo slot.
+// normalize returns the canonical spelling of pt under the runner's
+// defaults, so distinct argument spellings of one simulation share one
+// memo slot, one singleflight entry and one checkpoint record.
 func (r *Runner) normalize(pt Point) Point {
 	if pt.CacheMB == 0 {
 		pt.CacheMB = r.p.CacheMB
@@ -324,10 +312,6 @@ func (r *Runner) Run(ctx context.Context, workload string, d core.Design, pk cor
 		if c, ok := r.inflight[key]; ok {
 			r.m.FlightJoins++
 			r.mu.Unlock()
-			// The joiner's request ID is logged here; the leader's was (or
-			// will be) logged by its own "point complete" record. Together
-			// they make singleflight coalescing reconstructable per request.
-			r.logw(ctx, slog.LevelDebug, "point joined inflight leader", slog.String("point", key.String()))
 			select {
 			case <-c.done:
 				if c.abandoned {
@@ -411,9 +395,6 @@ func (r *Runner) runPoint(ctx context.Context, key Point) (core.Result, error) {
 			delete(r.failures, key)
 			r.mu.Unlock()
 			r.progressf("  ran %s in %.2fs (attempt %d)\n", key, elapsed.Seconds(), attempt)
-			r.logw(ctx, slog.LevelInfo, "point complete",
-				slog.String("point", key.String()), slog.Int("attempt", attempt),
-				slog.Float64("wall_s", elapsed.Seconds()))
 			return res, nil
 		}
 		lastErr = err
@@ -427,9 +408,6 @@ func (r *Runner) runPoint(ctx context.Context, key Point) (core.Result, error) {
 			r.m.Retries++
 			r.mu.Unlock()
 			r.progressf("  retrying %s after attempt %d: %v\n", key, attempt, err)
-			r.logw(ctx, slog.LevelWarn, "point retrying",
-				slog.String("point", key.String()), slog.Int("attempt", attempt),
-				slog.String("error", err.Error()))
 		}
 	}
 	// A leader abandoned by its own context is not a point failure: the
@@ -439,9 +417,6 @@ func (r *Runner) runPoint(ctx context.Context, key Point) (core.Result, error) {
 		r.mu.Lock()
 		r.m.Failures++
 		r.mu.Unlock()
-		r.logw(ctx, slog.LevelError, "point failed",
-			slog.String("point", key.String()), slog.Int("attempts", attempts),
-			slog.String("error", lastErr.Error()))
 	}
 	return core.Result{}, lastErr
 }
@@ -587,19 +562,6 @@ func (r *Runner) FlightDump(pt Point) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// LastFlightDump returns the most recently recorded flight dump and its
-// point; the daemon's SIGQUIT handler dumps it as the best available
-// "what was the simulator just doing" record.
-func (r *Runner) LastFlightDump() (Point, string, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.flights) == 0 {
-		return Point{}, "", false
-	}
-	e := r.flights[len(r.flights)-1]
-	return e.pt, e.dump, true
 }
 
 // recordFailure updates the per-point failure record, attaching the

@@ -13,7 +13,8 @@ import (
 )
 
 // TestMetricsScrapeDuringSimulations runs real simulations through the
-// runner while HTTP clients hammer /metrics — the daemon's steady state.
+// runner while HTTP clients hammer /metrics, as `paperfigs -debug-addr`
+// serves it during a sweep.
 // Under -race this proves the full scrape path is race-free: the runner's
 // Func metrics snapshot under its mutex, obs counters are atomic, and the
 // debug server's lifecycle cleans up after itself.

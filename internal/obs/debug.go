@@ -14,23 +14,23 @@ import (
 	"alloysim/internal/invariants"
 )
 
-// DebugMux builds the standard debug handler set over a registry:
+// debugMux builds the debug handler set StartDebugServer serves over a
+// registry:
 //
 //	/metrics       Prometheus text exposition
 //	/metrics.json  flat JSON (expvar style)
 //	/debug/pprof/  the standard pprof handlers
 //	/healthz       liveness probe ("ok")
-//	/buildinfo     build provenance (see BuildInfoHandler)
+//	/buildinfo     build provenance (see buildInfoHandler)
 //
-// The alloysimd daemon mounts this mux inside its own server; the CLIs
-// serve it through StartDebugServer. Once the registry has published a
-// snapshot, scrapes serve the rendered bytes and never read live metric
-// fields — that is the race-safety contract for scraping a registry
-// whose writers are still running (a simulation mid-flight). A registry
-// that never publishes is dumped live, which is only correct when every
-// registered metric is safe to read concurrently (closures that read
-// atomics or take their owner's lock — the daemon and runner registries).
-func DebugMux(reg *Registry) *http.ServeMux {
+// Once the registry has published a snapshot, scrapes serve the rendered
+// bytes and never read live metric fields — that is the race-safety
+// contract for scraping a registry whose writers are still running (a
+// simulation mid-flight). A registry that never publishes is dumped live,
+// which is only correct when every registered metric is safe to read
+// concurrently (closures that take their owner's lock, as the
+// experiments runner's do).
+func debugMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -53,24 +53,23 @@ func DebugMux(reg *Registry) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/healthz", HealthHandler)
-	mux.HandleFunc("/buildinfo", BuildInfoHandler)
+	mux.HandleFunc("/healthz", healthHandler)
+	mux.HandleFunc("/buildinfo", buildInfoHandler)
 	return mux
 }
 
-// HealthHandler is the trivial liveness probe: the process is up and the
-// mux is serving. Daemons with a drain lifecycle (internal/serve) mount
-// their own drain-aware /healthz instead.
-func HealthHandler(w http.ResponseWriter, _ *http.Request) {
+// healthHandler is the trivial liveness probe: the process is up and the
+// mux is serving.
+func healthHandler(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write([]byte("ok\n")) //nolint:errcheck // client gone; nothing to do
 }
 
-// BuildInfoHandler reports build provenance as JSON: the same VCS
+// buildInfoHandler reports build provenance as JSON: the same VCS
 // revision and Go version a Manifest records, plus whether the binary
 // was built with the invariants tag. Lets an operator answer "what
-// exactly is this daemon running?" without shelling into the host.
-func BuildInfoHandler(w http.ResponseWriter, _ *http.Request) {
+// exactly is this run built from?" without shelling into the host.
+func buildInfoHandler(w http.ResponseWriter, _ *http.Request) {
 	var rev string
 	dirty := false
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -103,12 +102,13 @@ type DebugServer struct {
 	serveDone chan struct{}
 }
 
-// StartDebugServer binds addr and serves the DebugMux on it. The listener
-// is bound before returning so callers fail fast on a bad address. The
-// server carries real timeouts (slow-client reads and idle keep-alives
-// cannot pin goroutines forever) except for writes: pprof profile
-// captures legitimately stream for ?seconds=N, so writes are bounded by
-// the generous writeTimeout below rather than a scrape-sized one.
+// StartDebugServer binds addr and serves the debugMux handlers on it.
+// The listener is bound before returning so callers fail fast on a bad
+// address. The server carries real timeouts (slow-client reads and idle
+// keep-alives cannot pin goroutines forever) except for writes: pprof
+// profile captures legitimately stream for ?seconds=N, so writes are
+// bounded by the generous writeTimeout below rather than a scrape-sized
+// one.
 func StartDebugServer(addr string, reg *Registry) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -122,7 +122,7 @@ func StartDebugServer(addr string, reg *Registry) (*DebugServer, error) {
 	)
 	ds := &DebugServer{
 		srv: &http.Server{
-			Handler:           DebugMux(reg),
+			Handler:           debugMux(reg),
 			ReadHeaderTimeout: readHeaderTimeout,
 			ReadTimeout:       readTimeout,
 			WriteTimeout:      writeTimeout,

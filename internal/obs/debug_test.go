@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,10 +17,10 @@ import (
 // from many clients while the metrics-owning goroutine keeps
 // incrementing counters, moving gauges, and publishing snapshots, and a
 // late registration lands mid-scrape. Run under -race this is the proof
-// obligation for the daemon contract: scrapes serve published snapshots
+// obligation for the scrape contract: scrapes serve published snapshots
 // and the registry index is locked, so concurrent clients are race-free
-// against a live writer (the old single-CLI "torn reads are harmless"
-// escape hatch is gone).
+// against a live writer (the old "torn reads are harmless" escape hatch
+// is gone).
 func TestDebugServerScrapeDuringWrites(t *testing.T) {
 	reg := NewRegistry()
 	var c uint64
@@ -123,7 +124,7 @@ func TestSnapshotServesPublishedValues(t *testing.T) {
 	reg.PublishSnapshot()
 	c += 100 // not yet published
 
-	mux := DebugMux(reg)
+	mux := debugMux(reg)
 	get := func(path string) string {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
@@ -138,6 +139,31 @@ func TestSnapshotServesPublishedValues(t *testing.T) {
 	}
 	if body := get("/metrics.json"); !strings.Contains(body, `"snap_events_total":107`) {
 		t.Fatalf("JSON scrape missed published value:\n%s", body)
+	}
+}
+
+// TestDebugMuxHealthAndBuildInfo: the debug server answers the liveness
+// probe and reports build provenance as JSON.
+func TestDebugMuxHealthAndBuildInfo(t *testing.T) {
+	mux := debugMux(NewRegistry())
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec
+	}
+	if rec := get("/healthz"); rec.Code != http.StatusOK || rec.Body.String() != "ok\n" {
+		t.Fatalf("/healthz: status %d, body %q", rec.Code, rec.Body.String())
+	}
+	rec := get("/buildinfo")
+	var bi struct {
+		GoVersion  string `json:"go_version"`
+		Invariants *bool  `json:"invariants"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &bi); err != nil {
+		t.Fatalf("/buildinfo is not JSON: %v\n%s", err, rec.Body.String())
+	}
+	if rec.Code != http.StatusOK || bi.GoVersion == "" || bi.Invariants == nil {
+		t.Fatalf("/buildinfo: status %d, %s", rec.Code, rec.Body.String())
 	}
 }
 

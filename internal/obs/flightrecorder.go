@@ -19,7 +19,7 @@ import (
 // hand-formatted export. Unlike TimeSeries the ring keeps the NEWEST
 // rows — recency is the whole point of a flight recorder.
 //
-// Concurrent readers (the /debug/flightrecorder handler) must consume
+// Concurrent readers (alloysim's SIGQUIT handler) must consume
 // PublishSnapshot renderings, mirroring the Registry scrape contract;
 // WriteJSON on a live recorder is only safe from the sampling goroutine
 // or after the run.
@@ -192,8 +192,7 @@ func (f *FlightRecorder) appendJSON(b []byte) []byte {
 // PublishSnapshot renders the current state and stores it for concurrent
 // scrapers; call from the sampling goroutine at synchronization points
 // (the same place Registry.PublishSnapshot is called). Until the first
-// publish, Snapshot reports nothing and the debug handler falls back to
-// a live dump — only correct when no simulation is mid-flight.
+// publish, Snapshot reports nothing.
 func (f *FlightRecorder) PublishSnapshot() {
 	if f == nil {
 		return

@@ -22,7 +22,7 @@
 //
 // Everything here is single-writer by design, like the simulator it
 // instruments: one System owns one Registry and one Tracer. Concurrent
-// *readers* — the alloysimd daemon serves /metrics to many HTTP clients
+// *readers* — the CLIs' -debug-addr server answers /metrics scrapes
 // while simulations run — are handled by the snapshot path: the goroutine
 // that owns the metrics calls PublishSnapshot, which renders the whole
 // registry and atomically swaps the rendered bytes in; scrape handlers
@@ -103,11 +103,11 @@ func (m *metric) value() float64 {
 
 // Registry is the central metric index. Registration happens at setup
 // and may allocate freely; dumping sorts by name so output is
-// deterministic. The index itself is guarded by a mutex so late
-// registration (a daemon wiring a new component) cannot race a
-// concurrent scrape; the lock is never touched on metric hot paths,
-// which increment their owner's fields directly. The zero Registry is
-// not usable — call NewRegistry.
+// deterministic. The index itself is guarded by a mutex so a late
+// registration (a component wired after the debug server started)
+// cannot race a concurrent scrape; the lock is never touched on metric
+// hot paths, which increment their owner's fields directly. The zero
+// Registry is not usable — call NewRegistry.
 type Registry struct {
 	mu      sync.RWMutex
 	metrics []metric       //alloyvet:guard mu
@@ -294,11 +294,10 @@ func formatFloat(v float64) string {
 // and atomically publishes the result for concurrent scrapers. It MUST
 // be called by a goroutine that is allowed to read every registered
 // metric — in practice the goroutine that owns them: the simulation loop
-// between quanta, or a daemon thread whose metrics all read atomics or
-// take their owner's lock. Scrape handlers (see DebugMux) serve the last
+// between quanta. Scrape handlers (see StartDebugServer) serve the last
 // published snapshot without ever touching live fields, which is what
-// makes many concurrent daemon clients race-free against a running
-// simulation. Publishing is cold-path: it allocates and formats freely.
+// makes concurrent scrapes race-free against a running simulation.
+// Publishing is cold-path: it allocates and formats freely.
 func (r *Registry) PublishSnapshot() {
 	var prom, js bytes.Buffer
 	r.WritePrometheus(&prom) //nolint:errcheck // bytes.Buffer cannot fail

@@ -128,10 +128,10 @@ func NewTracer(sample uint64, capacity int) *Tracer {
 	}
 }
 
-// SetRunID tags the tracer with a run/request correlation ID. When set,
-// WriteChromeTrace emits it as a metadata event so an exported trace can
-// be matched to its manifest, daemon job, and log lines; when unset the
-// export bytes are unchanged. Cold-path, nil-safe.
+// SetRunID tags the tracer with a run ID. When set, WriteChromeTrace
+// emits it as a metadata event so an exported trace can be matched to
+// its manifest; when unset the export bytes are unchanged. Cold-path,
+// nil-safe.
 func (t *Tracer) SetRunID(id string) {
 	if t == nil {
 		return

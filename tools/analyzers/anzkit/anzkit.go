@@ -147,13 +147,26 @@ func sortDiags(diags []Diagnostic) {
 	})
 }
 
-// InCone reports whether a package import path falls under any cone
-// entry, matching whole path segments: an entry matches the path itself,
-// a trailing suffix ("internal/serve" covers "alloysim/internal/serve"),
-// a leading prefix, or an interior run ("tools/analyzers" covers
+// Cone is the service cone: the package-path segments whose code runs
+// real goroutines, locks and cancellable waits — the observability layer
+// with its debug server, the experiments runner, the two CLIs that drive
+// single runs and sweeps, and the analyzer framework itself (the
+// self-check). ctxflow, lockcheck and goloop each check this one list.
+var Cone = []string{
+	"internal/obs",
+	"internal/experiments",
+	"cmd/alloysim",
+	"cmd/paperfigs",
+	"tools/analyzers",
+}
+
+// InCone reports whether a package import path falls under a Cone entry,
+// matching whole path segments: an entry matches the path itself, a
+// trailing suffix ("cmd/paperfigs" covers "alloysim/cmd/paperfigs"), a
+// leading prefix, or an interior run ("tools/analyzers" covers
 // "alloysim/tools/analyzers/anzkit").
-func InCone(path string, cone []string) bool {
-	for _, e := range cone {
+func InCone(path string) bool {
+	for _, e := range Cone {
 		if path == e || strings.HasSuffix(path, "/"+e) ||
 			strings.HasPrefix(path, e+"/") || strings.Contains(path, "/"+e+"/") {
 			return true

@@ -33,7 +33,8 @@ import (
 // Cone is the set of package-path suffixes under confinement: the packages
 // whose state is simulated time. Narrower than the determinism cone —
 // internal/experiments and internal/obs coordinate real threads on purpose
-// (the sweep scheduler, the debug server) and are exempt.
+// (the sweep scheduler, the debug server) and are exempt here; the
+// service-cone analyzers (anzkit.Cone) check their goroutines and locks.
 var Cone = []string{
 	"internal/sim",
 	"internal/core",

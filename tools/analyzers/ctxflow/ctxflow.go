@@ -1,10 +1,11 @@
 // Package ctxflow checks that the service cone threads cancellation.
 //
-// The daemon (DESIGN.md §13) promises bounded shutdown: SIGTERM drains,
-// a drain timeout aborts, and every request carries a context. That
-// promise only holds if no function on the serving path blocks on
-// something its context cannot interrupt. This analyzer enforces it
-// structurally inside the service cone (see Cone):
+// The CLIs promise bounded shutdown: Ctrl-C, SIGTERM or -timeout cancel
+// a run or sweep between engine quanta, Prefetch stops launching points,
+// and the debug server drains within its deadline. That promise only
+// holds if nothing on those paths blocks on something its context cannot
+// interrupt. This analyzer enforces it structurally inside the service
+// cone (anzkit.Cone):
 //
 // In any context-bearing function — one with a context.Context parameter
 // or one that binds or captures a context variable — it flags:
@@ -40,19 +41,6 @@ import (
 	"alloysim/tools/analyzers/anzkit"
 )
 
-// Cone is the set of package-path segments under the context-threading
-// discipline: the daemon stack, both CLI mains, the load harness, and the
-// analyzer framework itself (the self-check).
-var Cone = []string{
-	"internal/serve",
-	"internal/obs",
-	"internal/experiments",
-	"cmd/alloysimd",
-	"cmd/alloysim",
-	"scripts/sweepload",
-	"tools/analyzers",
-}
-
 // Analyzer is the context-threading check.
 var Analyzer = &anzkit.Analyzer{
 	Name: "ctxflow",
@@ -61,7 +49,7 @@ var Analyzer = &anzkit.Analyzer{
 }
 
 func run(pass *anzkit.Pass) error {
-	if !anzkit.InCone(pass.Pkg.Path(), Cone) {
+	if !anzkit.InCone(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, file := range pass.Files {

@@ -17,18 +17,17 @@ func TestCone(t *testing.T) {
 		path string
 		want bool
 	}{
-		{"alloysim/internal/serve", true},
 		{"alloysim/internal/obs", true},
 		{"alloysim/internal/experiments", true},
-		{"alloysim/cmd/alloysimd", true},
 		{"alloysim/cmd/alloysim", true},
-		{"alloysim/scripts/sweepload", true},
+		{"alloysim/cmd/paperfigs", true},
 		{"alloysim/tools/analyzers/anzkit", true}, // self-check
 		{"alloysim/internal/sim", false},          // confine's cone, not ours
 		{"alloysim/internal/core", false},
+		{"alloysim/cmd/alloycheck", false},
 	}
 	for _, tc := range cases {
-		if got := anzkit.InCone(tc.path, ctxflow.Cone); got != tc.want {
+		if got := anzkit.InCone(tc.path); got != tc.want {
 			t.Errorf("InCone(%q) = %v, want %v", tc.path, got, tc.want)
 		}
 	}

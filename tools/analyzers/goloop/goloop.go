@@ -1,7 +1,8 @@
-// Package goloop requires every goroutine spawned in the service cone to
-// have a tracked lifecycle, so the daemon cannot leak goroutines by
+// Package goloop requires every goroutine spawned in the service cone
+// (anzkit.Cone) to have a tracked lifecycle, so the sweep workers, the
+// debug server and the signal listeners cannot leak goroutines by
 // construction: a leaked worker holds its captured state forever, and a
-// daemon that serves millions of requests turns "rarely leaks one" into
+// sweep that runs hundreds of points turns "rarely leaks one" into
 // unbounded memory growth.
 //
 // A go statement passes when the analyzer can see a join structurally:
@@ -36,18 +37,6 @@ import (
 	"alloysim/tools/analyzers/anzkit"
 )
 
-// Cone is the set of package-path segments under lifecycle discipline —
-// the same service cone as ctxflow and lockcheck.
-var Cone = []string{
-	"internal/serve",
-	"internal/obs",
-	"internal/experiments",
-	"cmd/alloysimd",
-	"cmd/alloysim",
-	"scripts/sweepload",
-	"tools/analyzers",
-}
-
 // Analyzer is the goroutine-lifecycle check.
 var Analyzer = &anzkit.Analyzer{
 	Name: "goloop",
@@ -56,7 +45,7 @@ var Analyzer = &anzkit.Analyzer{
 }
 
 func run(pass *anzkit.Pass) error {
-	if !anzkit.InCone(pass.Pkg.Path(), Cone) {
+	if !anzkit.InCone(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, file := range pass.Files {

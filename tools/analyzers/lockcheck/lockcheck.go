@@ -1,5 +1,5 @@
 // Package lockcheck proves three properties of every mutex in the
-// service cone, using anzkit's intra-procedural CFG:
+// service cone (anzkit.Cone), using anzkit's intra-procedural CFG:
 //
 //  1. Release on every path. A Lock()/RLock() must reach a matching
 //     Unlock()/RUnlock() — deferred or straight-line — on every return
@@ -48,18 +48,6 @@ import (
 	"alloysim/tools/analyzers/anzkit"
 )
 
-// Cone is the set of package-path segments under lock discipline — the
-// same service cone as ctxflow.
-var Cone = []string{
-	"internal/serve",
-	"internal/obs",
-	"internal/experiments",
-	"cmd/alloysimd",
-	"cmd/alloysim",
-	"scripts/sweepload",
-	"tools/analyzers",
-}
-
 // Analyzer is the lock-discipline check.
 var Analyzer = &anzkit.Analyzer{
 	Name: "lockcheck",
@@ -68,7 +56,7 @@ var Analyzer = &anzkit.Analyzer{
 }
 
 func run(pass *anzkit.Pass) error {
-	if !anzkit.InCone(pass.Pkg.Path(), Cone) {
+	if !anzkit.InCone(pass.Pkg.Path()) {
 		return nil
 	}
 	structs := collectStructs(pass)
