@@ -95,8 +95,8 @@ type Config struct {
 	L3Assoc int
 	// L3Latency is the L3 access latency in cycles (24).
 	L3Latency sim.Cycle
-	// L3Policy names the L3 replacement policy; empty selects the paper's
-	// LRU-based DIP. Any policy.New name is accepted ("lru", "random",
+	// L3Policy names the L3 replacement policy; empty selects
+	// DefaultL3Policy. Any policy.New name is accepted ("lru", "random",
 	// "bip", "dip", "nru", "srrip", "brrip", "ship").
 	L3Policy string
 
@@ -129,7 +129,7 @@ type Config struct {
 
 	// WriteBufferEntries bounds in-flight writes below the L3 (memory
 	// controller write buffer; store-buffer backpressure when full).
-	// Zero selects the default of 64.
+	// Zero selects DefaultWriteBufferEntries.
 	WriteBufferEntries int
 
 	// GapScale multiplies the workload's mean instruction gap, scaling
@@ -147,6 +147,13 @@ type Config struct {
 	// used only as a label and need not name a known profile.
 	Generators []trace.Generator
 }
+
+// The values NewSystem gives a zero Config.WriteBufferEntries and an
+// empty Config.L3Policy.
+const (
+	DefaultWriteBufferEntries = 64
+	DefaultL3Policy           = "dip" // the paper's LRU-based DIP
+)
 
 // DefaultConfig returns the paper's system configuration for a workload at
 // 1/64 scale: 8 cores, 8 MB L3 (scaled), 256 MB DRAM cache (scaled),
@@ -235,7 +242,12 @@ func (c Config) resolvePredictor() PredictorKind {
 	if c.Predictor != PredDefault {
 		return c.Predictor
 	}
-	switch c.Design {
+	return DefaultPredictor(c.Design)
+}
+
+// DefaultPredictor returns the predictor PredDefault selects for a design.
+func DefaultPredictor(d Design) PredictorKind {
+	switch d {
 	case DesignNone, DesignSRAMTag32, DesignSRAMTag1:
 		return PredSAM
 	case DesignLH, DesignLHRand, DesignLH1:

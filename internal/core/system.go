@@ -100,7 +100,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s := &System{cfg: cfg, eng: sim.NewEngine(), writeBufCap: cfg.WriteBufferEntries}
 	if s.writeBufCap <= 0 {
-		s.writeBufCap = 64
+		s.writeBufCap = DefaultWriteBufferEntries
 	}
 	s.hitLatHist = stats.NewHistogram(8, 512) // 8-cycle buckets up to 4096
 	s.missLatHist = stats.NewHistogram(8, 512)
@@ -123,7 +123,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	l3Policy := cfg.L3Policy
 	if l3Policy == "" {
-		l3Policy = "dip"
+		l3Policy = DefaultL3Policy
 	}
 	if s.l3, err = cache.New(cache.Config{Sets: l3Sets, Assoc: cfg.L3Assoc, Policy: l3Policy}); err != nil {
 		return nil, err

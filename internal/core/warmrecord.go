@@ -55,7 +55,7 @@ const (
 // written by one System's Run and is read-only once Complete; any number
 // of Systems may then replay it concurrently.
 type WarmRecord struct {
-	front   frontKey
+	front   FrontKey
 	codes   []byte            // 2-bit codes, four per byte, low bits first
 	n       uint64            // codes written
 	lines   [][]byte          // per core: one varint per forwarded reference (lineCursor)
@@ -82,10 +82,12 @@ const maxGatherLine = 1 << 63
 // be replayed.
 func (r *WarmRecord) Complete() bool { return r.l3 != nil }
 
-// frontKey is everything the warmup front depends on: the reference
+// FrontKey is everything the warmup front depends on: the reference
 // streams (workload, seed, scale, copies, gap scale), their length, and
-// the geometry and policy of the private L2s and the L3.
-type frontKey struct {
+// the geometry and policy of the private L2s and the L3. Systems with
+// equal keys reach the same post-warmup front, so a WarmRecord of one
+// warms any other (ReplayWarmup).
+type FrontKey struct {
 	workload   string
 	seed       uint64
 	scale      uint64
@@ -96,13 +98,13 @@ type frontKey struct {
 	l2         cache.Config // zero without private L2s
 }
 
-// front returns the System's front key. Caller-provided generators have
-// no key: their streams are not a function of the configuration.
-func (s *System) front() (frontKey, error) {
+// FrontKey returns the System's front key. Caller-provided generators
+// have no key: their streams are not a function of the configuration.
+func (s *System) FrontKey() (FrontKey, error) {
 	if s.cfg.Generators != nil {
-		return frontKey{}, errors.New("core: warmup records need profile-built generators, but Config.Generators is set")
+		return FrontKey{}, errors.New("core: warmup records need profile-built generators, but Config.Generators is set")
 	}
-	k := frontKey{
+	k := FrontKey{
 		workload:   s.cfg.Workload,
 		seed:       s.cfg.Seed,
 		scale:      s.cfg.Scale,
@@ -124,7 +126,7 @@ func (s *System) RecordWarmup(rec *WarmRecord) error {
 	if rec.n != 0 || rec.Complete() {
 		return errors.New("core: RecordWarmup needs a new WarmRecord")
 	}
-	k, err := s.front()
+	k, err := s.FrontKey()
 	if err != nil {
 		return err
 	}
@@ -145,7 +147,7 @@ func (s *System) ReplayWarmup(rec *WarmRecord) error {
 	if !rec.Complete() {
 		return errors.New("core: ReplayWarmup needs a complete WarmRecord")
 	}
-	k, err := s.front()
+	k, err := s.FrontKey()
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"alloysim/internal/core"
 	"alloysim/internal/stats"
@@ -53,7 +52,7 @@ func runBeyond4(ctx context.Context, r *Runner, w io.Writer) error {
 	var labels []string
 	var vals []float64
 	for _, c := range cols {
-		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), c.D, c.P, 0)
+		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: c.D, Predictor: c.P})
 		if err != nil {
 			return err
 		}
@@ -97,7 +96,7 @@ func runBeyond9(ctx context.Context, r *Runner, w io.Writer) error {
 	for _, mb := range sizes {
 		row := []interface{}{fmt.Sprintf("%dMB", mb)}
 		for _, d := range designs {
-			_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), d.D, core.PredDefault, mb)
+			_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: d.D, CacheMB: mb})
 			if err != nil {
 				return err
 			}
@@ -112,8 +111,6 @@ func runBeyond9(ctx context.Context, r *Runner, w io.Writer) error {
 
 // runBeyondPol sweeps the registry's design x replacement-policy
 // cross-product on the two policy-capable (set-associative) designs. The
-// Runner's memo keys on (workload, design, predictor, size) only, so
-// these per-policy points run outside it, on a bounded worker pool; the
 // metric is the DRAM-cache read hit rate, which isolates the policy's
 // contents effect from the latency dynamics the other figures measure.
 func runBeyondPol(ctx context.Context, r *Runner, w io.Writer) error {
@@ -125,86 +122,17 @@ func runBeyondPol(ctx context.Context, r *Runner, w io.Writer) error {
 		{"LH-Cache (29-way)", core.DesignLH},
 		{"Gemini (SA region)", core.DesignGemini},
 	}
-	workloads := DetailedWorkloads()
-
-	type cell struct{ di, pi int }
-	rates := make([][][]float64, len(designs))
-	for i := range rates {
-		rates[i] = make([][]float64, len(policies))
-		for j := range rates[i] {
-			rates[i][j] = make([]float64, len(workloads))
-		}
-	}
-	var cells []cell
-	for di := range designs {
-		for pi := range policies {
-			cells = append(cells, cell{di, pi})
-		}
-	}
-
-	par := r.Params().Parallelism
-	if par <= 0 {
-		par = 4
-	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-submit:
-	for _, c := range cells {
-		for wi, wl := range workloads {
-			// Acquire the slot before launching, as Prefetch does: a
-			// cancelled context stops submitting new work here rather than
-			// inside the workers. Check cancellation before acquiring so an
-			// early exit never holds a slot, and stop submitting entirely
-			// once cancelled.
-			if err := ctx.Err(); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				break submit
+	// Workload-major: a workload's points share one warmup front.
+	var points []Point
+	for _, wl := range DetailedWorkloads() {
+		for _, d := range designs {
+			for _, pol := range policies {
+				points = append(points, Point{Workload: wl, Design: d.D, Knobs: Knobs{DCPolicy: pol}})
 			}
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = ctx.Err()
-				}
-				mu.Unlock()
-				break submit
-			}
-			wg.Add(1)
-			go func(c cell, wi int, wl string) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				cfg := r.pointConfig(Point{Workload: wl, Design: designs[c.di].D, Predictor: core.PredDefault})
-				cfg.DCPolicy = policies[c.pi]
-				sys, err := core.NewSystem(cfg)
-				var res core.Result
-				if err == nil {
-					res, err = sys.RunContext(ctx)
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("beyond-pol: %s/%s/%s: %w", wl, designs[c.di].D, policies[c.pi], err)
-					}
-					return
-				}
-				rates[c.di][c.pi][wi] = res.DCReadHitRate
-			}(c, wi, wl)
 		}
 	}
-	// Every worker's RunContext honors ctx (cancellation fails its point
-	// fast), so after a cancel this join is bounded by one engine quantum
-	// per in-flight worker.
-	wg.Wait() //alloyvet:allow(ctxflow)
-	if firstErr != nil {
-		return firstErr
+	if err := r.Prefetch(ctx, points); err != nil {
+		return err
 	}
 
 	header := []string{"Policy"}
@@ -212,10 +140,18 @@ submit:
 		header = append(header, d.Label)
 	}
 	tab := stats.NewTable(header...)
-	for pi, pol := range policies {
+	for _, pol := range policies {
 		row := []interface{}{pol}
-		for di := range designs {
-			row = append(row, fmt.Sprintf("%.1f%%", stats.ArithMean(rates[di][pi])*100))
+		for _, d := range designs {
+			var rates []float64
+			for _, wl := range DetailedWorkloads() {
+				res, err := r.run(ctx, Point{Workload: wl, Design: d.D, Knobs: Knobs{DCPolicy: pol}})
+				if err != nil {
+					return err
+				}
+				rates = append(rates, res.DCReadHitRate)
+			}
+			row = append(row, fmt.Sprintf("%.1f%%", stats.ArithMean(rates)*100))
 		}
 		tab.AddRow(row...)
 	}

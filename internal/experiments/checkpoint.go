@@ -25,8 +25,10 @@ import (
 // atomic rename: a crash mid-write leaves the previous snapshot intact.
 
 // checkpointVersion is bumped whenever the file layout or the meaning of
-// core.Result fields changes incompatibly.
-const checkpointVersion = 1
+// core.Result fields changes incompatibly. Version 2 added Point's knobs,
+// which a version-1 reader would drop, loading a knob point's result into
+// the default point's slot.
+const checkpointVersion = 2
 
 // ErrCheckpointStale reports a checkpoint whose parameters do not match
 // the runner's; resuming from it would replay results from a different

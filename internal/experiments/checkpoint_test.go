@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -227,5 +230,95 @@ func TestCheckpointConcurrentCompletionsDoNotClobber(t *testing.T) {
 	}
 	if restored != points {
 		t.Fatalf("restored %d points, want %d", restored, points)
+	}
+}
+
+// TestCheckpointPointJSON: a point with zero knobs marshals to the bytes
+// checkpoints held before points had knobs, and a knob point marshals
+// its set knobs and reads back equal.
+func TestCheckpointPointJSON(t *testing.T) {
+	pt := Point{Workload: "mcf_r", Design: core.DesignAlloy, CacheMB: 256}
+	data, err := json.Marshal(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"workload":"mcf_r","design":"alloy","predictor":"","cache_mb":256}`; string(data) != want {
+		t.Fatalf("zero-knob point marshals to %s, want %s", data, want)
+	}
+	pt.Knobs = Knobs{MLP: 4, DCPolicy: "ship", Seed: 3}
+	if data, err = json.Marshal(pt); err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"workload":"mcf_r","design":"alloy","predictor":"","cache_mb":256,"mlp":4,"dc_policy":"ship","seed":3}`; string(data) != want {
+		t.Fatalf("knob point marshals to %s, want %s", data, want)
+	}
+	var back Point
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != pt {
+		t.Fatalf("knob point read back as %s, want %s", back, pt)
+	}
+}
+
+// TestCheckpointRoundTripsKnobs: a knob point restores into its own memo
+// slot, not into the default point's.
+func TestCheckpointRoundTripsKnobs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	fake := func(ctx context.Context, pt Point) (core.Result, error) {
+		return core.Result{ExecCycles: float64(100 + pt.MLP)}, nil
+	}
+	knob := Point{Workload: "mcf_r", Design: core.DesignAlloy, Knobs: Knobs{MLP: 4}}
+	r1 := NewRunner(microParams())
+	r1.simulate = fake
+	if _, err := r1.EnableCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r1.run(context.Background(), knob); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := NewRunner(microParams())
+	r2.simulate = fake
+	if restored, err := r2.EnableCheckpoint(path); err != nil || restored != 1 {
+		t.Fatalf("restored=%d err=%v, want 1 entry", restored, err)
+	}
+	res, err := r2.run(context.Background(), knob)
+	if err != nil || res.ExecCycles != 104 {
+		t.Fatalf("restored knob point: %v, %v; want ExecCycles 104", res.ExecCycles, err)
+	}
+	if m := r2.Metrics(); m.PointsRun != 0 {
+		t.Fatalf("resumed runner re-simulated %d points, want 0", m.PointsRun)
+	}
+	if _, err := r2.Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, 0); err != nil {
+		t.Fatal(err)
+	}
+	if m := r2.Metrics(); m.PointsRun != 1 {
+		t.Fatalf("the default point was served from the knob point's entry")
+	}
+}
+
+// TestCheckpointRejectsVersion1: a version-1 file, written before points
+// had knobs, is stale. A version-1 reader ignores knob fields, so the
+// version is what keeps a knob entry out of the default point's slot.
+func TestCheckpointRejectsVersion1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	p := microParams()
+	v1 := sha256.Sum256([]byte(fmt.Sprintf("ckpt-v1|scale=%d|instr=%d|warmup=%d|cores=%d|cachemb=%d|gap=%d|seed=%d",
+		p.Scale, p.InstructionsPerCore, p.WarmupRefs, p.Cores, p.CacheMB, p.GapScale, p.Seed)))
+	cf := checkpointFile{
+		Version:     1,
+		Fingerprint: hex.EncodeToString(v1[:]),
+		Entries:     []checkpointEntry{{Point: Point{Workload: "mcf_r", Design: core.DesignAlloy, CacheMB: p.CacheMB}}},
+	}
+	data, err := json.Marshal(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRunner(p).EnableCheckpoint(path); !errors.Is(err, ErrCheckpointStale) {
+		t.Fatalf("err = %v, want ErrCheckpointStale", err)
 	}
 }

@@ -68,10 +68,10 @@ func TestRunnerMemoization(t *testing.T) {
 
 func TestBaselineSharedAcrossSizes(t *testing.T) {
 	r := NewRunner(tinyParams())
-	if _, err := r.Speedup(context.Background(), "sphinx_r", core.DesignAlloy, core.PredDefault, 64); err != nil {
+	if _, err := r.Speedup(context.Background(), Point{Workload: "sphinx_r", Design: core.DesignAlloy, CacheMB: 64}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Speedup(context.Background(), "sphinx_r", core.DesignAlloy, core.PredDefault, 256); err != nil {
+	if _, err := r.Speedup(context.Background(), Point{Workload: "sphinx_r", Design: core.DesignAlloy, CacheMB: 256}); err != nil {
 		t.Fatal(err)
 	}
 	// 2 design runs + 1 shared baseline.
@@ -168,7 +168,7 @@ func TestSec67Smoke(t *testing.T) {
 
 func TestGeoMeanSpeedup(t *testing.T) {
 	r := NewRunner(tinyParams())
-	per, gm, err := r.GeoMeanSpeedup(context.Background(), []string{"sphinx_r", "gcc_r"}, core.DesignAlloy, core.PredDefault, 0)
+	per, gm, err := r.GeoMeanSpeedup(context.Background(), []string{"sphinx_r", "gcc_r"}, Point{Design: core.DesignAlloy})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,94 +90,57 @@ func runSec56(ctx context.Context, r *Runner, w io.Writer) error {
 	return err
 }
 
-// ablSpeedup runs Alloy and the baseline under a mutated config and
-// returns the gmean speedup across the detailed workloads.
-func ablSpeedup(ctx context.Context, p Params, mutate func(*core.Config)) (float64, error) {
-	var speedups []float64
+// ablation renders Alloy's gmean speedup over the detailed workloads
+// under each knob setting, labels[i] naming knobs[i]. The points are
+// listed workload-major, so the settings that share a warmup front run
+// together.
+func ablation(ctx context.Context, r *Runner, w io.Writer, intro, column string, labels []string, knobs []Knobs) error {
+	var points []Point
 	for _, wl := range DetailedWorkloads() {
-		mk := func(d core.Design) (core.Result, error) {
-			cfg := core.DefaultConfig(wl)
-			cfg.Design = d
-			cfg.Scale = p.Scale
-			cfg.InstructionsPerCore = p.InstructionsPerCore
-			cfg.WarmupRefs = p.WarmupRefs
-			cfg.Cores = p.Cores
-			cfg.GapScale = p.GapScale
-			cfg.Seed = p.Seed
-			mutate(&cfg)
-			sys, err := core.NewSystem(cfg)
-			if err != nil {
-				return core.Result{}, err
-			}
-			return sys.RunContext(ctx)
+		for _, k := range knobs {
+			points = append(points,
+				Point{Workload: wl, Design: core.DesignNone, Knobs: k},
+				Point{Workload: wl, Design: core.DesignAlloy, Knobs: k})
 		}
-		base, err := mk(core.DesignNone)
-		if err != nil {
-			return 0, err
-		}
-		alloy, err := mk(core.DesignAlloy)
-		if err != nil {
-			return 0, err
-		}
-		speedups = append(speedups, alloy.SpeedupOver(base))
 	}
-	return stats.GeoMean(speedups), nil
+	if err := r.Prefetch(ctx, points); err != nil {
+		return err
+	}
+	tab := stats.NewTable(column, "Alloy GMean Speedup")
+	for i, k := range knobs {
+		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: core.DesignAlloy, Knobs: k})
+		if err != nil {
+			return err
+		}
+		tab.AddRow(labels[i], fmt.Sprintf("%.3f", gm))
+	}
+	fmt.Fprintln(w, intro)
+	_, err := fmt.Fprint(w, tab.String())
+	return err
 }
 
 func runAblMLP(ctx context.Context, r *Runner, w io.Writer) error {
-	tab := stats.NewTable("MLP window", "Alloy GMean Speedup")
-	for _, mlp := range []int{1, 2, 4, 8} {
-		gm, err := ablSpeedup(ctx, r.p, func(c *core.Config) { c.CPU.MLP = mlp })
-		if err != nil {
-			return err
-		}
-		tab.AddRow(fmt.Sprintf("%d", mlp), fmt.Sprintf("%.3f", gm))
-	}
-	fmt.Fprintln(w, "Sensitivity of the Alloy Cache's benefit to the core's MLP window:")
-	_, err := fmt.Fprint(w, tab.String())
-	return err
+	return ablation(ctx, r, w, "Sensitivity of the Alloy Cache's benefit to the core's MLP window:", "MLP window",
+		[]string{"1", "2", "4", "8"},
+		[]Knobs{{MLP: 1}, {MLP: 2}, {MLP: 4}, {MLP: 8}})
 }
 
 func runAblWbuf(ctx context.Context, r *Runner, w io.Writer) error {
-	tab := stats.NewTable("Write-buffer entries", "Alloy GMean Speedup")
-	for _, n := range []int{8, 32, 64, 256} {
-		gm, err := ablSpeedup(ctx, r.p, func(c *core.Config) { c.WriteBufferEntries = n })
-		if err != nil {
-			return err
-		}
-		tab.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%.3f", gm))
-	}
-	fmt.Fprintln(w, "Sensitivity to memory-controller write-buffer depth:")
-	_, err := fmt.Fprint(w, tab.String())
-	return err
+	return ablation(ctx, r, w, "Sensitivity to memory-controller write-buffer depth:", "Write-buffer entries",
+		[]string{"8", "32", "64", "256"},
+		[]Knobs{{WriteBuffer: 8}, {WriteBuffer: 32}, {WriteBuffer: 64}, {WriteBuffer: 256}})
 }
 
 func runAblChan(ctx context.Context, r *Runner, w io.Writer) error {
-	tab := stats.NewTable("Stacked channels", "Alloy GMean Speedup")
-	for _, ch := range []int{1, 2, 4, 8} {
-		gm, err := ablSpeedup(ctx, r.p, func(c *core.Config) { c.Stacked.Channels = ch })
-		if err != nil {
-			return err
-		}
-		tab.AddRow(fmt.Sprintf("%d", ch), fmt.Sprintf("%.3f", gm))
-	}
-	fmt.Fprintln(w, "Sensitivity to the stacked DRAM's channel count (paper assumes 4):")
-	_, err := fmt.Fprint(w, tab.String())
-	return err
+	return ablation(ctx, r, w, "Sensitivity to the stacked DRAM's channel count (paper assumes 4):", "Stacked channels",
+		[]string{"1", "2", "4", "8"},
+		[]Knobs{{StackedChannels: 1}, {StackedChannels: 2}, {StackedChannels: 4}, {StackedChannels: 8}})
 }
 
 func runAblL3Pol(ctx context.Context, r *Runner, w io.Writer) error {
-	tab := stats.NewTable("L3 policy", "Alloy GMean Speedup")
-	for _, pol := range []string{"lru", "dip", "srrip", "random"} {
-		gm, err := ablSpeedup(ctx, r.p, func(c *core.Config) { c.L3Policy = pol })
-		if err != nil {
-			return err
-		}
-		tab.AddRow(pol, fmt.Sprintf("%.3f", gm))
-	}
-	fmt.Fprintln(w, "Sensitivity to the shared L3's replacement policy (paper uses DIP):")
-	_, err := fmt.Fprint(w, tab.String())
-	return err
+	return ablation(ctx, r, w, "Sensitivity to the shared L3's replacement policy (paper uses DIP):", "L3 policy",
+		[]string{"lru", "dip", "srrip", "random"},
+		[]Knobs{{L3Policy: "lru"}, {L3Policy: "dip"}, {L3Policy: "srrip"}, {L3Policy: "random"}})
 }
 
 // runAblSeeds replicates the headline Alloy-vs-LH comparison across five
@@ -192,23 +155,25 @@ func runAblSeeds(ctx context.Context, r *Runner, w io.Writer) error {
 		{"Alloy", core.DesignAlloy},
 		{"IDEAL-LO", core.DesignIdealLO},
 	}
+	const seeds = 5
+	// Workload-major, then seed: the points of one seed share a front.
+	var points []Point
+	for _, wl := range DetailedWorkloads() {
+		for seed := uint64(1); seed <= seeds; seed++ {
+			points = append(points, Point{Workload: wl, Design: core.DesignNone, Knobs: Knobs{Seed: seed}})
+			for _, d := range designs {
+				points = append(points, Point{Workload: wl, Design: d.D, Knobs: Knobs{Seed: seed}})
+			}
+		}
+	}
+	if err := r.Prefetch(ctx, points); err != nil {
+		return err
+	}
 	tab := stats.NewTable("Design", "GMean Speedup (mean over 5 seeds)", "Stdev")
 	for _, d := range designs {
 		var gms []float64
-		for seed := uint64(1); seed <= 5; seed++ {
-			p := r.p
-			p.Seed = seed
-			sub := NewRunner(p)
-			var pts []Point
-			for _, wl := range DetailedWorkloads() {
-				pts = append(pts,
-					Point{Workload: wl, Design: core.DesignNone},
-					Point{Workload: wl, Design: d.D})
-			}
-			if err := sub.Prefetch(ctx, pts); err != nil {
-				return err
-			}
-			_, gm, err := sub.GeoMeanSpeedup(ctx, DetailedWorkloads(), d.D, core.PredDefault, 0)
+		for seed := uint64(1); seed <= seeds; seed++ {
+			_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: d.D, Knobs: Knobs{Seed: seed}})
 			if err != nil {
 				return err
 			}

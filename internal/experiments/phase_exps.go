@@ -34,7 +34,7 @@ const phaseMaxRows = 12
 func runPhase(ctx context.Context, r *Runner, w io.Writer) error {
 	for _, wl := range phaseWorkloads {
 		pt := r.normalize(Point{Workload: wl, Design: core.DesignAlloy})
-		sys, err := core.NewSystem(r.pointConfig(pt))
+		sys, err := core.NewSystem(r.p.Config(pt))
 		if err != nil {
 			return err
 		}

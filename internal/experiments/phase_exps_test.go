@@ -35,7 +35,7 @@ func TestPhaseExperimentDeterministic(t *testing.T) {
 func TestPhaseRowsShape(t *testing.T) {
 	r := NewRunner(microParams())
 	pt := r.normalize(Point{Workload: "mcf_r", Design: core.DesignAlloy})
-	sys, err := core.NewSystem(r.pointConfig(pt))
+	sys, err := core.NewSystem(r.p.Config(pt))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"alloysim/internal/core"
+	"alloysim/internal/cpu"
+	"alloysim/internal/dram"
 	"alloysim/internal/obs"
 	"alloysim/internal/stats"
 	"alloysim/internal/trace"
@@ -53,12 +55,6 @@ type Params struct {
 	// The runner serializes all writes, so any writer is safe even under
 	// concurrent Prefetch.
 	Progress io.Writer
-	// DisableFlight turns off the per-simulation flight recorder. The
-	// recorder is on by default (its cost is a handful of counter reads
-	// per 2^16 cycles) so every failure record carries the final epochs
-	// of the run that produced it; benchmarks measuring the simulator
-	// alone may switch it off.
-	DisableFlight bool
 }
 
 // DefaultParams returns the scale used for the committed EXPERIMENTS.md
@@ -125,18 +121,18 @@ type Runner struct {
 	flights []flightEntry //alloyvet:guard mu
 
 	// fronts holds recorded warmup fronts (core.WarmRecord), one per
-	// workload, least recently used first and at most parallelism() of
-	// them. Every point of a workload shares one front, since the Params
-	// are fixed, so the workload name is the key.
+	// core.FrontKey, least recently used first and at most parallelism()
+	// of them. Every point of a workload whose knobs leave the front alone
+	// (all but the seed and the L3 policy) shares one.
 	fronts []frontEntry //alloyvet:guard mu
 }
 
-// frontEntry is one workload's warmup record. ready is false while the
+// frontEntry is one front's warmup record. ready is false while the
 // point recording it runs; points that find it so warm directly.
 type frontEntry struct {
-	workload string
-	rec      *core.WarmRecord
-	ready    bool
+	key   core.FrontKey
+	rec   *core.WarmRecord
+	ready bool
 }
 
 // flightEntry pairs a point with its most recent flight dump.
@@ -217,23 +213,77 @@ type Point struct {
 	Design    core.Design        `json:"design"`
 	Predictor core.PredictorKind `json:"predictor"`
 	CacheMB   uint64             `json:"cache_mb"`
+	Knobs
+}
+
+// Knobs are the settings the ablations vary, each a core.Config field.
+// A zero knob keeps the default, and zero knobs are left out of a Point's
+// JSON, so a default point marshals as it did before knobs existed.
+type Knobs struct {
+	MLP             int    `json:"mlp,omitempty"`              // CPU.MLP
+	WriteBuffer     int    `json:"write_buffer,omitempty"`     // WriteBufferEntries
+	StackedChannels int    `json:"stacked_channels,omitempty"` // Stacked.Channels
+	L3Policy        string `json:"l3_policy,omitempty"`        // L3Policy
+	DCPolicy        string `json:"dc_policy,omitempty"`        // DCPolicy
+	Seed            uint64 `json:"seed,omitempty"`             // Seed, in place of Params.Seed
 }
 
 // String renders the point in the stable "workload|design|pred|MB" form
-// used by progress output.
+// used by progress output, followed by "|name=value" for each non-zero
+// knob.
 func (pt Point) String() string {
-	return fmt.Sprintf("%s|%s|%s|%d", pt.Workload, pt.Design, pt.Predictor, pt.CacheMB)
+	s := fmt.Sprintf("%s|%s|%s|%d", pt.Workload, pt.Design, pt.Predictor, pt.CacheMB)
+	if pt.MLP != 0 {
+		s += fmt.Sprintf("|mlp=%d", pt.MLP)
+	}
+	if pt.WriteBuffer != 0 {
+		s += fmt.Sprintf("|write_buffer=%d", pt.WriteBuffer)
+	}
+	if pt.StackedChannels != 0 {
+		s += fmt.Sprintf("|stacked_channels=%d", pt.StackedChannels)
+	}
+	if pt.L3Policy != "" {
+		s += "|l3_policy=" + pt.L3Policy
+	}
+	if pt.DCPolicy != "" {
+		s += "|dc_policy=" + pt.DCPolicy
+	}
+	if pt.Seed != 0 {
+		s += fmt.Sprintf("|seed=%d", pt.Seed)
+	}
+	return s
 }
 
 // normalize returns the canonical spelling of pt under the runner's
-// defaults, so distinct argument spellings of one simulation share one
-// memo slot, one singleflight entry and one checkpoint record.
+// defaults, so distinct spellings of one simulation share one memo slot,
+// one singleflight entry and one checkpoint record. A predictor equal to
+// the design's pairing and a knob equal to its default fold to zero, and
+// the baseline drops what it cannot feel: the cache size, the stacked
+// channels and the DRAM-cache policy.
 func (r *Runner) normalize(pt Point) Point {
 	if pt.CacheMB == 0 {
 		pt.CacheMB = r.p.CacheMB
 	}
+	if pt.Predictor == core.DefaultPredictor(pt.Design) {
+		pt.Predictor = core.PredDefault
+	}
+	if pt.MLP == cpu.DefaultConfig().MLP {
+		pt.MLP = 0
+	}
+	if pt.WriteBuffer == core.DefaultWriteBufferEntries {
+		pt.WriteBuffer = 0
+	}
+	if pt.StackedChannels == dram.StackedConfig().Channels {
+		pt.StackedChannels = 0
+	}
+	if pt.L3Policy == core.DefaultL3Policy {
+		pt.L3Policy = ""
+	}
+	if pt.Seed == r.p.Seed {
+		pt.Seed = 0
+	}
 	if pt.Design == core.DesignNone {
-		pt.CacheMB = 0 // baseline is independent of cache size
+		pt.CacheMB, pt.StackedChannels, pt.DCPolicy = 0, 0, ""
 	}
 	return pt
 }
@@ -267,7 +317,7 @@ func (r *Runner) Prefetch(ctx context.Context, points []Point) error {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if _, err := r.Run(ctx, pt.Workload, pt.Design, pt.Predictor, pt.CacheMB); err != nil {
+			if _, err := r.run(ctx, pt); err != nil {
 				errs[i] = fmt.Errorf("prefetch %s: %w", pt, err)
 			}
 		}()
@@ -278,9 +328,6 @@ func (r *Runner) Prefetch(ctx context.Context, points []Point) error {
 	wg.Wait() //alloyvet:allow(ctxflow)
 	return errors.Join(errs...)
 }
-
-// Params returns the runner's parameters.
-func (r *Runner) Params() Params { return r.p }
 
 // parallelism resolves Params.Parallelism's default.
 func (r *Runner) parallelism() int {
@@ -300,7 +347,12 @@ func (r *Runner) parallelism() int {
 // the caller whose context it belongs to, and the point still completes
 // as long as any interested caller survives.
 func (r *Runner) Run(ctx context.Context, workload string, d core.Design, pk core.PredictorKind, cacheMB uint64) (core.Result, error) {
-	key := r.normalize(Point{Workload: workload, Design: d, Predictor: pk, CacheMB: cacheMB})
+	return r.run(ctx, Point{Workload: workload, Design: d, Predictor: pk, CacheMB: cacheMB})
+}
+
+// run is Run for any point, knobs included.
+func (r *Runner) run(ctx context.Context, pt Point) (core.Result, error) {
+	key := r.normalize(pt)
 
 	for {
 		r.mu.Lock()
@@ -431,14 +483,18 @@ func (p permanentError) Unwrap() error { return p.err }
 // simulatePoint is the real point execution: build a system from the
 // runner params and run it under ctx, with the always-on flight
 // recorder attached so a failing run leaves its final epochs behind.
-// The first point of a workload records its warmup front and later
-// points replay it (takeFront).
+// The first point of a front records it and later points replay it
+// (takeFront).
 func (r *Runner) simulatePoint(ctx context.Context, key Point) (core.Result, error) {
-	sys, err := core.NewSystem(r.pointConfig(key))
+	sys, err := core.NewSystem(r.p.Config(key))
+	var front core.FrontKey
+	if err == nil {
+		front, err = sys.FrontKey()
+	}
 	if err != nil {
 		return core.Result{}, permanentError{err}
 	}
-	rec, replay := r.takeFront(key.Workload)
+	rec, replay := r.takeFront(front)
 	switch {
 	case replay:
 		err = sys.ReplayWarmup(rec)
@@ -449,31 +505,28 @@ func (r *Runner) simulatePoint(ctx context.Context, key Point) (core.Result, err
 	if err != nil {
 		return core.Result{}, permanentError{err}
 	}
-	var fr *obs.FlightRecorder
-	if !r.p.DisableFlight {
-		fr = obs.NewFlightRecorder(64, 4096, 256)
-		sys.EnableFlightRecorder(fr)
-	}
+	fr := obs.NewFlightRecorder(64, 4096, 256)
+	sys.EnableFlightRecorder(fr)
 	res, err := sys.RunContext(ctx)
-	if fr != nil {
-		var sb strings.Builder
-		if werr := fr.WriteJSON(&sb); werr == nil {
-			r.noteFlight(key, sb.String())
-		}
+	var sb strings.Builder
+	if werr := fr.WriteJSON(&sb); werr == nil {
+		r.noteFlight(key, sb.String())
 	}
 	return res, err
 }
 
-// takeFront looks up the workload's warmup front. A ready record comes
-// back to replay. Without an entry the point records a new one, unless
-// every slot holds a record still being recorded; then, and while the
-// workload's own record is being recorded, the point warms directly
-// (nil), with no waiting.
-func (r *Runner) takeFront(workload string) (rec *core.WarmRecord, replay bool) {
+// takeFront looks up the warmup front of the given key. A ready record
+// comes back to replay. Without an entry the point records a new one,
+// unless every slot holds a record still being recorded; then, and while
+// the key's own record is being recorded, the point warms directly (nil),
+// with no waiting.
+func (r *Runner) takeFront(key core.FrontKey) (rec *core.WarmRecord, replay bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if i := slices.IndexFunc(r.fronts, func(e frontEntry) bool { return e.workload == workload }); i >= 0 {
-		e := r.fronts[i]
+	for i, e := range r.fronts {
+		if e.key != key {
+			continue
+		}
 		if !e.ready {
 			return nil, false
 		}
@@ -489,7 +542,7 @@ func (r *Runner) takeFront(workload string) (rec *core.WarmRecord, replay bool) 
 		r.fronts = slices.Delete(r.fronts, i, i+1)
 	}
 	rec = &core.WarmRecord{}
-	r.fronts = append(r.fronts, frontEntry{workload: workload, rec: rec})
+	r.fronts = append(r.fronts, frontEntry{key: key, rec: rec})
 	return rec, false
 }
 
@@ -514,21 +567,38 @@ func (r *Runner) publishFront(rec *core.WarmRecord) {
 	}
 }
 
-// pointConfig derives the core.Config one point simulates under the
-// runner's params — the single source of truth shared by the memoized
-// sweep and the phase experiment's instrumented direct runs.
-func (r *Runner) pointConfig(key Point) core.Config {
-	cfg := core.DefaultConfig(key.Workload)
-	cfg.Design = key.Design
-	cfg.Predictor = key.Predictor
-	cfg.Scale = r.p.Scale
-	cfg.InstructionsPerCore = r.p.InstructionsPerCore
-	cfg.WarmupRefs = r.p.WarmupRefs
-	cfg.Cores = r.p.Cores
-	cfg.GapScale = r.p.GapScale
-	cfg.Seed = r.p.Seed
-	if key.CacheMB > 0 {
-		cfg.DRAMCacheBytes = key.CacheMB << 20
+// Config derives the core.Config a point simulates under p: the one
+// derivation shared by the runner, the phase and table3 experiments'
+// direct runs and validate.PointConfig. A zero CacheMB or knob keeps
+// core.DefaultConfig's value, except that the seed defaults to p.Seed.
+func (p Params) Config(pt Point) core.Config {
+	cfg := core.DefaultConfig(pt.Workload)
+	cfg.Design = pt.Design
+	cfg.Predictor = pt.Predictor
+	cfg.Scale = p.Scale
+	cfg.InstructionsPerCore = p.InstructionsPerCore
+	cfg.WarmupRefs = p.WarmupRefs
+	cfg.Cores = p.Cores
+	cfg.GapScale = p.GapScale
+	cfg.Seed = p.Seed
+	if pt.CacheMB != 0 {
+		cfg.DRAMCacheBytes = pt.CacheMB << 20
+	}
+	if pt.MLP != 0 {
+		cfg.CPU.MLP = pt.MLP
+	}
+	if pt.WriteBuffer != 0 {
+		cfg.WriteBufferEntries = pt.WriteBuffer
+	}
+	if pt.StackedChannels != 0 {
+		cfg.Stacked.Channels = pt.StackedChannels
+	}
+	if pt.L3Policy != "" {
+		cfg.L3Policy = pt.L3Policy
+	}
+	cfg.DCPolicy = pt.DCPolicy
+	if pt.Seed != 0 {
+		cfg.Seed = pt.Seed
 	}
 	return cfg
 }
@@ -650,13 +720,14 @@ func (r *Runner) progressf(format string, args ...interface{}) {
 	r.pw.Printf(format, args...)
 }
 
-// Speedup returns the speedup of a design run over the workload baseline.
-func (r *Runner) Speedup(ctx context.Context, workload string, d core.Design, pk core.PredictorKind, cacheMB uint64) (float64, error) {
-	base, err := r.Run(ctx, workload, core.DesignNone, core.PredDefault, 0)
+// Speedup returns the speedup of pt over its baseline: the same workload
+// and knobs without a DRAM cache.
+func (r *Runner) Speedup(ctx context.Context, pt Point) (float64, error) {
+	base, err := r.run(ctx, Point{Workload: pt.Workload, Design: core.DesignNone, Knobs: pt.Knobs})
 	if err != nil {
 		return 0, err
 	}
-	res, err := r.Run(ctx, workload, d, pk, cacheMB)
+	res, err := r.run(ctx, pt)
 	if err != nil {
 		return 0, err
 	}
@@ -682,13 +753,14 @@ func OtherWorkloads() []string {
 	return names
 }
 
-// GeoMeanSpeedup runs a design over all workloads and returns per-workload
-// speedups plus their geometric mean.
-func (r *Runner) GeoMeanSpeedup(ctx context.Context, workloads []string, d core.Design, pk core.PredictorKind, cacheMB uint64) (map[string]float64, float64, error) {
+// GeoMeanSpeedup runs pt on each workload in place of pt.Workload and
+// returns the per-workload speedups plus their geometric mean.
+func (r *Runner) GeoMeanSpeedup(ctx context.Context, workloads []string, pt Point) (map[string]float64, float64, error) {
 	per := make(map[string]float64, len(workloads))
 	var vals []float64
 	for _, w := range workloads {
-		s, err := r.Speedup(ctx, w, d, pk, cacheMB)
+		pt.Workload = w
+		s, err := r.Speedup(ctx, pt)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -167,7 +167,7 @@ func TestSpeedupSharesBaselineUnderRace(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := r.Speedup(context.Background(), "mcf_r", d, core.PredDefault, 0); err != nil {
+				if _, err := r.Speedup(context.Background(), Point{Workload: "mcf_r", Design: d}); err != nil {
 					t.Error(err)
 				}
 			}()
@@ -384,10 +384,16 @@ func TestPrefetchAtQuickScale(t *testing.T) {
 	checkMemoMatchesDirect(t, r, pts)
 }
 
-// TestPointString keeps the progress-output key format stable.
+// TestPointString keeps the progress-output key format stable: zero
+// knobs add nothing, and each set knob appends its JSON name and value.
 func TestPointString(t *testing.T) {
 	pt := Point{Workload: "mcf_r", Design: core.DesignAlloy, Predictor: core.PredDefault, CacheMB: 256}
 	if got, want := pt.String(), "mcf_r|alloy||256"; got != want {
+		t.Fatalf("Point.String() = %q, want %q", got, want)
+	}
+	pt.Knobs = Knobs{MLP: 4, WriteBuffer: 8, StackedChannels: 2, L3Policy: "lru", DCPolicy: "ship", Seed: 3}
+	want := "mcf_r|alloy||256|mlp=4|write_buffer=8|stacked_channels=2|l3_policy=lru|dc_policy=ship|seed=3"
+	if got := pt.String(); got != want {
 		t.Fatalf("Point.String() = %q, want %q", got, want)
 	}
 }
@@ -605,7 +611,7 @@ func TestRunWaiterCancellation(t *testing.T) {
 }
 
 // TestRunnerFlightDumpRetention: a real micro run leaves a flight dump
-// retrievable by point; DisableFlight suppresses it.
+// retrievable by point.
 func TestRunnerFlightDumpRetention(t *testing.T) {
 	r := NewRunner(microParams())
 	pt := Point{Workload: "mcf_r", Design: core.DesignAlloy, Predictor: core.PredDefault}
@@ -618,16 +624,6 @@ func TestRunnerFlightDumpRetention(t *testing.T) {
 	}
 	if !strings.Contains(dump, `"columns":["cycle"`) || !strings.Contains(dump, `"spans_sampled":`) {
 		t.Fatalf("dump missing schema markers: %.120s", dump)
-	}
-
-	off := microParams()
-	off.DisableFlight = true
-	r2 := NewRunner(off)
-	if _, err := r2.Run(context.Background(), pt.Workload, pt.Design, pt.Predictor, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r2.FlightDump(pt); ok {
-		t.Fatal("DisableFlight still recorded a dump")
 	}
 }
 

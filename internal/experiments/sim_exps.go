@@ -54,7 +54,7 @@ func speedupTable(ctx context.Context, r *Runner, w io.Writer, workloads []strin
 	for _, wl := range workloads {
 		row := []interface{}{wl}
 		for i, c := range cols {
-			s, err := r.Speedup(ctx, wl, c.D, c.P, cacheMB)
+			s, err := r.Speedup(ctx, Point{Workload: wl, Design: c.D, Predictor: c.P, CacheMB: cacheMB})
 			if err != nil {
 				return err
 			}
@@ -90,7 +90,7 @@ func runFig4(ctx context.Context, r *Runner, w io.Writer) error {
 	var labels []string
 	var vals []float64
 	for _, c := range cols {
-		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), c.D, c.P, 0)
+		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: c.D, Predictor: c.P})
 		if err != nil {
 			return err
 		}
@@ -131,7 +131,7 @@ func runTable1(ctx context.Context, r *Runner, w io.Writer) error {
 	for _, cfg := range rows {
 		var speedups, hitRates, hitLats []float64
 		for _, wl := range workloads {
-			s, err := r.Speedup(ctx, wl, cfg.D, cfg.P, 0)
+			s, err := r.Speedup(ctx, Point{Workload: wl, Design: cfg.D, Predictor: cfg.P})
 			if err != nil {
 				return err
 			}
@@ -155,13 +155,9 @@ func runTable1(ctx context.Context, r *Runner, w io.Writer) error {
 func runTable3(ctx context.Context, r *Runner, w io.Writer) error {
 	tab := stats.NewTable("Workload", "Perfect-L3 Speedup", "MPKI", "Footprint (scaled)")
 	for _, wl := range DetailedWorkloads() {
-		cfg := core.DefaultConfig(wl)
-		cfg.Scale = r.p.Scale
-		cfg.InstructionsPerCore = r.p.InstructionsPerCore / 2
-		cfg.WarmupRefs = r.p.WarmupRefs / 4
-		cfg.Cores = r.p.Cores
-		cfg.GapScale = r.p.GapScale
-		cfg.Design = core.DesignNone
+		cfg := r.p.Config(Point{Workload: wl, Design: core.DesignNone})
+		cfg.InstructionsPerCore /= 2
+		cfg.WarmupRefs /= 4
 		cfg.TrackFootprint = true
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
@@ -287,7 +283,7 @@ func runFig9(ctx context.Context, r *Runner, w io.Writer) error {
 	for _, mb := range sizes {
 		row := []interface{}{fmt.Sprintf("%dMB", mb)}
 		for _, d := range designs {
-			_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), d.D, d.P, mb)
+			_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: d.D, Predictor: d.P, CacheMB: mb})
 			if err != nil {
 				return err
 			}
@@ -403,7 +399,7 @@ func runTable7(ctx context.Context, r *Runner, w io.Writer) error {
 	}
 	tab := stats.NewTable("Design", "Performance Improvement")
 	for _, cfg := range rows {
-		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), cfg.D, cfg.P, 0)
+		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: cfg.D, Predictor: cfg.P})
 		if err != nil {
 			return err
 		}
@@ -422,7 +418,7 @@ func runSec65(ctx context.Context, r *Runner, w io.Writer) error {
 		{"Alloy (burst of 5, 80B)", core.DesignAlloy},
 		{"Alloy (burst of 8, 128B)", core.DesignAlloyBurst8},
 	} {
-		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), cfg.D, core.PredMAPI, 0)
+		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: cfg.D, Predictor: core.PredMAPI})
 		if err != nil {
 			return err
 		}
@@ -450,7 +446,7 @@ func runSec67(ctx context.Context, r *Runner, w io.Writer) error {
 			hitRates = append(hitRates, res.DCReadHitRate)
 			hitLats = append(hitLats, res.HitLatency)
 		}
-		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), cfg.D, core.PredMAPI, 0)
+		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: cfg.D, Predictor: core.PredMAPI})
 		if err != nil {
 			return err
 		}

@@ -69,23 +69,11 @@ type PropertyOptions struct {
 }
 
 // PointConfig derives the core.Config for one simulation point at the
-// given scale, matching the experiment runner's derivation, so that
-// direct core runs (determinism, tracing) simulate the same system the
-// memoized sweep does.
+// given scale through experiments.Params.Config, the runner's own
+// derivation, so that direct core runs (determinism, tracing) simulate
+// the same system the memoized sweep does.
 func PointConfig(p experiments.Params, workload string, d core.Design, pk core.PredictorKind, cacheMB uint64) core.Config {
-	cfg := core.DefaultConfig(workload)
-	cfg.Design = d
-	cfg.Predictor = pk
-	cfg.Scale = p.Scale
-	cfg.InstructionsPerCore = p.InstructionsPerCore
-	cfg.WarmupRefs = p.WarmupRefs
-	cfg.Cores = p.Cores
-	cfg.GapScale = p.GapScale
-	cfg.Seed = p.Seed
-	if cacheMB > 0 {
-		cfg.DRAMCacheBytes = cacheMB << 20
-	}
-	return cfg
+	return p.Config(experiments.Point{Workload: workload, Design: d, Predictor: pk, CacheMB: cacheMB})
 }
 
 // CheckResultInvariants applies the conservation laws that must hold for
