@@ -76,8 +76,6 @@ func main() {
 		progress   = flag.Bool("v", false, "print each completed simulation")
 		outDir     = flag.String("o", "", "also write each experiment's output to <dir>/<id>.txt")
 		checkpoint = flag.String("checkpoint", "", "memo checkpoint file: completed points are saved here and restored on the next run")
-		timeout    = flag.Duration("timeout", 0, "per-simulation timeout (0 = none), e.g. 90s")
-		retries    = flag.Int("retries", 1, "retry attempts for a failed simulation point")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		metricsOut = flag.String("metrics", "", `write a sweep-metrics dump at exit ("-" = stdout, Prometheus text)`)
@@ -115,8 +113,6 @@ func main() {
 	if *progress {
 		params.Progress = os.Stderr
 	}
-	params.PointTimeout = *timeout
-	params.Retries = *retries
 	runner := experiments.NewRunner(params)
 
 	var reg *obs.Registry

@@ -153,6 +153,11 @@ func TestOutstandingBoundedByMLP(t *testing.T) {
 	}
 }
 
+// handlerFunc adapts a closure to sim.Handler for test-only events.
+type handlerFunc func()
+
+func (f handlerFunc) Fire(sim.Cycle) { f() }
+
 // trackPort tracks true in-flight reads across simulated time.
 type trackPort struct {
 	latency sim.Cycle
@@ -163,7 +168,7 @@ type trackPort struct {
 func (p *trackPort) Read(now sim.Cycle, core int, ref FrontRef) sim.Cycle {
 	p.onRead(+1)
 	done := now + p.latency
-	p.eng.Schedule(done, func() { p.onRead(-1) })
+	p.eng.ScheduleHandler(done, handlerFunc(func() { p.onRead(-1) }))
 	return done
 }
 

@@ -53,10 +53,9 @@ type checkpointWriter struct {
 }
 
 // fingerprint hashes every Params field that changes simulation results.
-// Parallelism, Progress, Retries, and PointTimeout steer
-// execution, not outcomes, and are deliberately excluded: resuming on a
-// different machine or with different concurrency must still hit the
-// checkpoint.
+// Parallelism and Progress steer execution, not outcomes, and are
+// deliberately excluded: resuming on a different machine or with different
+// concurrency must still hit the checkpoint.
 func (p Params) fingerprint() string {
 	h := sha256.Sum256([]byte(fmt.Sprintf("ckpt-v%d|scale=%d|instr=%d|warmup=%d|cores=%d|cachemb=%d|gap=%d|seed=%d",
 		checkpointVersion, p.Scale, p.InstructionsPerCore, p.WarmupRefs, p.Cores, p.CacheMB, p.GapScale, p.Seed)))
@@ -115,7 +114,7 @@ func (r *Runner) EnableCheckpoint(path string) (restored int, err error) {
 //
 // The memo snapshot is taken *inside* the writer lock. Taking it outside
 // (the original ordering) let two concurrent point completions race:
-// leader A snapshots {p1}, leader B snapshots {p1,p2} and commits, then
+// point A snapshots {p1}, point B snapshots {p1,p2} and commits, then
 // A's rename lands an older memo over B's newer file — p2 silently gone
 // until some later completion happens to rewrite it, and permanently gone
 // if the sweep ends first. Holding cw.mu across snapshot+marshal+rename

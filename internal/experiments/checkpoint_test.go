@@ -89,10 +89,9 @@ func TestCheckpointRejectsStaleParameters(t *testing.T) {
 	}
 
 	// Execution-steering parameters are NOT part of the fingerprint:
-	// resuming with different parallelism or retry budget must work.
+	// resuming with different parallelism must work.
 	p2 := microParams()
 	p2.Parallelism = 1
-	p2.Retries = 9
 	r3 := NewRunner(p2)
 	if restored, err := r3.EnableCheckpoint(path); err != nil || restored != 1 {
 		t.Fatalf("steering-only change rejected: restored=%d err=%v", restored, err)
@@ -167,7 +166,7 @@ func TestCheckpointSnapshotsAfterEveryPoint(t *testing.T) {
 }
 
 // TestCheckpointConcurrentCompletionsDoNotClobber hammers the checkpoint
-// write path with many leaders completing points concurrently
+// write path with many Prefetch workers completing points concurrently
 // (GOMAXPROCS > 1). The original ordering snapshotted the memo *before*
 // taking the writer lock, so a stale snapshot could win the rename race
 // and silently drop points from the file. The final file must hold every

@@ -44,13 +44,6 @@ type Params struct {
 	// simulation is single-threaded and independent), and the number of
 	// recorded warmup fronts the runner keeps. Zero means runtime.NumCPU.
 	Parallelism int
-	// Retries is how many times a failed point is re-attempted before the
-	// failure is recorded as final. Configuration errors and parent-context
-	// cancellation are never retried; per-point timeouts are.
-	Retries int
-	// PointTimeout bounds the wall time of a single simulation attempt.
-	// Zero means no per-point limit.
-	PointTimeout time.Duration
 	// Progress, when non-nil, receives one line per completed simulation.
 	// The runner serializes all writes, so any writer is safe even under
 	// concurrent Prefetch.
@@ -79,21 +72,17 @@ func QuickParams() Params {
 	return p
 }
 
-// Runner executes simulations with memoization, singleflight
-// deduplication, bounded retry, and optional disk checkpointing. Run is
-// safe for concurrent use; Prefetch exploits that to fill the memo in
-// parallel. Concurrent Run calls that reach the same Point collapse onto
-// one simulation: the first caller becomes the leader, later callers wait
-// on its in-flight record and share its outcome, so the shared DesignNone
-// baseline is never simulated twice however many Speedup calls race to it.
+// Runner executes simulations with memoization and optional disk
+// checkpointing. Run is safe for concurrent use; Prefetch exploits that to
+// fill the memo in parallel, launching each distinct point once, so a
+// point that a Prefetch list spells twice is simulated once.
 type Runner struct {
 	p Params //alloyvet:owner NewRunner; immutable
 
 	mu       sync.Mutex
-	cache    map[Point]core.Result    //alloyvet:guard mu
-	inflight map[Point]*inflightCall  //alloyvet:guard mu
-	failures map[Point]*FailureRecord //alloyvet:guard mu
-	m        Metrics                  //alloyvet:guard mu
+	cache    map[Point]core.Result   //alloyvet:guard mu
+	failures map[Point]FailureRecord //alloyvet:guard mu
+	m        Metrics                 //alloyvet:guard mu
 
 	// ckpt is non-nil once EnableCheckpoint succeeds; it owns the file
 	// path and serializes snapshot writes.
@@ -144,49 +133,30 @@ type flightEntry struct {
 // flightCap bounds how many per-point flight dumps the runner retains.
 const flightCap = 16
 
-// inflightCall is the singleflight record for one running Point.
-type inflightCall struct {
-	done chan struct{} // closed when res/err/abandoned are final
-	res  core.Result
-	err  error
-	// abandoned marks a call whose leader was cancelled before producing
-	// an outcome. The leader's ctx.Err() belongs to the leader alone:
-	// broadcasting it would poison waiters whose own contexts are live and
-	// leave the point unexecuted. Waiters that observe abandoned re-enter
-	// the singleflight and one of them becomes the new leader.
-	abandoned bool
-}
-
-// FailureRecord describes the final outcome of a point whose every
-// attempt failed. Flight holds the flight-recorder dump (JSON) captured
-// from the failing simulation's last attempt — the epochs leading up to
-// the failure — when the recorder was enabled.
+// FailureRecord describes a point whose simulation failed. Flight holds
+// the flight-recorder dump (JSON) the failing simulation left behind — the
+// epochs leading up to the failure — when the recorder was enabled.
 type FailureRecord struct {
-	Point    Point
-	Attempts int
-	Err      string
-	Flight   string
+	Point  Point
+	Err    string
+	Flight string
 }
 
 // Metrics summarizes runner activity. All durations are wall time spent
 // inside simulations (summed across concurrent runs, so it can exceed
 // elapsed time during Prefetch).
 type Metrics struct {
-	// PointsRun counts simulations actually executed (successful attempts).
+	// PointsRun counts simulations that completed.
 	PointsRun uint64
 	// MemoHits counts Run calls served from the in-memory memo.
 	MemoHits uint64
 	// CheckpointHits counts points restored from a checkpoint file.
 	CheckpointHits uint64
-	// FlightJoins counts Run calls that waited on a concurrent duplicate
-	// instead of simulating.
-	FlightJoins uint64
-	// Retries counts re-attempts after a transient failure.
-	Retries uint64
-	// Failures counts points whose every attempt failed.
+	// Failures counts simulations that failed. A simulation stopped by its
+	// caller's cancellation is not a failure.
 	Failures uint64
-	// WarmReplays counts simulation attempts that warmed from another
-	// point's recorded warmup front instead of simulating the L3.
+	// WarmReplays counts simulations that warmed from another point's
+	// recorded warmup front instead of simulating the L3.
 	WarmReplays uint64
 	// SimWall is cumulative wall time inside successful simulations.
 	SimWall time.Duration
@@ -199,8 +169,7 @@ func NewRunner(p Params) *Runner {
 	r := &Runner{
 		p:        p,
 		cache:    make(map[Point]core.Result),
-		inflight: make(map[Point]*inflightCall),
-		failures: make(map[Point]*FailureRecord),
+		failures: make(map[Point]FailureRecord),
 		pw:       obs.NewSyncWriter(p.Progress),
 	}
 	r.simulate = r.simulatePoint
@@ -256,7 +225,7 @@ func (pt Point) String() string {
 
 // normalize returns the canonical spelling of pt under the runner's
 // defaults, so distinct spellings of one simulation share one memo slot,
-// one singleflight entry and one checkpoint record. A predictor equal to
+// one Prefetch launch and one checkpoint record. A predictor equal to
 // the design's pairing and a knob equal to its default fold to zero, and
 // the baseline drops what it cannot feel: the cache size, the stacked
 // channels and the DRAM-cache policy.
@@ -289,20 +258,27 @@ func (r *Runner) normalize(pt Point) Point {
 }
 
 // Prefetch runs the given points concurrently (bounded by Parallelism)
-// so later sequential Run calls hit the memo. All points run to
-// completion even when some fail; every failure is reported, joined in
-// input order. Cancelling ctx stops launching new points and cancels the
-// in-flight ones.
+// so later sequential Run calls hit the memo. Each distinct point is
+// launched once: a later spelling of an already listed point gets no
+// goroutine and no worker slot. All points run to completion even when
+// some fail; every failure is reported, joined in input order. Cancelling
+// ctx stops launching new points and cancels the in-flight ones.
 func (r *Runner) Prefetch(ctx context.Context, points []Point) error {
 	sem := make(chan struct{}, r.parallelism())
 	errs := make([]error, len(points))
+	listed := make(map[Point]bool, len(points))
 	var wg sync.WaitGroup
 	for i, pt := range points {
 		i, pt := i, pt
+		key := r.normalize(pt)
+		if listed[key] {
+			continue
+		}
+		listed[key] = true
 		// Consult the context before the semaphore: a two-way select would
 		// nondeterministically pick a free slot over an already-cancelled
-		// context. Every point not launched gets its own recorded error, so
-		// callers can tell exactly which simulations never ran.
+		// context. Every distinct point not launched gets its own recorded
+		// error, so callers can tell exactly which simulations never ran.
 		if err := ctx.Err(); err != nil {
 			errs[i] = fmt.Errorf("prefetch %s: skipped: %w", pt, err)
 			continue
@@ -317,7 +293,7 @@ func (r *Runner) Prefetch(ctx context.Context, points []Point) error {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if _, err := r.run(ctx, pt); err != nil {
+			if _, err := r.run(ctx, key); err != nil {
 				errs[i] = fmt.Errorf("prefetch %s: %w", pt, err)
 			}
 		}()
@@ -338,147 +314,54 @@ func (r *Runner) parallelism() int {
 }
 
 // Run simulates one (workload, design, predictor, cacheMB) point. cacheMB
-// is paper-scale; zero uses the runner default. Results are memoized;
-// concurrent calls for the same point share a single execution, and
-// waiters share the leader's outcome, errors included — with one
-// exception: a leader whose own context is cancelled abandons the call
-// rather than broadcasting its ctx.Err(), and a live-context waiter takes
-// over as the new leader. A cancellation therefore only ever surfaces to
-// the caller whose context it belongs to, and the point still completes
-// as long as any interested caller survives.
+// is paper-scale; zero uses the runner default. Results are memoized.
 func (r *Runner) Run(ctx context.Context, workload string, d core.Design, pk core.PredictorKind, cacheMB uint64) (core.Result, error) {
 	return r.run(ctx, Point{Workload: workload, Design: d, Predictor: pk, CacheMB: cacheMB})
 }
 
-// run is Run for any point, knobs included.
+// run is Run for any point, knobs included: a memo hit, or one simulation
+// under ctx whose result is memoized and checkpointed.
 func (r *Runner) run(ctx context.Context, pt Point) (core.Result, error) {
 	key := r.normalize(pt)
-
-	for {
-		r.mu.Lock()
-		if res, ok := r.cache[key]; ok {
-			r.m.MemoHits++
-			r.mu.Unlock()
-			return res, nil
-		}
-		if c, ok := r.inflight[key]; ok {
-			r.m.FlightJoins++
-			r.mu.Unlock()
-			select {
-			case <-c.done:
-				if c.abandoned {
-					// The leader was cancelled, not the point. If this
-					// waiter's own context is still live it loops around
-					// and competes to become the new leader; the inflight
-					// entry is already gone.
-					if err := ctx.Err(); err != nil {
-						return core.Result{}, err
-					}
-					continue
-				}
-				return c.res, c.err
-			case <-ctx.Done():
-				return core.Result{}, ctx.Err()
-			}
-		}
-		c := &inflightCall{done: make(chan struct{})}
-		r.inflight[key] = c
+	r.mu.Lock()
+	if res, ok := r.cache[key]; ok {
+		r.m.MemoHits++
 		r.mu.Unlock()
-
-		res, err := r.runPoint(ctx, key)
-
-		// A failure caused by this leader's own cancellation is not an
-		// outcome of the point: mark the call abandoned so waiters retry
-		// instead of inheriting a context error that was never theirs.
-		abandoned := err != nil && ctx.Err() != nil
-
-		r.mu.Lock()
-		delete(r.inflight, key)
-		if err == nil {
-			r.cache[key] = res
-		}
-		r.mu.Unlock()
-		c.res, c.err, c.abandoned = res, err, abandoned
-		close(c.done)
-
-		if err == nil {
-			// saveCheckpoint re-reads r.ckpt under the lock and is a
-			// no-op when checkpointing is disabled.
-			if cerr := r.saveCheckpoint(); cerr != nil {
-				r.progressf("  checkpoint write failed: %v\n", cerr)
-			}
-		}
-		return res, err
+		return res, nil
 	}
+	r.mu.Unlock()
+
+	// Wall-clock timing of the host process, not simulated time: it
+	// feeds the operator-facing Metrics (SimWall, MaxPointWall) and
+	// never influences a simulation result.
+	start := time.Now() //alloyvet:allow(determinism)
+	res, err := r.simulate(ctx, key)
+	elapsed := time.Since(start) //alloyvet:allow(determinism)
+	if err != nil {
+		// A simulation stopped by the caller's own cancellation says
+		// nothing about the point, so it leaves no failure record.
+		if !errors.Is(err, ctx.Err()) {
+			r.recordFailure(key, err)
+		}
+		return core.Result{}, err
+	}
+
+	r.mu.Lock()
+	r.cache[key] = res
+	r.m.PointsRun++
+	r.m.SimWall += elapsed
+	if elapsed > r.m.MaxPointWall {
+		r.m.MaxPointWall = elapsed
+	}
+	r.mu.Unlock()
+	r.progressf("  ran %s in %.2fs\n", key, elapsed.Seconds())
+	// saveCheckpoint re-reads r.ckpt under the lock and is a no-op when
+	// checkpointing is disabled.
+	if cerr := r.saveCheckpoint(); cerr != nil {
+		r.progressf("  checkpoint write failed: %v\n", cerr)
+	}
+	return res, nil
 }
-
-// runPoint executes one point with the configured retry budget. Only the
-// singleflight leader reaches here.
-func (r *Runner) runPoint(ctx context.Context, key Point) (core.Result, error) {
-	attempts := 1 + r.p.Retries
-	if attempts < 1 {
-		attempts = 1
-	}
-	var lastErr error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			lastErr = err
-			r.recordFailure(key, attempt, err)
-			return core.Result{}, err
-		}
-		actx, cancel := ctx, context.CancelFunc(func() {})
-		if r.p.PointTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, r.p.PointTimeout)
-		}
-		// Wall-clock timing of the host process, not simulated time: it
-		// feeds the operator-facing Metrics (SimWall, MaxPointWall) and
-		// never influences a simulation result.
-		start := time.Now() //alloyvet:allow(determinism)
-		res, err := r.simulate(actx, key)
-		elapsed := time.Since(start) //alloyvet:allow(determinism)
-		cancel()
-		if err == nil {
-			r.mu.Lock()
-			r.m.PointsRun++
-			r.m.SimWall += elapsed
-			if elapsed > r.m.MaxPointWall {
-				r.m.MaxPointWall = elapsed
-			}
-			delete(r.failures, key)
-			r.mu.Unlock()
-			r.progressf("  ran %s in %.2fs (attempt %d)\n", key, elapsed.Seconds(), attempt)
-			return res, nil
-		}
-		lastErr = err
-		r.recordFailure(key, attempt, err)
-		var perm permanentError
-		if errors.As(err, &perm) || ctx.Err() != nil {
-			break // configuration errors and parent cancellation never heal
-		}
-		if attempt < attempts {
-			r.mu.Lock()
-			r.m.Retries++
-			r.mu.Unlock()
-			r.progressf("  retrying %s after attempt %d: %v\n", key, attempt, err)
-		}
-	}
-	// A leader abandoned by its own context is not a point failure: the
-	// call is handed to a surviving waiter (or retried by the next caller),
-	// so only genuine exhaustion and permanent errors count.
-	if ctx.Err() == nil {
-		r.mu.Lock()
-		r.m.Failures++
-		r.mu.Unlock()
-	}
-	return core.Result{}, lastErr
-}
-
-// permanentError wraps failures that no retry can fix (configuration
-// errors detected before the simulation starts).
-type permanentError struct{ err error }
-
-func (p permanentError) Error() string { return p.err.Error() }
-func (p permanentError) Unwrap() error { return p.err }
 
 // simulatePoint is the real point execution: build a system from the
 // runner params and run it under ctx, with the always-on flight
@@ -492,7 +375,7 @@ func (r *Runner) simulatePoint(ctx context.Context, key Point) (core.Result, err
 		front, err = sys.FrontKey()
 	}
 	if err != nil {
-		return core.Result{}, permanentError{err}
+		return core.Result{}, err
 	}
 	rec, replay := r.takeFront(front)
 	switch {
@@ -503,7 +386,7 @@ func (r *Runner) simulatePoint(ctx context.Context, key Point) (core.Result, err
 		err = sys.RecordWarmup(rec)
 	}
 	if err != nil {
-		return core.Result{}, permanentError{err}
+		return core.Result{}, err
 	}
 	fr := obs.NewFlightRecorder(64, 4096, 256)
 	sys.EnableFlightRecorder(fr)
@@ -634,37 +517,33 @@ func (r *Runner) FlightDump(pt Point) (string, bool) {
 	return "", false
 }
 
-// recordFailure updates the per-point failure record, attaching the
-// flight dump the failing attempt left behind (noteFlight runs inside
+// recordFailure records and counts a point's failure, attaching the
+// flight dump the failing simulation left behind (noteFlight runs inside
 // simulatePoint, so by the time the error propagates here the dump for
 // this point is already retained).
-func (r *Runner) recordFailure(key Point, attempt int, err error) {
+func (r *Runner) recordFailure(key Point, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.failures[key]
-	if f == nil {
-		f = &FailureRecord{Point: key}
-		r.failures[key] = f
-	}
-	f.Attempts = attempt
-	f.Err = err.Error()
+	f := FailureRecord{Point: key, Err: err.Error()}
 	for i := range r.flights {
 		if r.flights[i].pt == key {
 			f.Flight = r.flights[i].dump
 			break
 		}
 	}
+	r.failures[key] = f
+	r.m.Failures++
 }
 
-// FailureRecords returns the final failure record of every point whose
-// attempts were exhausted, sorted by point key.
+// FailureRecords returns the failure record of every point whose
+// simulation failed, sorted by point key.
 func (r *Runner) FailureRecords() []FailureRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]FailureRecord, 0, len(r.failures))
 	//alloyvet:allow(determinism) collection order is irrelevant: sorted by point key below
 	for _, f := range r.failures {
-		out = append(out, *f)
+		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Point.String() < out[j].Point.String() })
 	return out
@@ -689,15 +568,15 @@ func (r *Runner) WriteSummary(w io.Writer) {
 	if m.PointsRun > 0 {
 		mean = m.SimWall / time.Duration(m.PointsRun)
 	}
-	r.pw.Fprintf(w, "sweep summary: simulations_run=%d memo_hits=%d checkpoint_hits=%d inflight_joins=%d retries=%d failures=%d sim_wall_s=%.1f point_mean_s=%.2f point_max_s=%.2f warm_replays=%d\n",
-		m.PointsRun, m.MemoHits, m.CheckpointHits, m.FlightJoins, m.Retries, m.Failures,
+	r.pw.Fprintf(w, "sweep summary: simulations_run=%d memo_hits=%d checkpoint_hits=%d failures=%d sim_wall_s=%.1f point_mean_s=%.2f point_max_s=%.2f warm_replays=%d\n",
+		m.PointsRun, m.MemoHits, m.CheckpointHits, m.Failures,
 		m.SimWall.Seconds(), mean.Seconds(), m.MaxPointWall.Seconds(), m.WarmReplays)
 	for _, f := range r.FailureRecords() {
 		note := ""
 		if f.Flight != "" {
 			note = " [flight recording attached]"
 		}
-		r.pw.Fprintf(w, "  failed: %s after %d attempt(s): %s%s\n", f.Point, f.Attempts, f.Err, note)
+		r.pw.Fprintf(w, "  failed: %s: %s%s\n", f.Point, f.Err, note)
 	}
 }
 
@@ -708,10 +587,8 @@ func (r *Runner) RegisterMetrics(x obs.Exporter, prefix string) {
 	x.Counter(prefix+"_points_run_total", "simulations actually executed", func() uint64 { return r.Metrics().PointsRun })
 	x.Counter(prefix+"_memo_hits_total", "Run calls served from the in-memory memo", func() uint64 { return r.Metrics().MemoHits })
 	x.Counter(prefix+"_checkpoint_hits_total", "points restored from a checkpoint file", func() uint64 { return r.Metrics().CheckpointHits })
-	x.Counter(prefix+"_inflight_joins_total", "Run calls that joined a concurrent duplicate", func() uint64 { return r.Metrics().FlightJoins })
-	x.Counter(prefix+"_retries_total", "re-attempts after transient failures", func() uint64 { return r.Metrics().Retries })
-	x.Counter(prefix+"_failures_total", "points whose every attempt failed", func() uint64 { return r.Metrics().Failures })
-	x.Counter(prefix+"_warm_replays_total", "simulation attempts warmed from a recorded warmup front", func() uint64 { return r.Metrics().WarmReplays })
+	x.Counter(prefix+"_failures_total", "simulations that failed", func() uint64 { return r.Metrics().Failures })
+	x.Counter(prefix+"_warm_replays_total", "simulations warmed from a recorded warmup front", func() uint64 { return r.Metrics().WarmReplays })
 	x.Gauge(prefix+"_sim_wall_seconds", "cumulative wall time inside successful simulations", func() float64 { return r.Metrics().SimWall.Seconds() })
 }
 

