@@ -20,7 +20,6 @@ import (
 	"strings"
 	"syscall"
 	"text/tabwriter"
-	"time"
 
 	"alloysim/internal/core"
 	"alloysim/internal/obs"
@@ -94,10 +93,9 @@ func main() {
 		traceOut    = flag.String("trace", "", "write a Chrome trace_event JSON of sampled requests (load in Perfetto / chrome://tracing)")
 		traceCSV    = flag.String("trace-csv", "", "write the per-request latency-breakdown CSV to this file")
 		traceSample = flag.Uint64("trace-sample", 64, "trace 1 in N reads below the L3 (0 disables tracing)")
-		debugAddr   = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address during the run")
 		manifestOut = flag.String("manifest", "", "write a run-provenance manifest (JSON) to this file")
 		tsOut       = flag.String("timeseries", "", "write the epoch-resolved phase time series to this file (a .json path selects JSON instead of CSV)")
-		flightOut   = flag.String("flight", "", "attach the flight recorder and write its dump (recent epochs + sampled spans) to this file; SIGQUIT prints the latest snapshot mid-run")
+		flightOut   = flag.String("flight", "", "attach the flight recorder and write its dump (recent epochs + sampled spans) to this file")
 	)
 	flag.Parse()
 
@@ -195,10 +193,8 @@ func main() {
 	runID := "r-" + strings.TrimPrefix(cfg.Fingerprint(), "cfg-")[:12]
 	man.Extra["run_id"] = runID
 
-	// The flight recorder's mid-run snapshot is published alongside the
-	// registry's, between engine quanta, so -flight needs a registry too.
 	var reg *obs.Registry
-	if *metricsOut != "" || *debugAddr != "" || *flightOut != "" {
+	if *metricsOut != "" {
 		reg = obs.NewRegistry()
 	}
 	var trc *obs.Tracer
@@ -213,38 +209,6 @@ func main() {
 	var fr *obs.FlightRecorder
 	if *flightOut != "" {
 		fr = obs.NewFlightRecorder(0, 4096, 256)
-		// SIGQUIT prints the most recently published snapshot without
-		// stopping the run (snapshots refresh between engine quanta).
-		quitCh := make(chan os.Signal, 1)
-		signal.Notify(quitCh, syscall.SIGQUIT)
-		defer signal.Stop(quitCh)
-		//alloyvet:detached signal listener for the process lifetime; exits with the process
-		go func() {
-			for range quitCh {
-				if snap, ok := fr.Snapshot(); ok {
-					fmt.Fprintf(os.Stderr, "alloysim: flight snapshot:\n%s\n", snap)
-				} else {
-					fmt.Fprintln(os.Stderr, "alloysim: no flight snapshot published yet")
-				}
-			}
-		}()
-	}
-	if *debugAddr != "" {
-		srv, err := obs.StartDebugServer(*debugAddr, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alloysim: debug server: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			// Graceful drain with a bound: an exiting CLI should not hang
-			// on a stuck scrape, but lets a quick one finish.
-			sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer scancel()
-			if err := srv.Close(sctx); err != nil {
-				fmt.Fprintf(os.Stderr, "alloysim: debug server shutdown: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "alloysim: debug server listening on %s\n", *debugAddr)
 	}
 
 	res, err := run(ctx, cfg, reg, trc, ts, fr)

@@ -9,8 +9,11 @@
 //	paperfigs -checkpoint sweep.ckpt   # resume an interrupted sweep
 //
 // Ctrl-C (or SIGTERM) cancels the sweep between simulation quanta; with
-// -checkpoint the completed points are already on disk, so re-running
-// with the same flags resumes instead of restarting.
+// -checkpoint each completed point is already a line in the file, so
+// re-running with the same flags resumes instead of restarting.
+//
+// Telemetry is read when the sweep ends: the summary line and -metrics
+// report the runner's counters, and -v prints each point as it completes.
 package main
 
 import (
@@ -79,7 +82,6 @@ func main() {
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		metricsOut = flag.String("metrics", "", `write a sweep-metrics dump at exit ("-" = stdout, Prometheus text)`)
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address during the sweep")
 	)
 	flag.Parse()
 
@@ -116,33 +118,19 @@ func main() {
 	runner := experiments.NewRunner(params)
 
 	var reg *obs.Registry
-	if *metricsOut != "" || *debugAddr != "" {
+	if *metricsOut != "" {
 		reg = obs.NewRegistry()
 		runner.RegisterMetrics(reg, "runner")
-	}
-	if *debugAddr != "" {
-		srv, err := obs.StartDebugServer(*debugAddr, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: debug server: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			// Graceful drain with a bound: an exiting CLI should not hang
-			// on a stuck scrape, but lets a quick one finish.
-			sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer scancel()
-			if err := srv.Close(sctx); err != nil {
-				fmt.Fprintf(os.Stderr, "paperfigs: debug server shutdown: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "paperfigs: debug server listening on %s\n", *debugAddr)
 	}
 
 	if *checkpoint != "" {
 		restored, err := runner.EnableCheckpoint(*checkpoint)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
-			fmt.Fprintf(os.Stderr, "paperfigs: delete %s or rerun with the parameters it was written under\n", *checkpoint)
+			// A path that cannot be created has nothing to delete.
+			if _, serr := os.Stat(*checkpoint); serr == nil {
+				fmt.Fprintf(os.Stderr, "paperfigs: delete %s or rerun with the parameters it was written under\n", *checkpoint)
+			}
 			os.Exit(1)
 		}
 		if restored > 0 {

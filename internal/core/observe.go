@@ -18,17 +18,12 @@ func (s *System) EnableObservability(reg *obs.Registry, trc *obs.Tracer) {
 	if reg == nil {
 		return
 	}
-	s.reg = reg
 	s.export(reg)
 	// The samplers key every row by cycle and have no histogram form, so
 	// these three go to the registry alone.
 	reg.Counter("sim_engine_cycles_total", "current simulated cycle", func() uint64 { return s.eng.Now().Count() })
 	reg.RegisterHistogram("hit_latency_cycles", "DRAM-cache hit latency from L3-miss detection", s.hitLatHist)
 	reg.RegisterHistogram("miss_latency_cycles", "DRAM-cache miss latency from L3-miss detection", s.missLatHist)
-	// Publish the t=0 snapshot now, while nothing is running: from here
-	// on, debug-server scrapes serve rendered snapshots (refreshed
-	// between quanta by RunContext) instead of racing live fields.
-	reg.PublishSnapshot()
 }
 
 // EnableTimeSeries attaches a phase time-series sampler. Call it after
@@ -45,12 +40,14 @@ func (s *System) EnableTimeSeries(ts *obs.TimeSeries) {
 	s.exportColumns(ts)
 }
 
-// EnableFlightRecorder attaches the always-on black box: the same column
-// set as EnableTimeSeries sampled into a fixed ring of recent epochs,
-// plus the recorder's sparse lifecycle tracer installed as the system
-// tracer when no explicit one is attached (an explicit tracer wins; the
-// recorder then dumps without spans). Negligible cost: a few dozen
-// closure reads per 2^16 cycles and a 1-in-N counter probe per request.
+// EnableFlightRecorder attaches a flight recorder (alloysim -flight, or
+// validate's rerun of a point whose gate tripped): the same column set as
+// EnableTimeSeries sampled into a fixed ring of recent epochs, plus the
+// recorder's sparse lifecycle tracer installed as the system tracer when
+// no explicit one is attached (an explicit tracer wins; the recorder then
+// dumps without spans). Negligible cost: a few dozen closure reads per
+// 2^16 cycles and a 1-in-N counter probe per request. Like the other
+// exports, the recorder is read after the run.
 func (s *System) EnableFlightRecorder(fr *obs.FlightRecorder) {
 	if fr == nil {
 		return

@@ -51,13 +51,8 @@ type System struct {
 	// early return. Set via EnableObservability.
 	trc *obs.Tracer
 
-	// reg is the attached metrics registry (nil when observability is
-	// off). RunContext publishes rendered snapshots into it between
-	// quanta so debug-server scrapes never read live component fields.
-	reg *obs.Registry
-
 	// ts samples phase time-series columns at epoch boundaries and fr is
-	// the always-on flight recorder ring; both nil when disabled, and both
+	// the flight recorder ring; both nil when disabled, and both
 	// sampled only at quantum boundaries (sampleTelemetry). Set via
 	// EnableTimeSeries / EnableFlightRecorder.
 	ts *obs.TimeSeries
@@ -242,14 +237,12 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 			return Result{}, err
 		}
 		s.sampleTelemetry()
-		s.publishMetrics()
 		limit += cancelQuantum
 	}
 
 	// Final epoch: the drained end-of-run state (generally not on a
 	// quantum boundary; the cycle column records where it landed).
 	s.sampleTelemetry()
-	s.publishMetrics()
 	return s.collect(), nil
 }
 
@@ -263,24 +256,6 @@ func (s *System) sampleTelemetry() {
 	now := s.eng.Now().Count()
 	s.ts.Sample(now)
 	s.fr.Sample(now)
-}
-
-// publishMetrics renders a registry snapshot for concurrent /metrics
-// scrapers (obs.Registry.PublishSnapshot). It runs on the simulation
-// goroutine between engine quanta, the one place every component field
-// is safe to read. Snapshot rendering only reads and formats: it cannot
-// perturb event order, so results stay byte-identical with or without an
-// attached registry.
-func (s *System) publishMetrics() {
-	if s.reg == nil {
-		return
-	}
-	// The flight-recorder snapshot is gated on an attached registry: a
-	// recorder without a debug surface (the runner's always-on black box)
-	// skips per-quantum rendering and is only serialized when a failure
-	// dump is actually needed.
-	s.fr.PublishSnapshot()
-	s.reg.PublishSnapshot()
 }
 
 // warm streams WarmupRefs references per core through the cache contents

@@ -28,7 +28,7 @@ func runWithTelemetry(t *testing.T, cfg Config) (Result, *obs.TimeSeries, *obs.F
 }
 
 // TestTelemetryInert is TestObservabilityInert for the phase samplers: a
-// run with a TimeSeries and an always-on FlightRecorder (including its
+// run with a TimeSeries and a FlightRecorder (including its
 // sparse lifecycle tracer installed as the system tracer) must produce a
 // Result identical in every field to a plain run.
 func TestTelemetryInert(t *testing.T) {

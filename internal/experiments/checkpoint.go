@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -8,37 +9,39 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 
 	"alloysim/internal/core"
 )
 
-// Checkpointing: the runner's memo, frozen to disk so an interrupted
-// sweep resumes instead of restarting. The file is JSON — one entry per
-// completed Point — behind a header carrying a fingerprint of every
-// result-affecting parameter. A checkpoint written under different
-// parameters would silently replay wrong results, so a fingerprint
-// mismatch is rejected with ErrCheckpointStale rather than ignored.
-// Writes go through a temp file in the same directory followed by an
-// atomic rename: a crash mid-write leaves the previous snapshot intact.
+// Checkpointing: the runner's memo, appended to disk so an interrupted
+// sweep resumes instead of restarting. The file is JSON lines: a header
+// line carrying the format version and a fingerprint of every
+// result-affecting parameter, then one compact {"point":…,"result":…}
+// line per completed point, appended as the point completes. A checkpoint
+// written under different parameters would silently replay wrong
+// results, so a version or fingerprint mismatch is rejected with
+// ErrCheckpointStale rather than ignored. A crash mid-append leaves at
+// most a last line without its newline; loading drops that torn tail.
 
 // checkpointVersion is bumped whenever the file layout or the meaning of
 // core.Result fields changes incompatibly. Version 2 added Point's knobs,
 // which a version-1 reader would drop, loading a knob point's result into
-// the default point's slot.
-const checkpointVersion = 2
+// the default point's slot. Version 3 replaced the whole-memo object with
+// a header line and one appended line per point.
+const checkpointVersion = 3
 
 // ErrCheckpointStale reports a checkpoint whose parameters do not match
 // the runner's; resuming from it would replay results from a different
 // sweep. Delete the file or rerun with the original parameters.
 var ErrCheckpointStale = errors.New("experiments: checkpoint does not match current parameters")
 
-type checkpointFile struct {
-	Version     int               `json:"version"`
-	Fingerprint string            `json:"fingerprint"`
-	Entries     []checkpointEntry `json:"entries"`
+// checkpointHeader is a checkpoint's first line. Earlier versions held
+// the header fields in one object with every entry, so decoding their
+// first JSON value into it still yields their version.
+type checkpointHeader struct {
+	Version     int    `json:"version"`
+	Fingerprint string `json:"fingerprint"`
 }
 
 type checkpointEntry struct {
@@ -46,7 +49,7 @@ type checkpointEntry struct {
 	Result core.Result `json:"result"`
 }
 
-// checkpointWriter owns the checkpoint path and serializes snapshots.
+// checkpointWriter owns the checkpoint path and serializes appends.
 type checkpointWriter struct {
 	mu   sync.Mutex
 	path string //alloyvet:owner EnableCheckpoint; immutable
@@ -70,107 +73,115 @@ func (p Params) Fingerprint() string { return p.fingerprint() }
 // EnableCheckpoint attaches a disk checkpoint to the runner. If path
 // already holds a checkpoint, its entries are loaded into the memo and
 // the restored count is returned; a checkpoint written under different
-// parameters fails with ErrCheckpointStale. After enabling, every
-// completed point triggers an atomic snapshot of the whole memo.
+// parameters fails with ErrCheckpointStale, and a torn last line is cut
+// off the file. A fresh path gets the header line. After enabling, every
+// completed point appends its line.
 //
-// Call it before the first Run: points completed earlier are still
-// included in the next snapshot, but a load would overwrite nothing only
-// because keys match exactly, and the restored count would be misleading.
+// Call it before the first Run: points completed earlier are not in the
+// file.
 func (r *Runner) EnableCheckpoint(path string) (restored int, err error) {
-	cw := &checkpointWriter{path: path}
 	data, err := os.ReadFile(path)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
-		// Fresh sweep: nothing to restore.
+		// An int and a string always encode.
+		header, _ := json.Marshal(checkpointHeader{Version: checkpointVersion, Fingerprint: r.p.fingerprint()})
+		if err := appendLine(path, header); err != nil {
+			return 0, err
+		}
 	case err != nil:
 		return 0, fmt.Errorf("experiments: reading checkpoint %s: %w", path, err)
 	default:
-		var cf checkpointFile
-		if err := json.Unmarshal(data, &cf); err != nil {
-			return 0, fmt.Errorf("experiments: checkpoint %s is not a valid checkpoint file: %w", path, err)
+		entries, complete, err := parseCheckpoint(path, data, r.p.fingerprint())
+		if err != nil {
+			return 0, err
 		}
-		if cf.Version != checkpointVersion {
-			return 0, fmt.Errorf("%w: file version %d, supported %d", ErrCheckpointStale, cf.Version, checkpointVersion)
-		}
-		if cf.Fingerprint != r.p.fingerprint() {
-			return 0, fmt.Errorf("%w: parameter fingerprint %.12s differs from current %.12s",
-				ErrCheckpointStale, cf.Fingerprint, r.p.fingerprint())
+		if complete < len(data) {
+			if err := os.Truncate(path, int64(complete)); err != nil {
+				return 0, fmt.Errorf("experiments: dropping torn tail of checkpoint %s: %w", path, err)
+			}
 		}
 		r.mu.Lock()
-		for _, e := range cf.Entries {
+		for _, e := range entries {
 			r.cache[e.Point] = e.Result
 		}
-		restored = len(cf.Entries)
+		restored = len(entries)
 		r.m.CheckpointHits += uint64(restored)
 		r.mu.Unlock()
 	}
 	r.mu.Lock()
-	r.ckpt = cw
+	r.ckpt = &checkpointWriter{path: path}
 	r.mu.Unlock()
 	return restored, nil
 }
 
-// saveCheckpoint snapshots the memo to the checkpoint file atomically.
-//
-// The memo snapshot is taken *inside* the writer lock. Taking it outside
-// (the original ordering) let two concurrent point completions race:
-// point A snapshots {p1}, point B snapshots {p1,p2} and commits, then
-// A's rename lands an older memo over B's newer file — p2 silently gone
-// until some later completion happens to rewrite it, and permanently gone
-// if the sweep ends first. Holding cw.mu across snapshot+marshal+rename
-// makes every committed file a superset of the one it replaces: the memo
-// only grows, and each writer reads it after the previous writer's commit.
-func (r *Runner) saveCheckpoint() error {
+// parseCheckpoint decodes the bytes of the checkpoint file at path,
+// written under the given fingerprint. It returns the entries of every
+// complete line and the length of the prefix those lines span; a last
+// line without its newline is a torn append and lies past that prefix. A
+// malformed complete line is an error.
+func parseCheckpoint(path string, data []byte, fingerprint string) (entries []checkpointEntry, complete int, err error) {
+	var h checkpointHeader
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if err := dec.Decode(&h); err != nil {
+		return nil, 0, fmt.Errorf("experiments: checkpoint %s is not a valid checkpoint file: %w", path, err)
+	}
+	if h.Version != checkpointVersion {
+		return nil, 0, fmt.Errorf("%w: file version %d, supported %d", ErrCheckpointStale, h.Version, checkpointVersion)
+	}
+	if h.Fingerprint != fingerprint {
+		return nil, 0, fmt.Errorf("%w: parameter fingerprint %.12s differs from current %.12s",
+			ErrCheckpointStale, h.Fingerprint, fingerprint)
+	}
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 || int64(nl) != dec.InputOffset() {
+		return nil, 0, fmt.Errorf("experiments: checkpoint %s is not a valid checkpoint file: its header is not a line of its own", path)
+	}
+	complete = bytes.LastIndexByte(data, '\n') + 1
+	for rest, n := data[nl+1:complete], 2; len(rest) > 0; n++ {
+		i := bytes.IndexByte(rest, '\n')
+		var e checkpointEntry
+		if err := json.Unmarshal(rest[:i], &e); err != nil {
+			return nil, 0, fmt.Errorf("experiments: checkpoint %s line %d: %w", path, n, err)
+		}
+		entries = append(entries, e)
+		rest = rest[i+1:]
+	}
+	return entries, complete, nil
+}
+
+// saveCheckpoint appends one completed point's line to the checkpoint
+// file; it is a no-op when checkpointing is disabled. The writer lock
+// keeps concurrent completions' lines whole and in one piece each.
+func (r *Runner) saveCheckpoint(pt Point, res core.Result) error {
 	r.mu.Lock()
 	cw := r.ckpt
 	r.mu.Unlock()
 	if cw == nil {
 		return nil
 	}
-
+	line, err := json.Marshal(checkpointEntry{Point: pt, Result: res})
+	if err != nil {
+		return fmt.Errorf("experiments: encoding checkpoint entry: %w", err)
+	}
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
+	return appendLine(cw.path, line)
+}
 
-	r.mu.Lock()
-	entries := make([]checkpointEntry, 0, len(r.cache))
-	//alloyvet:allow(determinism) collection order is irrelevant: sorted by point key below
-	for pt, res := range r.cache {
-		entries = append(entries, checkpointEntry{Point: pt, Result: res})
-	}
-	r.mu.Unlock()
-
-	// Deterministic entry order keeps successive snapshots diffable.
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].Point.String() < entries[j].Point.String()
-	})
-	cf := checkpointFile{
-		Version:     checkpointVersion,
-		Fingerprint: r.p.fingerprint(),
-		Entries:     entries,
-	}
-	data, err := json.MarshalIndent(cf, "", " ")
+// appendLine opens path for appending (creating it if needed), writes
+// line and its newline in one write, and closes the file again: the
+// runner keeps no file open between points.
+func appendLine(path string, line []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
-		return fmt.Errorf("experiments: encoding checkpoint: %w", err)
+		return fmt.Errorf("experiments: opening checkpoint: %w", err)
 	}
-
-	dir := filepath.Dir(cw.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(cw.path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("experiments: checkpoint temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		f.Close()
 		return fmt.Errorf("experiments: writing checkpoint: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
+	if err := f.Close(); err != nil {
 		return fmt.Errorf("experiments: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, cw.path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("experiments: committing checkpoint: %w", err)
 	}
 	return nil
 }

@@ -99,15 +99,22 @@ func TestCheckpointRejectsStaleParameters(t *testing.T) {
 }
 
 // TestCheckpointRejectsCorruptedFile: garbage on disk is an error, not a
-// silent fresh start.
+// silent fresh start, whether it replaces the header or sits on a
+// complete entry line.
 func TestCheckpointRejectsCorruptedFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r := NewRunner(microParams())
-	if _, err := r.EnableCheckpoint(path); err == nil {
-		t.Fatal("corrupted checkpoint accepted")
+	header := fmt.Sprintf(`{"version":%d,"fingerprint":%q}`, checkpointVersion, microParams().fingerprint())
+	for _, data := range []string{
+		"{not json",
+		header + "\n{not json\n",
+	} {
+		path := filepath.Join(t.TempDir(), "ckpt.json")
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner(microParams())
+		if _, err := r.EnableCheckpoint(path); err == nil {
+			t.Fatalf("corrupted checkpoint %q accepted", data)
+		}
 	}
 }
 
@@ -124,32 +131,12 @@ func TestCheckpointSnapshotsAfterEveryPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	readEntries := func() checkpointFile {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cf checkpointFile
-		if err := json.Unmarshal(data, &cf); err != nil {
-			t.Fatalf("snapshot is not valid JSON: %v", err)
-		}
-		return cf
-	}
-
 	for i := 1; i <= 3; i++ {
 		if _, err := r.Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
-		cf := readEntries()
-		if cf.Version != checkpointVersion {
-			t.Fatalf("snapshot version %d, want %d", cf.Version, checkpointVersion)
-		}
-		if cf.Fingerprint != r.p.fingerprint() {
-			t.Fatal("snapshot fingerprint does not match runner parameters")
-		}
-		if len(cf.Entries) != i {
-			t.Fatalf("after point %d the snapshot holds %d entries", i, len(cf.Entries))
+		if n := len(readCheckpoint(t, path, r.p.fingerprint())); n != i {
+			t.Fatalf("after point %d the checkpoint holds %d entries", i, n)
 		}
 	}
 
@@ -160,17 +147,15 @@ func TestCheckpointSnapshotsAfterEveryPoint(t *testing.T) {
 	if _, err := r.Run(context.Background(), "mcf_r", core.DesignLH, core.PredDefault, 1); err == nil {
 		t.Fatal("failing point succeeded")
 	}
-	if cf := readEntries(); len(cf.Entries) != 3 {
-		t.Fatalf("failed point leaked into the checkpoint: %d entries", len(cf.Entries))
+	if n := len(readCheckpoint(t, path, r.p.fingerprint())); n != 3 {
+		t.Fatalf("failed point leaked into the checkpoint: %d entries", n)
 	}
 }
 
 // TestCheckpointConcurrentCompletionsDoNotClobber hammers the checkpoint
 // write path with many Prefetch workers completing points concurrently
-// (GOMAXPROCS > 1). The original ordering snapshotted the memo *before*
-// taking the writer lock, so a stale snapshot could win the rename race
-// and silently drop points from the file. The final file must hold every
-// completed point, and a fresh runner must restore all of them.
+// (GOMAXPROCS > 1). The final file must hold every completed point on a
+// whole line of its own, and a fresh runner must restore all of them.
 func TestCheckpointConcurrentCompletionsDoNotClobber(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	const points = 48
@@ -192,24 +177,14 @@ func TestCheckpointConcurrentCompletionsDoNotClobber(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The committed file parses, carries the right fingerprint, and holds
-	// every point: no interleaved writes, no stale-snapshot clobbering.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cf checkpointFile
-	if err := json.Unmarshal(data, &cf); err != nil {
-		t.Fatalf("final checkpoint is not valid JSON: %v", err)
-	}
-	if cf.Fingerprint != p.fingerprint() {
-		t.Fatal("final checkpoint fingerprint mismatch")
-	}
-	if len(cf.Entries) != points {
-		t.Fatalf("final checkpoint holds %d entries, want %d", len(cf.Entries), points)
+	// The file parses, carries the right fingerprint, and holds every
+	// point: no interleaved or lost appends.
+	entries := readCheckpoint(t, path, p.fingerprint())
+	if len(entries) != points {
+		t.Fatalf("final checkpoint holds %d entries, want %d", len(entries), points)
 	}
 	got := make(map[Point]bool, points)
-	for _, e := range cf.Entries {
+	for _, e := range entries {
 		got[e.Point] = true
 		if e.Result.ExecCycles != float64(e.Point.CacheMB) {
 			t.Fatalf("entry %s carries result %v, want %v", e.Point, e.Result.ExecCycles, float64(e.Point.CacheMB))
@@ -297,27 +272,154 @@ func TestCheckpointRoundTripsKnobs(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsVersion1: a version-1 file, written before points
-// had knobs, is stale. A version-1 reader ignores knob fields, so the
-// version is what keeps a knob entry out of the default point's slot.
+// TestCheckpointRejectsVersion1: version-1 and version-2 files are
+// stale. A version-1 reader ignores knob fields, so the version is what
+// keeps a knob entry out of the default point's slot; version 2 held the
+// whole memo in one object, rewritten after every point.
 func TestCheckpointRejectsVersion1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.json")
 	p := microParams()
-	v1 := sha256.Sum256([]byte(fmt.Sprintf("ckpt-v1|scale=%d|instr=%d|warmup=%d|cores=%d|cachemb=%d|gap=%d|seed=%d",
-		p.Scale, p.InstructionsPerCore, p.WarmupRefs, p.Cores, p.CacheMB, p.GapScale, p.Seed)))
-	cf := checkpointFile{
-		Version:     1,
-		Fingerprint: hex.EncodeToString(v1[:]),
-		Entries:     []checkpointEntry{{Point: Point{Workload: "mcf_r", Design: core.DesignAlloy, CacheMB: p.CacheMB}}},
+	for _, version := range []int{1, 2} {
+		fp := sha256.Sum256([]byte(fmt.Sprintf("ckpt-v%d|scale=%d|instr=%d|warmup=%d|cores=%d|cachemb=%d|gap=%d|seed=%d",
+			version, p.Scale, p.InstructionsPerCore, p.WarmupRefs, p.Cores, p.CacheMB, p.GapScale, p.Seed)))
+		old := struct {
+			Version     int               `json:"version"`
+			Fingerprint string            `json:"fingerprint"`
+			Entries     []checkpointEntry `json:"entries"`
+		}{
+			Version:     version,
+			Fingerprint: hex.EncodeToString(fp[:]),
+			Entries:     []checkpointEntry{{Point: Point{Workload: "mcf_r", Design: core.DesignAlloy, CacheMB: p.CacheMB}}},
+		}
+		// Version 2 wrote its object indented.
+		data, err := json.MarshalIndent(old, "", " ")
+		if version == 1 {
+			data, err = json.Marshal(old)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "ckpt.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewRunner(p).EnableCheckpoint(path); !errors.Is(err, ErrCheckpointStale) {
+			t.Fatalf("version %d: err = %v, want ErrCheckpointStale", version, err)
+		}
 	}
-	data, err := json.Marshal(cf)
+}
+
+// readCheckpoint parses the checkpoint at path through the package's own
+// parser and fails the test unless every line of it is complete.
+func readCheckpoint(t *testing.T, path, fingerprint string) []checkpointEntry {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	entries, complete, err := parseCheckpoint(path, data, fingerprint)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRunner(p).EnableCheckpoint(path); !errors.Is(err, ErrCheckpointStale) {
-		t.Fatalf("err = %v, want ErrCheckpointStale", err)
+	if complete != len(data) {
+		t.Fatalf("checkpoint ends in a torn line: %q", data[complete:])
+	}
+	return entries
+}
+
+// TestCheckpointAppendsOneLinePerPoint: the file is the header line, then
+// one compact line per completed point, each save appending to the bytes
+// already on disk.
+func TestCheckpointAppendsOneLinePerPoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	r := NewRunner(microParams())
+	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
+		return core.Result{ExecCycles: float64(pt.CacheMB)}, nil
+	}
+	if _, err := r.EnableCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf(`{"version":%d,"fingerprint":%q}`, checkpointVersion, r.p.fingerprint()) + "\n"
+	for i := uint64(1); i <= 3; i++ {
+		pt := Point{Workload: "mcf_r", Design: core.DesignAlloy, CacheMB: i}
+		if _, err := r.run(context.Background(), pt); err != nil {
+			t.Fatal(err)
+		}
+		line, err := json.Marshal(checkpointEntry{Point: r.normalize(pt), Result: core.Result{ExecCycles: float64(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += string(line) + "\n"
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != want {
+			t.Fatalf("after point %d the checkpoint reads\n%s\nwant\n%s", i, data, want)
+		}
+	}
+}
+
+// TestCheckpointFailsOnUncreatablePath: a checkpoint that cannot be
+// created fails when it is enabled, not silently at every point.
+func TestCheckpointFailsOnUncreatablePath(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "ckpt.json")
+	if _, err := NewRunner(microParams()).EnableCheckpoint(path); err == nil {
+		t.Fatal("checkpoint in a missing directory enabled")
+	}
+}
+
+// TestCheckpointDropsTornTail: a last line cut short by a crash is
+// dropped on load and cut off the file, the point it held simulates
+// again, and its append leaves a valid file.
+func TestCheckpointDropsTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	var ran int
+	fake := func(ctx context.Context, pt Point) (core.Result, error) {
+		ran++
+		return core.Result{ExecCycles: float64(pt.CacheMB)}, nil
+	}
+	pts := make([]Point, 3)
+	for i := range pts {
+		pts[i] = Point{Workload: "mcf_r", Design: core.DesignAlloy, CacheMB: uint64(i + 1)}
+	}
+	r1 := NewRunner(microParams())
+	r1.simulate = fake
+	if _, err := r1.EnableCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range pts {
+		if _, err := r1.run(context.Background(), pt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, int64(len(whole)-10)); err != nil {
+		t.Fatal(err)
+	}
+
+	ran = 0
+	r2 := NewRunner(microParams())
+	r2.simulate = fake
+	if restored, err := r2.EnableCheckpoint(path); err != nil || restored != 2 {
+		t.Fatalf("restored=%d err=%v, want 2 entries", restored, err)
+	}
+	readCheckpoint(t, path, r2.p.fingerprint())
+	for _, pt := range pts {
+		if _, err := r2.run(context.Background(), pt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ran != 1 {
+		t.Fatalf("resumed runner simulated %d points, want the torn one only", ran)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != string(whole) {
+		t.Fatalf("checkpoint after the resume reads\n%s\nwant\n%s", data, whole)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -85,7 +84,7 @@ type Runner struct {
 	m        Metrics                 //alloyvet:guard mu
 
 	// ckpt is non-nil once EnableCheckpoint succeeds; it owns the file
-	// path and serializes snapshot writes.
+	// path and serializes appends.
 	//alloyvet:guard mu
 	ckpt *checkpointWriter
 
@@ -102,13 +101,6 @@ type Runner struct {
 	//alloyvet:owner NewRunner; immutable outside tests
 	simulate func(ctx context.Context, pt Point) (core.Result, error)
 
-	// flights retains the flight-recorder dump of each point's most
-	// recent execution (success or failure), bounded to flightCap
-	// entries evicted oldest-first. Failure dumps also land in the
-	// point's FailureRecord; success dumps serve the validate harness,
-	// which attaches them to gate-trip reports after runs complete.
-	flights []flightEntry //alloyvet:guard mu
-
 	// fronts holds recorded warmup fronts (core.WarmRecord), one per
 	// core.FrontKey, least recently used first and at most parallelism()
 	// of them. Every point of a workload whose knobs leave the front alone
@@ -124,22 +116,10 @@ type frontEntry struct {
 	ready bool
 }
 
-// flightEntry pairs a point with its most recent flight dump.
-type flightEntry struct {
-	pt   Point
-	dump string
-}
-
-// flightCap bounds how many per-point flight dumps the runner retains.
-const flightCap = 16
-
-// FailureRecord describes a point whose simulation failed. Flight holds
-// the flight-recorder dump (JSON) the failing simulation left behind — the
-// epochs leading up to the failure — when the recorder was enabled.
+// FailureRecord describes a point whose simulation failed.
 type FailureRecord struct {
-	Point  Point
-	Err    string
-	Flight string
+	Point Point
+	Err   string
 }
 
 // Metrics summarizes runner activity. All durations are wall time spent
@@ -355,19 +335,15 @@ func (r *Runner) run(ctx context.Context, pt Point) (core.Result, error) {
 	}
 	r.mu.Unlock()
 	r.progressf("  ran %s in %.2fs\n", key, elapsed.Seconds())
-	// saveCheckpoint re-reads r.ckpt under the lock and is a no-op when
-	// checkpointing is disabled.
-	if cerr := r.saveCheckpoint(); cerr != nil {
+	if cerr := r.saveCheckpoint(key, res); cerr != nil {
 		r.progressf("  checkpoint write failed: %v\n", cerr)
 	}
 	return res, nil
 }
 
 // simulatePoint is the real point execution: build a system from the
-// runner params and run it under ctx, with the always-on flight
-// recorder attached so a failing run leaves its final epochs behind.
-// The first point of a front records it and later points replay it
-// (takeFront).
+// runner params and run it under ctx. The first point of a front records
+// it and later points replay it (takeFront).
 func (r *Runner) simulatePoint(ctx context.Context, key Point) (core.Result, error) {
 	sys, err := core.NewSystem(r.p.Config(key))
 	var front core.FrontKey
@@ -388,14 +364,7 @@ func (r *Runner) simulatePoint(ctx context.Context, key Point) (core.Result, err
 	if err != nil {
 		return core.Result{}, err
 	}
-	fr := obs.NewFlightRecorder(64, 4096, 256)
-	sys.EnableFlightRecorder(fr)
-	res, err := sys.RunContext(ctx)
-	var sb strings.Builder
-	if werr := fr.WriteJSON(&sb); werr == nil {
-		r.noteFlight(key, sb.String())
-	}
-	return res, err
+	return sys.RunContext(ctx)
 }
 
 // takeFront looks up the warmup front of the given key. A ready record
@@ -486,52 +455,11 @@ func (p Params) Config(pt Point) core.Config {
 	return cfg
 }
 
-// noteFlight records a point's most recent flight dump, evicting the
-// oldest entry past flightCap.
-func (r *Runner) noteFlight(key Point, dump string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.flights {
-		if r.flights[i].pt == key {
-			r.flights[i].dump = dump
-			return
-		}
-	}
-	r.flights = append(r.flights, flightEntry{pt: key, dump: dump})
-	if len(r.flights) > flightCap {
-		r.flights = r.flights[1:]
-	}
-}
-
-// FlightDump returns the flight-recorder dump of the point's most recent
-// execution, if still retained.
-func (r *Runner) FlightDump(pt Point) (string, bool) {
-	key := r.normalize(pt)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.flights {
-		if r.flights[i].pt == key {
-			return r.flights[i].dump, true
-		}
-	}
-	return "", false
-}
-
-// recordFailure records and counts a point's failure, attaching the
-// flight dump the failing simulation left behind (noteFlight runs inside
-// simulatePoint, so by the time the error propagates here the dump for
-// this point is already retained).
+// recordFailure records and counts a point's failure.
 func (r *Runner) recordFailure(key Point, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := FailureRecord{Point: key, Err: err.Error()}
-	for i := range r.flights {
-		if r.flights[i].pt == key {
-			f.Flight = r.flights[i].dump
-			break
-		}
-	}
-	r.failures[key] = f
+	r.failures[key] = FailureRecord{Point: key, Err: err.Error()}
 	r.m.Failures++
 }
 
@@ -572,11 +500,7 @@ func (r *Runner) WriteSummary(w io.Writer) {
 		m.PointsRun, m.MemoHits, m.CheckpointHits, m.Failures,
 		m.SimWall.Seconds(), mean.Seconds(), m.MaxPointWall.Seconds(), m.WarmReplays)
 	for _, f := range r.FailureRecords() {
-		note := ""
-		if f.Flight != "" {
-			note = " [flight recording attached]"
-		}
-		r.pw.Fprintf(w, "  failed: %s: %s%s\n", f.Point, f.Err, note)
+		r.pw.Fprintf(w, "  failed: %s: %s\n", f.Point, f.Err)
 	}
 }
 

@@ -345,59 +345,3 @@ func TestPrefetchRecordsSkippedPoints(t *testing.T) {
 		}
 	}
 }
-
-// TestRunnerFlightDumpRetention: a real micro run leaves a flight dump
-// retrievable by point.
-func TestRunnerFlightDumpRetention(t *testing.T) {
-	r := NewRunner(microParams())
-	pt := Point{Workload: "mcf_r", Design: core.DesignAlloy, Predictor: core.PredDefault}
-	if _, err := r.Run(context.Background(), pt.Workload, pt.Design, pt.Predictor, 0); err != nil {
-		t.Fatal(err)
-	}
-	dump, ok := r.FlightDump(pt)
-	if !ok {
-		t.Fatal("no flight dump retained after a successful run")
-	}
-	if !strings.Contains(dump, `"columns":["cycle"`) || !strings.Contains(dump, `"spans_sampled":`) {
-		t.Fatalf("dump missing schema markers: %.120s", dump)
-	}
-}
-
-// TestFailureRecordCarriesFlight: when a point fails after its simulation
-// ran, the failure record carries the flight dump the simulation left
-// behind, and WriteSummary flags the attachment.
-func TestFailureRecordCarriesFlight(t *testing.T) {
-	r := NewRunner(microParams())
-	key := r.normalize(Point{Workload: "mcf_r", Design: core.DesignAlloy})
-	r.noteFlight(key, `{"columns":["cycle"],"drops":0,"rows":[]}`)
-	r.recordFailure(key, errors.New("post-run gate trip"))
-
-	recs := r.FailureRecords()
-	if len(recs) != 1 || recs[0].Flight == "" {
-		t.Fatalf("failure records %+v, want one with a flight dump", recs)
-	}
-	var sb strings.Builder
-	r.WriteSummary(&sb)
-	if !strings.Contains(sb.String(), "[flight recording attached]") {
-		t.Fatalf("summary missing attachment note:\n%s", sb.String())
-	}
-}
-
-// TestFlightRetentionEvictsOldest: the ring keeps only the newest
-// flightCap dumps.
-func TestFlightRetentionEvictsOldest(t *testing.T) {
-	r := NewRunner(microParams())
-	for i := 0; i < flightCap+4; i++ {
-		r.noteFlight(Point{Workload: "w", CacheMB: uint64(i + 1)}, "dump")
-	}
-	r.mu.Lock()
-	n := len(r.flights)
-	oldest := r.flights[0].pt
-	r.mu.Unlock()
-	if n != flightCap {
-		t.Fatalf("retained %d dumps, want %d", n, flightCap)
-	}
-	if oldest.CacheMB != 5 {
-		t.Fatalf("oldest retained point %v, want the 5th insert", oldest)
-	}
-}

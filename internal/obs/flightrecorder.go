@@ -3,34 +3,25 @@ package obs
 import (
 	"io"
 	"strconv"
-	"sync/atomic"
 )
 
-// FlightRecorder is the always-on black box: a fixed ring of the most
-// recent epoch snapshots plus a sparse always-on tracer of recent request
-// lifecycles. Where TimeSeries keeps the whole phase profile (and is
-// opt-in), the recorder keeps only the last few dozen epochs at
-// negligible cost, so when a run errors, a validate gate trips, or an
-// operator sends SIGQUIT, the moments leading up to the event are
-// recoverable after the fact.
+// FlightRecorder is a black box for one run: a fixed ring of the most
+// recent epoch snapshots plus a sparse tracer of recent request
+// lifecycles. Where TimeSeries keeps the whole phase profile, the
+// recorder keeps only the last few dozen epochs at negligible cost, so
+// the moments leading up to the end of a run (alloysim -flight) or to a
+// tripped validate gate are recoverable after the fact.
 //
 // Same ownership contract as Tracer and TimeSeries: nil-safe methods,
 // single-owner sampling on the simulation goroutine, deterministic
-// hand-formatted export. Unlike TimeSeries the ring keeps the NEWEST
-// rows — recency is the whole point of a flight recorder.
-//
-// Concurrent readers (alloysim's SIGQUIT handler) must consume
-// PublishSnapshot renderings, mirroring the Registry scrape contract;
-// WriteJSON on a live recorder is only safe from the sampling goroutine
-// or after the run.
+// hand-formatted export read after the run. Unlike TimeSeries the ring
+// keeps the NEWEST rows — recency is the whole point of a flight
+// recorder.
 type FlightRecorder struct {
 	columnStore
 	head int // next ring row to write
 
-	trc *Tracer // sparse always-on lifecycle tracer; may be nil
-
-	// rendered WriteJSON bytes for concurrent scrapers
-	snap atomic.Pointer[[]byte]
+	trc *Tracer // sparse lifecycle tracer; may be nil
 }
 
 // NewFlightRecorder creates a recorder retaining the last epochCap epoch
@@ -123,9 +114,8 @@ func (f *FlightRecorder) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// appendJSON appends WriteJSON's rendering to b. The runner renders a
-// dump for every sweep point, so it formats into the one buffer with no
-// per-value allocation.
+// appendJSON appends WriteJSON's rendering to b, formatting into the one
+// buffer with no per-value allocation.
 func (f *FlightRecorder) appendJSON(b []byte) []byte {
 	b = append(b, `{"columns":["cycle"`...)
 	if f != nil {
@@ -187,27 +177,4 @@ func (f *FlightRecorder) appendJSON(b []byte) []byte {
 		})
 	}
 	return append(b, "\n]}\n"...)
-}
-
-// PublishSnapshot renders the current state and stores it for concurrent
-// scrapers; call from the sampling goroutine at synchronization points
-// (the same place Registry.PublishSnapshot is called). Until the first
-// publish, Snapshot reports nothing.
-func (f *FlightRecorder) PublishSnapshot() {
-	if f == nil {
-		return
-	}
-	b := f.appendJSON(nil)
-	f.snap.Store(&b)
-}
-
-// Snapshot returns the most recently published rendering.
-func (f *FlightRecorder) Snapshot() ([]byte, bool) {
-	if f == nil {
-		return nil, false
-	}
-	if p := f.snap.Load(); p != nil {
-		return *p, true
-	}
-	return nil, false
 }

@@ -21,30 +21,23 @@
 //     or RNG, so traced runs remain byte-reproducible.
 //
 // Everything here is single-writer by design, like the simulator it
-// instruments: one System owns one Registry and one Tracer. Concurrent
-// *readers* — the CLIs' -debug-addr server answers /metrics scrapes
-// while simulations run — are handled by the snapshot path: the goroutine
-// that owns the metrics calls PublishSnapshot, which renders the whole
-// registry and atomically swaps the rendered bytes in; scrape handlers
-// serve the snapshot and never touch live fields. The old "torn reads
-// are harmless for eyeballing" escape hatch is gone: a registry is
-// either dumped live by a reader that is synchronized with its writers
-// (the CLIs dumping after the run, read-back closures locking their
-// owner's mutex), or scraped through a published snapshot. Hot-path
-// writes stay plain single-writer field increments — zero allocations
-// and zero added cycles. SyncWriter serializes log lines from the
-// experiment runner's worker goroutines.
+// instruments: one System owns one Registry and one Tracer. Every export
+// is a post-run artifact: a registry, time series or flight recorder is
+// read only by a reader that is synchronized with its writers — the CLIs
+// dumping after the run, or a read-back closure that locks its owner's
+// mutex (the experiments runner's counters). Nothing reads live fields
+// while a simulation runs, so hot-path writes stay plain single-writer
+// field increments — zero allocations and zero added cycles. SyncWriter
+// serializes log lines from the experiment runner's worker goroutines.
 package obs
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"alloysim/internal/stats"
 )
@@ -103,25 +96,15 @@ func (m *metric) value() float64 {
 
 // Registry is the central metric index. Registration happens at setup
 // and may allocate freely; dumping sorts by name so output is
-// deterministic. The index itself is guarded by a mutex so a late
-// registration (a component wired after the debug server started)
-// cannot race a concurrent scrape; the lock is never touched on metric
-// hot paths, which increment their owner's fields directly. The zero
-// Registry is not usable — call NewRegistry.
+// deterministic. The index itself is guarded by a mutex, so a
+// registration on one goroutine cannot race a Value read or a dump on
+// another; the lock is never touched on metric hot paths, which
+// increment their owner's fields directly. The zero Registry is not
+// usable — call NewRegistry.
 type Registry struct {
 	mu      sync.RWMutex
 	metrics []metric       //alloyvet:guard mu
 	byName  map[string]int //alloyvet:guard mu (index into metrics, duplicate detection)
-
-	// snap is the last published rendering (see PublishSnapshot). Nil
-	// until the first publish; the debug server serves live dumps then.
-	snap atomic.Pointer[renderedSnapshot]
-}
-
-// renderedSnapshot is one immutable, fully-rendered dump of the registry.
-type renderedSnapshot struct {
-	prom []byte // Prometheus text exposition
-	json []byte // flat JSON (expvar style)
 }
 
 // NewRegistry creates an empty registry.
@@ -288,29 +271,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 func formatFloat(v float64) string {
 	s := fmt.Sprintf("%g", v)
 	return s
-}
-
-// PublishSnapshot renders the whole registry (Prometheus text and JSON)
-// and atomically publishes the result for concurrent scrapers. It MUST
-// be called by a goroutine that is allowed to read every registered
-// metric — in practice the goroutine that owns them: the simulation loop
-// between quanta. Scrape handlers (see StartDebugServer) serve the last
-// published snapshot without ever touching live fields, which is what
-// makes concurrent scrapes race-free against a running simulation.
-// Publishing is cold-path: it allocates and formats freely.
-func (r *Registry) PublishSnapshot() {
-	var prom, js bytes.Buffer
-	r.WritePrometheus(&prom) //nolint:errcheck // bytes.Buffer cannot fail
-	r.WriteJSON(&js)         //nolint:errcheck // bytes.Buffer cannot fail
-	r.snap.Store(&renderedSnapshot{prom: prom.Bytes(), json: js.Bytes()})
-}
-
-// Snapshot returns the last published rendering. ok is false before the
-// first PublishSnapshot. The returned slices are immutable.
-func (r *Registry) Snapshot() (prom, json []byte, ok bool) {
-	s := r.snap.Load()
-	if s == nil {
-		return nil, nil, false
-	}
-	return s.prom, s.json, true
 }

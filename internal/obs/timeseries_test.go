@@ -233,8 +233,7 @@ func TestFlightRecorderSpansInDump(t *testing.T) {
 
 // TestFlightRecorderDumpBytes pins a dump's exact bytes for a recorder
 // whose epoch and span rings have both wrapped, and bounds the
-// allocations of rendering it: the runner renders a dump for every sweep
-// point, so formatting must not allocate per value.
+// allocations of rendering it: formatting must not allocate per value.
 func TestFlightRecorderDumpBytes(t *testing.T) {
 	fr := NewFlightRecorder(3, 1, 2)
 	var v uint64
@@ -264,10 +263,6 @@ func TestFlightRecorderDumpBytes(t *testing.T) {
 	if got := sb.String(); got != want {
 		t.Fatalf("dump:\n%s\nwant:\n%s", got, want)
 	}
-	fr.PublishSnapshot()
-	if b, _ := fr.Snapshot(); string(b) != want {
-		t.Fatalf("snapshot:\n%s\nwant:\n%s", b, want)
-	}
 	allocs := testing.AllocsPerRun(100, func() {
 		sb.Reset()
 		if err := fr.WriteJSON(&sb); err != nil {
@@ -280,38 +275,14 @@ func TestFlightRecorderDumpBytes(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderSnapshot(t *testing.T) {
-	fr := NewFlightRecorder(4, 0, 0)
-	fr.Counter("v", "", func() uint64 { return 1 })
-	if _, ok := fr.Snapshot(); ok {
-		t.Fatal("Snapshot before publish should report nothing")
-	}
-	fr.Sample(5)
-	fr.PublishSnapshot()
-	b, ok := fr.Snapshot()
-	if !ok {
-		t.Fatal("Snapshot after publish missing")
-	}
-	if !json.Valid(b) {
-		t.Fatalf("snapshot invalid JSON: %s", b)
-	}
-	if !strings.Contains(string(b), "[5,1]") {
-		t.Fatalf("snapshot missing sampled row: %s", b)
-	}
-}
-
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var fr *FlightRecorder
 	fr.Counter("x", "", func() uint64 { return 1 })
 	fr.Level("y", "", func() uint64 { return 1 })
 	fr.Gauge("z", "", func() float64 { return 1 })
 	fr.Sample(0)
-	fr.PublishSnapshot()
 	if fr.Len() != 0 || fr.Drops() != 0 || fr.Columns() != nil || fr.Tracer() != nil {
 		t.Fatal("nil FlightRecorder should report empty state")
-	}
-	if _, ok := fr.Snapshot(); ok {
-		t.Fatal("nil Snapshot should report nothing")
 	}
 	var sb strings.Builder
 	if err := fr.WriteJSON(&sb); err != nil {

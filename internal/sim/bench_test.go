@@ -130,13 +130,13 @@ func BenchmarkEngineMixedMetricsOn(b *testing.B) {
 }
 
 // BenchmarkEngineMixedFlightOn repeats the mixed blend with the flight
-// recorder in its default always-on configuration: the handler's counter
-// is a recorded column, every event is offered to the recorder's sparse
-// tracer (1-in-4096), and an epoch row is sampled each time the clock
-// crosses a 2^16-cycle boundary — the engine's real quantum cadence. The
-// CI guard holds this at 0 allocs/op (after seal) and within 3% of
-// BenchmarkEngineMixed: "always-on" has to mean "free enough to never
-// turn off".
+// recorder in the configuration alloysim -flight and validate's gate-trip
+// rerun attach: the handler's counter is a recorded column, every event
+// is offered to the recorder's sparse tracer (1-in-4096), and an epoch
+// row is sampled each time the clock crosses a 2^16-cycle boundary — the
+// engine's real quantum cadence. The CI guard holds this at 0 allocs/op
+// (after seal) and within 3% of BenchmarkEngineMixed: attaching the
+// recorder has to leave the event loop's cost where it was.
 func BenchmarkEngineMixedFlightOn(b *testing.B) {
 	e := NewEngine()
 	fr := obs.NewFlightRecorder(0, 4096, 256)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"alloysim/internal/core"
 	"alloysim/internal/experiments"
@@ -17,10 +18,10 @@ import (
 type Violation struct {
 	Property string
 	Detail   string
-	// Flight is the run's flight-recorder dump (JSON: last epochs of every
-	// phase counter plus sampled request spans), when the runner captured
-	// one for the violating point. It answers "what was the simulator
-	// doing when the gate tripped" without a rerun.
+	// Flight is the violating point's flight-recorder dump (JSON: last
+	// epochs of every phase counter plus sampled request spans), taken by
+	// simulating the point again with a recorder attached. It answers
+	// "what was the simulator doing when the gate tripped".
 	Flight string
 }
 
@@ -205,14 +206,15 @@ func RunProperties(ctx context.Context, opt PropertyOptions) (PropertyReport, er
 			return res, fmt.Errorf("validate: %s/%s/%s/%d: %w", w, d, pk, mb, err)
 		}
 		if vs := CheckResultInvariants(res); len(vs) > 0 {
-			// A tripped gate gets the run's black box attached: the flight
-			// recorder the runner kept for this point shows the final
+			// A tripped gate gets the run's black box attached: the final
 			// epochs that produced the violating counters.
 			pt := experiments.Point{Workload: w, Design: d, Predictor: pk, CacheMB: mb}
-			if dump, ok := runner.FlightDump(pt); ok {
-				for i := range vs {
-					vs[i].Flight = dump
-				}
+			_, dump, err := flightRerun(ctx, p, pt)
+			if err != nil {
+				return res, fmt.Errorf("validate: %s/%s/%s/%d: flight rerun: %w", w, d, pk, mb, err)
+			}
+			for i := range vs {
+				vs[i].Flight = dump
 			}
 			rep.Violations = append(rep.Violations, vs...)
 		}
@@ -392,6 +394,27 @@ func RunProperties(ctx context.Context, opt PropertyOptions) (PropertyReport, er
 	}
 
 	return rep, nil
+}
+
+// flightRerun simulates pt again under p with a flight recorder attached
+// and returns the result and the recorder's dump. The simulator is
+// deterministic, so the rerun reproduces the runner's simulation of pt
+// exactly and the dump shows that run's final epochs; only a tripped
+// gate pays for the second run.
+func flightRerun(ctx context.Context, p experiments.Params, pt experiments.Point) (core.Result, string, error) {
+	sys, err := core.NewSystem(p.Config(pt))
+	if err != nil {
+		return core.Result{}, "", err
+	}
+	fr := obs.NewFlightRecorder(64, 4096, 256)
+	sys.EnableFlightRecorder(fr)
+	res, err := sys.RunContext(ctx)
+	if err != nil {
+		return core.Result{}, "", err
+	}
+	var sb strings.Builder
+	fr.WriteJSON(&sb) //nolint:errcheck // strings.Builder cannot fail
+	return res, sb.String(), nil
 }
 
 func runFresh(ctx context.Context, cfg core.Config) (core.Result, error) {

@@ -2,7 +2,9 @@ package validate
 
 import (
 	"context"
+	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"alloysim/internal/core"
@@ -99,5 +101,44 @@ func TestPointConfigMirrorsParams(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("derived config invalid: %v", err)
+	}
+}
+
+// TestGateTripFlightReproducesRun: the rerun that gives a tripped gate its
+// flight recording reproduces the runner's result for the point exactly,
+// here for a point whose warmup the runner replayed from the baseline's
+// recorded front, and its dump holds the run's final epochs.
+func TestGateTripFlightReproducesRun(t *testing.T) {
+	ctx := context.Background()
+	p := experiments.QuickParams()
+	p.InstructionsPerCore = 30_000
+	r := experiments.NewRunner(p)
+	if _, err := r.Run(ctx, "mcf_r", core.DesignNone, core.PredDefault, 0); err != nil {
+		t.Fatal(err)
+	}
+	want, err := r.Run(ctx, "mcf_r", core.DesignAlloy, core.PredDefault, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Metrics().WarmReplays; n != 1 {
+		t.Fatalf("runner replayed %d warmups, want 1", n)
+	}
+
+	got, dump, err := flightRerun(ctx, p, experiments.Point{Workload: "mcf_r", Design: core.DesignAlloy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rerun result differs from the runner's:\n%+v\nvs\n%+v", got, want)
+	}
+	var parsed struct {
+		Columns []string   `json:"columns"`
+		Rows    [][]uint64 `json:"rows"`
+	}
+	if err := json.Unmarshal([]byte(dump), &parsed); err != nil {
+		t.Fatalf("dump is not valid JSON: %v\n%.200s", err, dump)
+	}
+	if len(parsed.Columns) < 2 || parsed.Columns[0] != "cycle" || len(parsed.Rows) == 0 {
+		t.Fatalf("dump has %d columns and %d epoch rows: %.200s", len(parsed.Columns), len(parsed.Rows), dump)
 	}
 }

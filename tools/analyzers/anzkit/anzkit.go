@@ -149,9 +149,10 @@ func sortDiags(diags []Diagnostic) {
 
 // Cone is the service cone: the package-path segments whose code runs
 // real goroutines, locks and cancellable waits — the observability layer
-// with its debug server, the experiments runner, the two CLIs that drive
-// single runs and sweeps, and the analyzer framework itself (the
-// self-check). ctxflow, lockcheck and goloop each check this one list.
+// with its locked registry and serialized writer, the experiments runner,
+// the two CLIs that drive single runs and sweeps, and the analyzer
+// framework itself (the self-check). ctxflow, lockcheck and goloop each
+// check this one list.
 var Cone = []string{
 	"internal/obs",
 	"internal/experiments",

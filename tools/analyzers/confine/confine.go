@@ -18,8 +18,7 @@
 //   - any reference into package sync or sync/atomic (types, functions,
 //     and methods — sync.WaitGroup fields and atomic.Uint64.Load alike)
 //
-// Test files are skipped: tests may freely spawn goroutines, for example
-// to scrape metrics while a simulation runs.
+// Test files are skipped: tests may freely spawn goroutines.
 package confine
 
 import (
@@ -33,8 +32,9 @@ import (
 // Cone is the set of package-path suffixes under confinement: the packages
 // whose state is simulated time. Narrower than the determinism cone —
 // internal/experiments and internal/obs coordinate real threads on purpose
-// (the sweep scheduler, the debug server) and are exempt here; the
-// service-cone analyzers (anzkit.Cone) check their goroutines and locks.
+// (the sweep scheduler, the serialized sweep writer) and are exempt here;
+// the service-cone analyzers (anzkit.Cone) check their goroutines and
+// locks.
 var Cone = []string{
 	"internal/sim",
 	"internal/core",

@@ -22,7 +22,7 @@ func TestInCone(t *testing.T) {
 		{"alloysim/internal/dramcache", true},
 		{"alloysim/internal/cpu", true},
 		{"alloysim/internal/experiments", false}, // real threads on purpose
-		{"alloysim/internal/obs", false},         // debug server, sweep writer
+		{"alloysim/internal/obs", false},         // sweep writer, registry lock
 		{"alloysim/tools/analyzers/anzkit", false},
 		{"notinternal/sim", false},
 	}

@@ -2,10 +2,9 @@
 //
 // The CLIs promise bounded shutdown: Ctrl-C or SIGTERM cancels a run or
 // sweep between engine quanta, as does alloysim -timeout for its one run,
-// Prefetch stops launching points, and the debug server drains within its
-// deadline. That promise only holds if nothing on those paths blocks on
-// something its context cannot interrupt. This analyzer enforces it
-// structurally inside the service cone (anzkit.Cone):
+// and Prefetch stops launching points. That promise only holds if nothing
+// on those paths blocks on something its context cannot interrupt. This
+// analyzer enforces it structurally inside the service cone (anzkit.Cone):
 //
 // In any context-bearing function — one with a context.Context parameter
 // or one that binds or captures a context variable — it flags:

@@ -1,9 +1,8 @@
 // Package goloop requires every goroutine spawned in the service cone
-// (anzkit.Cone) to have a tracked lifecycle, so the sweep workers, the
-// debug server and the signal listeners cannot leak goroutines by
-// construction: a leaked worker holds its captured state forever, and a
-// sweep that runs hundreds of points turns "rarely leaks one" into
-// unbounded memory growth.
+// (anzkit.Cone) to have a tracked lifecycle, so the sweep workers cannot
+// leak goroutines by construction: a leaked worker holds its captured
+// state forever, and a sweep that runs hundreds of points turns "rarely
+// leaks one" into unbounded memory growth.
 //
 // A go statement passes when the analyzer can see a join structurally:
 //
