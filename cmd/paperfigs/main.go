@@ -156,6 +156,9 @@ func main() {
 	// to pick it back up.
 	fail := func(code int) {
 		runner.WriteSummary(os.Stdout)
+		if err := runner.CheckpointErr(); err != nil {
+			fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
+		}
 		if *checkpoint != "" && ctx.Err() != nil {
 			fmt.Printf("interrupted: completed points are in %s; re-run with the same flags to resume\n", *checkpoint)
 		}
@@ -221,6 +224,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "paperfigs: metrics: %v\n", err)
 			os.Exit(1)
 		}
+	}
+	// Every point completed, but a failed append left points out of the
+	// checkpoint, so a resumed sweep would simulate them again.
+	if err := runner.CheckpointErr(); err != nil {
+		fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
+		os.Exit(1)
 	}
 }
 

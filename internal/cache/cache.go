@@ -29,6 +29,17 @@ type Config struct {
 // Lines returns the total line capacity.
 func (c Config) Lines() int { return c.Sets * c.Assoc }
 
+// Shape returns the part of the config that a cache's contents and
+// decisions follow from. A direct-mapped cache builds no policy, so its
+// policy name and seed drop out: two one-way caches of equal Sets hold
+// and decide alike whatever policy they name.
+func (c Config) Shape() Config {
+	if c.Assoc == 1 {
+		c.Policy, c.Seed = "", 0
+	}
+	return c
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Sets <= 0 {
@@ -506,9 +517,9 @@ func (c *Cache) Clone() *Cache {
 // CopyFrom overwrites the cache's contents, statistics and replacement
 // state with an independent copy of src's. It copies in place, so every
 // holder of a pointer to c (metric closures, organizations) sees the new
-// state. src must have the same Config; anything else is a caller bug.
+// state. src must have the same Shape; anything else is a caller bug.
 func (c *Cache) CopyFrom(src *Cache) {
-	if c.cfg != src.cfg {
+	if c.cfg.Shape() != src.cfg.Shape() {
 		panic(fmt.Sprintf("cache: CopyFrom between configs %+v and %+v", c.cfg, src.cfg))
 	}
 	copy(c.lines, src.lines)
@@ -520,4 +531,60 @@ func (c *Cache) CopyFrom(src *Cache) {
 		c.pol = src.pol.Clone()
 	}
 	c.occ, c.stats = src.occ, src.stats
+}
+
+// Snapshot is a read-only copy of a cache's contents, statistics and
+// replacement state, which Restore copies into any number of caches of
+// the same Shape. A direct-mapped set's line is its tag times Sets plus
+// the set's index, so a direct-mapped cache packs each set's tag and
+// flags into 32 bits, a quarter of the size of its own array. Any other
+// cache, or one holding a tag too large to pack, keeps a whole Clone.
+type Snapshot struct {
+	cfg   Config
+	sets  []uint32 // direct-mapped: tag<<2 | flags, per set
+	occ   int
+	stats Stats
+	clone *Cache // when sets cannot hold the cache
+}
+
+// Snapshot returns a snapshot of the cache.
+func (c *Cache) Snapshot() *Snapshot {
+	s := &Snapshot{cfg: c.cfg, occ: c.occ, stats: c.stats}
+	if c.dm != nil {
+		s.sets = make([]uint32, len(c.dm))
+		for i, e := range c.dm {
+			tag := uint64(e.line) / uint64(c.cfg.Sets)
+			if tag >= 1<<30 {
+				s.sets = nil
+				break
+			}
+			s.sets[i] = uint32(tag<<2 | e.flags)
+		}
+	}
+	if s.sets == nil {
+		s.clone = c.Clone()
+	}
+	return s
+}
+
+// Restore overwrites the cache's contents, statistics and replacement
+// state with the snapshot's, in place as CopyFrom does. The snapshot must
+// have the cache's Shape; anything else is a caller bug.
+func (c *Cache) Restore(s *Snapshot) {
+	if s.clone != nil {
+		c.CopyFrom(s.clone)
+		return
+	}
+	if c.cfg.Shape() != s.cfg.Shape() {
+		panic(fmt.Sprintf("cache: Restore of a %+v snapshot into %+v", s.cfg, c.cfg))
+	}
+	sets := uint64(c.cfg.Sets)
+	for i, w := range s.sets {
+		e := dmEntry{flags: uint64(w) & (dmValid | dmDirty)}
+		if e.flags != 0 {
+			e.line = memaddr.Line(uint64(w>>2)*sets + uint64(i))
+		}
+		c.dm[i] = e
+	}
+	c.occ, c.stats = s.occ, s.stats
 }

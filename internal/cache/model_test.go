@@ -227,8 +227,8 @@ func TestCacheMatchesLRUModel(t *testing.T) {
 }
 
 // TestCopiesMatchOriginal runs the model stream halfway through a cache,
-// then takes a Clone and a CopyFrom into a cache that held other lines,
-// and drives all three with the rest of the stream. The copies are the
+// then takes a Clone, a CopyFrom and a Restore of a Snapshot into caches
+// that held other lines, and drives all four with the rest of the stream. The copies are the
 // reference: every Access, Probe, Fill and Invalidate outcome (eviction
 // line and dirty bit included) must match the original's, and so must the
 // statistics, the occupancy and residency over the stream's span.
@@ -259,11 +259,19 @@ func TestCopiesMatchOriginal(t *testing.T) {
 					apply(c, line, write, op)
 				}
 				clone := c.Clone()
-				copied := MustNew(cfg)
+				dst := cfg
+				if assoc == 1 {
+					// A one-way cache builds no policy, so it copies a
+					// store of any policy name and seed (Config.Shape).
+					dst.Policy, dst.Seed = "lru", 7
+				}
+				copied, restored := MustNew(dst), MustNew(dst)
 				for l := memaddr.Line(0); l < memaddr.Line(st.span); l += 3 {
 					copied.Access(l+memaddr.Line(st.span), true)
+					restored.Access(l+memaddr.Line(st.span), true)
 				}
 				copied.CopyFrom(c)
+				restored.Restore(c.Snapshot())
 				for i := ops / 2; i < ops; i++ {
 					line, write, op := st.next()
 					want := apply(c, line, write, op)
@@ -273,8 +281,11 @@ func TestCopiesMatchOriginal(t *testing.T) {
 					if got := apply(copied, line, write, op); got != want {
 						t.Fatalf("op %d (%d on line %d): CopyFrom copy %s, original %s", i, op, line, got, want)
 					}
+					if got := apply(restored, line, write, op); got != want {
+						t.Fatalf("op %d (%d on line %d): restored snapshot %s, original %s", i, op, line, got, want)
+					}
 				}
-				for _, cp := range []*Cache{clone, copied} {
+				for _, cp := range []*Cache{clone, copied, restored} {
 					if cp.Stats() != c.Stats() || cp.Occupancy() != c.Occupancy() {
 						t.Fatalf("copy stats %+v occupancy %d, original %+v %d", cp.Stats(), cp.Occupancy(), c.Stats(), c.Occupancy())
 					}
@@ -286,6 +297,29 @@ func TestCopiesMatchOriginal(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSnapshotKeepsUnpackableLines: a direct-mapped cache holding a line
+// whose tag reaches 2^30, which a packed word cannot hold with its flags,
+// snapshots as a whole clone, and a restore of it holds that line.
+func TestSnapshotKeepsUnpackableLines(t *testing.T) {
+	cfg := Config{Sets: 8, Assoc: 1}
+	c := MustNew(cfg)
+	high := memaddr.Line(8<<30 | 3)
+	c.Access(1, true)
+	c.Access(high, false)
+	s := c.Snapshot()
+	if s.clone == nil || s.sets != nil {
+		t.Fatal("a snapshot of a line at 2^62 was packed")
+	}
+	r := MustNew(cfg)
+	r.Restore(s)
+	if !r.Contains(high) || !r.Contains(1) || r.Stats() != c.Stats() || r.Occupancy() != c.Occupancy() {
+		t.Fatalf("restored cache differs: stats %+v occupancy %d, want %+v %d", r.Stats(), r.Occupancy(), c.Stats(), c.Occupancy())
+	}
+	if p := MustNew(cfg); p.Snapshot().sets == nil {
+		t.Fatal("an empty direct-mapped cache did not pack")
 	}
 }
 

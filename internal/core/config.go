@@ -8,9 +8,11 @@ package core
 import (
 	"fmt"
 
+	"alloysim/internal/cache"
 	"alloysim/internal/cpu"
 	"alloysim/internal/dram"
 	"alloysim/internal/dramcache"
+	"alloysim/internal/memaddr"
 	"alloysim/internal/predictor"
 	"alloysim/internal/sim"
 	"alloysim/internal/trace"
@@ -235,6 +237,34 @@ func (c Config) ScaledCacheBytes() uint64 { return c.DRAMCacheBytes / c.Scale }
 
 // ScaledL3Bytes returns the simulated L3 capacity.
 func (c Config) ScaledL3Bytes() uint64 { return c.L3Bytes / c.Scale }
+
+// frontCaches returns the shared L3's geometry and policy and the private
+// L2s' (zero without L2s): the one derivation NewSystem builds them from
+// and Keys reads them from.
+func (c Config) frontCaches() (l3, l2 cache.Config, err error) {
+	l3Sets := int(c.ScaledL3Bytes()) / memaddr.LineSizeBytes / c.L3Assoc
+	if l3Sets <= 0 {
+		return l3, l2, fmt.Errorf("core: config yields %d L3 sets (L3Bytes=%d, Scale=%d, L3Assoc=%d): scaled capacity truncates below one set",
+			l3Sets, c.L3Bytes, c.Scale, c.L3Assoc)
+	}
+	l3 = cache.Config{Sets: l3Sets, Assoc: c.L3Assoc, Policy: c.L3Policy}
+	if l3.Policy == "" {
+		l3.Policy = DefaultL3Policy
+	}
+	if c.L2Bytes > 0 {
+		assoc := c.L2Assoc
+		if assoc <= 0 {
+			assoc = 8
+		}
+		l2Sets := int(c.L2Bytes/c.Scale) / memaddr.LineSizeBytes / assoc
+		if l2Sets <= 0 {
+			return l3, l2, fmt.Errorf("core: config yields %d L2 sets (L2Bytes=%d, Scale=%d, L2Assoc=%d): scaled capacity truncates below one set",
+				l2Sets, c.L2Bytes, c.Scale, assoc)
+		}
+		l2 = cache.Config{Sets: l2Sets, Assoc: assoc, Policy: "lru"}
+	}
+	return l3, l2, nil
+}
 
 // resolvePredictor returns the effective predictor kind after applying the
 // per-design default pairing.

@@ -79,13 +79,20 @@ type System struct {
 	rres, wres dramcache.AccessResult
 
 	// rec is the record warm writes its front into (RecordWarmup), and
-	// replay the record it warms from instead (ReplayWarmup); at most one
-	// is set, and both are nil for a plain direct warmup. cursors holds
-	// each core's position in the record's line stream while either runs.
+	// replay the record it warms from instead (ReplayWarmup, CopyWarmup);
+	// at most one is set, and both are nil for a plain direct warmup.
+	// cursors holds each core's position in the record's line stream while
+	// either runs. snap is the contents record Warm completes with the
+	// warmed tag store (RecordContents), and copy the one replayWarm copies
+	// the store from instead of replaying the Warm calls (CopyWarmup).
 	rec, replay *WarmRecord
 	cursors     []lineCursor
+	snap, copy  *ContentsRecord
 
-	ran bool
+	// warmed is set once Warm has run, and warmErr is how it ended.
+	warmed  bool
+	warmErr error
+	ran     bool
 }
 
 // NewSystem builds a system from the config.
@@ -111,35 +118,20 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 
-	l3Sets := int(cfg.ScaledL3Bytes()) / memaddr.LineSizeBytes / cfg.L3Assoc
-	if l3Sets <= 0 {
-		return nil, fmt.Errorf("core: config yields %d L3 sets (L3Bytes=%d, Scale=%d, L3Assoc=%d): scaled capacity truncates below one set",
-			l3Sets, cfg.L3Bytes, cfg.Scale, cfg.L3Assoc)
-	}
-	l3Policy := cfg.L3Policy
-	if l3Policy == "" {
-		l3Policy = DefaultL3Policy
-	}
-	if s.l3, err = cache.New(cache.Config{Sets: l3Sets, Assoc: cfg.L3Assoc, Policy: l3Policy}); err != nil {
+	l3Cfg, l2Cfg, err := cfg.frontCaches()
+	if err != nil {
 		return nil, err
 	}
-
+	if s.l3, err = cache.New(l3Cfg); err != nil {
+		return nil, err
+	}
 	if cfg.L2Bytes > 0 {
-		assoc := cfg.L2Assoc
-		if assoc <= 0 {
-			assoc = 8
-		}
 		s.l2Lat = cfg.L2Latency
 		if s.l2Lat == 0 {
 			s.l2Lat = 12
 		}
-		l2Sets := int(cfg.L2Bytes/cfg.Scale) / memaddr.LineSizeBytes / assoc
-		if l2Sets <= 0 {
-			return nil, fmt.Errorf("core: config yields %d L2 sets (L2Bytes=%d, Scale=%d, L2Assoc=%d): scaled capacity truncates below one set",
-				l2Sets, cfg.L2Bytes, cfg.Scale, assoc)
-		}
 		for i := 0; i < cfg.Cores; i++ {
-			l2, err := cache.New(cache.Config{Sets: l2Sets, Assoc: assoc, Policy: "lru"})
+			l2, err := cache.New(l2Cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -196,6 +188,30 @@ func NewSystem(cfg Config) (*System, error) {
 // real time.
 const cancelQuantum sim.Cycle = 1 << 16
 
+// Warm runs the System's warmup (warm), once: directly, or from a record
+// (ReplayWarmup, CopyWarmup). When it returns, every record the System was
+// given to write is complete (RecordWarmup, RecordContents), so other
+// Systems can warm from it while this one runs its measured phase.
+// RunContext warms first if Warm has not run; a System whose warmup
+// failed cannot run.
+func (s *System) Warm(ctx context.Context) error {
+	if s.warmed {
+		return fmt.Errorf("core: System.Warm called twice")
+	}
+	s.warmed = true
+	if s.warmErr = ctx.Err(); s.warmErr == nil {
+		s.warmErr = s.warm(ctx)
+	}
+	if s.warmErr == nil && s.snap != nil {
+		s.snap.complete(s)
+	}
+	// The measured phase reads no record, so whoever shares them alone
+	// decides how long they live: a copied tag store, for one, is as big
+	// as the System's own.
+	s.rec, s.replay, s.snap, s.copy, s.cursors = nil, nil, nil, nil, nil
+	return s.warmErr
+}
+
 // Run warms the caches, executes the measured phase, and returns results.
 // A System is single-use.
 func (s *System) Run() (Result, error) {
@@ -212,11 +228,12 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 	}
 	s.ran = true
 
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	if err := s.warm(ctx); err != nil {
-		return Result{}, err
+	if !s.warmed {
+		if err := s.Warm(ctx); err != nil {
+			return Result{}, err
+		}
+	} else if s.warmErr != nil {
+		return Result{}, s.warmErr
 	}
 
 	for i, src := range s.srcs {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"alloysim/internal/cache"
+	"alloysim/internal/dramcache"
 	"alloysim/internal/invariants"
 	"alloysim/internal/memaddr"
 	"alloysim/internal/trace"
@@ -51,9 +52,15 @@ const (
 // them to exactly the contents direct warmup would. A replay runs no
 // generator, L2 or L3.
 //
+// A design whose warmup touches nothing but its tag store can skip even
+// the Warm calls: a ContentsRecord holds such a store after warmup beside
+// the WarmRecord that warmed it, and a System of equal ContentsKey copies
+// the store and replays the front (CopyWarmup).
+//
 // The zero WarmRecord is empty, ready for RecordWarmup. A record is
-// written by one System's Run and is read-only once Complete; any number
-// of Systems may then replay it concurrently.
+// written by one System's Warm and is read-only once Complete, which it
+// is as soon as that warmup ends; any number of Systems may then replay
+// it concurrently.
 type WarmRecord struct {
 	front   FrontKey
 	codes   []byte            // 2-bit codes, four per byte, low bits first
@@ -98,25 +105,136 @@ type FrontKey struct {
 	l2         cache.Config // zero without private L2s
 }
 
-// FrontKey returns the System's front key. Caller-provided generators
-// have no key: their streams are not a function of the configuration.
+// ContentsKey is everything a DRAM-cache tag store after warmup depends
+// on, for the designs whose warmup touches nothing but that store
+// (dramcache.TagConfig): the front, which fixes the Warm calls the store
+// sees, and the store's geometry, policy and seed. A one-way store builds
+// no policy, so its policy and seed are left out (cache.Config.Shape), and
+// alloy, alloy-b8, ideal-lo and tdram share one key, as do sram-1 and
+// ideal-lo-notag. Systems with equal keys warm equal stores, so a
+// ContentsRecord of one warms any other (CopyWarmup). The zero ContentsKey
+// stands for no key.
+type ContentsKey struct {
+	front FrontKey
+	tags  cache.Config
+}
+
+// Keys returns the front key and the contents key of the System
+// NewSystem(cfg) would build, without building it. The contents key is
+// zero for the baseline and for designs whose warmup also trains state
+// beside the tag store (banshee's page counters, gemini's steering).
+// Caller-provided generators have no keys: their streams are not a
+// function of the configuration.
+func Keys(cfg Config) (FrontKey, ContentsKey, error) {
+	if cfg.Generators != nil {
+		return FrontKey{}, ContentsKey{}, errors.New("core: warmup records need profile-built generators, but Config.Generators is set")
+	}
+	l3, l2, err := cfg.frontCaches()
+	if err != nil {
+		return FrontKey{}, ContentsKey{}, err
+	}
+	f := FrontKey{
+		workload:   cfg.Workload,
+		seed:       cfg.Seed,
+		scale:      cfg.Scale,
+		cores:      cfg.Cores,
+		gapScale:   cfg.GapScale,
+		warmupRefs: cfg.WarmupRefs,
+		l3:         l3,
+		l2:         l2,
+	}
+	if cfg.Design == DesignNone {
+		return f, ContentsKey{}, nil
+	}
+	d := string(cfg.Design)
+	tags, ok, err := dramcache.TagConfig(d, cfg.ScaledCacheBytes(), cfg.Stacked, cfg.DCPolicy, dramcache.SeedFor(d, cfg.DCPolicy))
+	if !ok {
+		return f, ContentsKey{}, err
+	}
+	return f, ContentsKey{front: f, tags: tags.Shape()}, nil
+}
+
+// Tags returns the tag-store part of the key: its geometry, policy and
+// seed. Within one front, it tells contents keys apart.
+func (k ContentsKey) Tags() cache.Config { return k.tags }
+
+// FrontKey returns the System's front key (Keys).
 func (s *System) FrontKey() (FrontKey, error) {
-	if s.cfg.Generators != nil {
-		return FrontKey{}, errors.New("core: warmup records need profile-built generators, but Config.Generators is set")
+	k, _, err := Keys(s.cfg)
+	return k, err
+}
+
+// ContentsRecord is one DRAM-cache tag store after warmup, recorded for
+// copying, with the front record that warmup replayed or recorded. A
+// System of equal ContentsKey warms from it by putting the record's
+// front in place, as a replay does, and copying the store, with no Warm
+// call at all (CopyWarmup): by the dramcache rule the store is what those
+// calls leave. The zero ContentsRecord is empty, ready for
+// RecordContents; once Complete it is read-only, and any number of
+// Systems may copy it concurrently.
+type ContentsRecord struct {
+	key   ContentsKey
+	front *WarmRecord     // the front record the recorder warmed through
+	tags  *cache.Snapshot // the post-warmup store; nil until complete
+}
+
+// Complete reports whether the record holds a warmed store and its front.
+func (c *ContentsRecord) Complete() bool { return c.tags != nil }
+
+// RecordContents makes the System's warmup also record its post-warmup
+// tag store into c, which must be new. The record completes only for a
+// System that warms through a front record (RecordWarmup or
+// ReplayWarmup), since a copy needs that front too.
+func (s *System) RecordContents(c *ContentsRecord) error {
+	if c.Complete() || c.key != (ContentsKey{}) {
+		return errors.New("core: RecordContents needs a new ContentsRecord")
 	}
-	k := FrontKey{
-		workload:   s.cfg.Workload,
-		seed:       s.cfg.Seed,
-		scale:      s.cfg.Scale,
-		cores:      s.cfg.Cores,
-		gapScale:   s.cfg.GapScale,
-		warmupRefs: s.cfg.WarmupRefs,
-		l3:         s.l3.Config(),
+	_, k, err := Keys(s.cfg)
+	if err != nil {
+		return err
 	}
-	if s.l2 != nil {
-		k.l2 = s.l2[0].Config()
+	if k == (ContentsKey{}) {
+		return fmt.Errorf("core: design %q has no contents key", s.cfg.Design)
 	}
-	return k, nil
+	c.key = k
+	s.snap, s.copy = c, nil
+	return nil
+}
+
+// CopyWarmup makes the System warm from a complete contents record: the
+// record's front is put in place as ReplayWarmup puts it, and the
+// organization's tag store becomes a copy of the recorded one, with no
+// Warm call. The System's contents key must match the recorder's;
+// otherwise CopyWarmup returns an error and leaves the System unchanged.
+func (s *System) CopyWarmup(c *ContentsRecord) error {
+	if !c.Complete() {
+		return errors.New("core: CopyWarmup needs a complete ContentsRecord")
+	}
+	_, k, err := Keys(s.cfg)
+	if err != nil {
+		return err
+	}
+	if k != c.key {
+		return fmt.Errorf("core: contents record of %+v cannot warm %+v", c.key, k)
+	}
+	s.replay, s.copy, s.rec, s.snap = c.front, c, nil, nil
+	s.cursors = nil
+	return nil
+}
+
+// complete seals the record with a snapshot of the System's warmed tag
+// store and the front record it warmed through. A System that recorded no
+// front (its record was abandoned) leaves the record incomplete.
+func (c *ContentsRecord) complete(s *System) {
+	front := s.replay
+	if s.rec != nil {
+		front = s.rec
+	}
+	if front == nil || !front.Complete() {
+		return
+	}
+	c.front = front
+	c.tags = dramcache.TagStore(s.org).Snapshot()
 }
 
 // RecordWarmup makes Run record the System's warmup front into rec, which
@@ -133,7 +251,7 @@ func (s *System) RecordWarmup(rec *WarmRecord) error {
 	rec.front = k
 	rec.codes = make([]byte, (k.warmupRefs*uint64(k.cores)+3)/4)
 	rec.lines = make([][]byte, k.cores)
-	s.rec, s.replay = rec, nil
+	s.rec, s.replay, s.copy = rec, nil, nil
 	s.cursors = make([]lineCursor, k.cores)
 	return nil
 }
@@ -154,7 +272,7 @@ func (s *System) ReplayWarmup(rec *WarmRecord) error {
 	if k != rec.front {
 		return fmt.Errorf("core: warmup record of front %+v cannot warm front %+v", rec.front, k)
 	}
-	s.replay, s.rec = rec, nil
+	s.replay, s.rec, s.copy = rec, nil, nil
 	s.cursors = make([]lineCursor, k.cores)
 	return nil
 }
@@ -228,12 +346,16 @@ func (r *WarmRecord) complete(s *System) {
 // the codes in warm's loop order and issues the organization calls they
 // say, decoding each forwarded line from its core's stream and taking
 // victim lines from the record; then it puts the recorded front in place
-// and runs direct warmup's closing resets.
+// and runs direct warmup's closing resets. Given a contents record
+// (CopyWarmup), it copies the recorded tag store instead of issuing any
+// organization call.
 //
 //alloyvet:hotpath
 func (s *System) replayWarm(ctx context.Context) error {
 	rec := s.replay
-	if s.org != nil {
+	if s.copy != nil {
+		dramcache.TagStore(s.org).Restore(s.copy.tags)
+	} else if s.org != nil {
 		var i, v uint64 // next code, next victim
 		for n := uint64(0); n < s.cfg.WarmupRefs; n++ {
 			if n&0xfff == 0 {

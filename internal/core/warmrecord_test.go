@@ -119,6 +119,173 @@ func TestWarmReplayMatchesDirect(t *testing.T) {
 	}
 }
 
+// contentsRun runs cfg replaying front and recording its warmed tag store.
+func contentsRun(t *testing.T, cfg Config, front *WarmRecord) (Result, *ContentsRecord) {
+	t.Helper()
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &ContentsRecord{}
+	if err := s.ReplayWarmup(front); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RecordContents(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Warm(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Complete() {
+		t.Fatal("contents record incomplete after warmup")
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, c
+}
+
+// TestWarmCopyMatchesReplay requires a System warmed by copying another
+// point's recorded tag store (CopyWarmup) to give the Result of the same
+// System warmed by replaying the front record, for the designs that share
+// Alloy's store (alloy-b8, ideal-lo, tdram), for sram-1's store in
+// ideal-lo-notag, and for predictor and MLP variants of one design. lbm_r
+// brings dirty L3 victims, so the copied stores hold written lines.
+func TestWarmCopyMatchesReplay(t *testing.T) {
+	variant := func(d Design, pk PredictorKind, mlp int) func(string) Config {
+		return func(wl string) Config {
+			c := quickConfig(wl, d)
+			c.Predictor = pk
+			if mlp != 0 {
+				c.CPU.MLP = mlp
+			}
+			c.InstructionsPerCore /= 5
+			return c
+		}
+	}
+	for _, wl := range []string{"mcf_r", "lbm_r"} {
+		_, front := recordRun(t, variant(DesignNone, PredDefault, 0)(wl))
+		for _, tc := range []struct {
+			producer  Design
+			consumers []func(string) Config
+		}{
+			{DesignAlloy, []func(string) Config{
+				variant(DesignAlloyBurst8, PredDefault, 0),
+				variant(DesignIdealLO, PredDefault, 0),
+				variant(DesignTDRAM, PredDefault, 0),
+				variant(DesignAlloy, PredSAM, 0),
+				variant(DesignAlloy, PredDefault, 4),
+			}},
+			{DesignSRAMTag1, []func(string) Config{
+				variant(DesignIdealLONoTag, PredDefault, 0),
+				variant(DesignSRAMTag1, PredPAM, 0),
+			}},
+		} {
+			own, c := contentsRun(t, variant(tc.producer, PredDefault, 0)(wl), front)
+			if want := replayRun(t, variant(tc.producer, PredDefault, 0)(wl), front); own != want {
+				t.Errorf("%s %s: recording contents changed the run: %+v, replayed %+v", wl, tc.producer, own, want)
+			}
+			for _, consumer := range tc.consumers {
+				cfg := consumer(wl)
+				s, err := NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.CopyWarmup(c); err != nil {
+					t.Fatalf("%s %s/%s: %v", wl, cfg.Design, cfg.Predictor, err)
+				}
+				copied, err := s.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := replayRun(t, cfg, front); copied != want {
+					t.Errorf("%s %s/%s mlp %d: copied %+v, replayed %+v", wl, cfg.Design, cfg.Predictor, cfg.CPU.MLP, copied, want)
+				}
+			}
+		}
+	}
+}
+
+// TestContentsKeys checks which designs get a contents key and which
+// Systems a contents record refuses: another tag-store geometry, another
+// front, and a design with state beside its store.
+func TestContentsKeys(t *testing.T) {
+	base := smallConfig("mcf_r", DesignAlloy)
+	base.WarmupRefs = 500
+	for _, d := range Designs() {
+		cfg := base
+		cfg.Design = d
+		f, k, err := Keys(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := s.FrontKey(); got != f {
+			t.Errorf("%s: Keys front %+v, System front %+v", d, f, got)
+		}
+		if none := k == (ContentsKey{}); none != (d == DesignNone || d == DesignBanshee || d == DesignGemini) {
+			t.Errorf("%s: contents key %+v", d, k)
+		}
+		if k != (ContentsKey{}) && k.front != f {
+			t.Errorf("%s: contents key front %+v, front key %+v", d, k.front, f)
+		}
+	}
+	_, front := recordRun(t, smallConfig("mcf_r", DesignNone))
+	_, c := contentsRun(t, smallConfig("mcf_r", DesignAlloy), front)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"lh-29", func(c *Config) { c.Design = DesignLH }},
+		{"size", func(c *Config) { c.DRAMCacheBytes *= 2 }},
+		{"notag", func(c *Config) { c.Design = DesignIdealLONoTag }},
+		{"banshee", func(c *Config) { c.Design = DesignBanshee }},
+		{"seed", func(c *Config) { c.Seed++ }},
+	} {
+		cfg := smallConfig("mcf_r", DesignAlloy)
+		tc.mutate(&cfg)
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CopyWarmup(c); err == nil {
+			t.Errorf("%s: CopyWarmup accepted another contents key", tc.name)
+		}
+	}
+	s, err := NewSystem(smallConfig("mcf_r", DesignGemini))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RecordContents(&ContentsRecord{}); err == nil {
+		t.Error("RecordContents accepted gemini")
+	}
+	if err := s.CopyWarmup(&ContentsRecord{}); err == nil {
+		t.Error("CopyWarmup accepted an incomplete record")
+	}
+	// A direct warmup hands on no front, so its contents record stays
+	// incomplete.
+	if s, err = NewSystem(smallConfig("mcf_r", DesignAlloy)); err != nil {
+		t.Fatal(err)
+	}
+	direct := &ContentsRecord{}
+	if err := s.RecordContents(direct); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Warm(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if direct.Complete() {
+		t.Error("a direct warmup completed a contents record")
+	}
+	if err := s.Warm(context.Background()); err == nil {
+		t.Error("a System warmed twice")
+	}
+}
+
 // TestWarmReplayRestoresFront requires a replayed System's sources to
 // continue exactly where a directly warmed System's do: the next 10k
 // FrontRefs of every core, L2 outcomes included, are equal.
@@ -287,8 +454,9 @@ func TestWarmReplayCancels(t *testing.T) {
 }
 
 // BenchmarkWarm times one Fig 9 point's warmup (mcf_r at the experiments
-// package's DefaultParams warmup) warmed directly and from a record, and
-// reports the record's line-stream bytes per forwarded reference.
+// package's DefaultParams warmup) warmed directly, from a record and, for
+// Alloy, by copying a recorded tag store, and reports the record's
+// line-stream bytes per forwarded reference.
 func BenchmarkWarm(b *testing.B) {
 	for _, d := range []Design{DesignAlloy, DesignLH} {
 		cfg := DefaultConfig("mcf_r")
@@ -300,20 +468,31 @@ func BenchmarkWarm(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rec := &WarmRecord{}
+		rec, c := &WarmRecord{}, &ContentsRecord{}
 		if err := rs.RecordWarmup(rec); err != nil {
 			b.Fatal(err)
 		}
-		if err := rs.warm(context.Background()); err != nil {
+		modes := []string{"direct", "replay"}
+		if d == DesignAlloy {
+			if err := rs.RecordContents(c); err != nil {
+				b.Fatal(err)
+			}
+			modes = append(modes, "copy")
+		}
+		if err := rs.Warm(context.Background()); err != nil {
 			b.Fatal(err)
 		}
-		for _, mode := range []string{"direct", "replay"} {
+		for _, mode := range modes {
 			b.Run(string(d)+"/"+mode, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					s, err := NewSystem(cfg)
-					if err == nil && mode == "replay" {
+					switch {
+					case err != nil:
+					case mode == "replay":
 						err = s.ReplayWarmup(rec)
+					case mode == "copy":
+						err = s.CopyWarmup(c)
 					}
 					if err != nil {
 						b.Fatal(err)

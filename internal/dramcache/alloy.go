@@ -62,12 +62,11 @@ func NewAlloy(capacityBytes uint64, stacked *dram.DRAM, opts ...AlloyOption) (*A
 	if p.burst == 0 {
 		return nil, fmt.Errorf("dramcache: Alloy burst must be positive")
 	}
-	rows := capacityBytes / uint64(stacked.Config().RowBytes)
-	if rows == 0 {
-		return nil, fmt.Errorf("dramcache: capacity %d smaller than one row", capacityBytes)
+	cfg, err := alloyTags(capacityBytes, stacked.Config(), p.assoc)
+	if err != nil {
+		return nil, err
 	}
-	sets := int(rows) * AlloyTADsPerRow / p.assoc
-	tags, err := cache.New(cache.Config{Sets: sets, Assoc: p.assoc, Policy: "lru"})
+	tags, err := cache.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -87,6 +86,12 @@ func NewAlloy(capacityBytes uint64, stacked *dram.DRAM, opts ...AlloyOption) (*A
 		a.name = "Alloy"
 	}
 	return a, nil
+}
+
+// alloyTags is the tag store of an Alloy Cache with the given ways, and of
+// TDRAM: 28 TADs per row.
+func alloyTags(capacityBytes uint64, stacked dram.Config, assoc int) (cache.Config, error) {
+	return rowTags(capacityBytes, stacked, AlloyTADsPerRow, assoc, "lru", 0)
 }
 
 // Name implements Organization.

@@ -1,8 +1,6 @@
 package dramcache
 
 import (
-	"fmt"
-
 	"alloysim/internal/cache"
 	"alloysim/internal/dram"
 	"alloysim/internal/invariants"
@@ -50,11 +48,11 @@ type Banshee struct {
 // NewBanshee builds a Banshee cache of the given capacity.
 func NewBanshee(capacityBytes uint64, stacked *dram.DRAM) (*Banshee, error) {
 	linesPerRow := stacked.Config().LinesPerRow() // no in-DRAM tag overhead
-	rows := capacityBytes / uint64(stacked.Config().RowBytes)
-	if rows == 0 {
-		return nil, fmt.Errorf("dramcache: capacity %d smaller than one row", capacityBytes)
+	cfg, err := rowTags(capacityBytes, stacked.Config(), linesPerRow, 1, "lru", 0)
+	if err != nil {
+		return nil, err
 	}
-	tags, err := cache.New(cache.Config{Sets: int(rows) * linesPerRow, Assoc: 1, Policy: "lru"})
+	tags, err := cache.New(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -32,10 +32,16 @@
 // contents. Replayed warmups (core.WarmRecord) rely on the same rule:
 // with contents a function of the call sequence alone, an organization
 // handed the calls another point's record describes, the very sequence
-// its own direct warmup would issue, warms to the same contents.
+// its own direct warmup would issue, warms to the same contents. For a
+// design whose contents are one tag store (TagConfig), the store that
+// sequence leaves is the same for every organization built on an equal
+// store, so core.System.CopyWarmup copies another point's warmed store
+// (TagStore) instead of issuing the calls at all.
 package dramcache
 
 import (
+	"fmt"
+
 	"alloysim/internal/cache"
 	"alloysim/internal/dram"
 	"alloysim/internal/memaddr"
@@ -124,6 +130,17 @@ type Organization interface {
 	// RegisterMetrics exports the organization's counters under the
 	// given prefix. Registration is setup-time only.
 	RegisterMetrics(x obs.Exporter, prefix string)
+}
+
+// rowTags is the tag store of a design that keeps linesPerRow lines of
+// each stacked row, in sets of assoc ways under the given policy and seed.
+// Every constructor's store comes from it, as does TagConfig's.
+func rowTags(capacityBytes uint64, stacked dram.Config, linesPerRow, assoc int, policy string, seed uint64) (cache.Config, error) {
+	rows := capacityBytes / uint64(stacked.RowBytes)
+	if rows == 0 {
+		return cache.Config{}, fmt.Errorf("dramcache: capacity %d smaller than one row", capacityBytes)
+	}
+	return cache.Config{Sets: int(rows) * linesPerRow / assoc, Assoc: assoc, Policy: policy, Seed: seed}, nil
 }
 
 // base carries the machinery shared by all organizations.

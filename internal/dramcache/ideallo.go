@@ -1,8 +1,6 @@
 package dramcache
 
 import (
-	"fmt"
-
 	"alloysim/internal/cache"
 	"alloysim/internal/dram"
 	"alloysim/internal/memaddr"
@@ -40,17 +38,16 @@ func NewIdealLO(capacityBytes uint64, stacked *dram.DRAM, opts ...IdealLOOption)
 	for _, o := range opts {
 		o(&p)
 	}
-	linesPerRow := AlloyTADsPerRow
 	name := "IDEAL-LO"
 	if p.noTagOverhead {
-		linesPerRow = stacked.Config().LinesPerRow()
 		name = "IDEAL-LO+NoTagOverhead"
 	}
-	rows := capacityBytes / uint64(stacked.Config().RowBytes)
-	if rows == 0 {
-		return nil, fmt.Errorf("dramcache: capacity %d smaller than one row", capacityBytes)
+	linesPerRow := idealLinesPerRow(stacked.Config(), p.noTagOverhead)
+	cfg, err := rowTags(capacityBytes, stacked.Config(), linesPerRow, 1, "lru", 0)
+	if err != nil {
+		return nil, err
 	}
-	tags, err := cache.New(cache.Config{Sets: int(rows) * linesPerRow, Assoc: 1, Policy: "lru"})
+	tags, err := cache.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -58,6 +55,15 @@ func NewIdealLO(capacityBytes uint64, stacked *dram.DRAM, opts ...IdealLOOption)
 	d.tags = tags
 	d.stacked = stacked
 	return d, nil
+}
+
+// idealLinesPerRow is how many lines of each row IDEAL-LO keeps: 28, like
+// the Alloy Cache, or all of them without the tag overhead.
+func idealLinesPerRow(stacked dram.Config, noTagOverhead bool) int {
+	if noTagOverhead {
+		return stacked.LinesPerRow()
+	}
+	return AlloyTADsPerRow
 }
 
 // Name implements Organization.

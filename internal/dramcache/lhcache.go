@@ -62,12 +62,11 @@ func NewLHCache(capacityBytes uint64, stacked *dram.DRAM, opts ...LHOption) (*LH
 	if p.assoc != 1 && p.assoc != LHDataLinesPerRow {
 		return nil, fmt.Errorf("dramcache: LH-Cache supports assoc 1 or %d, got %d", LHDataLinesPerRow, p.assoc)
 	}
-	rows := capacityBytes / uint64(stacked.Config().RowBytes)
-	if rows == 0 {
-		return nil, fmt.Errorf("dramcache: capacity %d smaller than one row", capacityBytes)
+	cfg, err := rowTags(capacityBytes, stacked.Config(), LHDataLinesPerRow, p.assoc, p.policy, p.seed)
+	if err != nil {
+		return nil, err
 	}
-	sets := int(rows) * LHDataLinesPerRow / p.assoc
-	tags, err := cache.New(cache.Config{Sets: sets, Assoc: p.assoc, Policy: p.policy, Seed: p.seed})
+	tags, err := cache.New(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"alloysim/internal/cache"
 	"alloysim/internal/dram"
 )
 
@@ -92,6 +93,65 @@ func fixedPolicy(name string, build Builder) Builder {
 		}
 		return build(p)
 	}
+}
+
+// TagConfig returns the tag store Build(name, p) gives a design whose
+// contents are that store alone: every registered design but banshee and
+// gemini, whose Warm also trains page counters or a steering table. It
+// takes p's capacity, policy and seed and the stacked device's geometry,
+// and builds nothing. ok is false for banshee, gemini and unknown names.
+// The cases pass each design the options its builder below passes its
+// constructor, and TestTagConfigMatchesBuild holds them to it.
+func TagConfig(name string, capacityBytes uint64, stacked dram.Config, policy string, seed uint64) (cfg cache.Config, ok bool, err error) {
+	fixed := true
+	switch name {
+	case "sram-32":
+		cfg, err = sramTags(capacityBytes, stacked, 32)
+	case "sram-1":
+		cfg, err = sramTags(capacityBytes, stacked, 1)
+	case "lh-29":
+		fixed = false
+		if policy == "" {
+			policy, seed = "dip", 0
+		}
+		cfg, err = rowTags(capacityBytes, stacked, LHDataLinesPerRow, LHDataLinesPerRow, policy, seed)
+	case "lh-29-rand":
+		cfg, err = rowTags(capacityBytes, stacked, LHDataLinesPerRow, LHDataLinesPerRow, "random", 0)
+	case "lh-1":
+		cfg, err = rowTags(capacityBytes, stacked, LHDataLinesPerRow, 1, "dip", 0)
+	case "alloy", "alloy-b8", "tdram":
+		cfg, err = alloyTags(capacityBytes, stacked, 1)
+	case "alloy-2":
+		cfg, err = alloyTags(capacityBytes, stacked, 2)
+	case "ideal-lo", "ideal-lo-notag":
+		cfg, err = rowTags(capacityBytes, stacked, idealLinesPerRow(stacked, name == "ideal-lo-notag"), 1, "lru", 0)
+	default:
+		return cache.Config{}, false, nil
+	}
+	if err == nil && fixed && policy != "" {
+		err = fmt.Errorf("dramcache: design %q has no replacement-policy choice (got %q)", name, policy)
+	}
+	return cfg, err == nil, err
+}
+
+// TagStore returns the tag store of an organization whose contents are
+// that store alone (the designs TagConfig covers), or nil for any other.
+// A warmed store can be cloned and copied into another organization of
+// equal TagConfig, which then holds what its own warmup would have left.
+func TagStore(org Organization) *cache.Cache {
+	switch o := org.(type) {
+	case *SRAMTag:
+		return o.tags
+	case *LHCache:
+		return o.tags
+	case *Alloy:
+		return o.tags
+	case *IdealLO:
+		return o.tags
+	case *TDRAM:
+		return o.tags
+	}
+	return nil
 }
 
 func init() {

@@ -29,12 +29,11 @@ func NewSRAMTag(capacityBytes uint64, assoc int, stacked *dram.DRAM) (*SRAMTag, 
 		return nil, fmt.Errorf("dramcache: SRAM-Tag supports assoc 1 or 32, got %d", assoc)
 	}
 	linesPerRow := stacked.Config().LinesPerRow() // 32 with 2 KB rows
-	rows := capacityBytes / uint64(stacked.Config().RowBytes)
-	if rows == 0 {
-		return nil, fmt.Errorf("dramcache: capacity %d smaller than one row", capacityBytes)
+	cfg, err := sramTags(capacityBytes, stacked.Config(), assoc)
+	if err != nil {
+		return nil, err
 	}
-	sets := int(rows) * linesPerRow / assoc
-	tags, err := cache.New(cache.Config{Sets: sets, Assoc: assoc, Policy: "dip"})
+	tags, err := cache.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -51,6 +50,12 @@ func NewSRAMTag(capacityBytes uint64, assoc int, stacked *dram.DRAM) (*SRAMTag, 
 		s.setsPerRow = linesPerRow // 32 consecutive sets per row
 	}
 	return s, nil
+}
+
+// sramTags is the SRAM tag array of the given ways over every line of
+// each row, under DIP.
+func sramTags(capacityBytes uint64, stacked dram.Config, assoc int) (cache.Config, error) {
+	return rowTags(capacityBytes, stacked, stacked.LinesPerRow(), assoc, "dip", 0)
 }
 
 // Name implements Organization.

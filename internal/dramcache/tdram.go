@@ -1,8 +1,6 @@
 package dramcache
 
 import (
-	"fmt"
-
 	"alloysim/internal/cache"
 	"alloysim/internal/dram"
 	"alloysim/internal/invariants"
@@ -28,12 +26,11 @@ type TDRAM struct {
 
 // NewTDRAM builds a tag-enhanced DRAM cache of the given capacity.
 func NewTDRAM(capacityBytes uint64, stacked *dram.DRAM) (*TDRAM, error) {
-	rows := capacityBytes / uint64(stacked.Config().RowBytes)
-	if rows == 0 {
-		return nil, fmt.Errorf("dramcache: capacity %d smaller than one row", capacityBytes)
+	cfg, err := alloyTags(capacityBytes, stacked.Config(), 1)
+	if err != nil {
+		return nil, err
 	}
-	sets := int(rows) * AlloyTADsPerRow
-	tags, err := cache.New(cache.Config{Sets: sets, Assoc: 1, Policy: "lru"})
+	tags, err := cache.New(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -362,3 +362,48 @@ func TestSeedForStableAndDistinct(t *testing.T) {
 		t.Fatal("SeedFor concatenation ambiguity")
 	}
 }
+
+// TestTagConfigMatchesBuild holds TagConfig to what Build builds: for every
+// registered design, at several capacities, policies and seeds, a design
+// TagConfig covers has the store it names, and banshee and gemini, whose
+// contents are more than a tag store, are not covered. A policy a design
+// refuses is refused by both.
+func TestTagConfigMatchesBuild(t *testing.T) {
+	covered := 0
+	for _, n := range Names() {
+		for _, capacity := range []uint64{testCap, 64 << 20 / 64, 1 << 30 / 64, 3 * 2048} {
+			for _, policy := range []string{"", "lru", "random", "ship"} {
+				for _, seed := range []uint64{0, 7, SeedFor(n, policy)} {
+					st := stacked()
+					org, berr := Build(n, Params{CapacityBytes: capacity, Stacked: st, Policy: policy, Seed: seed})
+					cfg, ok, err := TagConfig(n, capacity, st.Config(), policy, seed)
+					if n == "banshee" || n == "gemini" {
+						if ok || err != nil {
+							t.Fatalf("TagConfig(%q) = %+v, %v, %v; want not covered", n, cfg, ok, err)
+						}
+						if berr == nil && TagStore(org) != nil {
+							t.Fatalf("TagStore(%s) is not nil", n)
+						}
+						continue
+					}
+					if (berr != nil) != (err != nil) {
+						t.Fatalf("%s cap %d policy %q seed %d: Build error %v, TagConfig error %v", n, capacity, policy, seed, berr, err)
+					}
+					if berr != nil {
+						continue
+					}
+					if !ok {
+						t.Fatalf("TagConfig(%q) not covered", n)
+					}
+					if got := TagStore(org).Config(); got != cfg {
+						t.Fatalf("%s cap %d policy %q seed %d: built store %+v, TagConfig %+v", n, capacity, policy, seed, got, cfg)
+					}
+					covered++
+				}
+			}
+		}
+	}
+	if covered == 0 {
+		t.Fatal("no design was covered")
+	}
+}

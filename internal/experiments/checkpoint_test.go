@@ -368,6 +368,46 @@ func TestCheckpointFailsOnUncreatablePath(t *testing.T) {
 	}
 }
 
+// TestCheckpointAppendFailureKept: an append that fails after the
+// checkpoint was enabled (here its directory is removed) is kept for the
+// caller to report, and a later failure does not replace it. The points
+// themselves complete and are memoized.
+func TestCheckpointAppendFailureKept(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(microParams())
+	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
+		return core.Result{ExecCycles: float64(pt.CacheMB)}, nil
+	}
+	if _, err := r.EnableCheckpoint(filepath.Join(dir, "ckpt.json")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, 64); err != nil || r.CheckpointErr() != nil {
+		t.Fatalf("first point: %v, checkpoint error %v", err, r.CheckpointErr())
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, 128); err != nil {
+		t.Fatal(err)
+	}
+	first := r.CheckpointErr()
+	if first == nil {
+		t.Fatal("a failed append left no checkpoint error")
+	}
+	if _, err := r.Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, 256); err != nil {
+		t.Fatal(err)
+	}
+	if r.CheckpointErr() != first {
+		t.Fatalf("checkpoint error %v replaced the first, %v", r.CheckpointErr(), first)
+	}
+	if m := r.Metrics(); m.PointsRun != 3 || m.Failures != 0 {
+		t.Fatalf("metrics %+v, want 3 points run and no failure", m)
+	}
+}
+
 // TestCheckpointDropsTornTail: a last line cut short by a crash is
 // dropped on load and cut off the file, the point it held simulates
 // again, and its append leaves a valid file.

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -39,9 +38,10 @@ type Params struct {
 	GapScale uint32
 	// Seed perturbs the generators.
 	Seed uint64
-	// Parallelism bounds concurrent simulations during Prefetch (each
-	// simulation is single-threaded and independent), and the number of
-	// recorded warmup fronts the runner keeps. Zero means runtime.NumCPU.
+	// Parallelism is the number of Prefetch workers (each simulation is
+	// single-threaded and independent), and bounds the recorded warmup
+	// fronts the runner keeps that no listed point still needs. Zero means
+	// runtime.NumCPU.
 	Parallelism int
 	// Progress, when non-nil, receives one line per completed simulation.
 	// The runner serializes all writes, so any writer is safe even under
@@ -73,7 +73,7 @@ func QuickParams() Params {
 
 // Runner executes simulations with memoization and optional disk
 // checkpointing. Run is safe for concurrent use; Prefetch exploits that to
-// fill the memo in parallel, launching each distinct point once, so a
+// fill the memo in parallel, starting each distinct point once, so a
 // point that a Prefetch list spells twice is simulated once.
 type Runner struct {
 	p Params //alloyvet:owner NewRunner; immutable
@@ -84,9 +84,11 @@ type Runner struct {
 	m        Metrics                 //alloyvet:guard mu
 
 	// ckpt is non-nil once EnableCheckpoint succeeds; it owns the file
-	// path and serializes appends.
+	// path and serializes appends. ckptErr is the first append that
+	// failed (CheckpointErr).
 	//alloyvet:guard mu
-	ckpt *checkpointWriter
+	ckpt    *checkpointWriter
+	ckptErr error //alloyvet:guard mu
 
 	// pw serializes all operator-facing output: Prefetch completes points
 	// on many goroutines, and io.Writer implementations (files, buffers)
@@ -101,19 +103,22 @@ type Runner struct {
 	//alloyvet:owner NewRunner; immutable outside tests
 	simulate func(ctx context.Context, pt Point) (core.Result, error)
 
-	// fronts holds recorded warmup fronts (core.WarmRecord), one per
-	// core.FrontKey, least recently used first and at most parallelism()
-	// of them. Every point of a workload whose knobs leave the front alone
-	// (all but the seed and the L3 policy) shares one.
-	fronts []frontEntry //alloyvet:guard mu
-}
+	// fronts is the runner's table of warmup fronts (core.WarmRecord),
+	// one entry per core.FrontKey, least recently used first: wanted by a
+	// listed point, being recorded by one point, or ready to replay. Every
+	// point of a workload whose knobs leave the front alone (all but the
+	// seed and the L3 policy) shares one. Ready records that no listed
+	// point still needs are kept up to parallelism() (warmshare.go).
+	fronts []*frontEntry //alloyvet:guard mu
 
-// frontEntry is one front's warmup record. ready is false while the
-// point recording it runs; points that find it so warm directly.
-type frontEntry struct {
-	key   core.FrontKey
-	rec   *core.WarmRecord
-	ready bool
+	// contents holds the tag-store snapshots (core.ContentsRecord) that
+	// two or more listed points share, one per core.ContentsKey, each
+	// dropped once the last of those points has started.
+	contents map[snapKey]*contentsEntry //alloyvet:guard mu
+
+	// plans holds the warmup plan Prefetch chose for each point it has
+	// started and whose simulation has not taken the plan yet.
+	plans map[Point]warmPlan //alloyvet:guard mu
 }
 
 // FailureRecord describes a point whose simulation failed.
@@ -136,8 +141,11 @@ type Metrics struct {
 	// caller's cancellation is not a failure.
 	Failures uint64
 	// WarmReplays counts simulations that warmed from another point's
-	// recorded warmup front instead of simulating the L3.
+	// recorded warmup front instead of simulating the L3, copies included.
 	WarmReplays uint64
+	// WarmCopies counts the replays that also copied another point's
+	// warmed tag store instead of replaying its Warm calls.
+	WarmCopies uint64
 	// SimWall is cumulative wall time inside successful simulations.
 	SimWall time.Duration
 	// MaxPointWall is the slowest successful simulation.
@@ -150,6 +158,8 @@ func NewRunner(p Params) *Runner {
 		p:        p,
 		cache:    make(map[Point]core.Result),
 		failures: make(map[Point]FailureRecord),
+		contents: make(map[snapKey]*contentsEntry),
+		plans:    make(map[Point]warmPlan),
 		pw:       obs.NewSyncWriter(p.Progress),
 	}
 	r.simulate = r.simulatePoint
@@ -237,54 +247,6 @@ func (r *Runner) normalize(pt Point) Point {
 	return pt
 }
 
-// Prefetch runs the given points concurrently (bounded by Parallelism)
-// so later sequential Run calls hit the memo. Each distinct point is
-// launched once: a later spelling of an already listed point gets no
-// goroutine and no worker slot. All points run to completion even when
-// some fail; every failure is reported, joined in input order. Cancelling
-// ctx stops launching new points and cancels the in-flight ones.
-func (r *Runner) Prefetch(ctx context.Context, points []Point) error {
-	sem := make(chan struct{}, r.parallelism())
-	errs := make([]error, len(points))
-	listed := make(map[Point]bool, len(points))
-	var wg sync.WaitGroup
-	for i, pt := range points {
-		i, pt := i, pt
-		key := r.normalize(pt)
-		if listed[key] {
-			continue
-		}
-		listed[key] = true
-		// Consult the context before the semaphore: a two-way select would
-		// nondeterministically pick a free slot over an already-cancelled
-		// context. Every distinct point not launched gets its own recorded
-		// error, so callers can tell exactly which simulations never ran.
-		if err := ctx.Err(); err != nil {
-			errs[i] = fmt.Errorf("prefetch %s: skipped: %w", pt, err)
-			continue
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			errs[i] = fmt.Errorf("prefetch %s: skipped: %w", pt, ctx.Err())
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if _, err := r.run(ctx, key); err != nil {
-				errs[i] = fmt.Errorf("prefetch %s: %w", pt, err)
-			}
-		}()
-	}
-	// Every worker's Run honors ctx (cancellation fails its point fast),
-	// so after a cancel this join is bounded by one engine quantum per
-	// in-flight worker — the wait cannot outlive the workers.
-	wg.Wait() //alloyvet:allow(ctxflow)
-	return errors.Join(errs...)
-}
-
 // parallelism resolves Params.Parallelism's default.
 func (r *Runner) parallelism() int {
 	if r.p.Parallelism > 0 {
@@ -337,92 +299,29 @@ func (r *Runner) run(ctx context.Context, pt Point) (core.Result, error) {
 	r.progressf("  ran %s in %.2fs\n", key, elapsed.Seconds())
 	if cerr := r.saveCheckpoint(key, res); cerr != nil {
 		r.progressf("  checkpoint write failed: %v\n", cerr)
+		r.mu.Lock()
+		if r.ckptErr == nil {
+			r.ckptErr = cerr
+		}
+		r.mu.Unlock()
 	}
 	return res, nil
 }
 
-// simulatePoint is the real point execution: build a system from the
-// runner params and run it under ctx. The first point of a front records
-// it and later points replay it (takeFront).
-func (r *Runner) simulatePoint(ctx context.Context, key Point) (core.Result, error) {
-	sys, err := core.NewSystem(r.p.Config(key))
-	var front core.FrontKey
-	if err == nil {
-		front, err = sys.FrontKey()
-	}
-	if err != nil {
-		return core.Result{}, err
-	}
-	rec, replay := r.takeFront(front)
-	switch {
-	case replay:
-		err = sys.ReplayWarmup(rec)
-	case rec != nil:
-		defer r.publishFront(rec)
-		err = sys.RecordWarmup(rec)
-	}
-	if err != nil {
-		return core.Result{}, err
-	}
-	return sys.RunContext(ctx)
-}
-
-// takeFront looks up the warmup front of the given key. A ready record
-// comes back to replay. Without an entry the point records a new one,
-// unless every slot holds a record still being recorded; then, and while
-// the key's own record is being recorded, the point warms directly (nil),
-// with no waiting.
-func (r *Runner) takeFront(key core.FrontKey) (rec *core.WarmRecord, replay bool) {
+// CheckpointErr returns the first checkpoint append that failed, or nil.
+// The point itself completed and is memoized; only its line is missing
+// from the file, so a resumed sweep would simulate it again.
+func (r *Runner) CheckpointErr() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, e := range r.fronts {
-		if e.key != key {
-			continue
-		}
-		if !e.ready {
-			return nil, false
-		}
-		r.fronts = append(slices.Delete(r.fronts, i, i+1), e)
-		r.m.WarmReplays++
-		return e.rec, true
-	}
-	if len(r.fronts) >= r.parallelism() {
-		i := slices.IndexFunc(r.fronts, func(e frontEntry) bool { return e.ready })
-		if i < 0 {
-			return nil, false
-		}
-		r.fronts = slices.Delete(r.fronts, i, i+1)
-	}
-	rec = &core.WarmRecord{}
-	r.fronts = append(r.fronts, frontEntry{key: key, rec: rec})
-	return rec, false
-}
-
-// publishFront ends a recording point's hold on its entry: a complete
-// record becomes ready to replay, and an incomplete one (the run failed
-// or was cancelled during warmup) is dropped, so a later point records
-// afresh.
-func (r *Runner) publishFront(rec *core.WarmRecord) {
-	complete := rec.Complete()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, e := range r.fronts {
-		if e.rec != rec {
-			continue
-		}
-		if complete {
-			r.fronts[i].ready = true
-		} else {
-			r.fronts = slices.Delete(r.fronts, i, i+1)
-		}
-		return
-	}
+	return r.ckptErr
 }
 
 // Config derives the core.Config a point simulates under p: the one
 // derivation shared by the runner, the phase and table3 experiments'
-// direct runs and validate.PointConfig. A zero CacheMB or knob keeps
-// core.DefaultConfig's value, except that the seed defaults to p.Seed.
+// direct runs and validate.PointConfig. A zero knob keeps
+// core.DefaultConfig's value; a zero CacheMB takes p.CacheMB and a zero
+// seed p.Seed, as Runner.normalize fills them.
 func (p Params) Config(pt Point) core.Config {
 	cfg := core.DefaultConfig(pt.Workload)
 	cfg.Design = pt.Design
@@ -433,6 +332,9 @@ func (p Params) Config(pt Point) core.Config {
 	cfg.Cores = p.Cores
 	cfg.GapScale = p.GapScale
 	cfg.Seed = p.Seed
+	if pt.CacheMB == 0 {
+		pt.CacheMB = p.CacheMB
+	}
 	if pt.CacheMB != 0 {
 		cfg.DRAMCacheBytes = pt.CacheMB << 20
 	}
@@ -496,9 +398,9 @@ func (r *Runner) WriteSummary(w io.Writer) {
 	if m.PointsRun > 0 {
 		mean = m.SimWall / time.Duration(m.PointsRun)
 	}
-	r.pw.Fprintf(w, "sweep summary: simulations_run=%d memo_hits=%d checkpoint_hits=%d failures=%d sim_wall_s=%.1f point_mean_s=%.2f point_max_s=%.2f warm_replays=%d\n",
+	r.pw.Fprintf(w, "sweep summary: simulations_run=%d memo_hits=%d checkpoint_hits=%d failures=%d sim_wall_s=%.1f point_mean_s=%.2f point_max_s=%.2f warm_replays=%d warm_copies=%d\n",
 		m.PointsRun, m.MemoHits, m.CheckpointHits, m.Failures,
-		m.SimWall.Seconds(), mean.Seconds(), m.MaxPointWall.Seconds(), m.WarmReplays)
+		m.SimWall.Seconds(), mean.Seconds(), m.MaxPointWall.Seconds(), m.WarmReplays, m.WarmCopies)
 	for _, f := range r.FailureRecords() {
 		r.pw.Fprintf(w, "  failed: %s: %s\n", f.Point, f.Err)
 	}
@@ -513,6 +415,7 @@ func (r *Runner) RegisterMetrics(x obs.Exporter, prefix string) {
 	x.Counter(prefix+"_checkpoint_hits_total", "points restored from a checkpoint file", func() uint64 { return r.Metrics().CheckpointHits })
 	x.Counter(prefix+"_failures_total", "simulations that failed", func() uint64 { return r.Metrics().Failures })
 	x.Counter(prefix+"_warm_replays_total", "simulations warmed from a recorded warmup front", func() uint64 { return r.Metrics().WarmReplays })
+	x.Counter(prefix+"_warm_copies_total", "simulations warmed by copying a recorded DRAM-cache tag store", func() uint64 { return r.Metrics().WarmCopies })
 	x.Gauge(prefix+"_sim_wall_seconds", "cumulative wall time inside successful simulations", func() float64 { return r.Metrics().SimWall.Seconds() })
 }
 

@@ -70,10 +70,11 @@ func TestPrefetchAllSucceed(t *testing.T) {
 }
 
 // TestPrefetchLaunchesEachPointOnce lists one point in three spellings
-// and a second point after them, with two workers. Each simulation
-// returns only once two distinct points run at the same time, so a later
-// spelling that took a worker slot to wait for the first would keep the
-// second point from ever starting.
+// and a second point after them, with two workers. The second point is on
+// another warmup front, so nothing it could reuse is being made while the
+// first runs. Each simulation returns only once two distinct points run
+// at the same time, so a later spelling that took a worker to wait for
+// the first would keep the second point from ever starting.
 func TestPrefetchLaunchesEachPointOnce(t *testing.T) {
 	p := microParams()
 	p.Parallelism = 2
@@ -102,7 +103,7 @@ func TestPrefetchLaunchesEachPointOnce(t *testing.T) {
 		{Workload: "mcf_r", Design: core.DesignAlloy},
 		{Workload: "mcf_r", Design: core.DesignAlloy, Predictor: core.PredMAPI},
 		{Workload: "mcf_r", Design: core.DesignAlloy, CacheMB: p.CacheMB},
-		{Workload: "mcf_r", Design: core.DesignNone},
+		{Workload: "lbm_r", Design: core.DesignNone},
 	}
 	if err := r.Prefetch(context.Background(), pts); err != nil {
 		t.Fatal(err)
@@ -122,8 +123,9 @@ func TestPrefetchLaunchesEachPointOnce(t *testing.T) {
 }
 
 // TestCancelledPointsAreNotFailures cancels a sweep while both of its
-// workers simulate: the points are cancelled, not failed, so the runner
-// keeps no failure record and the summary lists none.
+// workers simulate points of two warmup fronts: the points are
+// cancelled, not failed, so the runner keeps no failure record and the
+// summary lists none.
 func TestCancelledPointsAreNotFailures(t *testing.T) {
 	p := microParams()
 	p.Parallelism = 2
@@ -140,7 +142,7 @@ func TestCancelledPointsAreNotFailures(t *testing.T) {
 	}
 	pts := []Point{
 		{Workload: "mcf_r", Design: core.DesignAlloy},
-		{Workload: "mcf_r", Design: core.DesignNone},
+		{Workload: "lbm_r", Design: core.DesignNone},
 	}
 	if err := r.Prefetch(ctx, pts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
@@ -262,6 +264,9 @@ func TestWriteSummaryShape(t *testing.T) {
 	want := "sweep summary: simulations_run=1 memo_hits=1 checkpoint_hits=0 failures=0 sim_wall_s="
 	if !strings.HasPrefix(buf.String(), want) {
 		t.Fatalf("summary = %q, want prefix %q", buf.String(), want)
+	}
+	if want := " warm_replays=0 warm_copies=0\n"; !strings.HasSuffix(buf.String(), want) {
+		t.Fatalf("summary = %q, want suffix %q", buf.String(), want)
 	}
 	if n := strings.Count(buf.String(), "\n"); n != 1 {
 		t.Fatalf("summary spans %d lines, want exactly 1:\n%s", n, buf.String())

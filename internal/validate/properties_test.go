@@ -104,6 +104,35 @@ func TestPointConfigMirrorsParams(t *testing.T) {
 	}
 }
 
+// TestPointConfigFollowsRunnerCacheSize: a zero cache size takes
+// Params.CacheMB, as the runner's normalize does, so PointConfig(…, 0)
+// simulates the point Runner.Run(…, 0) does when Params.CacheMB is not
+// core.DefaultConfig's 256.
+func TestPointConfigFollowsRunnerCacheSize(t *testing.T) {
+	p := experiments.QuickParams()
+	p.InstructionsPerCore = 30_000
+	p.CacheMB = 128
+	cfg := PointConfig(p, "mcf_r", core.DesignAlloy, core.PredDefault, 0)
+	if cfg.DRAMCacheBytes != 128<<20 {
+		t.Fatalf("PointConfig builds %d MB, want 128", cfg.DRAMCacheBytes>>20)
+	}
+	got, err := experiments.NewRunner(p).Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("runner %+v, PointConfig's config %+v", got, want)
+	}
+}
+
 // TestGateTripFlightReproducesRun: the rerun that gives a tripped gate its
 // flight recording reproduces the runner's result for the point exactly,
 // here for a point whose warmup the runner replayed from the baseline's
