@@ -9,6 +9,7 @@ package cache
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -40,6 +41,12 @@ func (c Config) Shape() Config {
 	return c
 }
 
+// ErrFewSets is the error Validate wraps for a direct-mapped cache of
+// fewer than four sets. Such a cache keeps each set in one 64-bit word,
+// its tag (line / Sets) above two flag bits, which holds the tag of every
+// line only once Sets is at least 4.
+var ErrFewSets = errors.New("cache: a direct-mapped cache needs at least 4 sets")
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Sets <= 0 {
@@ -50,6 +57,9 @@ func (c Config) Validate() error {
 	}
 	if c.Assoc > 64 {
 		return fmt.Errorf("cache: Assoc %d exceeds the 64-way bitmask limit", c.Assoc)
+	}
+	if c.Assoc == 1 && c.Sets < 4 {
+		return fmt.Errorf("%w, got %d", ErrFewSets, c.Sets)
 	}
 	return nil
 }
@@ -95,42 +105,59 @@ func (s Stats) HitRate() float64 {
 // against the valid mask and the full tag, so a collision costs one compare
 // and never changes an outcome.
 //
-// A direct-mapped cache keeps none of those rows: each set is one 16-byte
-// dmEntry holding the line and its valid and dirty flags, so a lookup and
-// a fill touch one memory cache line instead of three. It has no
-// replacement choice, so it keeps no policy at all.
+// A direct-mapped cache keeps none of those rows: each set is one 8-byte
+// word, the tag of its line (line / Sets) shifted above the dmValid and
+// dmDirty flags, so a lookup is one compare, and a lookup or a fill
+// touches one memory cache line instead of three. An eviction rebuilds its
+// line as tag*Sets + set. It has no replacement choice, so it keeps no
+// policy at all.
 type Cache struct {
-	cfg     Config
-	lines   []memaddr.Line // sets*assoc tags; nil when Assoc is 1
-	sigs    []byte         // sets*assoc signatures plus 8 bytes of padding; nil below swarMinAssoc
-	valid   []uint64       // per-set way bitmask; nil when Assoc is 1
-	dirty   []uint64       // per-set way bitmask; nil when Assoc is 1
-	dm      []dmEntry      // per-set line and flags when Assoc is 1, else nil
-	full    uint64         // assoc ones: the value of a full set's valid mask
-	setMask uint64         // Sets-1 when Sets is a power of two, else 0
-	pol     policy.Policy  // nil when Assoc is 1
-	occ     int            // valid lines, kept by fill and Invalidate
-	stats   Stats
+	cfg      Config
+	lines    []memaddr.Line // sets*assoc tags; nil when Assoc is 1
+	sigs     []byte         // sets*assoc signatures plus 8 bytes of padding; nil below swarMinAssoc
+	valid    []uint64       // per-set way bitmask; nil when Assoc is 1
+	dirty    []uint64       // per-set way bitmask; nil when Assoc is 1
+	dm       []uint64       // per-set tag<<2 | flags when Assoc is 1, else nil
+	full     uint64         // assoc ones: the value of a full set's valid mask
+	setMask  uint64         // Sets-1 when Sets is a power of two, else 0
+	setShift uint           // log2(Sets) when Sets is a power of two
+	pol      policy.Policy  // nil when Assoc is 1
+	occ      int            // valid lines, kept by fill and Invalidate
+	stats    Stats
 }
 
-// dmEntry is one direct-mapped set: its line and its dmValid and dmDirty
-// flags.
-type dmEntry struct {
-	line  memaddr.Line
-	flags uint64
-}
-
+// The flag bits of a direct-mapped set's word, below its tag.
 const (
 	dmValid = 1 << iota
 	dmDirty
 )
 
-// holds reports whether the set holds line.
+// dmSplit returns a line's direct-mapped set and the word that set holds
+// while the line is resident and clean: tag<<2 | dmValid. A power-of-two
+// set count takes a mask and a shift; any other takes one division.
 //
 //alloyvet:hotpath
-func (e *dmEntry) holds(line memaddr.Line) bool {
-	return e.flags&dmValid != 0 && e.line == line
+func (c *Cache) dmSplit(line memaddr.Line) (set int, word uint64) {
+	if c.setMask != 0 {
+		return int(uint64(line) & c.setMask), uint64(line)>>c.setShift<<2 | dmValid
+	}
+	sets := uint64(c.cfg.Sets)
+	tag := uint64(line) / sets
+	return int(uint64(line) - tag*sets), tag<<2 | dmValid
 }
+
+// dmLine rebuilds the line a valid direct-mapped word of the set holds.
+//
+//alloyvet:hotpath
+func (c *Cache) dmLine(set int, e uint64) memaddr.Line {
+	return memaddr.Line(e>>2*uint64(c.cfg.Sets) + uint64(set))
+}
+
+// holds reports whether direct-mapped word e holds the line whose clean
+// word (dmSplit) is word.
+//
+//alloyvet:hotpath
+func holds(e, word uint64) bool { return e&^dmDirty == word }
 
 // swarMinAssoc is the smallest associativity that keeps signatures.
 // BenchmarkAccess (2-CPU Xeon, two sets of 6 alternating rounds) puts
@@ -184,13 +211,12 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Assoc < 64 {
 		full = 1<<uint(cfg.Assoc) - 1
 	}
-	var setMask uint64
+	c := &Cache{cfg: cfg, full: full, pol: pol}
 	if s := uint64(cfg.Sets); s&(s-1) == 0 {
-		setMask = s - 1
+		c.setMask, c.setShift = s-1, uint(bits.TrailingZeros64(s))
 	}
-	c := &Cache{cfg: cfg, full: full, setMask: setMask, pol: pol}
 	if cfg.Assoc == 1 {
-		c.dm = make([]dmEntry, cfg.Sets)
+		c.dm = make([]uint64, cfg.Sets)
 		return c, nil
 	}
 	c.lines = make([]memaddr.Line, cfg.Sets*cfg.Assoc)
@@ -269,11 +295,11 @@ func (c *Cache) findWay(set int, line memaddr.Line) int {
 // replacement state or statistics. The idealized MissMap and the Perfect
 // predictor are built on this probe.
 func (c *Cache) Contains(line memaddr.Line) bool {
-	set := c.SetOf(line)
 	if c.dm != nil {
-		return c.dm[set].holds(line)
+		set, word := c.dmSplit(line)
+		return holds(c.dm[set], word)
 	}
-	return c.findWay(set, line) >= 0
+	return c.findWay(c.SetOf(line), line) >= 0
 }
 
 // Access performs a demand access with allocate-on-miss semantics: on a
@@ -283,14 +309,14 @@ func (c *Cache) Contains(line memaddr.Line) bool {
 //
 //alloyvet:hotpath
 func (c *Cache) Access(line memaddr.Line, write bool) (hit bool, ev Eviction) {
-	set := c.SetOf(line)
 	if c.dm != nil {
-		e := &c.dm[set]
-		if c.hitDM(e, line, write) {
+		set, word := c.dmSplit(line)
+		if c.hitDM(set, word, write) {
 			return true, Eviction{}
 		}
-		return false, c.fillDM(e, line, write)
+		return false, c.fillDM(set, word, write)
 	}
+	set := c.SetOf(line)
 	if w := c.findWay(set, line); w >= 0 {
 		c.stats.Hits++
 		if write {
@@ -315,10 +341,11 @@ func (c *Cache) Access(line memaddr.Line, write bool) (hit bool, ev Eviction) {
 //
 //alloyvet:hotpath
 func (c *Cache) Probe(line memaddr.Line, write bool) bool {
-	set := c.SetOf(line)
 	if c.dm != nil {
-		return c.hitDM(&c.dm[set], line, write)
+		set, word := c.dmSplit(line)
+		return c.hitDM(set, word, write)
 	}
+	set := c.SetOf(line)
 	if w := c.findWay(set, line); w >= 0 {
 		c.stats.Hits++
 		if write {
@@ -339,17 +366,17 @@ func (c *Cache) Probe(line memaddr.Line, write bool) bool {
 // Fill inserts a line (e.g. after a memory response) and returns the
 // eviction it caused. Filling a line already present is a no-op.
 func (c *Cache) Fill(line memaddr.Line, dirty bool) Eviction {
-	set := c.SetOf(line)
 	if c.dm != nil {
-		e := &c.dm[set]
-		if !e.holds(line) {
-			return c.fillDM(e, line, dirty)
+		set, word := c.dmSplit(line)
+		if !holds(c.dm[set], word) {
+			return c.fillDM(set, word, dirty)
 		}
 		if dirty {
-			e.flags |= dmDirty
+			c.dm[set] |= dmDirty
 		}
 		return Eviction{}
 	}
+	set := c.SetOf(line)
 	if w := c.findWay(set, line); w >= 0 {
 		if dirty {
 			c.dirty[set] |= 1 << uint(w)
@@ -359,16 +386,17 @@ func (c *Cache) Fill(line memaddr.Line, dirty bool) Eviction {
 	return c.fill(set, line, dirty)
 }
 
-// hitDM is a direct-mapped set's lookup for Access and Probe: on a hit it
-// counts it and marks a write dirty, on a miss it counts the miss.
+// hitDM is a direct-mapped set's lookup for Access and Probe of the line
+// whose clean word is word: on a hit it counts it and marks a write dirty,
+// on a miss it counts the miss.
 //
 //alloyvet:hotpath
-func (c *Cache) hitDM(e *dmEntry, line memaddr.Line, write bool) bool {
-	if e.holds(line) {
+func (c *Cache) hitDM(set int, word uint64, write bool) bool {
+	if holds(c.dm[set], word) {
 		c.stats.Hits++
 		if write {
 			c.stats.WriteHits++
-			e.flags |= dmDirty
+			c.dm[set] |= dmDirty
 		}
 		return true
 	}
@@ -379,25 +407,28 @@ func (c *Cache) hitDM(e *dmEntry, line memaddr.Line, write bool) bool {
 	return false
 }
 
-// fillDM installs line in direct-mapped set e and returns what it
-// displaced.
+// fillDM installs the line whose clean word is word in its direct-mapped
+// set and returns what it displaced.
 //
 //alloyvet:hotpath
-func (c *Cache) fillDM(e *dmEntry, line memaddr.Line, dirty bool) Eviction {
+func (c *Cache) fillDM(set int, word uint64, dirty bool) Eviction {
+	if invariants.Enabled {
+		c.checkDM(set)
+	}
 	var ev Eviction
-	if e.flags&dmValid == 0 {
+	if e := c.dm[set]; e&dmValid == 0 {
 		c.occ++
 	} else {
-		ev = Eviction{Line: e.line, Dirty: e.flags&dmDirty != 0, Valid: true}
+		ev = Eviction{Line: c.dmLine(set, e), Dirty: e&dmDirty != 0, Valid: true}
 		c.stats.Evictions++
 		if ev.Dirty {
 			c.stats.Writebacks++
 		}
 	}
-	e.line, e.flags = line, dmValid
 	if dirty {
-		e.flags |= dmDirty
+		word |= dmDirty
 	}
+	c.dm[set] = word
 	return ev
 }
 
@@ -466,19 +497,31 @@ func (c *Cache) checkSet(set int) {
 	}
 }
 
+// checkDM asserts a direct-mapped set's word is consistent: a dirty bit
+// implies a valid bit. Only meaningful under -tags invariants; a set that
+// is dirty without being valid has lost track of which line it wrote.
+func (c *Cache) checkDM(set int) {
+	if e := c.dm[set]; e&(dmValid|dmDirty) == dmDirty {
+		invariants.Failf("cache: direct-mapped set %d is dirty without being valid (word %#x)", set, e)
+	}
+}
+
 // Invalidate removes a line if present and returns whether it was dirty.
 func (c *Cache) Invalidate(line memaddr.Line) (present, dirty bool) {
-	set := c.SetOf(line)
 	if c.dm != nil {
-		e := &c.dm[set]
-		if !e.holds(line) {
+		set, word := c.dmSplit(line)
+		if invariants.Enabled {
+			c.checkDM(set)
+		}
+		e := c.dm[set]
+		if !holds(e, word) {
 			return false, false
 		}
-		dirty = e.flags&dmDirty != 0
-		*e = dmEntry{}
+		c.dm[set] = 0
 		c.occ--
-		return true, dirty
+		return true, e&dmDirty != 0
 	}
+	set := c.SetOf(line)
 	w := c.findWay(set, line)
 	if w < 0 {
 		return false, false
@@ -509,15 +552,17 @@ func (c *Cache) Clone() *Cache {
 	d.dirty = slices.Clone(c.dirty)
 	d.dm = slices.Clone(c.dm)
 	if c.pol != nil {
-		d.pol = c.pol.Clone()
+		// New built c's policy by this call, so it cannot fail.
+		d.pol, _ = policy.NewSeeded(c.pol.Name(), c.cfg.Sets, c.cfg.Assoc, c.cfg.Seed)
+		d.pol.CopyFrom(c.pol)
 	}
 	return &d
 }
 
 // CopyFrom overwrites the cache's contents, statistics and replacement
-// state with an independent copy of src's. It copies in place, so every
-// holder of a pointer to c (metric closures, organizations) sees the new
-// state. src must have the same Shape; anything else is a caller bug.
+// state with a copy of src's. It copies in place, allocating nothing, so
+// every holder of a pointer to c (metric closures, organizations) sees the
+// new state. src must have the same Shape; anything else is a caller bug.
 func (c *Cache) CopyFrom(src *Cache) {
 	if c.cfg.Shape() != src.cfg.Shape() {
 		panic(fmt.Sprintf("cache: CopyFrom between configs %+v and %+v", c.cfg, src.cfg))
@@ -528,63 +573,7 @@ func (c *Cache) CopyFrom(src *Cache) {
 	copy(c.dirty, src.dirty)
 	copy(c.dm, src.dm)
 	if src.pol != nil {
-		c.pol = src.pol.Clone()
+		c.pol.CopyFrom(src.pol)
 	}
 	c.occ, c.stats = src.occ, src.stats
-}
-
-// Snapshot is a read-only copy of a cache's contents, statistics and
-// replacement state, which Restore copies into any number of caches of
-// the same Shape. A direct-mapped set's line is its tag times Sets plus
-// the set's index, so a direct-mapped cache packs each set's tag and
-// flags into 32 bits, a quarter of the size of its own array. Any other
-// cache, or one holding a tag too large to pack, keeps a whole Clone.
-type Snapshot struct {
-	cfg   Config
-	sets  []uint32 // direct-mapped: tag<<2 | flags, per set
-	occ   int
-	stats Stats
-	clone *Cache // when sets cannot hold the cache
-}
-
-// Snapshot returns a snapshot of the cache.
-func (c *Cache) Snapshot() *Snapshot {
-	s := &Snapshot{cfg: c.cfg, occ: c.occ, stats: c.stats}
-	if c.dm != nil {
-		s.sets = make([]uint32, len(c.dm))
-		for i, e := range c.dm {
-			tag := uint64(e.line) / uint64(c.cfg.Sets)
-			if tag >= 1<<30 {
-				s.sets = nil
-				break
-			}
-			s.sets[i] = uint32(tag<<2 | e.flags)
-		}
-	}
-	if s.sets == nil {
-		s.clone = c.Clone()
-	}
-	return s
-}
-
-// Restore overwrites the cache's contents, statistics and replacement
-// state with the snapshot's, in place as CopyFrom does. The snapshot must
-// have the cache's Shape; anything else is a caller bug.
-func (c *Cache) Restore(s *Snapshot) {
-	if s.clone != nil {
-		c.CopyFrom(s.clone)
-		return
-	}
-	if c.cfg.Shape() != s.cfg.Shape() {
-		panic(fmt.Sprintf("cache: Restore of a %+v snapshot into %+v", s.cfg, c.cfg))
-	}
-	sets := uint64(c.cfg.Sets)
-	for i, w := range s.sets {
-		e := dmEntry{flags: uint64(w) & (dmValid | dmDirty)}
-		if e.flags != 0 {
-			e.line = memaddr.Line(uint64(w>>2)*sets + uint64(i))
-		}
-		c.dm[i] = e
-	}
-	c.occ, c.stats = s.occ, s.stats
 }

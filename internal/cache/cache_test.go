@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -32,6 +33,19 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if c := (Config{Sets: 10, Assoc: 4}); c.Lines() != 40 {
 		t.Fatalf("Lines = %d, want 40", c.Lines())
+	}
+	// A direct-mapped set's word holds every line's tag only from 4 sets
+	// up; a set-associative cache may have one set.
+	for sets := 1; sets < 4; sets++ {
+		if _, err := New(Config{Sets: sets, Assoc: 1}); !errors.Is(err, ErrFewSets) {
+			t.Fatalf("%d direct-mapped sets: error %v, want ErrFewSets", sets, err)
+		}
+	}
+	if _, err := New(Config{Sets: 4, Assoc: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Sets: 1, Assoc: 4}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -36,6 +36,13 @@ func TestDirtyWithoutValidPanics(t *testing.T) {
 	mustPanic(t, "dirty bits", func() { c.Invalidate(memaddr.Line(0)) })
 }
 
+func TestDirectMappedDirtyWithoutValidPanics(t *testing.T) {
+	c := MustNew(Config{Sets: 4, Assoc: 1})
+	// A set that is dirty without being valid has lost its written line.
+	c.dm[1] = 5<<2 | dmDirty
+	mustPanic(t, "dirty without being valid", func() { c.Fill(memaddr.Line(1), false) })
+}
+
 func TestValidMaskOverflowPanics(t *testing.T) {
 	c := MustNew(Config{Sets: 4, Assoc: 2})
 	c.Fill(memaddr.Line(0), false)
@@ -57,12 +64,12 @@ func TestStaleSignaturePanics(t *testing.T) {
 // the neighboring set's tags, not in a bounds panic.
 type rogueVictim struct{}
 
-func (rogueVictim) Touch(set, way int)     {}
-func (rogueVictim) Insert(set, way int)    {}
-func (rogueVictim) Victim(set int) int     { return 99 }
-func (rogueVictim) Miss(set int)           {}
-func (rogueVictim) Name() string           { return "rogue" }
-func (r rogueVictim) Clone() policy.Policy { return r }
+func (rogueVictim) Touch(set, way int)         {}
+func (rogueVictim) Insert(set, way int)        {}
+func (rogueVictim) Victim(set int) int         { return 99 }
+func (rogueVictim) Miss(set int)               {}
+func (rogueVictim) Name() string               { return "rogue" }
+func (rogueVictim) CopyFrom(src policy.Policy) {}
 
 func TestVictimOutOfRangePanics(t *testing.T) {
 	c := MustNew(Config{Sets: 4, Assoc: 2})

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"testing"
 
@@ -124,11 +125,20 @@ func (m *lruModel) Occupancy() int {
 
 // sameSignature returns n distinct lines that all map to set and share
 // one lookup signature, so a set full of them makes every signature word
-// report every way as a candidate.
-func sameSignature(sets, set, n int) []memaddr.Line {
+// report every way as a candidate. It searches the set's lines upward from
+// the first at or above from, and panics rather than wrap past 2^64.
+func sameSignature(sets, set int, from memaddr.Line, n int) []memaddr.Line {
 	var out []memaddr.Line
-	want := signature(memaddr.Line(set))
-	for l := memaddr.Line(set); len(out) < n; l += memaddr.Line(sets) {
+	step := memaddr.Line(sets)
+	l := from - from%step + memaddr.Line(set)
+	if l < from {
+		l += step
+	}
+	want := signature(l)
+	for ; len(out) < n; l += step {
+		if l < from {
+			panic("cache: signature search wrapped past 2^64")
+		}
 		if signature(l) == want {
 			out = append(out, l)
 		}
@@ -136,21 +146,44 @@ func sameSignature(sets, set, n int) []memaddr.Line {
 	return out
 }
 
+// A lineWindow is where a model stream draws its lines: from 0, around
+// 2^63, or just below 2^64, where a direct-mapped set's word keeps its
+// largest tags. base gives the first random line of a stream of span
+// lines, and from is where the colliding lines' search starts.
+type lineWindow struct {
+	name string
+	base func(span uint64) memaddr.Line
+	from memaddr.Line
+}
+
+var (
+	lowLines    = lineWindow{"low", func(uint64) memaddr.Line { return 0 }, 0}
+	highWindows = []lineWindow{
+		{"near2pow63", func(span uint64) memaddr.Line { return 1<<63 - memaddr.Line(span/2) }, 1<<63 - 1<<20},
+		// The colliding search takes about 2^15 lines of set 1, which at
+		// 28 sets is most of 2^20, so it starts 2^21 below 2^64.
+		{"near2pow64", func(span uint64) memaddr.Line { return math.MaxUint64 - memaddr.Line(span) + 1 }, math.MaxUint64 - 1<<21 + 1},
+	}
+)
+
 // modelStream is the random operation stream of the model tests: lines
 // over three times the capacity, so there are hits and evictions, half of
 // them drawn from lines brute-forced to share one signature in set 1, the
 // worst case for the signature match.
 type modelStream struct {
 	x         uint64
+	base      memaddr.Line
 	span      uint64
 	colliding []memaddr.Line
 }
 
-func newModelStream(sets, assoc int) *modelStream {
+func newModelStream(sets, assoc int, w lineWindow) *modelStream {
+	span := uint64(3 * sets * assoc)
 	return &modelStream{
 		x:         uint64(0x9E3779B97F4A7C15) ^ uint64(assoc),
-		span:      uint64(3 * sets * assoc),
-		colliding: sameSignature(sets, 1, 2*assoc),
+		base:      w.base(span),
+		span:      span,
+		colliding: sameSignature(sets, 1, w.from, 2*assoc),
 	}
 }
 
@@ -165,7 +198,7 @@ func (s *modelStream) rnd(n uint64) uint64 {
 // in [0, 10): Access below 5, Probe below 7, Fill below 9, else
 // Invalidate.
 func (s *modelStream) next() (line memaddr.Line, write bool, op uint64) {
-	line = memaddr.Line(s.rnd(s.span))
+	line = s.base + memaddr.Line(s.rnd(s.span))
 	if s.rnd(2) == 0 {
 		line = s.colliding[s.rnd(uint64(len(s.colliding)))]
 	}
@@ -175,63 +208,78 @@ func (s *modelStream) next() (line memaddr.Line, write bool, op uint64) {
 // TestCacheMatchesLRUModel drives Cache under "lru" and the reference
 // model with the same random Access, Probe, Fill and Invalidate stream and
 // compares every outcome: hit flags, evicted line and dirty bit,
-// invalidation results, residency, statistics and occupancy.
+// invalidation results, residency, statistics and occupancy. Each
+// associativity runs a stream of low lines at 16 sets, and streams around
+// 2^63 and just below 2^64, whose tags fill a direct-mapped word, at 16
+// sets and at 28, Alloy's lines per row, whose tags come from a division.
 func TestCacheMatchesLRUModel(t *testing.T) {
-	const sets, ops = 16, 200000
 	for _, assoc := range []int{1, 2, 8, 16, 29, 32, 64} {
 		t.Run(fmt.Sprintf("assoc%d", assoc), func(t *testing.T) {
-			c := MustNew(Config{Sets: sets, Assoc: assoc, Policy: "lru"})
-			m := newLRUModel(sets, assoc)
-			st := newModelStream(sets, assoc)
-			for i := 0; i < ops; i++ {
-				line, write, op := st.next()
-				switch {
-				case op < 5:
-					gh, gev := c.Access(line, write)
-					wh, wev := m.Access(line, write)
-					if gh != wh || gev != wev {
-						t.Fatalf("op %d: Access(%d, %v) = (%v, %+v), model (%v, %+v)", i, line, write, gh, gev, wh, wev)
-					}
-				case op < 7:
-					if g, w := c.Probe(line, write), m.Probe(line, write); g != w {
-						t.Fatalf("op %d: Probe(%d, %v) = %v, model %v", i, line, write, g, w)
-					}
-				case op < 9:
-					if g, w := c.Fill(line, write), m.Fill(line, write); g != w {
-						t.Fatalf("op %d: Fill(%d, %v) = %+v, model %+v", i, line, write, g, w)
-					}
-				default:
-					gp, gd := c.Invalidate(line)
-					wp, wd := m.Invalidate(line)
-					if gp != wp || gd != wd {
-						t.Fatalf("op %d: Invalidate(%d) = (%v, %v), model (%v, %v)", i, line, gp, gd, wp, wd)
-					}
-				}
-				if _, j := m.find(line); c.Contains(line) != (j >= 0) {
-					t.Fatalf("op %d: Contains(%d) = %v, model %v", i, line, j < 0, j >= 0)
-				}
-			}
-			if c.Stats() != m.stats {
-				t.Fatalf("stats %+v, model %+v", c.Stats(), m.stats)
-			}
-			if c.Occupancy() != m.Occupancy() {
-				t.Fatalf("occupancy %d, model %d", c.Occupancy(), m.Occupancy())
-			}
-			for _, l := range st.colliding {
-				if _, j := m.find(l); c.Contains(l) != (j >= 0) {
-					t.Fatalf("colliding line %d: Contains = %v, model %v", l, j < 0, j >= 0)
-				}
-			}
+			checkLRUModel(t, 16, assoc, lowLines)
 		})
+		for _, w := range highWindows {
+			for _, sets := range []int{16, 28} {
+				t.Run(fmt.Sprintf("%s/sets%d/assoc%d", w.name, sets, assoc), func(t *testing.T) {
+					checkLRUModel(t, sets, assoc, w)
+				})
+			}
+		}
+	}
+}
+
+func checkLRUModel(t *testing.T, sets, assoc int, w lineWindow) {
+	const ops = 200000
+	c := MustNew(Config{Sets: sets, Assoc: assoc, Policy: "lru"})
+	m := newLRUModel(sets, assoc)
+	st := newModelStream(sets, assoc, w)
+	for i := 0; i < ops; i++ {
+		line, write, op := st.next()
+		switch {
+		case op < 5:
+			gh, gev := c.Access(line, write)
+			wh, wev := m.Access(line, write)
+			if gh != wh || gev != wev {
+				t.Fatalf("op %d: Access(%d, %v) = (%v, %+v), model (%v, %+v)", i, line, write, gh, gev, wh, wev)
+			}
+		case op < 7:
+			if g, w := c.Probe(line, write), m.Probe(line, write); g != w {
+				t.Fatalf("op %d: Probe(%d, %v) = %v, model %v", i, line, write, g, w)
+			}
+		case op < 9:
+			if g, w := c.Fill(line, write), m.Fill(line, write); g != w {
+				t.Fatalf("op %d: Fill(%d, %v) = %+v, model %+v", i, line, write, g, w)
+			}
+		default:
+			gp, gd := c.Invalidate(line)
+			wp, wd := m.Invalidate(line)
+			if gp != wp || gd != wd {
+				t.Fatalf("op %d: Invalidate(%d) = (%v, %v), model (%v, %v)", i, line, gp, gd, wp, wd)
+			}
+		}
+		if _, j := m.find(line); c.Contains(line) != (j >= 0) {
+			t.Fatalf("op %d: Contains(%d) = %v, model %v", i, line, j < 0, j >= 0)
+		}
+	}
+	if c.Stats() != m.stats {
+		t.Fatalf("stats %+v, model %+v", c.Stats(), m.stats)
+	}
+	if c.Occupancy() != m.Occupancy() {
+		t.Fatalf("occupancy %d, model %d", c.Occupancy(), m.Occupancy())
+	}
+	for _, l := range st.colliding {
+		if _, j := m.find(l); c.Contains(l) != (j >= 0) {
+			t.Fatalf("colliding line %d: Contains = %v, model %v", l, j < 0, j >= 0)
+		}
 	}
 }
 
 // TestCopiesMatchOriginal runs the model stream halfway through a cache,
-// then takes a Clone, a CopyFrom and a Restore of a Snapshot into caches
-// that held other lines, and drives all four with the rest of the stream. The copies are the
+// then takes a Clone, and a CopyFrom into a cache that held other lines,
+// and drives all three with the rest of the stream. The original is the
 // reference: every Access, Probe, Fill and Invalidate outcome (eviction
-// line and dirty bit included) must match the original's, and so must the
-// statistics, the occupancy and residency over the stream's span.
+// line and dirty bit included) of each copy must match the original's, and
+// so must the statistics, the occupancy and residency over the stream's
+// span.
 func TestCopiesMatchOriginal(t *testing.T) {
 	const sets, ops = 16, 100000
 	for _, pol := range []string{"dip", "srrip", "random", "ship"} {
@@ -239,7 +287,7 @@ func TestCopiesMatchOriginal(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/assoc%d", pol, assoc), func(t *testing.T) {
 				cfg := Config{Sets: sets, Assoc: assoc, Policy: pol}
 				c := MustNew(cfg)
-				st := newModelStream(sets, assoc)
+				st := newModelStream(sets, assoc, lowLines)
 				apply := func(c *Cache, line memaddr.Line, write bool, op uint64) string {
 					switch {
 					case op < 5:
@@ -265,13 +313,11 @@ func TestCopiesMatchOriginal(t *testing.T) {
 					// store of any policy name and seed (Config.Shape).
 					dst.Policy, dst.Seed = "lru", 7
 				}
-				copied, restored := MustNew(dst), MustNew(dst)
+				copied := MustNew(dst)
 				for l := memaddr.Line(0); l < memaddr.Line(st.span); l += 3 {
 					copied.Access(l+memaddr.Line(st.span), true)
-					restored.Access(l+memaddr.Line(st.span), true)
 				}
 				copied.CopyFrom(c)
-				restored.Restore(c.Snapshot())
 				for i := ops / 2; i < ops; i++ {
 					line, write, op := st.next()
 					want := apply(c, line, write, op)
@@ -281,11 +327,8 @@ func TestCopiesMatchOriginal(t *testing.T) {
 					if got := apply(copied, line, write, op); got != want {
 						t.Fatalf("op %d (%d on line %d): CopyFrom copy %s, original %s", i, op, line, got, want)
 					}
-					if got := apply(restored, line, write, op); got != want {
-						t.Fatalf("op %d (%d on line %d): restored snapshot %s, original %s", i, op, line, got, want)
-					}
 				}
-				for _, cp := range []*Cache{clone, copied, restored} {
+				for _, cp := range []*Cache{clone, copied} {
 					if cp.Stats() != c.Stats() || cp.Occupancy() != c.Occupancy() {
 						t.Fatalf("copy stats %+v occupancy %d, original %+v %d", cp.Stats(), cp.Occupancy(), c.Stats(), c.Occupancy())
 					}
@@ -297,29 +340,6 @@ func TestCopiesMatchOriginal(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestSnapshotKeepsUnpackableLines: a direct-mapped cache holding a line
-// whose tag reaches 2^30, which a packed word cannot hold with its flags,
-// snapshots as a whole clone, and a restore of it holds that line.
-func TestSnapshotKeepsUnpackableLines(t *testing.T) {
-	cfg := Config{Sets: 8, Assoc: 1}
-	c := MustNew(cfg)
-	high := memaddr.Line(8<<30 | 3)
-	c.Access(1, true)
-	c.Access(high, false)
-	s := c.Snapshot()
-	if s.clone == nil || s.sets != nil {
-		t.Fatal("a snapshot of a line at 2^62 was packed")
-	}
-	r := MustNew(cfg)
-	r.Restore(s)
-	if !r.Contains(high) || !r.Contains(1) || r.Stats() != c.Stats() || r.Occupancy() != c.Occupancy() {
-		t.Fatalf("restored cache differs: stats %+v occupancy %d, want %+v %d", r.Stats(), r.Occupancy(), c.Stats(), c.Occupancy())
-	}
-	if p := MustNew(cfg); p.Snapshot().sets == nil {
-		t.Fatal("an empty direct-mapped cache did not pack")
 	}
 }
 
@@ -353,7 +373,7 @@ func TestOccupancyMatchesRecount(t *testing.T) {
 			n += bits.OnesCount64(m)
 		}
 		for _, e := range c.dm {
-			n += int(e.flags & dmValid)
+			n += int(e & dmValid)
 		}
 		if c.Occupancy() != n {
 			t.Errorf("%+v: Occupancy %d, recount %d", cfg, c.Occupancy(), n)

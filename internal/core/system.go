@@ -67,7 +67,7 @@ type System struct {
 	// L3. When it is full, further writes stall the issuing core
 	// (store-buffer backpressure), which is what keeps unbounded write
 	// streams from reserving DRAM banks arbitrarily far into the future.
-	writeBuf    []sim.Cycle
+	writeBuf    writeHeap
 	writeBufCap int
 
 	// rres and wres are the out-params of the read and write paths'
@@ -104,6 +104,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if s.writeBufCap <= 0 {
 		s.writeBufCap = DefaultWriteBufferEntries
 	}
+	s.writeBuf = make(writeHeap, 0, s.writeBufCap)
 	s.hitLatHist = stats.NewHistogram(8, 512) // 8-cycle buckets up to 4096
 	s.missLatHist = stats.NewHistogram(8, 512)
 
@@ -422,23 +423,14 @@ func (s *System) Write(now sim.Cycle, core int, ref cpu.FrontRef) sim.Cycle {
 //alloyvet:hotpath
 func (s *System) admitWrite(t sim.Cycle) (issueAt, stall sim.Cycle) {
 	// Retire completed writes.
-	live := s.writeBuf[:0]
-	for _, c := range s.writeBuf {
-		if c > t {
-			live = append(live, c)
-		}
+	for len(s.writeBuf) > 0 && s.writeBuf[0] <= t {
+		s.writeBuf.popMin()
 	}
-	s.writeBuf = live
 	if len(s.writeBuf) < s.writeBufCap {
 		return t, 0
 	}
 	// Buffer full: the write waits for the oldest in-flight write.
 	oldest := s.writeBuf[0]
-	for _, c := range s.writeBuf {
-		if c < oldest {
-			oldest = c
-		}
-	}
 	return oldest, oldest
 }
 
@@ -446,8 +438,56 @@ func (s *System) admitWrite(t sim.Cycle) (issueAt, stall sim.Cycle) {
 //
 //alloyvet:hotpath
 func (s *System) noteWrite(done sim.Cycle) {
-	//alloyvet:allow(hotpath) growth is bounded by writeBufCap; the buffer reaches steady capacity during warmup
+	//alloyvet:allow(hotpath) NewSystem gives the buffer writeBufCap slots; a write or L3 writeback admitted to a full buffer is appended all the same, so it can hold more (75 of 64 at once in a default lbm_r run on LH-Cache), and then the append grows it
 	s.writeBuf = append(s.writeBuf, done)
+	s.writeBuf.up(len(s.writeBuf) - 1)
+}
+
+// writeHeap is the write buffer's multiset of completion times, kept as a
+// binary min-heap: admitWrite needs nothing but the multiset and its
+// minimum, so it neither compacts nor scans the buffer.
+type writeHeap []sim.Cycle
+
+// up moves element i toward the root until its parent is no later.
+//
+//alloyvet:hotpath
+func (h writeHeap) up(i int) {
+	c := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p] <= c {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = c
+}
+
+// popMin removes the earliest completion time.
+//
+//alloyvet:hotpath
+func (h *writeHeap) popMin() {
+	a := *h
+	n := len(a) - 1
+	c := a[n]
+	*h = a[:n]
+	i := 0
+	for {
+		k := 2*i + 1
+		if k >= n {
+			break
+		}
+		if k+1 < n && a[k+1] < a[k] {
+			k++
+		}
+		if a[k] >= c {
+			break
+		}
+		a[i] = a[k]
+		i = k
+	}
+	a[i] = c
 }
 
 // readBelow services an L3 read miss, returning the data-arrival cycle.

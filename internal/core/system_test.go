@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"alloysim/internal/sim"
 	"alloysim/internal/trace"
 )
 
@@ -416,6 +418,50 @@ func TestWriteBufferBoundsInFlightWrites(t *testing.T) {
 	}
 	if r2.ExecCycles > r.ExecCycles*1.05 {
 		t.Fatalf("bigger write buffer slower: %v vs %v", r2.ExecCycles, r.ExecCycles)
+	}
+}
+
+// TestAdmitWriteMatchesScan drives the System's write buffer and a scan
+// of a plain slice, which retires every write done by the admission time
+// and waits for the oldest of a full buffer, with one random stream of
+// admissions and writes, at capacities 1, 4 and the default, including
+// admissions earlier than the last and writes to a full buffer. Every
+// (issueAt, stall) must match.
+func TestAdmitWriteMatchesScan(t *testing.T) {
+	for _, entries := range []int{1, 4, 0} {
+		cfg := smallConfig("lbm_r", DesignAlloy)
+		cfg.WriteBufferEntries = entries
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var scan []sim.Cycle
+		x, now := uint64(entries)+1, sim.Cycle(100)
+		for i := 0; i < 200_000; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			now += sim.Ticks(int(x % 16))
+			t0 := now - sim.Ticks(int(x>>8%8)) // a little out of order
+			live := scan[:0]
+			for _, c := range scan {
+				if c > t0 {
+					live = append(live, c)
+				}
+			}
+			scan = live
+			wantIssue, wantStall := t0, sim.Cycle(0)
+			if len(scan) >= s.writeBufCap {
+				wantIssue = slices.Min(scan)
+				wantStall = wantIssue
+			}
+			if issueAt, stall := s.admitWrite(t0); issueAt != wantIssue || stall != wantStall {
+				t.Fatalf("entries %d, call %d at %d: (%d, %d), scan (%d, %d)", entries, i, t0, issueAt, stall, wantIssue, wantStall)
+			}
+			done := wantIssue + sim.Ticks(int(x>>16%400))
+			s.noteWrite(done)
+			scan = append(scan, done)
+		}
 	}
 }
 

@@ -174,8 +174,8 @@ func (s *System) FrontKey() (FrontKey, error) {
 // Systems may copy it concurrently.
 type ContentsRecord struct {
 	key   ContentsKey
-	front *WarmRecord     // the front record the recorder warmed through
-	tags  *cache.Snapshot // the post-warmup store; nil until complete
+	front *WarmRecord  // the front record the recorder warmed through
+	tags  *cache.Cache // a clone of the post-warmup store; nil until complete
 }
 
 // Complete reports whether the record holds a warmed store and its front.
@@ -222,8 +222,8 @@ func (s *System) CopyWarmup(c *ContentsRecord) error {
 	return nil
 }
 
-// complete seals the record with a snapshot of the System's warmed tag
-// store and the front record it warmed through. A System that recorded no
+// complete seals the record with a clone of the System's warmed tag store
+// and the front record it warmed through. A System that recorded no
 // front (its record was abandoned) leaves the record incomplete.
 func (c *ContentsRecord) complete(s *System) {
 	front := s.replay
@@ -234,7 +234,7 @@ func (c *ContentsRecord) complete(s *System) {
 		return
 	}
 	c.front = front
-	c.tags = dramcache.TagStore(s.org).Snapshot()
+	c.tags = dramcache.TagStore(s.org).Clone()
 }
 
 // RecordWarmup makes Run record the System's warmup front into rec, which
@@ -354,7 +354,7 @@ func (r *WarmRecord) complete(s *System) {
 func (s *System) replayWarm(ctx context.Context) error {
 	rec := s.replay
 	if s.copy != nil {
-		dramcache.TagStore(s.org).Restore(s.copy.tags)
+		dramcache.TagStore(s.org).CopyFrom(s.copy.tags)
 	} else if s.org != nil {
 		var i, v uint64 // next code, next victim
 		for n := uint64(0); n < s.cfg.WarmupRefs; n++ {
@@ -400,14 +400,16 @@ func (s *System) checkReplayed(codes, victims uint64) {
 	}
 }
 
-// restoreFront puts the replayed record's post-warmup front in place. Each
-// core gets a fresh clone of its recorded generator, so the record stays
-// read-only for concurrent replays. The L2s and the L3 copy in place,
+// restoreFront puts the replayed record's post-warmup front in place:
+// each core's generator, its L2 and the L3 copy the recorded ones into
+// the objects NewSystem built, allocating nothing and leaving the record
+// read-only for concurrent replays. The caches must copy in place anyway,
 // since RegisterMetrics closures and the sources hold their pointers.
 func (s *System) restoreFront() {
 	rec := s.replay
 	for c, src := range s.srcs {
-		src.gen, _ = trace.Clone(rec.gens[c])
+		// front refused caller-provided generators, so every copy succeeds.
+		trace.Copy(src.gen, rec.gens[c])
 	}
 	for c, l2 := range s.l2 {
 		l2.CopyFrom(rec.l2[c])

@@ -288,7 +288,9 @@ func TestContentsKeys(t *testing.T) {
 
 // TestWarmReplayRestoresFront requires a replayed System's sources to
 // continue exactly where a directly warmed System's do: the next 10k
-// FrontRefs of every core, L2 outcomes included, are equal.
+// FrontRefs of every core, L2 outcomes included, are equal. Putting the
+// front in place copies into the generators and caches NewSystem built,
+// so it allocates nothing, and doing it again changes nothing.
 func TestWarmReplayRestoresFront(t *testing.T) {
 	for _, l2 := range []uint64{0, 256 << 10 << 6} {
 		cfg := quickConfig("lbm_r", DesignAlloy)
@@ -308,6 +310,9 @@ func TestWarmReplayRestoresFront(t *testing.T) {
 			return s
 		}
 		direct, replayed := warmed(nil), warmed(rec)
+		if n := testing.AllocsPerRun(10, replayed.restoreFront); n != 0 {
+			t.Errorf("L2Bytes %d: restoreFront allocated %.0f times, want 0", l2, n)
+		}
 		for c := range direct.srcs {
 			for i := 0; i < 10_000; i++ {
 				if a, b := replayed.srcs[c].NextRef(), direct.srcs[c].NextRef(); a != b {

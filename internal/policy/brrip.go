@@ -24,8 +24,12 @@ func NewBRRIP(sets, assoc int) *BRRIP {
 // Name implements Policy.
 func (p *BRRIP) Name() string { return "brrip" }
 
-// Clone implements Policy.
-func (p *BRRIP) Clone() Policy { return &BRRIP{srrip: p.srrip.clone(), counter: p.counter} }
+// CopyFrom implements Policy.
+func (p *BRRIP) CopyFrom(src Policy) {
+	s := src.(*BRRIP)
+	p.srrip.copyFrom(s.srrip)
+	p.counter = s.counter
+}
 
 // Touch implements Policy: hits promote to near-immediate re-reference.
 func (p *BRRIP) Touch(set, way int) { p.srrip.Touch(set, way) }

@@ -50,42 +50,52 @@ func (o *opStream) drive(p Policy, n int) []int {
 	return out
 }
 
-// TestCloneOracle takes a Clone of every policy mid-stream and drives it
+// TestCloneOracle copies every policy mid-stream (CopyFrom) into a
+// policy of its kind that another stream drove first, and drives the copy
 // and the original, operation by operation, with one continuation: every
-// victim must match. Then it drives one clone alone, and the original's
-// next decisions must still match those of a clone taken beside it: a
-// clone shares no state with its source.
+// victim must match. Then it drives one copy alone, and the original's
+// next decisions must still match those of a copy taken beside it: a
+// copy shares no state with its source.
 func TestCloneOracle(t *testing.T) {
 	for _, name := range Known() {
 		for _, g := range []struct{ sets, assoc int }{{64, 16}, {128, 29}, {40, 32}} {
 			t.Run(fmt.Sprintf("%s/%dx%d", name, g.sets, g.assoc), func(t *testing.T) {
 				const ops = 20000
-				p, err := New(name, g.sets, g.assoc)
-				if err != nil {
-					t.Fatal(err)
-				}
 				stream := func(x uint64) *opStream { return &opStream{x: x, sets: g.sets, assoc: g.assoc} }
-				stream(0x9E3779B97F4A7C15).drive(p, ops)
-
-				c := p.Clone()
-				if c.Name() != name {
-					t.Fatalf("clone named %q", c.Name())
+				build := func(x uint64) Policy {
+					p, err := New(name, g.sets, g.assoc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					stream(x).drive(p, ops)
+					return p
 				}
+				p := build(0x9E3779B97F4A7C15)
+				copyOf := func() Policy {
+					c := build(99)
+					c.CopyFrom(p)
+					return c
+				}
+
+				c := copyOf()
 				a, b := stream(12345), stream(12345)
 				for i := 0; i < ops; i++ {
 					if got, want := a.step(c), b.step(p); got != want {
-						t.Fatalf("op %d after the clone: clone chose way %d, original %d", i, got, want)
+						t.Fatalf("op %d after the copy: copy chose way %d, original %d", i, got, want)
 					}
 				}
 
-				mutated, witness := p.Clone(), p.Clone()
+				mutated, witness := copyOf(), copyOf()
 				stream(777).drive(mutated, ops)
 				got, want := stream(4242).drive(p, ops), stream(4242).drive(witness, ops)
 				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatal("driving a clone changed the original's later victims")
+					t.Fatal("driving a copy changed the original's later victims")
 				}
 				if len(got) == 0 {
 					t.Fatal("the stream chose no victim")
+				}
+				if n := testing.AllocsPerRun(10, func() { c.CopyFrom(p) }); n != 0 {
+					t.Fatalf("CopyFrom allocated %.0f times, want 0", n)
 				}
 			})
 		}

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -466,5 +468,38 @@ func TestNewSeededRandomDecorrelates(t *testing.T) {
 	}
 	if !diverged {
 		t.Fatal("seeds 7 and 8 produced identical eviction sequences")
+	}
+}
+
+// TestClockLimitPanics: a recency clock one tick below 2^32-1 takes that
+// tick, and the next one panics instead of wrapping its 32-bit stamps, in
+// LRU and in both of DIP's rows.
+func TestClockLimitPanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "32-bit stamp limit") {
+				t.Fatalf("%s: panic %q, want the 32-bit stamp limit", name, msg)
+			}
+		}()
+		f()
+	}
+	lru := NewLRU(4, 4)
+	lru.clock = math.MaxUint32 - 1
+	lru.Touch(0, 1)
+	if lru.stamps[1] != math.MaxUint32 {
+		t.Fatalf("stamp %d, want %d", lru.stamps[1], uint32(math.MaxUint32))
+	}
+	mustPanic("lru", func() { lru.Insert(2, 0) })
+
+	for _, row := range []string{"lru", "bip"} {
+		dip := NewDIP(64, 4)
+		clock := &dip.lru.clock
+		if row == "bip" {
+			clock = &dip.bip.lru.clock
+		}
+		*clock = math.MaxUint32 - 1
+		dip.Touch(0, 0)
+		mustPanic("dip "+row, func() { dip.Touch(0, 1) })
 	}
 }

@@ -1,7 +1,5 @@
 package policy
 
-import "slices"
-
 // SHiP is Signature-based Hit Prediction (Wu et al., MICRO 2011) layered on
 // RRIP. Each line remembers the signature that filled it and whether it was
 // ever re-referenced; a table of saturating counters (the SHCT) learns, per
@@ -44,15 +42,14 @@ func NewSHiP(sets, assoc int) *SHiP {
 // Name implements Policy.
 func (p *SHiP) Name() string { return "ship" }
 
-// Clone implements Policy.
-func (p *SHiP) Clone() Policy {
-	return &SHiP{
-		srrip:  p.srrip.clone(),
-		shct:   slices.Clone(p.shct),
-		sig:    slices.Clone(p.sig),
-		reused: slices.Clone(p.reused),
-		filled: slices.Clone(p.filled),
-	}
+// CopyFrom implements Policy.
+func (p *SHiP) CopyFrom(src Policy) {
+	s := src.(*SHiP)
+	p.srrip.copyFrom(s.srrip)
+	p.shct = append(p.shct[:0], s.shct...)
+	p.sig = append(p.sig[:0], s.sig...)
+	p.reused = append(p.reused[:0], s.reused...)
+	p.filled = append(p.filled[:0], s.filled...)
 }
 
 // signature hashes the set index into the SHCT index space.

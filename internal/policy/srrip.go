@@ -1,7 +1,5 @@
 package policy
 
-import "slices"
-
 // SRRIP is Static Re-Reference Interval Prediction (Jaleel et al., ISCA
 // 2010; the RRIP family also underlies SHiP, which the paper cites for
 // high-performance caching). Each line carries a 2-bit re-reference
@@ -32,10 +30,13 @@ func NewSRRIP(sets, assoc int) *SRRIP {
 // Name implements Policy.
 func (p *SRRIP) Name() string { return "srrip" }
 
-// Clone implements Policy.
-func (p *SRRIP) Clone() Policy { return p.clone() }
+// CopyFrom implements Policy.
+func (p *SRRIP) CopyFrom(src Policy) { p.copyFrom(src.(*SRRIP)) }
 
-func (p *SRRIP) clone() *SRRIP { return &SRRIP{assoc: p.assoc, rrpv: slices.Clone(p.rrpv)} }
+func (p *SRRIP) copyFrom(s *SRRIP) {
+	p.assoc = s.assoc
+	p.rrpv = append(p.rrpv[:0], s.rrpv...)
+}
 
 // Touch implements Policy: a hit predicts near-immediate re-reference.
 func (p *SRRIP) Touch(set, way int) { p.rrpv[set*p.assoc+way] = 0 }

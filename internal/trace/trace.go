@@ -20,7 +20,6 @@ package trace
 
 import (
 	"fmt"
-	"slices"
 
 	"alloysim/internal/memaddr"
 )
@@ -288,18 +287,33 @@ func (p Profile) MustBuild(seed, scale uint64, base memaddr.Line) Generator {
 
 // Clone returns an independent copy of a profile-built generator (Build):
 // the copy emits exactly the references the original emits next, and
-// advancing either leaves the other unchanged. It copies the component
-// cursors, page-run state, RNG and burst counters, and shares the profile
-// and cumulative weights, which never change after Build. Any other
-// Generator, such as a file Replay, reports false.
+// advancing either leaves the other unchanged. Any other Generator, such
+// as a file Replay, reports false.
 func Clone(g Generator) (Generator, bool) {
-	src, ok := g.(*gen)
-	if !ok {
+	c := new(gen)
+	if !Copy(c, g) {
 		return nil, false
 	}
-	c := *src
-	c.comps = slices.Clone(src.comps)
-	return &c, true
+	return c, true
+}
+
+// Copy makes dst continue exactly as src: dst then emits the references
+// src emits next, and advancing either leaves the other unchanged. It
+// copies the component cursors, page-run state, RNG and burst counters
+// into dst's own component array, and shares src's profile and cumulative
+// weights, which never change after Build, so a copy between generators of
+// one profile allocates nothing. Both must be profile-built (Build);
+// otherwise Copy reports false and leaves dst unchanged.
+func Copy(dst, src Generator) bool {
+	d, ok := dst.(*gen)
+	s, ok2 := src.(*gen)
+	if !ok || !ok2 {
+		return false
+	}
+	comps := d.comps
+	*d = *s
+	d.comps = append(comps[:0], s.comps...)
+	return true
 }
 
 func (g *gen) pickComponent() {

@@ -405,6 +405,22 @@ func TestCloneContinuesTheStream(t *testing.T) {
 				t.Fatalf("%s: advancing the clone moved the original at ref %d: %+v, want %+v", p.Name, i, a, b)
 			}
 		}
+		// Copy puts g's position into a generator of another seed and
+		// position, in place.
+		dst := p.MustBuild(5, 64, 1<<20)
+		dst.Next()
+		if !Copy(dst, g) {
+			t.Fatalf("%s: Copy refused profile-built generators", p.Name)
+		}
+		if n := testing.AllocsPerRun(10, func() { Copy(dst, g) }); n != 0 {
+			t.Fatalf("%s: Copy allocated %.0f times, want 0", p.Name, n)
+		}
+		twin = at(1100)
+		for i := 0; i < 10000; i++ {
+			if a, b := dst.Next(), twin.Next(); a != b {
+				t.Fatalf("%s: copy diverged at ref %d: %+v, want %+v", p.Name, i, a, b)
+			}
+		}
 	}
 	r, err := NewReplay([]Ref{{Line: 1}})
 	if err != nil {
@@ -412,5 +428,8 @@ func TestCloneContinuesTheStream(t *testing.T) {
 	}
 	if _, ok := Clone(r); ok {
 		t.Fatal("Clone accepted a file replay")
+	}
+	if g := All()[0].MustBuild(1, 64, 0); Copy(g, r) || Copy(r, g) {
+		t.Fatal("Copy accepted a file replay")
 	}
 }
