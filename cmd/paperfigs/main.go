@@ -2,13 +2,24 @@
 // evaluation. Run with no flags to regenerate everything, or select one
 // experiment with -exp.
 //
+// It first simulates every point the selected experiments read, as one
+// parallel list grouped by warmup front, and prints the list's size and
+// wall time; then it renders each table from the results. A table's
+// "(<id> in …)" line and its -o manifest time the rendering only.
+//
 //	paperfigs -exp fig4          # one experiment
 //	paperfigs -list              # list experiment IDs
 //	paperfigs -quick             # smaller traces, faster, noisier
 //	paperfigs -scale 32 -instr 3000000
 //	paperfigs -checkpoint sweep.ckpt   # resume an interrupted sweep
 //
-// Ctrl-C (or SIGTERM) cancels the sweep between simulation quanta; with
+// A point that fails leaves out each table that reads it, and a table
+// that fails to render writes no results file; the other tables are still
+// rendered and written, each one left out is named with its error, and
+// paperfigs exits 1.
+//
+// Ctrl-C (or SIGTERM) cancels the sweep between simulation quanta. A
+// Ctrl-C during the simulations writes no results file, but with
 // -checkpoint each completed point is already a line in the file, so
 // re-running with the same flags resumes instead of restarting.
 //
@@ -166,10 +177,46 @@ func main() {
 		os.Exit(code)
 	}
 
-	run := func(e experiments.Experiment) {
+	selected := experiments.All()
+	if *exp != "" {
+		e, ok := experiments.ByID(*exp)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "paperfigs: unknown experiment %q (use -list)\n", *exp)
+			os.Exit(2)
+		}
+		selected = []experiments.Experiment{e}
+	}
+
+	// One Prefetch runs the points of every selected experiment, so each
+	// warmup front is recorded once per process and each shared tag store
+	// is warmed once; the tables then render from the memo.
+	var points []experiments.Point
+	for _, e := range selected {
+		if e.Points != nil {
+			points = append(points, e.Points()...)
+		}
+	}
+	start, ran := time.Now(), runner.Metrics().PointsRun
+	prefetchErr := runner.Prefetch(ctx, points)
+	if prefetchErr != nil && ctx.Err() != nil {
+		fmt.Fprintf(os.Stderr, "paperfigs: %v\n", ctx.Err()) // not one line per unstarted point
+		fail(1)
+	}
+	fmt.Printf("(%d points listed, %d simulated, in %.1fs)\n\n", len(points), runner.Metrics().PointsRun-ran, time.Since(start).Seconds())
+
+	failed := prefetchErr != nil
+	for _, e := range selected {
+		// Every failed point has a record, so this leaves out exactly the
+		// tables that would read one, and simulates nothing a second time.
+		if e.Points != nil {
+			if f, ok := runner.Failure(e.Points()); ok {
+				fmt.Fprintf(os.Stderr, "paperfigs: %s failed: %s: %s\n", e.ID, f.Point, f.Err)
+				continue
+			}
+		}
 		start := time.Now()
-		// The sidecar manifest is started per experiment so its wall time
-		// covers exactly the simulations behind this results file.
+		// The sidecar manifest is started per experiment, after the
+		// simulations, so its wall time covers rendering this results file.
 		man := obs.NewManifest("paperfigs", os.Args[1:])
 		man.ParamsFingerprint = params.Fingerprint()
 		man.Seed = int64(params.Seed)
@@ -188,9 +235,17 @@ func main() {
 			fmt.Fprintf(f, "%s: %s\n\n", e.ID, e.Title)
 			out = io.MultiWriter(os.Stdout, f)
 		}
-		if err := e.Run(ctx, runner, out); err != nil {
+		if err := e.Render(ctx, runner, out); err != nil {
 			fmt.Fprintf(os.Stderr, "paperfigs: %s failed: %v\n", e.ID, err)
-			fail(1)
+			if ctx.Err() != nil {
+				fail(1)
+			}
+			if f != nil { // no partial results file
+				f.Close()
+				os.Remove(f.Name())
+			}
+			failed = true
+			continue
 		}
 		if f != nil {
 			if err := f.Close(); err != nil {
@@ -205,18 +260,8 @@ func main() {
 		}
 		fmt.Printf("(%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
 	}
-
-	if *exp != "" {
-		e, ok := experiments.ByID(*exp)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "paperfigs: unknown experiment %q (use -list)\n", *exp)
-			os.Exit(2)
-		}
-		run(e)
-	} else {
-		for _, e := range experiments.All() {
-			run(e)
-		}
+	if failed {
+		fail(1)
 	}
 	runner.WriteSummary(os.Stdout)
 	if *metricsOut != "" {

@@ -129,9 +129,14 @@ type Config struct {
 	OffChip dram.Config
 	Stacked dram.Config
 
-	// WriteBufferEntries bounds in-flight writes below the L3 (memory
-	// controller write buffer; store-buffer backpressure when full).
-	// Zero selects DefaultWriteBufferEntries.
+	// WriteBufferEntries is a soft limit on in-flight writes below the L3
+	// (the memory controller's write buffer). A write admitted to a full
+	// buffer issues when its oldest write completes, and a demand write
+	// also stalls its core until then (store-buffer backpressure); but
+	// every admitted write joins the buffer, and L3 dirty writebacks and
+	// private-L2 victims never stall, so it can hold more writes than
+	// this (75 of 64 in a default lbm_r run on LH-Cache). Zero selects
+	// DefaultWriteBufferEntries.
 	WriteBufferEntries int
 
 	// GapScale multiplies the workload's mean instruction gap, scaling

@@ -64,9 +64,13 @@ type System struct {
 	wbFree   *writebackEvent
 
 	// writeBuf holds the completion times of in-flight writes below the
-	// L3. When it is full, further writes stall the issuing core
-	// (store-buffer backpressure), which is what keeps unbounded write
-	// streams from reserving DRAM banks arbitrarily far into the future.
+	// L3, and writeBufCap is a soft limit on them. A write admitted to a
+	// full buffer issues when the oldest write completes, and a demand
+	// write also stalls its core until then (store-buffer backpressure),
+	// which keeps write streams from reserving DRAM banks arbitrarily far
+	// into the future. Every admitted write is appended all the same, and
+	// L3 dirty writebacks and private-L2 victims never stall, so the
+	// buffer can hold more than writeBufCap writes.
 	writeBuf    writeHeap
 	writeBufCap int
 

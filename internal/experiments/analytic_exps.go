@@ -11,19 +11,19 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "fig1",
-		Title: "Figure 1: break-even hit-rate for a fast (0.1) and slow (0.5) cache",
-		Run:   runFig1,
+		ID:     "fig1",
+		Title:  "Figure 1: break-even hit-rate for a fast (0.1) and slow (0.5) cache",
+		Render: runFig1,
 	})
 	register(Experiment{
-		ID:    "fig3",
-		Title: "Figure 3: latency breakdown for isolated accesses X and Y",
-		Run:   runFig3,
+		ID:     "fig3",
+		Title:  "Figure 3: latency breakdown for isolated accesses X and Y",
+		Render: runFig3,
 	})
 	register(Experiment{
-		ID:    "table4",
-		Title: "Table 4: bandwidth comparison relative to off-chip memory",
-		Run:   runTable4,
+		ID:     "table4",
+		Title:  "Table 4: bandwidth comparison relative to off-chip memory",
+		Render: runTable4,
 	})
 }
 

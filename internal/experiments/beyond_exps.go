@@ -16,42 +16,34 @@ import (
 // Figure 9, plus the design x replacement-policy cross-product the
 // registry exposes.
 func init() {
-	register(Experiment{ID: "beyond4", Title: "Beyond Fig 4: speedup of the design zoo vs the paper's organizations", Run: runBeyond4})
-	register(Experiment{ID: "beyond9", Title: "Beyond Fig 9: cache-size sensitivity with the design zoo", Run: runBeyond9})
-	register(Experiment{ID: "beyond-pol", Title: "Beyond: replacement-policy cross-product on the associative designs", Run: runBeyondPol})
+	register(Experiment{ID: "beyond4", Title: "Beyond Fig 4: speedup of the design zoo vs the paper's organizations",
+		Points: speedupPoints(DetailedWorkloads, zooCols), Render: runBeyond4})
+	register(Experiment{ID: "beyond9", Title: "Beyond Fig 9: cache-size sensitivity with the design zoo",
+		Points: speedupPoints(DetailedWorkloads, beyond9Designs, beyond9Sizes...), Render: runBeyond9})
+	register(Experiment{ID: "beyond-pol", Title: "Beyond: replacement-policy cross-product on the associative designs",
+		Points: beyondPolPoints, Render: runBeyondPol})
 }
 
 // zooCols is the beyond set's design lineup: the paper's three real
 // organizations, the zoo, and the idealized bound.
-func zooCols() []struct {
-	Label string
-	D     core.Design
-	P     core.PredictorKind
-} {
-	return []struct {
-		Label string
-		D     core.Design
-		P     core.PredictorKind
-	}{
-		{"LH-Cache", core.DesignLH, core.PredDefault},
-		{"SRAM-Tag", core.DesignSRAMTag32, core.PredDefault},
-		{"Alloy", core.DesignAlloy, core.PredDefault},
-		{"Banshee", core.DesignBanshee, core.PredDefault},
-		{"Gemini", core.DesignGemini, core.PredDefault},
-		{"TDRAM", core.DesignTDRAM, core.PredDefault},
-		{"IDEAL-LO", core.DesignIdealLO, core.PredDefault},
-	}
+var zooCols = []column{
+	{"LH-Cache", core.DesignLH, core.PredDefault},
+	{"SRAM-Tag", core.DesignSRAMTag32, core.PredDefault},
+	{"Alloy", core.DesignAlloy, core.PredDefault},
+	{"Banshee", core.DesignBanshee, core.PredDefault},
+	{"Gemini", core.DesignGemini, core.PredDefault},
+	{"TDRAM", core.DesignTDRAM, core.PredDefault},
+	{"IDEAL-LO", core.DesignIdealLO, core.PredDefault},
 }
 
 func runBeyond4(ctx context.Context, r *Runner, w io.Writer) error {
-	cols := zooCols()
 	fmt.Fprintln(w, "Speedup over no-DRAM-cache baseline, 256MB cache, design zoo included:")
-	if err := speedupTable(ctx, r, w, DetailedWorkloads(), cols, 0); err != nil {
+	if err := speedupTable(ctx, r, w, DetailedWorkloads(), zooCols); err != nil {
 		return err
 	}
 	var labels []string
 	var vals []float64
-	for _, c := range cols {
+	for _, c := range zooCols {
 		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: c.D, Predictor: c.P})
 		if err != nil {
 			return err
@@ -64,38 +56,26 @@ func runBeyond4(ctx context.Context, r *Runner, w io.Writer) error {
 	return nil
 }
 
+var (
+	beyond9Sizes   = []uint64{64, 256, 1024}
+	beyond9Designs = []column{
+		{"Alloy", core.DesignAlloy, core.PredDefault},
+		{"Banshee", core.DesignBanshee, core.PredDefault},
+		{"Gemini", core.DesignGemini, core.PredDefault},
+		{"TDRAM", core.DesignTDRAM, core.PredDefault},
+		{"IDEAL-LO", core.DesignIdealLO, core.PredDefault},
+	}
+)
+
 func runBeyond9(ctx context.Context, r *Runner, w io.Writer) error {
-	sizes := []uint64{64, 256, 1024}
-	designs := []struct {
-		Label string
-		D     core.Design
-	}{
-		{"Alloy", core.DesignAlloy},
-		{"Banshee", core.DesignBanshee},
-		{"Gemini", core.DesignGemini},
-		{"TDRAM", core.DesignTDRAM},
-		{"IDEAL-LO", core.DesignIdealLO},
-	}
-	var points []Point
-	for _, wl := range DetailedWorkloads() {
-		points = append(points, Point{Workload: wl, Design: core.DesignNone})
-		for _, mb := range sizes {
-			for _, d := range designs {
-				points = append(points, Point{Workload: wl, Design: d.D, CacheMB: mb})
-			}
-		}
-	}
-	if err := r.Prefetch(ctx, points); err != nil {
-		return err
-	}
 	header := []string{"Size"}
-	for _, d := range designs {
+	for _, d := range beyond9Designs {
 		header = append(header, d.Label)
 	}
 	tab := stats.NewTable(header...)
-	for _, mb := range sizes {
+	for _, mb := range beyond9Sizes {
 		row := []interface{}{fmt.Sprintf("%dMB", mb)}
-		for _, d := range designs {
+		for _, d := range beyond9Designs {
 			_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: d.D, CacheMB: mb})
 			if err != nil {
 				return err
@@ -109,43 +89,43 @@ func runBeyond9(ctx context.Context, r *Runner, w io.Writer) error {
 	return err
 }
 
-// runBeyondPol sweeps the registry's design x replacement-policy
+// beyond-pol sweeps the registry's design x replacement-policy
 // cross-product on the two policy-capable (set-associative) designs. The
 // metric is the DRAM-cache read hit rate, which isolates the policy's
 // contents effect from the latency dynamics the other figures measure.
-func runBeyondPol(ctx context.Context, r *Runner, w io.Writer) error {
-	policies := []string{"lru", "random", "dip", "srrip", "brrip", "ship"}
-	designs := []struct {
-		Label string
-		D     core.Design
-	}{
-		{"LH-Cache (29-way)", core.DesignLH},
-		{"Gemini (SA region)", core.DesignGemini},
+var (
+	polPolicies = []string{"lru", "random", "dip", "srrip", "brrip", "ship"}
+	polDesigns  = []column{
+		{"LH-Cache (29-way)", core.DesignLH, core.PredDefault},
+		{"Gemini (SA region)", core.DesignGemini, core.PredDefault},
 	}
-	// Workload-major: a workload's points share one warmup front.
+)
+
+// beyondPolPoints lists the points workload-major.
+func beyondPolPoints() []Point {
 	var points []Point
 	for _, wl := range DetailedWorkloads() {
-		for _, d := range designs {
-			for _, pol := range policies {
+		for _, d := range polDesigns {
+			for _, pol := range polPolicies {
 				points = append(points, Point{Workload: wl, Design: d.D, Knobs: Knobs{DCPolicy: pol}})
 			}
 		}
 	}
-	if err := r.Prefetch(ctx, points); err != nil {
-		return err
-	}
+	return points
+}
 
+func runBeyondPol(ctx context.Context, r *Runner, w io.Writer) error {
 	header := []string{"Policy"}
-	for _, d := range designs {
+	for _, d := range polDesigns {
 		header = append(header, d.Label)
 	}
 	tab := stats.NewTable(header...)
-	for _, pol := range policies {
+	for _, pol := range polPolicies {
 		row := []interface{}{pol}
-		for _, d := range designs {
+		for _, d := range polDesigns {
 			var rates []float64
 			for _, wl := range DetailedWorkloads() {
-				res, err := r.run(ctx, Point{Workload: wl, Design: d.D, Knobs: Knobs{DCPolicy: pol}})
+				res, err := r.run(ctx, Point{Workload: wl, Design: d.D, Knobs: Knobs{DCPolicy: pol}}, nil)
 				if err != nil {
 					return err
 				}

@@ -124,7 +124,7 @@ func TestCheckpointRejectsCorruptedFile(t *testing.T) {
 func TestCheckpointSnapshotsAfterEveryPoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	r := NewRunner(microParams())
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
+	r.simulate = func(ctx context.Context, pt Point, _ *warmPlan) (core.Result, error) {
 		return core.Result{ExecCycles: float64(pt.CacheMB)}, nil
 	}
 	if _, err := r.EnableCheckpoint(path); err != nil {
@@ -141,7 +141,7 @@ func TestCheckpointSnapshotsAfterEveryPoint(t *testing.T) {
 	}
 
 	// Failed points are never checkpointed.
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
+	r.simulate = func(ctx context.Context, pt Point, _ *warmPlan) (core.Result, error) {
 		return core.Result{}, errors.New("boom")
 	}
 	if _, err := r.Run(context.Background(), "mcf_r", core.DesignLH, core.PredDefault, 1); err == nil {
@@ -163,7 +163,7 @@ func TestCheckpointConcurrentCompletionsDoNotClobber(t *testing.T) {
 	p := microParams()
 	p.Parallelism = 8
 	r := NewRunner(p)
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
+	r.simulate = func(ctx context.Context, pt Point, _ *warmPlan) (core.Result, error) {
 		return core.Result{ExecCycles: float64(pt.CacheMB)}, nil
 	}
 	if _, err := r.EnableCheckpoint(path); err != nil {
@@ -239,7 +239,7 @@ func TestCheckpointPointJSON(t *testing.T) {
 // slot, not into the default point's.
 func TestCheckpointRoundTripsKnobs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
-	fake := func(ctx context.Context, pt Point) (core.Result, error) {
+	fake := func(ctx context.Context, pt Point, _ *warmPlan) (core.Result, error) {
 		return core.Result{ExecCycles: float64(100 + pt.MLP)}, nil
 	}
 	knob := Point{Workload: "mcf_r", Design: core.DesignAlloy, Knobs: Knobs{MLP: 4}}
@@ -248,7 +248,7 @@ func TestCheckpointRoundTripsKnobs(t *testing.T) {
 	if _, err := r1.EnableCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r1.run(context.Background(), knob); err != nil {
+	if _, err := r1.run(context.Background(), knob, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -257,7 +257,7 @@ func TestCheckpointRoundTripsKnobs(t *testing.T) {
 	if restored, err := r2.EnableCheckpoint(path); err != nil || restored != 1 {
 		t.Fatalf("restored=%d err=%v, want 1 entry", restored, err)
 	}
-	res, err := r2.run(context.Background(), knob)
+	res, err := r2.run(context.Background(), knob, nil)
 	if err != nil || res.ExecCycles != 104 {
 		t.Fatalf("restored knob point: %v, %v; want ExecCycles 104", res.ExecCycles, err)
 	}
@@ -332,7 +332,7 @@ func readCheckpoint(t *testing.T, path, fingerprint string) []checkpointEntry {
 func TestCheckpointAppendsOneLinePerPoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	r := NewRunner(microParams())
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
+	r.simulate = func(ctx context.Context, pt Point, _ *warmPlan) (core.Result, error) {
 		return core.Result{ExecCycles: float64(pt.CacheMB)}, nil
 	}
 	if _, err := r.EnableCheckpoint(path); err != nil {
@@ -341,7 +341,7 @@ func TestCheckpointAppendsOneLinePerPoint(t *testing.T) {
 	want := fmt.Sprintf(`{"version":%d,"fingerprint":%q}`, checkpointVersion, r.p.fingerprint()) + "\n"
 	for i := uint64(1); i <= 3; i++ {
 		pt := Point{Workload: "mcf_r", Design: core.DesignAlloy, CacheMB: i}
-		if _, err := r.run(context.Background(), pt); err != nil {
+		if _, err := r.run(context.Background(), pt, nil); err != nil {
 			t.Fatal(err)
 		}
 		line, err := json.Marshal(checkpointEntry{Point: r.normalize(pt), Result: core.Result{ExecCycles: float64(i)}})
@@ -378,7 +378,7 @@ func TestCheckpointAppendFailureKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner(microParams())
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
+	r.simulate = func(ctx context.Context, pt Point, _ *warmPlan) (core.Result, error) {
 		return core.Result{ExecCycles: float64(pt.CacheMB)}, nil
 	}
 	if _, err := r.EnableCheckpoint(filepath.Join(dir, "ckpt.json")); err != nil {
@@ -414,7 +414,7 @@ func TestCheckpointAppendFailureKept(t *testing.T) {
 func TestCheckpointDropsTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	var ran int
-	fake := func(ctx context.Context, pt Point) (core.Result, error) {
+	fake := func(ctx context.Context, pt Point, _ *warmPlan) (core.Result, error) {
 		ran++
 		return core.Result{ExecCycles: float64(pt.CacheMB)}, nil
 	}
@@ -428,7 +428,7 @@ func TestCheckpointDropsTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pt := range pts {
-		if _, err := r1.run(context.Background(), pt); err != nil {
+		if _, err := r1.run(context.Background(), pt, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -448,7 +448,7 @@ func TestCheckpointDropsTornTail(t *testing.T) {
 	}
 	readCheckpoint(t, path, r2.p.fingerprint())
 	for _, pt := range pts {
-		if _, err := r2.run(context.Background(), pt); err != nil {
+		if _, err := r2.run(context.Background(), pt, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,7 +3,9 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"alloysim/internal/core"
@@ -174,5 +176,55 @@ func TestGeoMeanSpeedup(t *testing.T) {
 	}
 	if len(per) != 2 || gm <= 0 {
 		t.Fatalf("per=%v gm=%v", per, gm)
+	}
+}
+
+// TestRenderReadsOnlyDeclaredPoints holds every experiment's Points to
+// what its Render reads, with a stand-in simulation that returns a fixed
+// result. After a Prefetch of Points, Render simulates nothing; on a
+// fresh runner, Render simulates every point Points lists.
+func TestRenderReadsOnlyDeclaredPoints(t *testing.T) {
+	ctx := context.Background()
+	// render renders e, after prefetching its points when prefetch is
+	// set, and returns the points prefetched and those Render simulated.
+	render := func(t *testing.T, e Experiment, prefetch bool) (listed, read map[Point]bool) {
+		r := NewRunner(microParams())
+		var mu sync.Mutex
+		ran := map[Point]bool{}
+		r.simulate = func(ctx context.Context, pt Point, _ *warmPlan) (core.Result, error) {
+			mu.Lock()
+			ran[pt] = true
+			mu.Unlock()
+			return core.Result{ExecCycles: 1000, Instructions: 1000}, nil
+		}
+		if prefetch && e.Points != nil {
+			if err := r.Prefetch(ctx, e.Points()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		listed, ran = ran, map[Point]bool{}
+		if err := e.Render(ctx, r, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		return listed, ran
+	}
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			listed, read := render(t, e, true)
+			//alloyvet:allow(determinism) assertions are per-point and order-independent
+			for pt := range read {
+				t.Errorf("Render simulated %s, which Points does not list", pt)
+			}
+			if e.Points == nil {
+				return
+			}
+			_, read = render(t, e, false)
+			//alloyvet:allow(determinism) assertions are per-point and order-independent
+			for pt := range listed {
+				if !read[pt] {
+					t.Errorf("Points lists %s, which Render does not read", pt)
+				}
+			}
+		})
 	}
 }

@@ -110,7 +110,8 @@ func TestNormalizeFoldsAreExact(t *testing.T) {
 
 // TestKnobConfigs pins each knob to the core.Config field it sets: a
 // runner result equals a direct run of the default config at the
-// runner's scale with that one field changed by hand.
+// runner's scale with that one field changed by hand. The points run
+// through Prefetch, so those that keep the default front replay it.
 func TestKnobConfigs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("direct simulations in -short mode")
@@ -140,8 +141,15 @@ func TestKnobConfigs(t *testing.T) {
 		{Point{Workload: "lbm_r", Design: core.DesignLH, Knobs: Knobs{DCPolicy: "brrip"}}, func(c *core.Config) { c.DCPolicy = "brrip" }},
 		{with(alloy, func(p *Point) { p.Seed = 3 }), func(c *core.Config) { c.Seed = 3 }},
 	}
+	var pts []Point
 	for _, c := range cases {
-		got, err := r.run(context.Background(), c.pt)
+		pts = append(pts, c.pt)
+	}
+	if err := r.Prefetch(context.Background(), pts); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		got, err := r.run(context.Background(), c.pt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +190,7 @@ func TestPredictorSpellingSimulatesOnce(t *testing.T) {
 func TestSpeedupBaselineKeepsKnobs(t *testing.T) {
 	r := NewRunner(microParams())
 	var ran []Point
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
+	r.simulate = func(ctx context.Context, pt Point, _ *warmPlan) (core.Result, error) {
 		ran = append(ran, pt)
 		return core.Result{ExecCycles: 1}, nil
 	}

@@ -19,7 +19,7 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "phase", Title: "Phase profile: hit rate, predictor accuracy, and bank balance over time", Run: runPhase})
+	register(Experiment{ID: "phase", Title: "Phase profile: hit rate, predictor accuracy, and bank balance over time", Render: runPhase})
 }
 
 // phaseWorkloads keeps the experiment cheap: one latency-sensitive and

@@ -39,9 +39,7 @@ type Params struct {
 	// Seed perturbs the generators.
 	Seed uint64
 	// Parallelism is the number of Prefetch workers (each simulation is
-	// single-threaded and independent), and bounds the recorded warmup
-	// fronts the runner keeps that no listed point still needs. Zero means
-	// runtime.NumCPU.
+	// single-threaded and independent). Zero means runtime.NumCPU.
 	Parallelism int
 	// Progress, when non-nil, receives one line per completed simulation.
 	// The runner serializes all writes, so any writer is safe even under
@@ -98,27 +96,11 @@ type Runner struct {
 	//alloyvet:owner NewRunner; the SyncWriter locks itself
 	pw *obs.SyncWriter
 
-	// simulate is the point-execution function; tests substitute it to
-	// count or fail executions without paying for real simulations.
+	// simulate is the point-execution function, warming the point as its
+	// plan says; tests substitute it to count or fail executions without
+	// paying for real simulations.
 	//alloyvet:owner NewRunner; immutable outside tests
-	simulate func(ctx context.Context, pt Point) (core.Result, error)
-
-	// fronts is the runner's table of warmup fronts (core.WarmRecord),
-	// one entry per core.FrontKey, least recently used first: wanted by a
-	// listed point, being recorded by one point, or ready to replay. Every
-	// point of a workload whose knobs leave the front alone (all but the
-	// seed and the L3 policy) shares one. Ready records that no listed
-	// point still needs are kept up to parallelism() (warmshare.go).
-	fronts []*frontEntry //alloyvet:guard mu
-
-	// contents holds the tag-store snapshots (core.ContentsRecord) that
-	// two or more listed points share, one per core.ContentsKey, each
-	// dropped once the last of those points has started.
-	contents map[snapKey]*contentsEntry //alloyvet:guard mu
-
-	// plans holds the warmup plan Prefetch chose for each point it has
-	// started and whose simulation has not taken the plan yet.
-	plans map[Point]warmPlan //alloyvet:guard mu
+	simulate func(ctx context.Context, pt Point, plan *warmPlan) (core.Result, error)
 }
 
 // FailureRecord describes a point whose simulation failed.
@@ -158,8 +140,6 @@ func NewRunner(p Params) *Runner {
 		p:        p,
 		cache:    make(map[Point]core.Result),
 		failures: make(map[Point]FailureRecord),
-		contents: make(map[snapKey]*contentsEntry),
-		plans:    make(map[Point]warmPlan),
 		pw:       obs.NewSyncWriter(p.Progress),
 	}
 	r.simulate = r.simulatePoint
@@ -255,15 +235,18 @@ func (r *Runner) parallelism() int {
 	return runtime.NumCPU()
 }
 
-// Run simulates one (workload, design, predictor, cacheMB) point. cacheMB
-// is paper-scale; zero uses the runner default. Results are memoized.
+// Run simulates one (workload, design, predictor, cacheMB) point, warmed
+// directly. cacheMB is paper-scale; zero uses the runner default. Results
+// are memoized.
 func (r *Runner) Run(ctx context.Context, workload string, d core.Design, pk core.PredictorKind, cacheMB uint64) (core.Result, error) {
-	return r.run(ctx, Point{Workload: workload, Design: d, Predictor: pk, CacheMB: cacheMB})
+	return r.run(ctx, Point{Workload: workload, Design: d, Predictor: pk, CacheMB: cacheMB}, nil)
 }
 
 // run is Run for any point, knobs included: a memo hit, or one simulation
-// under ctx whose result is memoized and checkpointed.
-func (r *Runner) run(ctx context.Context, pt Point) (core.Result, error) {
+// under ctx, warmed as plan says, whose result is memoized and
+// checkpointed. Run and Speedup pass no plan: their misses take the zero
+// plan, allocated only on a miss.
+func (r *Runner) run(ctx context.Context, pt Point, plan *warmPlan) (core.Result, error) {
 	key := r.normalize(pt)
 	r.mu.Lock()
 	if res, ok := r.cache[key]; ok {
@@ -272,12 +255,15 @@ func (r *Runner) run(ctx context.Context, pt Point) (core.Result, error) {
 		return res, nil
 	}
 	r.mu.Unlock()
+	if plan == nil {
+		plan = new(warmPlan)
+	}
 
 	// Wall-clock timing of the host process, not simulated time: it
 	// feeds the operator-facing Metrics (SimWall, MaxPointWall) and
 	// never influences a simulation result.
 	start := time.Now() //alloyvet:allow(determinism)
-	res, err := r.simulate(ctx, key)
+	res, err := r.simulate(ctx, key, plan)
 	elapsed := time.Since(start) //alloyvet:allow(determinism)
 	if err != nil {
 		// A simulation stopped by the caller's own cancellation says
@@ -379,6 +365,19 @@ func (r *Runner) FailureRecords() []FailureRecord {
 	return out
 }
 
+// Failure returns the failure record of the first of the points that
+// failed, and whether one did.
+func (r *Runner) Failure(points []Point) (FailureRecord, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, pt := range points {
+		if f, ok := r.failures[r.normalize(pt)]; ok {
+			return f, true
+		}
+	}
+	return FailureRecord{}, false
+}
+
 // Metrics returns a snapshot of the runner's counters.
 func (r *Runner) Metrics() Metrics {
 	r.mu.Lock()
@@ -427,11 +426,11 @@ func (r *Runner) progressf(format string, args ...interface{}) {
 // Speedup returns the speedup of pt over its baseline: the same workload
 // and knobs without a DRAM cache.
 func (r *Runner) Speedup(ctx context.Context, pt Point) (float64, error) {
-	base, err := r.run(ctx, Point{Workload: pt.Workload, Design: core.DesignNone, Knobs: pt.Knobs})
+	base, err := r.run(ctx, Point{Workload: pt.Workload, Design: core.DesignNone, Knobs: pt.Knobs}, nil)
 	if err != nil {
 		return 0, err
 	}
-	res, err := r.run(ctx, pt)
+	res, err := r.run(ctx, pt, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -480,10 +479,24 @@ type Experiment struct {
 	ID string
 	// Title is the paper artifact being reproduced.
 	Title string
-	// Run executes the experiment and renders its table to w. It must
-	// honor ctx: cancellation aborts the underlying simulations between
-	// engine quanta.
-	Run func(ctx context.Context, r *Runner, w io.Writer) error
+	// Points lists every runner point Render reads, baselines included,
+	// and nothing else. It is nil for an experiment that reads none: the
+	// analytic ones, and phase and table3, which build their own Systems.
+	Points func() []Point
+	// Render renders the table to w. Once Points is prefetched it reads
+	// only the runner's memo. It must honor ctx: cancellation aborts any
+	// simulation it runs between engine quanta.
+	Render func(ctx context.Context, r *Runner, w io.Writer) error
+}
+
+// Run prefetches the experiment's points and renders its table.
+func (e Experiment) Run(ctx context.Context, r *Runner, w io.Writer) error {
+	if e.Points != nil {
+		if err := r.Prefetch(ctx, e.Points()); err != nil {
+			return err
+		}
+	}
+	return e.Render(ctx, r, w)
 }
 
 var registry []Experiment

@@ -45,6 +45,14 @@ func TestPrefetchReportsEveryError(t *testing.T) {
 			t.Errorf("error %q does not mention failing point %q", msg, want)
 		}
 	}
+	// Failure finds the first failed point of a list, under any spelling,
+	// and none in a list of points that succeeded.
+	if f, ok := r.Failure([]Point{pts[0], {Workload: "mcf_r", Design: "other-bad", CacheMB: 256}, pts[1]}); !ok || f.Point.Design != "other-bad" {
+		t.Errorf("Failure = %+v, %v; want other-bad's record", f, ok)
+	}
+	if f, ok := r.Failure([]Point{pts[0], pts[2]}); ok {
+		t.Errorf("Failure of succeeded points = %+v", f)
+	}
 	// Succeeding points drained despite the failures and are memoized:
 	// a replayed Run must be a pure memo hit (identical result).
 	a, err := r.Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, 0)
@@ -85,7 +93,7 @@ func TestPrefetchLaunchesEachPointOnce(t *testing.T) {
 		running int
 		both    = make(chan struct{})
 	)
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
+	r.simulate = func(ctx context.Context, pt Point, _ *warmPlan) (core.Result, error) {
 		mu.Lock()
 		counts[pt]++
 		if running++; running == 2 {
@@ -133,7 +141,7 @@ func TestCancelledPointsAreNotFailures(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var started atomic.Int32
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
+	r.simulate = func(ctx context.Context, pt Point, _ *warmPlan) (core.Result, error) {
 		if started.Add(1) == 2 {
 			cancel()
 		}
@@ -190,7 +198,7 @@ func TestProgressWritesSerialized(t *testing.T) {
 	p.Parallelism = 8
 	p.Progress = &buf
 	r := NewRunner(p)
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
+	r.simulate = func(ctx context.Context, pt Point, _ *warmPlan) (core.Result, error) {
 		return core.Result{ExecCycles: 1}, nil
 	}
 	pts := make([]Point, points)
@@ -229,7 +237,7 @@ func TestPrefetchHonorsCancellation(t *testing.T) {
 	p.Parallelism = 1
 	r := NewRunner(p)
 	ctx, cancel := context.WithCancel(context.Background())
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
+	r.simulate = func(ctx context.Context, pt Point, _ *warmPlan) (core.Result, error) {
 		cancel() // first point pulls the plug on the rest
 		return core.Result{}, ctx.Err()
 	}
@@ -250,7 +258,7 @@ func TestPrefetchHonorsCancellation(t *testing.T) {
 // checkpoint smoke greps for.
 func TestWriteSummaryShape(t *testing.T) {
 	r := NewRunner(microParams())
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
+	r.simulate = func(ctx context.Context, pt Point, _ *warmPlan) (core.Result, error) {
 		return core.Result{ExecCycles: 1}, nil
 	}
 	if _, err := r.Run(context.Background(), "mcf_r", core.DesignAlloy, core.PredDefault, 0); err != nil {
@@ -327,7 +335,7 @@ func TestPrefetchRecordsSkippedPoints(t *testing.T) {
 	p.Parallelism = 1
 	r := NewRunner(p)
 	var ran atomic.Int32
-	r.simulate = func(ctx context.Context, pt Point) (core.Result, error) {
+	r.simulate = func(ctx context.Context, pt Point, _ *warmPlan) (core.Result, error) {
 		ran.Add(1)
 		return core.Result{}, nil
 	}

@@ -10,38 +10,69 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "fig4", Title: "Figure 4: performance potential of SRAM-Tag, LH-Cache, IDEAL-LO", Run: runFig4})
-	register(Experiment{ID: "table1", Title: "Table 1: impact of de-optimizing LH-Cache", Run: runTable1})
-	register(Experiment{ID: "table3", Title: "Table 3: benchmark characteristics (measured)", Run: runTable3})
-	register(Experiment{ID: "fig6", Title: "Figure 6: speedup of Alloy Cache with NoPred, MissMap, Perfect vs SRAM-Tag", Run: runFig6})
-	register(Experiment{ID: "fig8", Title: "Figure 8: Alloy Cache with SAM, PAM, MAP-G, MAP-I, Perfect", Run: runFig8})
-	register(Experiment{ID: "table5", Title: "Table 5: accuracy of memory access predictors", Run: runTable5})
-	register(Experiment{ID: "fig9", Title: "Figure 9: sensitivity to cache size (64MB-1GB)", Run: runFig9})
-	register(Experiment{ID: "fig10", Title: "Figure 10: average hit latency per workload", Run: runFig10})
-	register(Experiment{ID: "table6", Title: "Table 6: hit rate, 29-way LH vs direct-mapped Alloy", Run: runTable6})
-	register(Experiment{ID: "fig11", Title: "Figure 11: performance on the other SPEC workloads", Run: runFig11})
-	register(Experiment{ID: "table7", Title: "Table 7: room for improvement over Alloy+MAP-I", Run: runTable7})
-	register(Experiment{ID: "sec65", Title: "Section 6.5: burst-8 vs burst-5 Alloy Cache", Run: runSec65})
-	register(Experiment{ID: "sec67", Title: "Section 6.7: two-way Alloy Cache", Run: runSec67})
+	register(Experiment{ID: "fig4", Title: "Figure 4: performance potential of SRAM-Tag, LH-Cache, IDEAL-LO",
+		Points: speedupPoints(DetailedWorkloads, fig4Cols), Render: runFig4})
+	register(Experiment{ID: "table1", Title: "Table 1: impact of de-optimizing LH-Cache",
+		Points: speedupPoints(DetailedWorkloads, table1Rows), Render: runTable1})
+	register(Experiment{ID: "table3", Title: "Table 3: benchmark characteristics (measured)", Render: runTable3})
+	register(Experiment{ID: "fig6", Title: "Figure 6: speedup of Alloy Cache with NoPred, MissMap, Perfect vs SRAM-Tag",
+		Points: speedupPoints(DetailedWorkloads, fig6Cols), Render: runFig6})
+	register(Experiment{ID: "fig8", Title: "Figure 8: Alloy Cache with SAM, PAM, MAP-G, MAP-I, Perfect",
+		Points: speedupPoints(DetailedWorkloads, fig8Cols), Render: runFig8})
+	register(Experiment{ID: "table5", Title: "Table 5: accuracy of memory access predictors",
+		Points: cellPoints(DetailedWorkloads, fig8Cols), Render: runTable5})
+	register(Experiment{ID: "fig9", Title: "Figure 9: sensitivity to cache size (64MB-1GB)",
+		Points: speedupPoints(DetailedWorkloads, fig9Designs, fig9Sizes...), Render: runFig9})
+	register(Experiment{ID: "fig10", Title: "Figure 10: average hit latency per workload",
+		Points: cellPoints(DetailedWorkloads, fig10Designs), Render: runFig10})
+	register(Experiment{ID: "table6", Title: "Table 6: hit rate, 29-way LH vs direct-mapped Alloy",
+		Points: cellPoints(DetailedWorkloads, table6Designs, table6Sizes...), Render: runTable6})
+	register(Experiment{ID: "fig11", Title: "Figure 11: performance on the other SPEC workloads",
+		Points: speedupPoints(OtherWorkloads, fig11Cols), Render: runFig11})
+	register(Experiment{ID: "table7", Title: "Table 7: room for improvement over Alloy+MAP-I",
+		Points: speedupPoints(DetailedWorkloads, table7Rows), Render: runTable7})
+	register(Experiment{ID: "sec65", Title: "Section 6.5: burst-8 vs burst-5 Alloy Cache",
+		Points: speedupPoints(DetailedWorkloads, sec65Rows), Render: runSec65})
+	register(Experiment{ID: "sec67", Title: "Section 6.7: two-way Alloy Cache",
+		Points: speedupPoints(DetailedWorkloads, sec67Rows), Render: runSec67})
 }
 
-// speedupTable renders per-workload speedups for a set of designs plus the
-// geometric mean row. All points are prefetched in parallel first.
-func speedupTable(ctx context.Context, r *Runner, w io.Writer, workloads []string, cols []struct {
+// column is one labelled design of a table, run on each workload.
+type column struct {
 	Label string
 	D     core.Design
 	P     core.PredictorKind
-}, cacheMB uint64) error {
-	var points []Point
-	for _, wl := range workloads {
-		points = append(points, Point{Workload: wl, Design: core.DesignNone})
-		for _, c := range cols {
-			points = append(points, Point{Workload: wl, Design: c.D, Predictor: c.P, CacheMB: cacheMB})
+}
+
+// cellPoints lists the points of every column on every workload at each
+// size (the default size when none is given), workload-major.
+func cellPoints(workloads func() []string, cols []column, sizes ...uint64) func() []Point {
+	if len(sizes) == 0 {
+		sizes = []uint64{0}
+	}
+	return func() []Point {
+		var pts []Point
+		for _, wl := range workloads() {
+			for _, mb := range sizes {
+				for _, c := range cols {
+					pts = append(pts, Point{Workload: wl, Design: c.D, Predictor: c.P, CacheMB: mb})
+				}
+			}
 		}
+		return pts
 	}
-	if err := r.Prefetch(ctx, points); err != nil {
-		return err
-	}
+}
+
+// speedupPoints is cellPoints with each workload's no-cache baseline
+// first: the points a speedup over that baseline reads. The baseline is
+// listed again at each further size, a spelling Prefetch drops.
+func speedupPoints(workloads func() []string, cols []column, sizes ...uint64) func() []Point {
+	return cellPoints(workloads, append([]column{{D: core.DesignNone}}, cols...), sizes...)
+}
+
+// speedupTable renders per-workload speedups for a set of designs plus the
+// geometric mean row.
+func speedupTable(ctx context.Context, r *Runner, w io.Writer, workloads []string, cols []column) error {
 	header := append([]string{"Workload"}, func() []string {
 		var h []string
 		for _, c := range cols {
@@ -54,7 +85,7 @@ func speedupTable(ctx context.Context, r *Runner, w io.Writer, workloads []strin
 	for _, wl := range workloads {
 		row := []interface{}{wl}
 		for i, c := range cols {
-			s, err := r.Speedup(ctx, Point{Workload: wl, Design: c.D, Predictor: c.P, CacheMB: cacheMB})
+			s, err := r.Speedup(ctx, Point{Workload: wl, Design: c.D, Predictor: c.P})
 			if err != nil {
 				return err
 			}
@@ -72,24 +103,21 @@ func speedupTable(ctx context.Context, r *Runner, w io.Writer, workloads []strin
 	return err
 }
 
+var fig4Cols = []column{
+	{"LH-Cache", core.DesignLH, core.PredDefault},
+	{"SRAM-Tag", core.DesignSRAMTag32, core.PredDefault},
+	{"IDEAL-LO", core.DesignIdealLO, core.PredDefault},
+}
+
 func runFig4(ctx context.Context, r *Runner, w io.Writer) error {
-	cols := []struct {
-		Label string
-		D     core.Design
-		P     core.PredictorKind
-	}{
-		{"LH-Cache", core.DesignLH, core.PredDefault},
-		{"SRAM-Tag", core.DesignSRAMTag32, core.PredDefault},
-		{"IDEAL-LO", core.DesignIdealLO, core.PredDefault},
-	}
 	fmt.Fprintln(w, "Speedup over no-DRAM-cache baseline, 256MB cache:")
-	if err := speedupTable(ctx, r, w, DetailedWorkloads(), cols, 0); err != nil {
+	if err := speedupTable(ctx, r, w, DetailedWorkloads(), fig4Cols); err != nil {
 		return err
 	}
 	// Echo the figure's bars: geometric-mean speedup per design.
 	var labels []string
 	var vals []float64
-	for _, c := range cols {
+	for _, c := range fig4Cols {
 		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: c.D, Predictor: c.P})
 		if err != nil {
 			return err
@@ -102,33 +130,20 @@ func runFig4(ctx context.Context, r *Runner, w io.Writer) error {
 	return nil
 }
 
+var table1Rows = []column{
+	{"LH-Cache", core.DesignLH, core.PredDefault},
+	{"LH-Cache + Rand Repl", core.DesignLHRand, core.PredDefault},
+	{"LH-Cache (1-way)", core.DesignLH1, core.PredDefault},
+	{"SRAM-Tag (32-way)", core.DesignSRAMTag32, core.PredDefault},
+	{"SRAM-Tag (1-way)", core.DesignSRAMTag1, core.PredDefault},
+	{"Alloy (1-way)", core.DesignAlloy, core.PredDefault},
+	{"IDEAL-LO", core.DesignIdealLO, core.PredDefault},
+}
+
 func runTable1(ctx context.Context, r *Runner, w io.Writer) error {
-	rows := []struct {
-		Label string
-		D     core.Design
-		P     core.PredictorKind
-	}{
-		{"LH-Cache", core.DesignLH, core.PredDefault},
-		{"LH-Cache + Rand Repl", core.DesignLHRand, core.PredDefault},
-		{"LH-Cache (1-way)", core.DesignLH1, core.PredDefault},
-		{"SRAM-Tag (32-way)", core.DesignSRAMTag32, core.PredDefault},
-		{"SRAM-Tag (1-way)", core.DesignSRAMTag1, core.PredDefault},
-		{"Alloy (1-way)", core.DesignAlloy, core.PredDefault},
-		{"IDEAL-LO", core.DesignIdealLO, core.PredDefault},
-	}
 	tab := stats.NewTable("Configuration", "Speedup", "Hit-Rate", "Hit Latency (cycles)")
 	workloads := DetailedWorkloads()
-	var points []Point
-	for _, wl := range workloads {
-		points = append(points, Point{Workload: wl, Design: core.DesignNone})
-		for _, cfg := range rows {
-			points = append(points, Point{Workload: wl, Design: cfg.D, Predictor: cfg.P})
-		}
-	}
-	if err := r.Prefetch(ctx, points); err != nil {
-		return err
-	}
-	for _, cfg := range rows {
+	for _, cfg := range table1Rows {
 		var speedups, hitRates, hitLats []float64
 		for _, wl := range workloads {
 			s, err := r.Speedup(ctx, Point{Workload: wl, Design: cfg.D, Predictor: cfg.P})
@@ -183,54 +198,40 @@ func runTable3(ctx context.Context, r *Runner, w io.Writer) error {
 	return nil
 }
 
+var fig6Cols = []column{
+	{"Alloy+NoPred(SAM)", core.DesignAlloy, core.PredSAM},
+	{"Alloy+MissMap", core.DesignAlloy, core.PredMissMap},
+	{"Alloy+Perfect", core.DesignAlloy, core.PredPerfect},
+	{"SRAM-Tag", core.DesignSRAMTag32, core.PredDefault},
+}
+
 func runFig6(ctx context.Context, r *Runner, w io.Writer) error {
-	cols := []struct {
-		Label string
-		D     core.Design
-		P     core.PredictorKind
-	}{
-		{"Alloy+NoPred(SAM)", core.DesignAlloy, core.PredSAM},
-		{"Alloy+MissMap", core.DesignAlloy, core.PredMissMap},
-		{"Alloy+Perfect", core.DesignAlloy, core.PredPerfect},
-		{"SRAM-Tag", core.DesignSRAMTag32, core.PredDefault},
-	}
 	fmt.Fprintln(w, "Speedup over baseline, 256MB cache:")
-	return speedupTable(ctx, r, w, DetailedWorkloads(), cols, 0)
+	return speedupTable(ctx, r, w, DetailedWorkloads(), fig6Cols)
+}
+
+// fig8Cols are Alloy under each memory access predictor: Figure 8's
+// columns and Table 5's rows.
+var fig8Cols = []column{
+	{"SAM", core.DesignAlloy, core.PredSAM},
+	{"PAM", core.DesignAlloy, core.PredPAM},
+	{"MAP-G", core.DesignAlloy, core.PredMAPG},
+	{"MAP-I", core.DesignAlloy, core.PredMAPI},
+	{"Perfect", core.DesignAlloy, core.PredPerfect},
 }
 
 func runFig8(ctx context.Context, r *Runner, w io.Writer) error {
-	cols := []struct {
-		Label string
-		D     core.Design
-		P     core.PredictorKind
-	}{
-		{"SAM", core.DesignAlloy, core.PredSAM},
-		{"PAM", core.DesignAlloy, core.PredPAM},
-		{"MAP-G", core.DesignAlloy, core.PredMAPG},
-		{"MAP-I", core.DesignAlloy, core.PredMAPI},
-		{"Perfect", core.DesignAlloy, core.PredPerfect},
-	}
 	fmt.Fprintln(w, "Alloy Cache speedup over baseline for each memory access predictor:")
-	return speedupTable(ctx, r, w, DetailedWorkloads(), cols, 0)
+	return speedupTable(ctx, r, w, DetailedWorkloads(), fig8Cols)
 }
 
 func runTable5(ctx context.Context, r *Runner, w io.Writer) error {
-	preds := []struct {
-		Label string
-		P     core.PredictorKind
-	}{
-		{"SAM", core.PredSAM},
-		{"PAM", core.PredPAM},
-		{"MAP-G", core.PredMAPG},
-		{"MAP-I", core.PredMAPI},
-		{"Perfect", core.PredPerfect},
-	}
 	tab := stats.NewTable("Prediction", "Mem&PredMem", "Mem&PredCache", "Cache&PredMem", "Cache&PredCache", "Overall Accuracy")
-	for _, p := range preds {
+	for _, p := range fig8Cols {
 		var a [4]float64
 		var overall []float64
 		for _, wl := range DetailedWorkloads() {
-			res, err := r.Run(ctx, wl, core.DesignAlloy, p.P, 0)
+			res, err := r.Run(ctx, wl, p.D, p.P, 0)
 			if err != nil {
 				return err
 			}
@@ -253,36 +254,21 @@ func runTable5(ctx context.Context, r *Runner, w io.Writer) error {
 	return err
 }
 
-func runFig9(ctx context.Context, r *Runner, w io.Writer) error {
-	sizes := []uint64{64, 128, 256, 512, 1024}
-	{
-		var points []Point
-		for _, wl := range DetailedWorkloads() {
-			points = append(points, Point{Workload: wl, Design: core.DesignNone})
-			for _, mb := range sizes {
-				for _, d := range []core.Design{core.DesignLH, core.DesignSRAMTag32, core.DesignAlloy, core.DesignIdealLO} {
-					points = append(points, Point{Workload: wl, Design: d, CacheMB: mb})
-				}
-			}
-		}
-		if err := r.Prefetch(ctx, points); err != nil {
-			return err
-		}
-	}
-	designs := []struct {
-		Label string
-		D     core.Design
-		P     core.PredictorKind
-	}{
+var (
+	fig9Sizes   = []uint64{64, 128, 256, 512, 1024}
+	fig9Designs = []column{
 		{"LH-Cache", core.DesignLH, core.PredDefault},
 		{"SRAM-Tag", core.DesignSRAMTag32, core.PredDefault},
 		{"Alloy-Cache", core.DesignAlloy, core.PredDefault},
 		{"IDEAL-LO", core.DesignIdealLO, core.PredDefault},
 	}
+)
+
+func runFig9(ctx context.Context, r *Runner, w io.Writer) error {
 	tab := stats.NewTable("Size", "LH-Cache", "SRAM-Tag", "Alloy-Cache", "IDEAL-LO")
-	for _, mb := range sizes {
+	for _, mb := range fig9Sizes {
 		row := []interface{}{fmt.Sprintf("%dMB", mb)}
-		for _, d := range designs {
+		for _, d := range fig9Designs {
 			_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: d.D, Predictor: d.P, CacheMB: mb})
 			if err != nil {
 				return err
@@ -296,22 +282,19 @@ func runFig9(ctx context.Context, r *Runner, w io.Writer) error {
 	return err
 }
 
+var fig10Designs = []column{
+	{"LH-Cache", core.DesignLH, core.PredDefault},
+	{"SRAM-Tag", core.DesignSRAMTag32, core.PredDefault},
+	{"Alloy Cache", core.DesignAlloy, core.PredDefault},
+}
+
 func runFig10(ctx context.Context, r *Runner, w io.Writer) error {
-	designs := []struct {
-		Label string
-		D     core.Design
-		P     core.PredictorKind
-	}{
-		{"LH-Cache", core.DesignLH, core.PredDefault},
-		{"SRAM-Tag", core.DesignSRAMTag32, core.PredDefault},
-		{"Alloy Cache", core.DesignAlloy, core.PredDefault},
-	}
 	tab := stats.NewTable("Workload", "LH-Cache", "SRAM-Tag", "Alloy Cache", "Alloy p95")
-	means := make([][]float64, len(designs))
+	means := make([][]float64, len(fig10Designs))
 	for _, wl := range DetailedWorkloads() {
 		row := []interface{}{wl}
 		var alloyP95 float64
-		for i, d := range designs {
+		for i, d := range fig10Designs {
 			res, err := r.Run(ctx, wl, d.D, d.P, 0)
 			if err != nil {
 				return err
@@ -326,7 +309,7 @@ func runFig10(ctx context.Context, r *Runner, w io.Writer) error {
 		tab.AddRow(row...)
 	}
 	row := []interface{}{"AMEAN"}
-	for i := range designs {
+	for i := range fig10Designs {
 		row = append(row, fmt.Sprintf("%.0f", stats.ArithMean(means[i])))
 	}
 	row = append(row, "")
@@ -336,19 +319,17 @@ func runFig10(ctx context.Context, r *Runner, w io.Writer) error {
 	return err
 }
 
+var (
+	table6Sizes   = []uint64{256, 512, 1024}
+	table6Designs = []column{
+		{"LH-Cache (29-way)", core.DesignLH, core.PredDefault},
+		{"Alloy-Cache (1-way)", core.DesignAlloy, core.PredDefault},
+	}
+)
+
 func runTable6(ctx context.Context, r *Runner, w io.Writer) error {
-	var points []Point
-	for _, mb := range []uint64{256, 512, 1024} {
-		for _, wl := range DetailedWorkloads() {
-			points = append(points, Point{Workload: wl, Design: core.DesignLH, CacheMB: mb})
-			points = append(points, Point{Workload: wl, Design: core.DesignAlloy, CacheMB: mb})
-		}
-	}
-	if err := r.Prefetch(ctx, points); err != nil {
-		return err
-	}
 	tab := stats.NewTable("Cache Size", "LH-Cache (29-way)", "Alloy-Cache (1-way)", "Delta Hit Rate")
-	for _, mb := range []uint64{256, 512, 1024} {
+	for _, mb := range table6Sizes {
 		var lhRates, alRates []float64
 		for _, wl := range DetailedWorkloads() {
 			lh, err := r.Run(ctx, wl, core.DesignLH, core.PredDefault, mb)
@@ -372,33 +353,27 @@ func runTable6(ctx context.Context, r *Runner, w io.Writer) error {
 	return err
 }
 
+var fig11Cols = []column{
+	{"LH-Cache", core.DesignLH, core.PredDefault},
+	{"SRAM-Tag", core.DesignSRAMTag32, core.PredDefault},
+	{"Alloy", core.DesignAlloy, core.PredDefault},
+}
+
 func runFig11(ctx context.Context, r *Runner, w io.Writer) error {
-	cols := []struct {
-		Label string
-		D     core.Design
-		P     core.PredictorKind
-	}{
-		{"LH-Cache", core.DesignLH, core.PredDefault},
-		{"SRAM-Tag", core.DesignSRAMTag32, core.PredDefault},
-		{"Alloy", core.DesignAlloy, core.PredDefault},
-	}
 	fmt.Fprintln(w, "Speedup over baseline for the remaining SPEC workloads (>=1% memory time):")
-	return speedupTable(ctx, r, w, OtherWorkloads(), cols, 0)
+	return speedupTable(ctx, r, w, OtherWorkloads(), fig11Cols)
+}
+
+var table7Rows = []column{
+	{"Alloy Cache + MAP-I", core.DesignAlloy, core.PredMAPI},
+	{"Alloy Cache + PerfPred", core.DesignAlloy, core.PredPerfect},
+	{"IDEAL-LO", core.DesignIdealLO, core.PredPerfect},
+	{"IDEAL-LO + NoTagOverhead", core.DesignIdealLONoTag, core.PredPerfect},
 }
 
 func runTable7(ctx context.Context, r *Runner, w io.Writer) error {
-	rows := []struct {
-		Label string
-		D     core.Design
-		P     core.PredictorKind
-	}{
-		{"Alloy Cache + MAP-I", core.DesignAlloy, core.PredMAPI},
-		{"Alloy Cache + PerfPred", core.DesignAlloy, core.PredPerfect},
-		{"IDEAL-LO", core.DesignIdealLO, core.PredPerfect},
-		{"IDEAL-LO + NoTagOverhead", core.DesignIdealLONoTag, core.PredPerfect},
-	}
 	tab := stats.NewTable("Design", "Performance Improvement")
-	for _, cfg := range rows {
+	for _, cfg := range table7Rows {
 		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: cfg.D, Predictor: cfg.P})
 		if err != nil {
 			return err
@@ -409,16 +384,15 @@ func runTable7(ctx context.Context, r *Runner, w io.Writer) error {
 	return err
 }
 
+var sec65Rows = []column{
+	{"Alloy (burst of 5, 80B)", core.DesignAlloy, core.PredMAPI},
+	{"Alloy (burst of 8, 128B)", core.DesignAlloyBurst8, core.PredMAPI},
+}
+
 func runSec65(ctx context.Context, r *Runner, w io.Writer) error {
 	tab := stats.NewTable("Configuration", "GMean Speedup")
-	for _, cfg := range []struct {
-		Label string
-		D     core.Design
-	}{
-		{"Alloy (burst of 5, 80B)", core.DesignAlloy},
-		{"Alloy (burst of 8, 128B)", core.DesignAlloyBurst8},
-	} {
-		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: cfg.D, Predictor: core.PredMAPI})
+	for _, cfg := range sec65Rows {
+		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: cfg.D, Predictor: cfg.P})
 		if err != nil {
 			return err
 		}
@@ -428,25 +402,24 @@ func runSec65(ctx context.Context, r *Runner, w io.Writer) error {
 	return err
 }
 
+var sec67Rows = []column{
+	{"Alloy (1-way)", core.DesignAlloy, core.PredMAPI},
+	{"Alloy (2-way)", core.DesignAlloy2, core.PredMAPI},
+}
+
 func runSec67(ctx context.Context, r *Runner, w io.Writer) error {
 	tab := stats.NewTable("Configuration", "GMean Speedup", "Hit-Rate", "Hit Latency")
-	for _, cfg := range []struct {
-		Label string
-		D     core.Design
-	}{
-		{"Alloy (1-way)", core.DesignAlloy},
-		{"Alloy (2-way)", core.DesignAlloy2},
-	} {
+	for _, cfg := range sec67Rows {
 		var hitRates, hitLats []float64
 		for _, wl := range DetailedWorkloads() {
-			res, err := r.Run(ctx, wl, cfg.D, core.PredMAPI, 0)
+			res, err := r.Run(ctx, wl, cfg.D, cfg.P, 0)
 			if err != nil {
 				return err
 			}
 			hitRates = append(hitRates, res.DCReadHitRate)
 			hitLats = append(hitLats, res.HitLatency)
 		}
-		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: cfg.D, Predictor: core.PredMAPI})
+		_, gm, err := r.GeoMeanSpeedup(ctx, DetailedWorkloads(), Point{Design: cfg.D, Predictor: cfg.P})
 		if err != nil {
 			return err
 		}

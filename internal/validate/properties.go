@@ -167,8 +167,10 @@ func CheckBreakdownAdditivity(trc *obs.Tracer) []Violation {
 
 // RunProperties executes the metamorphic sweep: small real simulations
 // whose results must obey the orderings the paper implies, plus the
-// universal conservation laws on every run. The runner memoizes, so the
-// shared points (the Alloy default, the baseline) simulate once.
+// universal conservation laws on every run. One Prefetch runs every point
+// the checks read, in parallel and sharing each workload's warmup front,
+// and the checks read the results from the memo, so the shared points
+// (the Alloy default, the baseline) simulate once.
 func RunProperties(ctx context.Context, opt PropertyOptions) (PropertyReport, error) {
 	p := opt.Params
 	workloads := opt.Workloads
@@ -199,6 +201,31 @@ func RunProperties(ctx context.Context, opt PropertyOptions) (PropertyReport, er
 	zoo := []core.Design{core.DesignBanshee, core.DesignGemini, core.DesignTDRAM}
 	idealZooRatios := map[core.Design][]float64{}
 	var tdramAlloyRatios []float64
+
+	// Every point the checks below read; one they read unlisted would
+	// still run, warmed directly.
+	var points []experiments.Point
+	for _, w := range workloads {
+		add := func(d core.Design, pk core.PredictorKind, mb uint64) {
+			points = append(points, experiments.Point{Workload: w, Design: d, Predictor: pk, CacheMB: mb})
+		}
+		add(core.DesignNone, core.PredDefault, 0)
+		for _, pk := range append([]core.PredictorKind{core.PredPerfect}, realPreds...) {
+			add(core.DesignAlloy, pk, 0)
+		}
+		for _, d := range append([]core.Design{core.DesignIdealLO, core.DesignAlloy, core.DesignLH1}, zoo...) {
+			add(d, core.PredDefault, 0)
+		}
+		for _, mb := range sizes {
+			add(core.DesignAlloy, core.PredDefault, mb)
+		}
+	}
+	if err := runner.Prefetch(ctx, points); err != nil {
+		if ctx.Err() != nil {
+			err = ctx.Err() // not one error per unstarted point
+		}
+		return rep, fmt.Errorf("validate: %w", err)
+	}
 
 	run := func(w string, d core.Design, pk core.PredictorKind, mb uint64) (core.Result, error) {
 		res, err := runner.Run(ctx, w, d, pk, mb)

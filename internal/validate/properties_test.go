@@ -135,14 +135,15 @@ func TestPointConfigFollowsRunnerCacheSize(t *testing.T) {
 
 // TestGateTripFlightReproducesRun: the rerun that gives a tripped gate its
 // flight recording reproduces the runner's result for the point exactly,
-// here for a point whose warmup the runner replayed from the baseline's
+// here for a point whose warmup a Prefetch replayed from the baseline's
 // recorded front, and its dump holds the run's final epochs.
 func TestGateTripFlightReproducesRun(t *testing.T) {
 	ctx := context.Background()
 	p := experiments.QuickParams()
 	p.InstructionsPerCore = 30_000
 	r := experiments.NewRunner(p)
-	if _, err := r.Run(ctx, "mcf_r", core.DesignNone, core.PredDefault, 0); err != nil {
+	pts := []experiments.Point{{Workload: "mcf_r", Design: core.DesignNone}, {Workload: "mcf_r", Design: core.DesignAlloy}}
+	if err := r.Prefetch(ctx, pts); err != nil {
 		t.Fatal(err)
 	}
 	want, err := r.Run(ctx, "mcf_r", core.DesignAlloy, core.PredDefault, 0)
