@@ -32,15 +32,16 @@ func storeBytes(v reflect.Value) int {
 
 // TestBytesPerLine pins the store layouts: one 8-byte word per
 // direct-mapped set, and per DIP way an 8-byte tag, a signature byte and
-// two 32-bit stamps, plus a valid and a dirty mask per set and the
-// signature row's 8 bytes of padding.
+// two 32-bit stamps, plus per set a valid and a dirty mask and each
+// recency row's 8-byte least entry, and the signature row's 8 bytes of
+// padding.
 func TestBytesPerLine(t *testing.T) {
 	for _, g := range []struct{ sets, assoc, want int }{
 		{57344, 1, 8 * 57344},
 		{28, 1, 8 * 28},
-		{128, 16, 128*(17*16+16) + 8},
-		{2048, 29, 2048*(17*29+16) + 8},
-		{2048, 32, 2048*(17*32+16) + 8},
+		{128, 16, 128*(17*16+32) + 8},
+		{2048, 29, 2048*(17*29+32) + 8},
+		{2048, 32, 2048*(17*32+32) + 8},
 	} {
 		policy := "dip"
 		if g.assoc == 1 {

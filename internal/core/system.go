@@ -85,12 +85,10 @@ type System struct {
 	// rec is the record warm writes its front into (RecordWarmup), and
 	// replay the record it warms from instead (ReplayWarmup, CopyWarmup);
 	// at most one is set, and both are nil for a plain direct warmup.
-	// cursors holds each core's position in the record's line stream while
-	// either runs. snap is the contents record Warm completes with the
-	// warmed tag store (RecordContents), and copy the one replayWarm copies
-	// the store from instead of replaying the Warm calls (CopyWarmup).
+	// snap is the contents record Warm completes with the warmed tag store
+	// (RecordContents), and copy the one replayWarm copies the store from
+	// instead of replaying the Warm calls (CopyWarmup).
 	rec, replay *WarmRecord
-	cursors     []lineCursor
 	snap, copy  *ContentsRecord
 
 	// warmed is set once Warm has run, and warmErr is how it ended.
@@ -213,7 +211,7 @@ func (s *System) Warm(ctx context.Context) error {
 	// The measured phase reads no record, so whoever shares them alone
 	// decides how long they live: a copied tag store, for one, is as big
 	// as the System's own.
-	s.rec, s.replay, s.snap, s.copy, s.cursors = nil, nil, nil, nil, nil
+	s.rec, s.replay, s.snap, s.copy = nil, nil, nil, nil
 	return s.warmErr
 }
 
@@ -293,8 +291,8 @@ func (s *System) sampleTelemetry() {
 // so skipping them changes no simulated number.
 //
 // Given a record to write (RecordWarmup), the loop also stores each
-// reference's code and forwarded line in it, and the record takes copies
-// of the front after the closing resets. Given a record to replay
+// forwarded reference in it, and the record takes copies of the front
+// after the closing resets. Given a record to replay
 // (ReplayWarmup), warm runs replayWarm instead of simulating the front.
 //
 //alloyvet:hotpath
@@ -312,29 +310,32 @@ func (s *System) warm(ctx context.Context) error {
 		}
 		for c, src := range s.srcs {
 			src.next(&ref)
-			code, victim := warmSkip, memaddr.Line(0)
+			kind, victim := warmSkip, memaddr.Line(0)
 			switch {
 			case ref.L2Hit:
 			case ref.Write:
 				// ref.L2WB is deliberately ignored: warmup streams contents
 				// only, and an L2 victim writeback installs no new line below.
 				if !s.l3.Probe(ref.Line, true) {
-					code = warmWrite
+					kind = warmWrite
 				}
 			default:
 				if hit, ev := s.l3.Access(ref.Line, false); !hit {
-					code = warmRead
+					kind = warmRead
 					if ev.Valid && ev.Dirty {
-						code, victim = warmVictim, ev.Line
+						kind, victim = warmVictim, ev.Line
 					}
 				}
 			}
-			if rec != nil && !rec.put(&s.cursors[c], c, code, victim, ref.Line) {
+			if kind == warmSkip {
+				continue
+			}
+			if rec != nil && !rec.put(c, kind, victim, ref.Line) {
 				s.abandonRecord()
 				rec = nil
 			}
-			if code != warmSkip && s.org != nil {
-				s.forwardWarm(code, victim, ref.Line)
+			if s.org != nil {
+				s.forwardWarm(kind, victim, ref.Line)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"alloysim/internal/cache"
 	"alloysim/internal/dramcache"
@@ -13,20 +14,21 @@ import (
 	"alloysim/internal/trace"
 )
 
-// The 2-bit code of one warmup front reference: what the L2 and L3 left
-// for the DRAM-cache organization to see.
+// The kind of a warmup front reference: what the L2 and L3 left for the
+// DRAM-cache organization to see.
 const (
-	// warmSkip: an L2 hit, an L3 write-probe hit or an L3 read hit.
-	warmSkip uint8 = iota
 	// warmRead: an L3 read miss that evicted no dirty line. The reference
 	// goes to the organization as a read.
-	warmRead
+	warmRead uint8 = iota
 	// warmVictim: an L3 read miss that evicted a dirty line. The victim's
 	// writeback goes to the organization first, then the read.
 	warmVictim
 	// warmWrite: an L3 write-probe miss. The reference goes to the
 	// organization as a write.
 	warmWrite
+	// warmSkip: an L2 hit, an L3 write-probe hit or an L3 read hit. The
+	// organization sees nothing, and a record stores nothing.
+	warmSkip
 )
 
 // WarmRecord is one warmup front recorded for replay. Here the front
@@ -34,12 +36,13 @@ const (
 // levels every warmup reference streams through before the DRAM-cache
 // organization sees it. The record holds:
 //
-//   - a 2-bit code per front reference, in warm's loop order;
-//   - per core, the line of each forwarded (non-skip) reference, coded as
-//     a zigzag varint of the change in its gathered line
-//     (memaddr.PageGather), so streams, strides and page runs take a byte
-//     or two;
-//   - the dirty L3 victims, in order;
+//   - one byte stream of the forwarded (non-skip) references, in the
+//     order warm makes their Warm calls. Each is a header byte naming
+//     its core, its kind and the byte count of its delta, then that many
+//     little-endian bytes of the delta: the zigzag change in the core's
+//     gathered line (memaddr.PageGather) since its last forwarded
+//     reference, so streams, strides and page runs take a byte or two;
+//   - the dirty L3 victims, in order, one per warmVictim reference;
 //   - the front after warmup's closing resets: a copy of each core's
 //     generator and private L2, and of the L3.
 //
@@ -63,22 +66,29 @@ const (
 // it concurrently.
 type WarmRecord struct {
 	front   FrontKey
-	codes   []byte            // 2-bit codes, four per byte, low bits first
-	n       uint64            // codes written
-	lines   [][]byte          // per core: one varint per forwarded reference (lineCursor)
-	victims []memaddr.Line    // dirty L3 victims, one per warmVictim code
-	gens    []trace.Generator // per core: the generator after warmup
-	l2      []*cache.Cache    // per core: the private L2 after warmup; nil without L2s
-	l3      *cache.Cache      // the post-warmup L3; nil until the record is complete
+	refs    []byte                  // forwarded references, then warmPad zero bytes once complete
+	victims []memaddr.Line          // dirty L3 victims, one per warmVictim reference
+	prev    [warmCores]memaddr.Line // per core: the gathered line its last reference coded; recording only
+	gens    []trace.Generator       // per core: the generator after warmup
+	l2      []*cache.Cache          // per core: the private L2 after warmup; nil without L2s
+	l3      *cache.Cache            // the post-warmup L3; nil until the record is complete
 }
 
-// lineCursor is one core's position in its record line stream: the next
-// byte a replay decodes, and the gathered line the stream last coded,
-// which the recorder and the replay both take differences from.
-type lineCursor struct {
-	pos  int
-	prev memaddr.Line
-}
+// The header byte of a recorded reference holds its core in the low
+// three bits, its kind in the next two and its delta's byte count in the
+// top three. A System of more than warmCores cores has no keys (Keys), so
+// it records nothing. A reference the header cannot describe otherwise,
+// a delta of all eight bytes, which only gathered lines 2^55 or more
+// apart need, makes the recorder abandon the record (put).
+const (
+	warmCores     = 8 // cores a header can name
+	warmKindShift = 3
+	warmLenShift  = 5
+	maxDeltaBytes = 7 // delta bytes a header can count
+	// warmPad zero bytes end a complete stream, so that a replay reads
+	// every delta with one 8-byte load.
+	warmPad = 8
+)
 
 // maxGatherLine bounds the lines a record can code: PageGather inverts
 // PageScatter only below it. Profile-built generators emit nothing near
@@ -124,10 +134,15 @@ type ContentsKey struct {
 // zero for the baseline and for designs whose warmup also trains state
 // beside the tag store (banshee's page counters, gemini's steering).
 // Caller-provided generators have no keys: their streams are not a
-// function of the configuration.
+// function of the configuration. Nor has a System of more cores than a
+// record's header can name (warmCores): its warmup cannot be recorded, so
+// no other System can reuse it.
 func Keys(cfg Config) (FrontKey, ContentsKey, error) {
 	if cfg.Generators != nil {
 		return FrontKey{}, ContentsKey{}, errors.New("core: warmup records need profile-built generators, but Config.Generators is set")
+	}
+	if cfg.Cores > warmCores {
+		return FrontKey{}, ContentsKey{}, fmt.Errorf("core: a warmup record names at most %d cores, but Config.Cores is %d", warmCores, cfg.Cores)
 	}
 	l3, l2, err := cfg.frontCaches()
 	if err != nil {
@@ -218,7 +233,6 @@ func (s *System) CopyWarmup(c *ContentsRecord) error {
 		return fmt.Errorf("core: contents record of %+v cannot warm %+v", c.key, k)
 	}
 	s.replay, s.copy, s.rec, s.snap = c.front, c, nil, nil
-	s.cursors = nil
 	return nil
 }
 
@@ -241,7 +255,7 @@ func (c *ContentsRecord) complete(s *System) {
 // must be new. The record is complete once warmup ends, whatever happens
 // in the measured phase after it.
 func (s *System) RecordWarmup(rec *WarmRecord) error {
-	if rec.n != 0 || rec.Complete() {
+	if rec.front != (FrontKey{}) || rec.Complete() {
 		return errors.New("core: RecordWarmup needs a new WarmRecord")
 	}
 	k, err := s.FrontKey()
@@ -249,15 +263,12 @@ func (s *System) RecordWarmup(rec *WarmRecord) error {
 		return err
 	}
 	rec.front = k
-	rec.codes = make([]byte, (k.warmupRefs*uint64(k.cores)+3)/4)
-	rec.lines = make([][]byte, k.cores)
 	s.rec, s.replay, s.copy = rec, nil, nil
-	s.cursors = make([]lineCursor, k.cores)
 	return nil
 }
 
 // ReplayWarmup makes Run warm the System from a complete record instead of
-// simulating its front: the record's codes, lines and victims drive the
+// simulating its front: the record's references and victims drive the
 // organization, and the recorded generators, L2s and L3 are copied in.
 // The System's front must match the recorder's; otherwise ReplayWarmup
 // returns an error and leaves the System unchanged.
@@ -273,60 +284,60 @@ func (s *System) ReplayWarmup(rec *WarmRecord) error {
 		return fmt.Errorf("core: warmup record of front %+v cannot warm front %+v", rec.front, k)
 	}
 	s.replay, s.rec, s.copy = rec, nil, nil
-	s.cursors = make([]lineCursor, k.cores)
 	return nil
 }
 
-// put appends one front reference of a core to the record: its code and,
-// when it is forwarded, its line and dirty victim. It reports false, and
-// writes nothing past the code, for a line the record cannot code.
+// put appends one forwarded reference of a core to the record: its
+// header and line delta, and its dirty victim. It reports false, and
+// writes nothing, for a reference the record cannot code: a core the
+// header cannot name, a line at or above maxGatherLine, or a delta of
+// more than maxDeltaBytes.
 //
 //alloyvet:hotpath
-func (r *WarmRecord) put(cur *lineCursor, core int, code uint8, victim, line memaddr.Line) bool {
-	r.codes[r.n>>2] |= code << ((r.n & 3) * 2)
-	r.n++
-	if code == warmSkip {
-		return true
-	}
-	if line >= maxGatherLine {
+func (r *WarmRecord) put(core int, kind uint8, victim, line memaddr.Line) bool {
+	if core >= warmCores || line >= maxGatherLine {
 		return false
 	}
-	if code == warmVictim {
+	g := memaddr.PageGather(line)
+	d := int64(g - r.prev[core])
+	z := uint64(d<<1) ^ uint64(d>>63) // zigzag: small changes either way take few bytes
+	n := (bits.Len64(z) + 7) / 8
+	if n > maxDeltaBytes {
+		return false
+	}
+	if kind == warmVictim {
 		//alloyvet:allow(hotpath) growth is bounded by the dirty L3 evictions of one warmup, and only a recording warmup appends
 		r.victims = append(r.victims, victim)
 	}
-	g := memaddr.PageGather(line)
-	var buf [binary.MaxVarintLen64]byte
-	k := binary.PutVarint(buf[:], int64(g-cur.prev))
-	//alloyvet:allow(hotpath) only a recording warmup appends, at most once per forwarded reference
-	r.lines[core] = append(r.lines[core], buf[:k]...)
-	cur.prev = g
+	end := len(r.refs) + 1 + n
+	//alloyvet:allow(hotpath) only a recording warmup appends, once per forwarded reference
+	r.refs = binary.LittleEndian.AppendUint64(append(r.refs, byte(n<<warmLenShift)|kind<<warmKindShift|byte(core)), z)[:end]
+	r.prev[core] = g
 	return true
 }
 
-// next decodes the cursor's next forwarded line from its core's stream.
+// decode reads the reference at pos of a complete stream and returns its
+// kind, its gathered line and the position of the next reference. prev
+// holds each core's last gathered line; decode adds the reference's delta
+// to its core's. The stream's padding lets it load every delta as 8 bytes
+// and mask off what belongs to the next references.
 //
 //alloyvet:hotpath
-func (c *lineCursor) next(stream []byte) memaddr.Line {
-	var d int64
-	if b := stream[c.pos]; b < 0x80 {
-		d = int64(b>>1) ^ -int64(b&1) // a one-byte zigzag varint
-		c.pos++
-	} else {
-		var k int
-		d, k = binary.Varint(stream[c.pos:])
-		c.pos += k
-	}
-	c.prev += memaddr.Line(d)
-	return memaddr.PageScatter(c.prev)
+func decode(refs []byte, pos int, prev *[warmCores]memaddr.Line) (kind uint8, gathered memaddr.Line, next int) {
+	h := refs[pos]
+	n := h >> warmLenShift
+	z := binary.LittleEndian.Uint64(refs[pos+1:]) & (1<<(8*n) - 1)
+	c := h & (warmCores - 1)
+	prev[c] += memaddr.Line(z>>1 ^ -(z & 1))
+	return h >> warmKindShift & 3, prev[c], pos + 1 + int(n)
 }
 
-// abandonRecord stops recording after a line the record cannot code. The
-// record stays incomplete, as it does when the recording run fails, and
-// the System warms on directly.
+// abandonRecord stops recording after a reference the record cannot
+// code. The record stays incomplete, as it does when the recording run
+// fails, and the System warms on directly.
 func (s *System) abandonRecord() {
-	*s.rec = WarmRecord{front: s.rec.front, n: s.rec.n}
-	s.rec, s.cursors = nil, nil
+	*s.rec = WarmRecord{front: s.rec.front}
+	s.rec = nil
 }
 
 // complete seals the record with copies of the post-warmup front.
@@ -340,11 +351,16 @@ func (r *WarmRecord) complete(s *System) {
 		r.l2 = append(r.l2, l2.Clone())
 	}
 	r.l3 = s.l3.Clone()
+	// The record outlives the recording (a sweep keeps it until the last
+	// point that replays it starts), so it keeps no growth slack.
+	refs := make([]byte, len(r.refs)+warmPad)
+	copy(refs, r.refs)
+	r.refs = refs
 }
 
-// replayWarm is warm for a System given a record (ReplayWarmup). It walks
-// the codes in warm's loop order and issues the organization calls they
-// say, decoding each forwarded line from its core's stream and taking
+// replayWarm is warm for a System given a record (ReplayWarmup). It
+// walks the record's stream and issues the organization calls each
+// reference says, adding its delta to its core's gathered line and taking
 // victim lines from the record; then it puts the recorded front in place
 // and runs direct warmup's closing resets. Given a contents record
 // (CopyWarmup), it copies the recorded tag store instead of issuing any
@@ -356,48 +372,32 @@ func (s *System) replayWarm(ctx context.Context) error {
 	if s.copy != nil {
 		dramcache.TagStore(s.org).CopyFrom(s.copy.tags)
 	} else if s.org != nil {
-		var i, v uint64 // next code, next victim
-		for n := uint64(0); n < s.cfg.WarmupRefs; n++ {
-			if n&0xfff == 0 {
+		refs, v := rec.refs, 0 // the stream and the next victim
+		end := len(refs) - warmPad
+		var prev [warmCores]memaddr.Line
+		pos := 0
+		for i := 0; pos < end; i++ {
+			if i&0xfff == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			for c := range s.cursors {
-				code := rec.codes[i>>2] >> ((i & 3) * 2) & 3
-				i++
-				if code == warmSkip {
-					continue
-				}
-				var victim memaddr.Line
-				if code == warmVictim {
-					victim = rec.victims[v]
-					v++
-				}
-				s.forwardWarm(code, victim, s.cursors[c].next(rec.lines[c]))
+			var kind uint8
+			var g, victim memaddr.Line
+			kind, g, pos = decode(refs, pos, &prev)
+			if kind == warmVictim {
+				victim = rec.victims[v]
+				v++
 			}
+			s.forwardWarm(kind, victim, memaddr.PageScatter(g))
 		}
-		if invariants.Enabled {
-			s.checkReplayed(i, v)
+		if invariants.Enabled && (pos != end || v != len(rec.victims)) {
+			invariants.Failf("core: warmup replay consumed %d of %d stream bytes and %d of %d victims", pos, end, v, len(rec.victims))
 		}
 	}
 	s.restoreFront()
 	s.endWarm()
 	return nil
-}
-
-// checkReplayed asserts that a replay consumed the whole record: every
-// code, every victim and every byte of every core's line stream.
-func (s *System) checkReplayed(codes, victims uint64) {
-	rec := s.replay
-	if codes != rec.n || victims != uint64(len(rec.victims)) {
-		invariants.Failf("core: warmup replay consumed %d of %d codes and %d of %d victims", codes, rec.n, victims, len(rec.victims))
-	}
-	for c, cur := range s.cursors {
-		if cur.pos != len(rec.lines[c]) {
-			invariants.Failf("core: warmup replay consumed %d of %d line-stream bytes of core %d", cur.pos, len(rec.lines[c]), c)
-		}
-	}
 }
 
 // restoreFront puts the replayed record's post-warmup front in place:
@@ -423,8 +423,8 @@ func (s *System) restoreFront() {
 // and replay all come through here.
 //
 //alloyvet:hotpath
-func (s *System) forwardWarm(code uint8, victim, line memaddr.Line) {
-	switch code {
+func (s *System) forwardWarm(kind uint8, victim, line memaddr.Line) {
+	switch kind {
 	case warmVictim:
 		s.org.Warm(victim, true)
 		s.org.Warm(line, false)

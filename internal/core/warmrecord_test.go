@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"alloysim/internal/invariants"
+	"alloysim/internal/memaddr"
 	"alloysim/internal/trace"
 )
 
@@ -326,21 +327,62 @@ func TestWarmReplayRestoresFront(t *testing.T) {
 	}
 }
 
-// TestWarmRecordRefusesUncodableLines: a line at or above 2^63 has no
-// gathered form, so put refuses it instead of coding a wrong line, and a
-// System that meets one abandons its record and warms on directly.
+// TestWarmRecordRefusesUncodableLines: put refuses, instead of coding a
+// wrong line, a reference its header cannot describe (a core at or above
+// warmCores, a delta of all eight bytes) or a line at or above 2^63,
+// which has no gathered form, and it writes nothing for it; the
+// references it takes decode to their lines, kinds and victims. A System
+// that meets an uncodable line abandons its record and warms on directly.
 func TestWarmRecordRefusesUncodableLines(t *testing.T) {
-	rec := &WarmRecord{codes: make([]byte, 1), lines: make([][]byte, 1)}
-	var cur lineCursor
-	if !rec.put(&cur, 0, warmRead, 0, maxGatherLine-1) {
-		t.Fatal("put refused the largest codable line")
+	rec := &WarmRecord{}
+	top := memaddr.Line(1)<<(8*maxDeltaBytes-1) - 1 // the largest change 7 zigzag bytes hold
+	type ref struct {
+		core     int
+		kind     uint8
+		victim   memaddr.Line
+		gathered memaddr.Line
 	}
-	if rec.put(&cur, 0, warmWrite, 0, maxGatherLine) {
-		t.Fatal("put accepted a line at 2^63")
+	kept := []ref{
+		{0, warmRead, 0, top},
+		{warmCores - 1, warmVictim, 77, 5},
+		{0, warmWrite, 0, top - 3}, // a negative change
+		{warmCores - 1, warmRead, 0, 5},
 	}
-	var dec lineCursor
-	if got := dec.next(rec.lines[0]); got != maxGatherLine-1 || dec.pos != len(rec.lines[0]) {
-		t.Fatalf("decoded %#x after %d of %d bytes", uint64(got), dec.pos, len(rec.lines[0]))
+	for i, r := range kept {
+		if !rec.put(r.core, r.kind, r.victim, memaddr.PageScatter(r.gathered)) {
+			t.Fatalf("put refused reference %d %+v", i, r)
+		}
+		refused := []ref{
+			{warmCores, warmRead, 0, 0},
+			{0, warmRead, 0, rec.prev[0] + top + 1}, // a change of 8 zigzag bytes
+		}
+		for _, u := range refused {
+			if n, v := len(rec.refs), len(rec.victims); rec.put(u.core, u.kind, u.victim, memaddr.PageScatter(u.gathered)) || len(rec.refs) != n || len(rec.victims) != v {
+				t.Fatalf("after reference %d, put took or wrote %+v", i, u)
+			}
+		}
+		if rec.put(0, warmWrite, 0, maxGatherLine) {
+			t.Fatal("put accepted a line at 2^63")
+		}
+	}
+	refs := append(rec.refs, make([]byte, warmPad)...)
+	var prev [warmCores]memaddr.Line
+	pos, v := 0, 0
+	for i, r := range kept {
+		kind, g, next := decode(refs, pos, &prev)
+		if kind == warmVictim {
+			if rec.victims[v] != r.victim {
+				t.Fatalf("reference %d: victim %d, want %d", i, rec.victims[v], r.victim)
+			}
+			v++
+		}
+		if kind != r.kind || g != r.gathered {
+			t.Fatalf("reference %d decoded to kind %d line %#x, want %+v", i, kind, uint64(g), r)
+		}
+		pos = next
+	}
+	if pos != len(rec.refs) || v != len(rec.victims) {
+		t.Fatalf("decoding read %d of %d bytes and %d of %d victims", pos, len(rec.refs), v, len(rec.victims))
 	}
 
 	run := func(record bool) (Result, *WarmRecord) {
@@ -378,6 +420,33 @@ func (h highLines) Next() trace.Ref {
 	r := h.Generator.Next()
 	r.Line |= maxGatherLine
 	return r
+}
+
+// TestWarmRecordPastWarmCores: a System of one core more than a header
+// can name has no keys, so RecordWarmup refuses it and leaves it as it
+// was: it still runs to the Result a direct warmup gives.
+func TestWarmRecordPastWarmCores(t *testing.T) {
+	cfg := smallConfig("mcf_r", DesignLH)
+	cfg.Cores = warmCores + 1
+	cfg.InstructionsPerCore /= 5
+	if _, _, err := Keys(cfg); err == nil {
+		t.Fatalf("Keys gave keys to a System of %d cores", cfg.Cores)
+	}
+	direct := runOne(t, cfg)
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RecordWarmup(&WarmRecord{}); err == nil {
+		t.Fatalf("RecordWarmup accepted a System of %d cores", cfg.Cores)
+	}
+	got, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != direct {
+		t.Fatalf("the refused recording changed the run: %+v, direct %+v", got, direct)
+	}
 }
 
 // TestWarmReplayRejectsOtherFronts replays a record into Systems whose
@@ -461,7 +530,7 @@ func TestWarmReplayCancels(t *testing.T) {
 // BenchmarkWarm times one Fig 9 point's warmup (mcf_r at the experiments
 // package's DefaultParams warmup) warmed directly, from a record and, for
 // Alloy, by copying a recorded tag store, and reports the record's
-// line-stream bytes per forwarded reference.
+// stream bytes per forwarded reference.
 func BenchmarkWarm(b *testing.B) {
 	for _, d := range []Design{DesignAlloy, DesignLH} {
 		cfg := DefaultConfig("mcf_r")
@@ -515,17 +584,13 @@ func BenchmarkWarm(b *testing.B) {
 	}
 }
 
-// lineBytesPerForward is the size of the record's line streams per
-// forwarded reference.
+// lineBytesPerForward is the size of the record's reference stream per
+// forwarded reference, headers included.
 func (r *WarmRecord) lineBytesPerForward() float64 {
-	var bytes, fwd int
-	for _, l := range r.lines {
-		bytes += len(l)
+	var prev [warmCores]memaddr.Line
+	fwd, end := 0, len(r.refs)-warmPad
+	for pos := 0; pos < end; fwd++ {
+		_, _, pos = decode(r.refs, pos, &prev)
 	}
-	for i := uint64(0); i < r.n; i++ {
-		if r.codes[i>>2]>>((i&3)*2)&3 != warmSkip {
-			fwd++
-		}
-	}
-	return float64(bytes) / float64(fwd)
+	return float64(end) / float64(fwd)
 }

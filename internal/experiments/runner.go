@@ -128,6 +128,9 @@ type Metrics struct {
 	// WarmCopies counts the replays that also copied another point's
 	// warmed tag store instead of replaying its Warm calls.
 	WarmCopies uint64
+	// WarmWall is cumulative wall time inside warmups (System.Warm):
+	// direct ones, recordings, replays and copies, failed ones included.
+	WarmWall time.Duration
 	// SimWall is cumulative wall time inside successful simulations.
 	SimWall time.Duration
 	// MaxPointWall is the slowest successful simulation.
@@ -397,9 +400,9 @@ func (r *Runner) WriteSummary(w io.Writer) {
 	if m.PointsRun > 0 {
 		mean = m.SimWall / time.Duration(m.PointsRun)
 	}
-	r.pw.Fprintf(w, "sweep summary: simulations_run=%d memo_hits=%d checkpoint_hits=%d failures=%d sim_wall_s=%.1f point_mean_s=%.2f point_max_s=%.2f warm_replays=%d warm_copies=%d\n",
+	r.pw.Fprintf(w, "sweep summary: simulations_run=%d memo_hits=%d checkpoint_hits=%d failures=%d sim_wall_s=%.1f point_mean_s=%.2f point_max_s=%.2f warm_replays=%d warm_copies=%d warm_s=%.1f\n",
 		m.PointsRun, m.MemoHits, m.CheckpointHits, m.Failures,
-		m.SimWall.Seconds(), mean.Seconds(), m.MaxPointWall.Seconds(), m.WarmReplays, m.WarmCopies)
+		m.SimWall.Seconds(), mean.Seconds(), m.MaxPointWall.Seconds(), m.WarmReplays, m.WarmCopies, m.WarmWall.Seconds())
 	for _, f := range r.FailureRecords() {
 		r.pw.Fprintf(w, "  failed: %s: %s\n", f.Point, f.Err)
 	}
@@ -416,6 +419,7 @@ func (r *Runner) RegisterMetrics(x obs.Exporter, prefix string) {
 	x.Counter(prefix+"_warm_replays_total", "simulations warmed from a recorded warmup front", func() uint64 { return r.Metrics().WarmReplays })
 	x.Counter(prefix+"_warm_copies_total", "simulations warmed by copying a recorded DRAM-cache tag store", func() uint64 { return r.Metrics().WarmCopies })
 	x.Gauge(prefix+"_sim_wall_seconds", "cumulative wall time inside successful simulations", func() float64 { return r.Metrics().SimWall.Seconds() })
+	x.Gauge(prefix+"_warm_seconds", "cumulative wall time inside warmups, recorded, replayed and copied ones included", func() float64 { return r.Metrics().WarmWall.Seconds() })
 }
 
 // progressf writes one progress line, serialized across goroutines.

@@ -273,7 +273,7 @@ func TestWriteSummaryShape(t *testing.T) {
 	if !strings.HasPrefix(buf.String(), want) {
 		t.Fatalf("summary = %q, want prefix %q", buf.String(), want)
 	}
-	if want := " warm_replays=0 warm_copies=0\n"; !strings.HasSuffix(buf.String(), want) {
+	if want := " warm_replays=0 warm_copies=0 warm_s=0.0\n"; !strings.HasSuffix(buf.String(), want) {
 		t.Fatalf("summary = %q, want suffix %q", buf.String(), want)
 	}
 	if n := strings.Count(buf.String(), "\n"); n != 1 {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"alloysim/internal/cache"
 	"alloysim/internal/core"
@@ -333,7 +334,8 @@ func (r *Runner) simulatePoint(ctx context.Context, key Point, plan *warmPlan) (
 	return sys.RunContext(ctx)
 }
 
-// warm warms the System as its plan says, counting the replays and copies.
+// warm warms the System as its plan says, counting the replays and copies
+// and the warmup's wall time.
 func (r *Runner) warm(ctx context.Context, sys *core.System, plan *warmPlan) error {
 	var err error
 	switch {
@@ -350,13 +352,18 @@ func (r *Runner) warm(ctx context.Context, sys *core.System, plan *warmPlan) err
 	if err != nil {
 		return err
 	}
+	// Host wall time, like Metrics.SimWall: it never influences a result.
+	start := time.Now() //alloyvet:allow(determinism)
+	err = sys.Warm(ctx)
+	elapsed := time.Since(start) //alloyvet:allow(determinism)
+	r.mu.Lock()
+	r.m.WarmWall += elapsed
 	if plan.copy != nil || plan.replay != nil {
-		r.mu.Lock()
 		r.m.WarmReplays++
 		if plan.copy != nil {
 			r.m.WarmCopies++
 		}
-		r.mu.Unlock()
 	}
-	return sys.Warm(ctx)
+	r.mu.Unlock()
+	return err
 }

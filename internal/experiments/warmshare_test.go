@@ -137,6 +137,39 @@ func TestPrefetchGroupsByFront(t *testing.T) {
 	checkMemoMatchesDirect(t, r, pts)
 }
 
+// TestPrefetchPastWarmCores runs a sweep at more cores than a warm
+// record's header can name (core.WarmRecord names 8). Such points have no
+// keys (core.Keys), so the sweep's table stays empty and every point gets
+// the zero plan: all warm directly, in parallel, none fails, and every
+// result equals a direct run.
+func TestPrefetchPastWarmCores(t *testing.T) {
+	p := microParams()
+	p.Cores = 9
+	p.Parallelism = 2
+	r := NewRunner(p)
+	var pts []Point
+	for _, d := range []core.Design{core.DesignNone, core.DesignAlloy, core.DesignLH, core.DesignIdealLO} {
+		pts = append(pts, Point{Workload: "mcf_r", Design: d})
+	}
+	s := r.newSweep(pts)
+	if n := len(s.table); n != 0 {
+		t.Errorf("the sweep's table holds %d entries, want none", n)
+	}
+	r.simulate = func(ctx context.Context, pt Point, plan *warmPlan) (core.Result, error) {
+		if plan.replay != nil || plan.copy != nil || plan.front != nil || plan.contents != nil {
+			t.Errorf("%s got a warm plan %+v, want the zero plan", pt, *plan)
+		}
+		return r.simulatePoint(ctx, pt, plan)
+	}
+	if err := r.Prefetch(context.Background(), pts); err != nil {
+		t.Fatal(err)
+	}
+	if m := r.Metrics(); m.PointsRun != 4 || m.Failures != 0 || m.WarmReplays != 0 {
+		t.Errorf("%d points run, %d failures and %d replays, want 4, 0 and 0", m.PointsRun, m.Failures, m.WarmReplays)
+	}
+	checkMemoMatchesDirect(t, r, pts)
+}
+
 // TestFrontCacheBounded runs five workloads' points on two workers and
 // checks, whenever a point starts its simulation and after the sweep,
 // that the sweep's table holds no ready record that no listed point not

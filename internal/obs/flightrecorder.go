@@ -67,6 +67,9 @@ func (f *FlightRecorder) Sample(cycle uint64) {
 	if f == nil {
 		return
 	}
+	if f.data == nil {
+		f.grow(f.cap)
+	}
 	if f.n == f.cap {
 		f.drops++
 	} else {

@@ -14,16 +14,16 @@ type column struct {
 }
 
 // columnStore is the state TimeSeries and FlightRecorder share: the
-// registered columns and one row-major sample buffer allocated when the
-// first row is written. The two samplers differ only in which row a
-// sample lands in (keep the oldest rows vs. a ring of the newest) and in
-// their export format.
+// registered columns and one row-major sample buffer, allocated by grow
+// once sampling starts. The two samplers differ only in which row a
+// sample lands in (keep the oldest rows vs. a ring of the newest), in how
+// their buffer grows, and in their export format.
 type columnStore struct {
 	cols   []column
-	data   []uint64 // row-major: cap rows of len(cols); allocated once by seal
-	cycles []uint64
-	cap    int
-	n      int // rows retained
+	data   []uint64 // row-major: len(cycles) rows of len(cols); nil until the first sample
+	cycles []uint64 // one per allocated row
+	cap    int      // the most rows the sampler keeps
+	n      int      // rows retained
 	drops  uint64
 }
 
@@ -45,23 +45,24 @@ func (c *columnStore) add(name string, read func() uint64) {
 	c.cols = append(c.cols, column{name: name, read: read})
 }
 
-// seal allocates the sample storage once the column set is final. Kept
-// out of line so the per-epoch path itself never allocates.
+// grow reallocates the sample storage to hold rows rows, keeping the rows
+// written so far. Kept out of line so the per-epoch path itself never
+// allocates.
 //
 //go:noinline
-func (c *columnStore) seal() {
-	c.data = make([]uint64, c.cap*len(c.cols))
-	c.cycles = make([]uint64, c.cap)
+func (c *columnStore) grow(rows int) {
+	data := make([]uint64, rows*len(c.cols))
+	copy(data, c.data)
+	cycles := make([]uint64, rows)
+	copy(cycles, c.cycles)
+	c.data, c.cycles = data, cycles
 }
 
-// write snapshots every column into storage row r at the given cycle,
-// sealing the storage on first use. Zero-alloc after the first call.
+// write snapshots every column into storage row r, which must exist, at
+// the given cycle.
 //
 //alloyvet:hotpath
 func (c *columnStore) write(r int, cycle uint64) {
-	if c.data == nil {
-		c.seal()
-	}
 	c.cycles[r] = cycle
 	row := c.row(r)
 	for i := range c.cols {
@@ -84,8 +85,9 @@ func (c *columnStore) names() []string {
 }
 
 // TimeSeries samples registered columns at fixed cycle epochs into one
-// preallocated row-major buffer. It is built on the same two contracts as
-// Tracer:
+// row-major buffer that grows by rows, doubling from firstRows up to its
+// capacity, so a short run allocates for the rows it keeps rather than
+// for the capacity. It is built on the same two contracts as Tracer:
 //
 //   - Zero overhead when off: a nil *TimeSeries is valid and every method
 //     is a nil-safe early return.
@@ -102,6 +104,9 @@ func (c *columnStore) names() []string {
 type TimeSeries struct {
 	columnStore
 }
+
+// firstRows is how many rows a TimeSeries allocates at its first sample.
+const firstRows = 16
 
 // NewTimeSeries creates a sampler holding up to capacity epoch rows
 // (default 1<<14 if nonpositive — at the 2^16-cycle quantum that covers
@@ -128,8 +133,9 @@ func (t *TimeSeries) Level(name, help string, read func() uint64) { t.Counter(na
 // Exporter.
 func (t *TimeSeries) Gauge(name, help string, read func() float64) {}
 
-// Sample snapshots every column at the given engine cycle. Zero-alloc
-// after the first call; drops (and counts) samples past capacity.
+// Sample snapshots every column at the given engine cycle. It allocates
+// only when the buffer grows, which it does at the first sample and each
+// time the kept rows double; it drops (and counts) samples past capacity.
 //
 //alloyvet:hotpath
 func (t *TimeSeries) Sample(cycle uint64) {
@@ -139,6 +145,9 @@ func (t *TimeSeries) Sample(cycle uint64) {
 	if t.n == t.cap {
 		t.drops++
 		return
+	}
+	if t.n == len(t.cycles) {
+		t.grow(min(max(2*t.n, firstRows), t.cap))
 	}
 	t.write(t.n, cycle)
 	t.n++

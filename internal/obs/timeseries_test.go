@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -297,7 +299,10 @@ func TestTimeSeriesSampleZeroAllocs(t *testing.T) {
 	ts := NewTimeSeries(1 << 12)
 	var v uint64
 	ts.Counter("v", "", func() uint64 { return v })
-	ts.Sample(0) // first call seals (allocates once)
+	// The first call allocates the first rows. The buffer's few doublings
+	// within the runs below average to 0 per run; TestTimeSeriesGrowsByRows
+	// counts them exactly.
+	ts.Sample(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		v++
 		ts.Sample(v)
@@ -315,6 +320,46 @@ func TestTimeSeriesSampleZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("FlightRecorder.Sample allocs/op = %v, want 0", allocs)
+	}
+}
+
+// TestTimeSeriesGrowsByRows: a series of the default capacity allocates
+// in proportion to the rows it keeps, not to its 16,384-row capacity, at
+// the 105 columns and 21 to 78 rows of a phase run; growing keeps every
+// row written before it, and Sample allocates nothing until the grown
+// buffer is full.
+func TestTimeSeriesGrowsByRows(t *testing.T) {
+	const cols = 105
+	for _, rows := range []int{1, 21, 78} {
+		ts := NewTimeSeries(0)
+		var v uint64
+		for c := 0; c < cols; c++ {
+			ts.Counter(fmt.Sprintf("c%d_total", c), "", func() uint64 { return v })
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < rows; r++ {
+			v = uint64(r)
+			ts.Sample(uint64(r))
+		}
+		runtime.ReadMemStats(&after)
+		kept := max(rows, firstRows) * (cols + 1) * 8
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(4*kept) {
+			t.Errorf("%d rows: allocated %d bytes, want at most %d", rows, got, 4*kept)
+		}
+		for r := 0; r < rows; r++ {
+			if ts.Cycle(r) != uint64(r) || ts.Value(r, 0) != uint64(r) || ts.Value(r, cols-1) != uint64(r) {
+				t.Fatalf("%d rows: row %d holds cycle %d, values %d and %d", rows, r, ts.Cycle(r), ts.Value(r, 0), ts.Value(r, cols-1))
+			}
+		}
+		runtime.ReadMemStats(&before)
+		for ts.Len() < len(ts.cycles) {
+			ts.Sample(0)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("%d rows: filling the grown buffer allocated %d times", rows, n)
+		}
 	}
 }
 

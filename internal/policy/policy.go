@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"alloysim/internal/invariants"
 )
 
 // Policy tracks replacement metadata for a cache of Sets x Assoc lines.
@@ -99,15 +101,38 @@ func unknown(name string) error { return fmt.Errorf("policy: unknown policy %q",
 // stamp sits above 0 decides later ties. So a clock that would pass 2^32-1
 // panics instead (tick), and every stamp a run writes equals the one a
 // 64-bit clock would.
+//
+// Each set also keeps its least entry: the row's least stamp and the
+// first way holding it, which is the victim and the stamp BIP's insertion
+// goes below. Every stamp write keeps the entry exact (write): a lower
+// stamp, or an equal one at a lower way, takes it over, and a higher stamp
+// written over the entry's way marks the set unknown, so only the next
+// Victim or insertAtLRU of that set rescans its row. A fill with LRU
+// insertion overwrites the victim with a higher stamp, but a BIP insertion
+// keeps the entry and a hit seldom lands on the least-recent way, so one
+// Fig 9 sweep rescans 13M times in 79M lookups. Since the entry holds the
+// stamp too, no write and no BIP insertion reads the row itself.
 type LRU struct {
 	assoc  int
 	clock  uint32
 	stamps []uint32 // sets*assoc, 0 = never used
+	least  []uint64 // per set: least(stamp, way) of its row, or noLeast
 }
 
-// NewLRU creates an LRU policy for sets x assoc lines.
+// noLeast marks a set whose least entry is not known. Its way byte, 0xff,
+// is no way's.
+const noLeast = math.MaxUint64
+
+// least packs a stamp and a way into a set's least entry; the lower of two
+// entries is the lower stamp, and of equal stamps the lower way.
+func least(s uint32, way int) uint64 { return uint64(s)<<8 | uint64(way) }
+
+// NewLRU creates an LRU policy for sets x assoc lines, assoc below 255
+// (an entry keeps the way in one byte; a cache has at most 64 ways).
+// Every stamp starts at 0, so every set's least entry starts as
+// least(0, 0), the zero value.
 func NewLRU(sets, assoc int) *LRU {
-	return &LRU{assoc: assoc, stamps: make([]uint32, sets*assoc)}
+	return &LRU{assoc: assoc, stamps: make([]uint32, sets*assoc), least: make([]uint64, sets)}
 }
 
 // Name implements Policy.
@@ -119,18 +144,68 @@ func (p *LRU) CopyFrom(src Policy) { p.copyFrom(src.(*LRU)) }
 func (p *LRU) copyFrom(s *LRU) {
 	p.assoc, p.clock = s.assoc, s.clock
 	p.stamps = append(p.stamps[:0], s.stamps...)
+	p.least = append(p.least[:0], s.least...)
+}
+
+// row returns the set's stamps.
+func (p *LRU) row(set int) []uint32 {
+	base := set * p.assoc
+	return p.stamps[base : base+p.assoc]
+}
+
+// write stamps a way of the set's row, keeping the set's least entry
+// exact.
+func (p *LRU) write(set, way int, s uint32) {
+	if e := p.least[set]; e != noLeast {
+		if n := least(s, way); n < e {
+			p.least[set] = n
+		} else if uint8(e) == uint8(way) && n != e {
+			p.least[set] = noLeast
+		}
+	}
+	p.row(set)[way] = s
+}
+
+// leastOf returns the set's least entry, rescanning its row when the
+// entry is unknown.
+func (p *LRU) leastOf(set int) uint64 {
+	e := p.least[set]
+	if e == noLeast {
+		e = rescan(p.row(set))
+		p.least[set] = e
+	} else if invariants.Enabled {
+		checkLeast(set, p.row(set), e)
+	}
+	return e
+}
+
+// rescan returns a row's least entry.
+func rescan(row []uint32) uint64 {
+	e := uint64(noLeast)
+	for w, s := range row {
+		e = min(e, least(s, w))
+	}
+	return e
+}
+
+// checkLeast asserts that a set's least entry is the one a rescan of its
+// row finds. Only meaningful under -tags invariants.
+func checkLeast(set int, row []uint32, e uint64) {
+	if want := rescan(row); e != want {
+		invariants.Failf("policy: LRU set %d records way %d at stamp %d as its least, a rescan finds way %d at %d (stamps %v)",
+			set, uint8(e), e>>8, uint8(want), want>>8, row)
+	}
 }
 
 // Touch implements Policy.
 func (p *LRU) Touch(set, way int) {
 	p.tick()
-	p.stamps[set*p.assoc+way] = p.clock
+	p.write(set, way, p.clock)
 }
 
 // tick advances the clock, refusing to wrap it. Its panic takes a
-// constant, so that Touch stays inlinable: a call to a formatting helper
-// would push it over the inlining budget, and with it both rows' Touch
-// calls out of DIP.Touch.
+// constant message, which keeps tick inlinable; a call to a formatting
+// helper would not be.
 func (p *LRU) tick() {
 	if p.clock == math.MaxUint32 {
 		panic("policy: LRU clock reached the 32-bit stamp limit of 2^32-1 ticks")
@@ -145,32 +220,19 @@ func (p *LRU) Insert(set, way int) { p.Touch(set, way) }
 func (p *LRU) Miss(int) {}
 
 // Victim implements Policy.
-func (p *LRU) Victim(set int) int {
-	base := set * p.assoc
-	row := p.stamps[base : base+p.assoc]
-	best, bestStamp := 0, row[0]
-	for w, s := range row[1:] {
-		if s < bestStamp {
-			best, bestStamp = w+1, s
-		}
-	}
-	return best
-}
+func (p *LRU) Victim(set int) int { return int(uint8(p.leastOf(set))) }
 
-// insertAtLRU marks the way as least recently used (BIP's default insert).
+// insertAtLRU marks the way as least recently used (BIP's default insert):
+// one below the row's least stamp, clamped at 0, where a tie goes to the
+// lower way.
 func (p *LRU) insertAtLRU(set, way int) {
-	base := set * p.assoc
-	row := p.stamps[base : base+p.assoc]
-	min := row[0]
-	for _, s := range row[1:] {
-		if s < min {
-			min = s
-		}
+	e := p.leastOf(set)
+	s := uint32(e >> 8)
+	if s > 0 {
+		s--
 	}
-	if min > 0 {
-		min--
-	}
-	row[way] = min
+	p.least[set] = min(e, least(s, way))
+	p.row(set)[way] = s
 }
 
 // Random picks victims with a deterministic xorshift64* generator, so runs
@@ -333,11 +395,11 @@ func (p *DIP) Touch(set, way int) {
 func (p *DIP) Insert(set, way int) {
 	if p.usesBIP(set) {
 		p.bip.Insert(set, way)
-		p.lru.stamps[set*p.lru.assoc+way] = p.bip.lru.stamps[set*p.bip.lru.assoc+way]
+		p.lru.write(set, way, p.bip.lru.row(set)[way])
 		return
 	}
 	p.lru.Insert(set, way)
-	p.bip.lru.stamps[set*p.bip.lru.assoc+way] = p.lru.stamps[set*p.lru.assoc+way]
+	p.bip.lru.write(set, way, p.lru.row(set)[way])
 }
 
 // Miss implements Policy: misses in dedicated sets move PSEL toward the

@@ -135,7 +135,7 @@ func BenchmarkEngineMixedMetricsOn(b *testing.B) {
 // is offered to the recorder's sparse tracer (1-in-4096), and an epoch
 // row is sampled each time the clock crosses a 2^16-cycle boundary — the
 // engine's real quantum cadence. The CI guard holds this at 0 allocs/op
-// (after seal) and within 3% of BenchmarkEngineMixed: attaching the
+// (once the ring is allocated) and within 3% of BenchmarkEngineMixed: attaching the
 // recorder has to leave the event loop's cost where it was.
 func BenchmarkEngineMixedFlightOn(b *testing.B) {
 	e := NewEngine()
@@ -144,7 +144,7 @@ func BenchmarkEngineMixedFlightOn(b *testing.B) {
 	fr.Counter("fired_total", "", h.fired.Value)
 	e.ScheduleHandler(WheelSpan+1, h)
 	e.Run()
-	fr.Sample(e.Now().Count()) // seal before measuring, like the epoch-0 sample
+	fr.Sample(e.Now().Count()) // allocate the ring before measuring, like the epoch-0 sample
 	b.ReportAllocs()
 	b.ResetTimer()
 	// In the real system the quantum loop samples between 2^16-cycle
