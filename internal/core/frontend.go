@@ -15,22 +15,13 @@ type directSource struct {
 	l2  *cache.Cache // nil when the configuration has no private L2
 }
 
-// NextRef implements cpu.RefSource.
+// NextRef implements cpu.RefSource: it advances the trace generator by one
+// reference, then the private L2 when there is one, and writes the record
+// into fr, the core's own in the measured phase and one reused record in
+// warmup, so the 40-byte FrontRef is never returned and copied.
 //
 //alloyvet:hotpath
-func (d *directSource) NextRef() cpu.FrontRef {
-	var fr cpu.FrontRef
-	d.next(&fr)
-	return fr
-}
-
-// next advances the trace generator by one reference, then the private L2
-// when there is one, and writes the record into fr. Warmup calls it
-// directly on one reused record, so the 40-byte FrontRef is written in
-// place instead of being returned and copied.
-//
-//alloyvet:hotpath
-func (d *directSource) next(fr *cpu.FrontRef) {
+func (d *directSource) NextRef(fr *cpu.FrontRef) {
 	ref := d.gen.Next()
 	*fr = cpu.FrontRef{Line: ref.Line, PC: ref.PC, Gap: ref.Gap, Write: ref.Write}
 	if d.l2 == nil {

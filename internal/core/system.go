@@ -256,6 +256,11 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
+		// The cores retire the completions they reserved that fell due in
+		// the quantum, so the engine reads as if each had fired.
+		for _, c := range s.cores {
+			c.Settle(limit)
+		}
 		s.sampleTelemetry()
 		limit += cancelQuantum
 	}
@@ -309,7 +314,7 @@ func (s *System) warm(ctx context.Context) error {
 			}
 		}
 		for c, src := range s.srcs {
-			src.next(&ref)
+			src.NextRef(&ref)
 			kind, victim := warmSkip, memaddr.Line(0)
 			switch {
 			case ref.L2Hit:
@@ -364,7 +369,7 @@ func (s *System) endWarm() {
 // the data arrives.
 //
 //alloyvet:hotpath
-func (s *System) Read(now sim.Cycle, core int, ref cpu.FrontRef) sim.Cycle {
+func (s *System) Read(now sim.Cycle, core int, ref *cpu.FrontRef) sim.Cycle {
 	if s.footprint != nil {
 		s.footprint.Add(ref.Line)
 	}
@@ -404,7 +409,7 @@ func (s *System) Read(now sim.Cycle, core int, ref cpu.FrontRef) sim.Cycle {
 // the core until a slot frees.
 //
 //alloyvet:hotpath
-func (s *System) Write(now sim.Cycle, core int, ref cpu.FrontRef) sim.Cycle {
+func (s *System) Write(now sim.Cycle, core int, ref *cpu.FrontRef) sim.Cycle {
 	if s.footprint != nil {
 		s.footprint.Add(ref.Line)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"alloysim/internal/cpu"
 	"alloysim/internal/invariants"
 	"alloysim/internal/memaddr"
 	"alloysim/internal/trace"
@@ -315,8 +316,11 @@ func TestWarmReplayRestoresFront(t *testing.T) {
 			t.Errorf("L2Bytes %d: restoreFront allocated %.0f times, want 0", l2, n)
 		}
 		for c := range direct.srcs {
+			var a, b cpu.FrontRef
 			for i := 0; i < 10_000; i++ {
-				if a, b := replayed.srcs[c].NextRef(), direct.srcs[c].NextRef(); a != b {
+				replayed.srcs[c].NextRef(&a)
+				direct.srcs[c].NextRef(&b)
+				if a != b {
 					t.Fatalf("L2Bytes %d core %d ref %d: replayed %+v, direct %+v", l2, c, i, a, b)
 				}
 			}

@@ -13,6 +13,7 @@ package cpu
 import (
 	"fmt"
 
+	"alloysim/internal/invariants"
 	"alloysim/internal/memaddr"
 	"alloysim/internal/sim"
 	"alloysim/internal/trace"
@@ -33,18 +34,20 @@ type FrontRef struct {
 	L2WB   bool // the L2 fill evicted a dirty victim needing writeback
 }
 
-// RefSource produces a core's infinite FrontRef stream.
+// RefSource produces a core's infinite FrontRef stream. NextRef writes the
+// next record into fr, the core's own, so the 40-byte record is never
+// copied on its way to the memory system.
 type RefSource interface {
-	NextRef() FrontRef
+	NextRef(fr *FrontRef)
 }
 
 // genSource adapts a bare trace.Generator into a RefSource with no
 // private L2: every record misses.
 type genSource struct{ gen trace.Generator }
 
-func (s genSource) NextRef() FrontRef {
+func (s genSource) NextRef(fr *FrontRef) {
 	ref := s.gen.Next()
-	return FrontRef{Line: ref.Line, PC: ref.PC, Gap: ref.Gap, Write: ref.Write}
+	*fr = FrontRef{Line: ref.Line, PC: ref.PC, Gap: ref.Gap, Write: ref.Write}
 }
 
 // SourceFromGenerator wraps a trace generator as a RefSource for systems
@@ -57,25 +60,30 @@ func SourceFromGenerator(gen trace.Generator) RefSource {
 }
 
 // MemPort is the memory system as seen by a core: it services reads by
-// reporting the data-arrival cycle and absorbs writes.
+// reporting the data-arrival cycle and absorbs writes. Both read the
+// reference in the core's own record and must not keep the pointer.
 type MemPort interface {
 	// Read issues a demand load at cycle now and returns the cycle the
 	// data arrives (>= now). The memory system resolves the whole access
 	// synchronously — timing-wise the future is computed now, and the
-	// core schedules its own completion event at the returned cycle.
-	Read(now sim.Cycle, core int, ref FrontRef) (done sim.Cycle)
+	// core accounts for its own completion at the returned cycle.
+	Read(now sim.Cycle, core int, ref *FrontRef) (done sim.Cycle)
 	// Write issues a store at cycle now. Stores do not block retirement,
 	// but a full downstream write buffer exerts backpressure: a non-zero
 	// return tells the core not to issue further references before that
 	// cycle (store-buffer stall).
-	Write(now sim.Cycle, core int, ref FrontRef) (stallUntil sim.Cycle)
+	Write(now sim.Cycle, core int, ref *FrontRef) (stallUntil sim.Cycle)
 }
 
 // Config sets the core's parameters.
 type Config struct {
 	IPC float64 // base retire rate for non-memory instructions (4-wide: 4.0)
-	MLP int     // maximum overlapped outstanding reads
+	MLP int     // maximum overlapped outstanding reads, at most MaxMLP
 }
+
+// MaxMLP is the widest MLP window a core supports: a core keeps the
+// completion of each outstanding read in a fixed array of this many slots.
+const MaxMLP = 16
 
 // DefaultConfig returns the paper's core: 4-wide, with a memory-level
 // parallelism window of 2 outstanding reads — the effective MLP of the
@@ -87,13 +95,26 @@ func (c Config) Validate() error {
 	if c.IPC <= 0 {
 		return fmt.Errorf("cpu: IPC must be positive, got %v", c.IPC)
 	}
-	if c.MLP <= 0 {
-		return fmt.Errorf("cpu: MLP must be positive, got %d", c.MLP)
+	if c.MLP <= 0 || c.MLP > MaxMLP {
+		return fmt.Errorf("cpu: MLP must be in [1, %d], got %d", MaxMLP, c.MLP)
 	}
 	return nil
 }
 
 // Core is one trace-driven processor.
+//
+// A read's completion only decrements the outstanding count unless the
+// core waits on it, so the core does not schedule it: it reserves the
+// completion's engine event (sim.Engine.Reserve) and keeps it in res, and
+// its next issue retires every reserved completion due by then, unfired.
+// A core that stalls on its MLP window schedules only the earliest one,
+// under its reserved sequence number, and a core whose budget is spent
+// schedules all that remain; between engine quanta, Settle retires those
+// due by the quantum's end. A completion that does more than count so
+// fires under the number it would have had, every event that touches
+// shared state fires in the same order, and the engine's Steps, Pending
+// and Now read at each quantum boundary what they would if every
+// completion were scheduled.
 type Core struct {
 	id     int
 	cfg    Config
@@ -104,6 +125,7 @@ type Core struct {
 
 	retired     uint64
 	outstanding int
+	nres        int       // reserved completions held, in res[:nres]
 	nextReady   sim.Cycle // earliest cycle the next ref may issue
 	issueDone   bool      // trace exhausted (budget reached)
 	stalled     bool      // waiting for an MLP slot
@@ -118,6 +140,22 @@ type Core struct {
 	// events may overlap up to MLP deep, but carry no per-event state.
 	issueEv    issueEvent
 	completeEv completeEvent
+
+	// ref is the record being issued: the front-end writes it in place
+	// and the memory port reads it there.
+	ref FrontRef
+
+	// res[:nres] are the reserved completions of outstanding reads, in
+	// no particular order; the other outstanding reads' completions are
+	// scheduled.
+	res [MaxMLP]reservation
+}
+
+// reservation is a read completion whose engine event is reserved: due at
+// cycle at, under sequence number seq.
+type reservation struct {
+	at  sim.Cycle
+	seq uint64
 }
 
 // issueEvent fires the core's next trace reference.
@@ -176,13 +214,21 @@ func (c *Core) Writes() uint64 { return c.writes }
 //
 //alloyvet:hotpath
 func (c *Core) issue(now sim.Cycle) {
+	// The core reserved each completion it holds before it scheduled (or
+	// began inline) this issue, so those due by now fire first.
+	c.retireDue(now)
 	if c.retired >= c.budget {
 		c.issueDone = true
+		for _, r := range c.res[:c.nres] {
+			c.eng.ScheduleReserved(r.at, r.seq, &c.completeEv)
+		}
+		c.nres = 0
 		c.maybeFinish(now)
 		return
 	}
 
-	ref := c.src.NextRef()
+	ref := &c.ref
+	c.src.NextRef(ref)
 	c.retired += uint64(ref.Gap) + 1
 
 	var writeStall sim.Cycle
@@ -192,8 +238,11 @@ func (c *Core) issue(now sim.Cycle) {
 	} else {
 		c.reads++
 		c.outstanding++
+		// Read may schedule events of its own; the completion's number
+		// comes after theirs, as a completion scheduled here would.
 		done := c.port.Read(now, c.id, ref)
-		c.eng.ScheduleHandler(done, &c.completeEv)
+		c.res[c.nres] = reservation{at: done, seq: c.eng.Reserve(done)}
+		c.nres++
 	}
 
 	// Advance the fetch front by the instruction gap at base IPC.
@@ -205,9 +254,68 @@ func (c *Core) issue(now sim.Cycle) {
 
 	if c.outstanding >= c.cfg.MLP {
 		c.stalled = true
+		c.scheduleEarliest() // the completion that frees a slot
 		return
 	}
 	c.eng.ScheduleHandler(c.nextReady, &c.issueEv)
+}
+
+// retireDue retires, unfired, every reserved completion due at or before
+// t: each only decrements the outstanding count.
+//
+//alloyvet:hotpath
+func (c *Core) retireDue(t sim.Cycle) {
+	for i := 0; i < c.nres; {
+		if r := c.res[i]; r.at <= t {
+			c.eng.Retire(r.at)
+			c.outstanding--
+			c.nres--
+			c.res[i] = c.res[c.nres]
+		} else {
+			i++
+		}
+	}
+}
+
+// scheduleEarliest schedules the reserved completion that fires first, in
+// (cycle, sequence) order, under its reserved number.
+//
+//alloyvet:hotpath
+func (c *Core) scheduleEarliest() {
+	k := 0
+	for i := 1; i < c.nres; i++ {
+		if r, e := c.res[i], c.res[k]; r.at < e.at || r.at == e.at && r.seq < e.seq {
+			k = i
+		}
+	}
+	r := c.res[k]
+	c.nres--
+	c.res[k] = c.res[c.nres]
+	c.eng.ScheduleReserved(r.at, r.seq, &c.completeEv)
+}
+
+// Settle retires every reserved completion due at or before through, the
+// limit the engine last ran to (sim.Engine.RunUntil), moving the clock to
+// the latest of them. A System settles every core before it reads the
+// engine between quanta.
+func (c *Core) Settle(through sim.Cycle) {
+	c.retireDue(through)
+	if invariants.Enabled {
+		c.checkSettled(through)
+	}
+}
+
+// checkSettled asserts what Settle leaves: at most MLP reserved
+// completions, all of them due after through and counted outstanding.
+func (c *Core) checkSettled(through sim.Cycle) {
+	if c.nres > c.cfg.MLP || c.nres > c.outstanding {
+		invariants.Failf("cpu: core %d holds %d reserved completions, MLP %d, %d outstanding", c.id, c.nres, c.cfg.MLP, c.outstanding)
+	}
+	for _, r := range c.res[:c.nres] {
+		if r.at <= through {
+			invariants.Failf("cpu: core %d kept a completion due at %d after settling through %d", c.id, r.at, through)
+		}
+	}
 }
 
 // readComplete runs at a load's data-arrival cycle.
@@ -221,7 +329,10 @@ func (c *Core) readComplete(now sim.Cycle) {
 	if c.stalled && c.outstanding < c.cfg.MLP {
 		c.stalled = false
 		if c.nextReady <= now && c.eng.NoneDueNow() {
-			// The issue event would fire next: run it here.
+			// The issue event would fire next: run it here. NoneDueNow
+			// does not see reserved completions, but one due now belongs
+			// to a core that is not stalled and only counts, and issue
+			// retires this core's own first.
 			c.eng.StepInline()
 			c.issue(now)
 		} else {

@@ -17,7 +17,7 @@ type fakePort struct {
 	maxInFlight int
 }
 
-func (p *fakePort) Read(now sim.Cycle, core int, ref FrontRef) sim.Cycle {
+func (p *fakePort) Read(now sim.Cycle, core int, ref *FrontRef) sim.Cycle {
 	p.reads = append(p.reads, ref.Line)
 	p.inFlight++
 	if p.inFlight > p.maxInFlight {
@@ -28,7 +28,7 @@ func (p *fakePort) Read(now sim.Cycle, core int, ref FrontRef) sim.Cycle {
 	return done
 }
 
-func (p *fakePort) Write(now sim.Cycle, core int, ref FrontRef) sim.Cycle {
+func (p *fakePort) Write(now sim.Cycle, core int, ref *FrontRef) sim.Cycle {
 	p.writes = append(p.writes, ref.Line)
 	return 0
 }
@@ -61,6 +61,12 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (Config{IPC: 4, MLP: 0}).Validate(); err == nil {
 		t.Fatal("MLP 0 accepted")
+	}
+	if err := (Config{IPC: 4, MLP: MaxMLP + 1}).Validate(); err == nil {
+		t.Fatalf("MLP %d accepted beyond the %d reservation slots", MaxMLP+1, MaxMLP)
+	}
+	if err := (Config{IPC: 4, MLP: MaxMLP}).Validate(); err != nil {
+		t.Fatalf("MLP %d refused: %v", MaxMLP, err)
 	}
 	eng := sim.NewEngine()
 	if _, err := New(0, DefaultConfig(), nil, eng, &fakePort{}, 10); err == nil {
@@ -165,14 +171,14 @@ type trackPort struct {
 	onRead  func(delta int)
 }
 
-func (p *trackPort) Read(now sim.Cycle, core int, ref FrontRef) sim.Cycle {
+func (p *trackPort) Read(now sim.Cycle, core int, ref *FrontRef) sim.Cycle {
 	p.onRead(+1)
 	done := now + p.latency
 	p.eng.ScheduleHandler(done, handlerFunc(func() { p.onRead(-1) }))
 	return done
 }
 
-func (p *trackPort) Write(now sim.Cycle, core int, ref FrontRef) sim.Cycle { return 0 }
+func (p *trackPort) Write(now sim.Cycle, core int, ref *FrontRef) sim.Cycle { return 0 }
 
 func TestFinishCallback(t *testing.T) {
 	eng := sim.NewEngine()
@@ -225,10 +231,10 @@ func TestWriteBackpressureStallsCore(t *testing.T) {
 // stallPort pushes back on every write.
 type stallPort struct{ stallBy sim.Cycle }
 
-func (p *stallPort) Read(now sim.Cycle, core int, ref FrontRef) sim.Cycle {
+func (p *stallPort) Read(now sim.Cycle, core int, ref *FrontRef) sim.Cycle {
 	return now + 1
 }
 
-func (p *stallPort) Write(now sim.Cycle, core int, ref FrontRef) sim.Cycle {
+func (p *stallPort) Write(now sim.Cycle, core int, ref *FrontRef) sim.Cycle {
 	return now + p.stallBy
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -441,24 +442,23 @@ func (r *Runner) Speedup(ctx context.Context, pt Point) (float64, error) {
 	return res.SpeedupOver(base), nil
 }
 
-// DetailedWorkloads returns the ten memory-intensive workload names in
-// Table 3 order.
-func DetailedWorkloads() []string {
-	var names []string
-	for _, p := range trace.MemoryIntensive() {
-		names = append(names, p.Name)
+// detailedNames and otherNames are the two workload lists, built once.
+var detailedNames, otherNames = profileNames(trace.MemoryIntensive()), profileNames(trace.Others())
+
+func profileNames(ps []trace.Profile) []string {
+	names := make([]string, len(ps))
+	for i, p := range ps {
+		names[i] = p.Name
 	}
 	return names
 }
 
+// DetailedWorkloads returns the ten memory-intensive workload names in
+// Table 3 order.
+func DetailedWorkloads() []string { return slices.Clone(detailedNames) }
+
 // OtherWorkloads returns the fourteen Figure 11 workload names.
-func OtherWorkloads() []string {
-	var names []string
-	for _, p := range trace.Others() {
-		names = append(names, p.Name)
-	}
-	return names
-}
+func OtherWorkloads() []string { return slices.Clone(otherNames) }
 
 // GeoMeanSpeedup runs pt on each workload in place of pt.Workload and
 // returns the per-workload speedups plus their geometric mean.

@@ -45,6 +45,30 @@ func BenchmarkScheduleHandler(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleReserved is a core's read path: reserve a completion,
+// schedule the next issue at its cycle, then schedule the completion under
+// its older number, which goes ahead of the issue in their bucket, and
+// fire both; a second reservation retires unfired. Steady state must be
+// 0 allocs/op.
+func BenchmarkScheduleReserved(b *testing.B) {
+	e := NewEngine()
+	h := &benchHandler{}
+	e.ScheduleHandler(1, h)
+	e.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := e.Now() + 3
+		seq := e.Reserve(at)
+		e.ScheduleHandler(at, h)
+		e.ScheduleReserved(at, seq, h)
+		e.Reserve(e.Now())
+		e.Retire(e.Now())
+		e.Step()
+		e.Step()
+	}
+}
+
 // BenchmarkScheduleHandlerDeep keeps a deep pending queue (256 events
 // spread over the wheel) the way a loaded memory system does.
 func BenchmarkScheduleHandlerDeep(b *testing.B) {

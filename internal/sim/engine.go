@@ -1,8 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // Events are ordered by (cycle, sequence number): events scheduled for the
-// same cycle fire in the order they were scheduled, which makes simulations
-// fully deterministic and therefore reproducible across runs and platforms.
+// same cycle fire in the order they were scheduled (or reserved, see
+// Reserve), which makes simulations fully deterministic and therefore
+// reproducible across runs and platforms.
 //
 // Internally the engine is a hierarchical calendar: a timing wheel of
 // WheelSpan per-cycle FIFO buckets covers the near future [now, now+span),
@@ -86,11 +87,14 @@ func (e *Engine) Steps() uint64 { return e.nSteps }
 // Pending returns the number of events waiting to execute.
 func (e *Engine) Pending() int { return e.pending }
 
-// NoneDueNow reports whether no event is pending at the current cycle. A
-// handler about to schedule a follow-up at Now() may then run it inline
-// instead: the follow-up would fire next, because events at one cycle
-// fire in scheduling order and far events enter the wheel before their
-// cycle comes. The handler calls StepInline for it.
+// NoneDueNow reports whether no scheduled event is due at the current
+// cycle. A handler about to schedule a follow-up at Now() may then run it
+// inline instead: the follow-up would fire next, because events at one
+// cycle fire in sequence order and far events enter the wheel before their
+// cycle comes. The handler calls StepInline for it. Reserved events (see
+// Reserve) are not scheduled, so it does not see them: a model that runs a
+// follow-up inline must make sure that no reserved event due now could
+// have changed what the follow-up does.
 //
 //alloyvet:hotpath
 func (e *Engine) NoneDueNow() bool {
@@ -157,6 +161,78 @@ func (e *Engine) release(n *node) {
 	e.free = n
 }
 
+// Reserve takes the sequence number an event scheduled now at cycle at
+// would get, and counts that event as pending from this moment. The
+// caller later either schedules it at that cycle under that number
+// (ScheduleReserved), so it fires exactly where it would have fired had
+// it been scheduled now, or retires it unfired (Retire). Steps and
+// Pending then read as in a run that scheduled it: a model whose event
+// would only count, such as a read completion no core waits on, saves the
+// engine round trip. Reserving in the past panics, as scheduling does.
+//
+//alloyvet:hotpath
+func (e *Engine) Reserve(at Cycle) uint64 {
+	if at < e.now {
+		panicPast(at, e.now)
+	}
+	e.seq++
+	e.pending++
+	return e.seq
+}
+
+// ScheduleReserved enqueues h at cycle at under the sequence number seq
+// that Reserve returned. Events at one cycle fire in sequence order, so
+// the event goes before any later-numbered event already in its bucket;
+// in the far heap the (cycle, sequence) order already holds.
+//
+//alloyvet:hotpath
+func (e *Engine) ScheduleReserved(at Cycle, seq uint64, h Handler) {
+	if at < e.now {
+		panicPast(at, e.now)
+	}
+	e.lazyInit()
+	n := e.alloc()
+	n.at, n.seq, n.h = at, seq, h
+	if at >= e.now+WheelSpan {
+		e.far.push(n)
+	} else if b := &e.wheel[int(at)&wheelMask]; b.tail == nil || b.tail.seq < seq {
+		e.wheelPush(n)
+	} else {
+		b.insert(n)
+	}
+}
+
+// Retire counts a reserved event due at cycle at as run without running
+// it: one step, one event fewer pending. A model retires mid-run only
+// events due at or before Now(). Between RunUntil calls it may retire
+// events due up to the limit it last ran to; the clock then moves to the
+// latest of them, with the migration any clock advance makes, so Now()
+// reads as in a run that fired them.
+//
+//alloyvet:hotpath
+func (e *Engine) Retire(at Cycle) {
+	e.pending--
+	e.nSteps++
+	if at > e.now {
+		if invariants.Enabled {
+			e.checkAdvance(at)
+		}
+		e.now = at
+		e.migrate()
+	}
+}
+
+// checkAdvance asserts that moving the clock to at skips no scheduled
+// event: a retirement past the next event would fire it in the past.
+func (e *Engine) checkAdvance(at Cycle) {
+	if i := e.nextOccupied(); i >= 0 && e.wheel[i].head.at < at {
+		invariants.Failf("sim: retiring at cycle %d skips the event at %d", at, e.wheel[i].head.at)
+	}
+	if len(e.far) > 0 && e.far[0].at < at {
+		invariants.Failf("sim: retiring at cycle %d skips the far event at %d", at, e.far[0].at)
+	}
+}
+
 // ScheduleHandler enqueues a pre-bound handler at an absolute cycle. The
 // handler is typically a pointer receiver living in the model's own state,
 // and the event node comes from the pool, so scheduling does not allocate.
@@ -195,6 +271,23 @@ func (e *Engine) wheelPush(n *node) {
 	if invariants.Enabled {
 		e.checkWheelSlot(i)
 	}
+}
+
+// insert puts n into a bucket whose tail carries a later sequence number
+// (ScheduleReserved): n goes before the first node later than it, so the
+// bucket stays in sequence order and its occupancy does not change.
+func (b *bucket) insert(n *node) {
+	if b.head.seq > n.seq {
+		n.next = b.head
+		b.head = n
+		return
+	}
+	p := b.head
+	for p.next.seq < n.seq {
+		p = p.next
+	}
+	n.next = p.next
+	p.next = n
 }
 
 // checkWheelSlot asserts that the occupancy bitmap and summary word agree
@@ -269,6 +362,9 @@ func (e *Engine) step(limit Cycle) (ran, drained bool) {
 	}
 	i := e.nextOccupied()
 	if i < 0 {
+		if invariants.Enabled && len(e.far) == 0 {
+			invariants.Failf("sim: %d events pending but none scheduled: a reserved event was neither scheduled nor retired", e.pending)
+		}
 		// Wheel drained: jump to the far heap's earliest cycle and
 		// cascade everything now inside the horizon.
 		if e.far[0].at > limit {

@@ -81,6 +81,14 @@ func TestSchedulePastPanics(t *testing.T) {
 		}()
 		e.ScheduleHandler(5, handlerFunc(func() {}))
 	}))
+	e.ScheduleHandler(10, handlerFunc(func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("reserving in the past did not panic")
+			}
+		}()
+		e.Reserve(5)
+	}))
 	e.Run()
 }
 
@@ -378,5 +386,107 @@ func TestNoneDueNow(t *testing.T) {
 	e.StepInline()
 	if e.Steps() != steps+1 {
 		t.Fatalf("Steps after StepInline = %d, want %d", e.Steps(), steps+1)
+	}
+}
+
+// recorder returns a handler factory whose handlers append their names to
+// *got when they fire.
+func recorder(got *[]string) func(string) Handler {
+	return func(name string) Handler {
+		return handlerFunc(func() { *got = append(*got, name) })
+	}
+}
+
+// A reserved event scheduled later fires where it would have fired had it
+// been scheduled when reserved: before the later-numbered events already
+// in its bucket, after the earlier ones, and alone in an empty bucket.
+func TestScheduleReservedInsertsBySequence(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	ev := recorder(&got)
+	r1 := e.Reserve(10)
+	e.ScheduleHandler(10, ev("a"))
+	r2 := e.Reserve(10)
+	e.ScheduleHandler(10, ev("b"))
+	e.ScheduleHandler(10, ev("c"))
+	r3 := e.Reserve(10)
+	r4 := e.Reserve(11)
+	e.ScheduleReserved(10, r2, ev("r2")) // between a and b
+	e.ScheduleReserved(10, r1, ev("r1")) // ahead of the bucket's head
+	e.ScheduleReserved(10, r3, ev("r3")) // at the tail
+	e.ScheduleReserved(11, r4, ev("r4")) // into an empty bucket
+	if e.Pending() != 7 || e.Steps() != 0 {
+		t.Fatalf("Pending %d Steps %d, want 7 0", e.Pending(), e.Steps())
+	}
+	e.Run()
+	if want := []string{"r1", "a", "r2", "b", "c", "r3", "r4"}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// A reserved event beyond the horizon waits in the far heap in (cycle,
+// sequence) order and migrates into the wheel ahead of the events
+// scheduled at its cycle after the migration.
+func TestScheduleReservedThroughFarHeap(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	ev := recorder(&got)
+	far := Cycle(2 * WheelSpan)
+	r := e.Reserve(far)
+	e.ScheduleHandler(far, ev("a"))
+	e.ScheduleReserved(far, r, ev("r"))
+	if len(e.far) != 2 {
+		t.Fatalf("far heap holds %d events, want 2", len(e.far))
+	}
+	// Once the clock brings far inside the horizon, both have migrated
+	// and b goes straight into the wheel behind them.
+	e.ScheduleHandler(far-WheelSpan+1, handlerFunc(func() {
+		if len(e.far) != 0 {
+			t.Errorf("far heap holds %d events after the horizon passed them", len(e.far))
+		}
+		e.ScheduleHandler(far, ev("b"))
+	}))
+	e.Run()
+	if want := []string{"r", "a", "b"}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// Retire counts a reserved event as one step and one fewer pending. Past
+// the clock, as between RunUntil quanta, it moves the clock and migrates
+// the far events the new horizon covers, so an event scheduled at their
+// cycle afterwards still fires behind them; at or before the clock it
+// leaves the clock alone.
+func TestRetireCountsAndMovesTheClock(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	ev := recorder(&got)
+	far := Cycle(WheelSpan + 100)
+	e.Reserve(40)
+	e.Reserve(200)
+	e.Reserve(150)
+	e.ScheduleHandler(far, ev("a"))
+	if e.RunUntil(50) || e.Now() != 0 || e.Steps() != 0 || e.Pending() != 4 {
+		t.Fatalf("after RunUntil(50): Now %d Steps %d Pending %d, want 0 0 4", e.Now(), e.Steps(), e.Pending())
+	}
+	e.Retire(40)
+	if e.Now() != 40 || e.Steps() != 1 || e.Pending() != 3 || len(e.far) != 1 {
+		t.Fatalf("after Retire(40): Now %d Steps %d Pending %d far %d, want 40 1 3 1", e.Now(), e.Steps(), e.Pending(), len(e.far))
+	}
+	e.Retire(200)
+	if e.Now() != 200 || e.Steps() != 2 || e.Pending() != 2 || len(e.far) != 0 {
+		t.Fatalf("after Retire(200): Now %d Steps %d Pending %d far %d, want 200 2 2 0", e.Now(), e.Steps(), e.Pending(), len(e.far))
+	}
+	e.ScheduleHandler(far, ev("b"))
+	e.Retire(150) // due before the clock: counted, the clock stays
+	if e.Now() != 200 || e.Steps() != 3 || e.Pending() != 2 {
+		t.Fatalf("after Retire(150): Now %d Steps %d Pending %d, want 200 3 2", e.Now(), e.Steps(), e.Pending())
+	}
+	e.Run()
+	if want := []string{"a", "b"}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if e.Now() != far || e.Steps() != 5 || e.Pending() != 0 {
+		t.Fatalf("drained: Now %d Steps %d Pending %d, want %d 5 0", e.Now(), e.Steps(), e.Pending(), far)
 	}
 }

@@ -49,3 +49,24 @@ func TestStepMonotonicityViolationPanics(t *testing.T) {
 	e.wheel[15&wheelMask].head.at = 5
 	mustPanic(t, "precedes clock", func() { e.Step() })
 }
+
+// A reservation neither scheduled nor retired leaves Pending counting an
+// event the wheel and the far heap do not hold.
+func TestLeakedReservationPanics(t *testing.T) {
+	e := NewEngine()
+	e.Reserve(3)
+	e.ScheduleHandler(5, handlerFunc(func() {}))
+	if !e.Step() {
+		t.Fatal("scheduled event did not execute")
+	}
+	mustPanic(t, "none scheduled", func() { e.Step() })
+}
+
+// A retirement that would move the clock past a scheduled event fires
+// that event in the past.
+func TestRetirePastAnEventPanics(t *testing.T) {
+	e := NewEngine()
+	e.ScheduleHandler(10, handlerFunc(func() {}))
+	e.Reserve(20)
+	mustPanic(t, "skips the event at 10", func() { e.Retire(20) })
+}

@@ -25,6 +25,8 @@ package trace
 // pure sequential streamer whose off-chip accesses are mostly row-buffer
 // hits (type X), making slow cache hits a net loss.
 
+import "slices"
+
 const (
 	mb = 1 << 20 / 64 // lines per MiB
 	gb = 1 << 30 / 64 // lines per GiB
@@ -173,10 +175,16 @@ func All() []Profile {
 	return append(MemoryIntensive(), Others()...)
 }
 
-// ByName looks up a profile in the full suite.
+// suite is the full suite, built once for ByName.
+var suite = All()
+
+// ByName looks up a profile in the full suite. The profile is the
+// caller's own: its Components are a fresh copy.
 func ByName(name string) (Profile, bool) {
-	for _, p := range All() {
-		if p.Name == name {
+	for i := range suite {
+		if suite[i].Name == name {
+			p := suite[i]
+			p.Components = slices.Clone(p.Components)
 			return p, true
 		}
 	}

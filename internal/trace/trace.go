@@ -243,7 +243,11 @@ func (p Profile) Build(seed, scale uint64, base memaddr.Line) (Generator, error)
 	if scale == 0 {
 		scale = 1
 	}
-	g := &gen{profile: p, rng: newRNG(seed)}
+	g := &gen{
+		profile: p, rng: newRNG(seed),
+		comps:   make([]compState, 0, len(p.Components)),
+		weights: make([]float64, 0, len(p.Components)),
+	}
 	next := base
 	var cum float64
 	for i, c := range p.Components {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -44,6 +45,23 @@ func TestByName(t *testing.T) {
 	}
 	if _, ok := ByName("nope"); ok {
 		t.Fatal("ByName found nonexistent profile")
+	}
+}
+
+// TestByNameHandsOutCopies: a lookup copies one Components slice out of
+// the once-built suite and allocates nothing else, and a caller that
+// changes its profile leaves the next lookup as it was.
+func TestByNameHandsOutCopies(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { ByName("gobmk_r") }); n > 1 {
+		t.Errorf("ByName allocated %.0f times, want at most 1", n)
+	}
+	want, _ := ByName("mcf_r")
+	p, _ := ByName("mcf_r")
+	p.GapMean++
+	p.Components[0].Weight = 9
+	p.Components = append(p.Components, Component{Kind: Stream, Weight: 1, RegionLines: 1})
+	if got, _ := ByName("mcf_r"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a mutated lookup changed the next one: %+v, want %+v", got, want)
 	}
 }
 
