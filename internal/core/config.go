@@ -102,17 +102,6 @@ type Config struct {
 	// "bip", "dip", "nru", "srrip", "brrip", "ship").
 	L3Policy string
 
-	// L2Bytes, when non-zero, inserts a private per-core L2 of that
-	// paper-scale capacity (scaled like everything else) between the
-	// cores and the shared L3. The trace references are then interpreted
-	// as L1 misses instead of L2 misses. The paper's detailed hierarchy
-	// has private L2s; the default model folds them into the trace.
-	L2Bytes uint64
-	// L2Assoc is the private L2 associativity (default 8).
-	L2Assoc int
-	// L2Latency is the L2 hit latency in cycles (default 12).
-	L2Latency sim.Cycle
-
 	Design    Design
 	Predictor PredictorKind
 
@@ -133,10 +122,9 @@ type Config struct {
 	// (the memory controller's write buffer). A write admitted to a full
 	// buffer issues when its oldest write completes, and a demand write
 	// also stalls its core until then (store-buffer backpressure); but
-	// every admitted write joins the buffer, and L3 dirty writebacks and
-	// private-L2 victims never stall, so it can hold more writes than
-	// this (75 of 64 in a default lbm_r run on LH-Cache). Zero selects
-	// DefaultWriteBufferEntries.
+	// every admitted write joins the buffer, and L3 dirty writebacks never
+	// stall, so it can hold more writes than this (75 of 64 in a default
+	// lbm_r run on LH-Cache). Zero selects DefaultWriteBufferEntries.
 	WriteBufferEntries int
 
 	// GapScale multiplies the workload's mean instruction gap, scaling
@@ -220,15 +208,6 @@ func (c Config) Validate() error {
 	if c.L3Bytes/c.Scale < 64*uint64(c.L3Assoc) {
 		return fmt.Errorf("core: scaled L3 too small")
 	}
-	if c.L2Bytes > 0 {
-		assoc := c.L2Assoc
-		if assoc <= 0 {
-			assoc = 8
-		}
-		if c.L2Bytes/c.Scale < 64*uint64(assoc) {
-			return fmt.Errorf("core: scaled L2 too small")
-		}
-	}
 	switch c.Predictor {
 	case PredDefault, PredSAM, PredPAM, PredMAPG, PredMAPI, PredPerfect, PredMissMap:
 	default:
@@ -243,32 +222,19 @@ func (c Config) ScaledCacheBytes() uint64 { return c.DRAMCacheBytes / c.Scale }
 // ScaledL3Bytes returns the simulated L3 capacity.
 func (c Config) ScaledL3Bytes() uint64 { return c.L3Bytes / c.Scale }
 
-// frontCaches returns the shared L3's geometry and policy and the private
-// L2s' (zero without L2s): the one derivation NewSystem builds them from
-// and Keys reads them from.
-func (c Config) frontCaches() (l3, l2 cache.Config, err error) {
-	l3Sets := int(c.ScaledL3Bytes()) / memaddr.LineSizeBytes / c.L3Assoc
-	if l3Sets <= 0 {
-		return l3, l2, fmt.Errorf("core: config yields %d L3 sets (L3Bytes=%d, Scale=%d, L3Assoc=%d): scaled capacity truncates below one set",
-			l3Sets, c.L3Bytes, c.Scale, c.L3Assoc)
+// l3Cache returns the shared L3's geometry and policy: the one derivation
+// NewSystem builds it from and Keys reads it from.
+func (c Config) l3Cache() (cache.Config, error) {
+	sets := int(c.ScaledL3Bytes()) / memaddr.LineSizeBytes / c.L3Assoc
+	if sets <= 0 {
+		return cache.Config{}, fmt.Errorf("core: config yields %d L3 sets (L3Bytes=%d, Scale=%d, L3Assoc=%d): scaled capacity truncates below one set",
+			sets, c.L3Bytes, c.Scale, c.L3Assoc)
 	}
-	l3 = cache.Config{Sets: l3Sets, Assoc: c.L3Assoc, Policy: c.L3Policy}
+	l3 := cache.Config{Sets: sets, Assoc: c.L3Assoc, Policy: c.L3Policy}
 	if l3.Policy == "" {
 		l3.Policy = DefaultL3Policy
 	}
-	if c.L2Bytes > 0 {
-		assoc := c.L2Assoc
-		if assoc <= 0 {
-			assoc = 8
-		}
-		l2Sets := int(c.L2Bytes/c.Scale) / memaddr.LineSizeBytes / assoc
-		if l2Sets <= 0 {
-			return l3, l2, fmt.Errorf("core: config yields %d L2 sets (L2Bytes=%d, Scale=%d, L2Assoc=%d): scaled capacity truncates below one set",
-				l2Sets, c.L2Bytes, c.Scale, assoc)
-		}
-		l2 = cache.Config{Sets: l2Sets, Assoc: assoc, Policy: "lru"}
-	}
-	return l3, l2, nil
+	return l3, nil
 }
 
 // resolvePredictor returns the effective predictor kind after applying the

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"alloysim/internal/dramcache"
 	"alloysim/internal/memaddr"
 	"alloysim/internal/sim"
 )
@@ -16,7 +17,8 @@ import (
 // L3 entirely and calls the same readBelow path the simulation uses, so a
 // measured latency is the simulator's own arithmetic, not a reimplementation.
 type LatencyProbe struct {
-	s *System
+	s   *System
+	res dramcache.AccessResult // InstallLine's and TouchLine's, discarded
 }
 
 // Probe converts a freshly built System into a latency probe. It consumes
@@ -34,7 +36,7 @@ func (s *System) Probe() (*LatencyProbe, error) {
 // state. Call ResetTiming afterwards to discard the timing side effects.
 func (p *LatencyProbe) InstallLine(line memaddr.Line) {
 	if p.s.org != nil {
-		p.s.org.Access(0, line, false)
+		p.s.org.AccessInto(0, line, false, &p.res)
 	}
 }
 
@@ -42,7 +44,7 @@ func (p *LatencyProbe) InstallLine(line memaddr.Line) {
 // stacked row that holds it.
 func (p *LatencyProbe) TouchLine(now sim.Cycle, line memaddr.Line) {
 	if p.s.org != nil {
-		p.s.org.Access(now, line, false)
+		p.s.org.AccessInto(now, line, false, &p.res)
 	}
 }
 

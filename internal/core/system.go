@@ -23,15 +23,13 @@ type System struct {
 	predKind PredictorKind
 
 	eng     *sim.Engine
-	l2      []*cache.Cache // private per-core L2s; nil when disabled
-	l2Lat   sim.Cycle
 	l3      *cache.Cache
 	org     dramcache.Organization // nil for the no-DRAM-cache baseline
 	pred    predictor.Predictor
 	auth    bool // predictor has perfect contents knowledge
 	mem     *dram.DRAM
 	stacked *dram.DRAM
-	srcs    []*directSource // per-core front-ends (see frontend.go)
+	gens    []trace.Generator // per-core reference streams
 	cores   []*cpu.Core
 
 	// Measured statistics (reset after warmup).
@@ -69,8 +67,8 @@ type System struct {
 	// write also stalls its core until then (store-buffer backpressure),
 	// which keeps write streams from reserving DRAM banks arbitrarily far
 	// into the future. Every admitted write is appended all the same, and
-	// L3 dirty writebacks and private-L2 victims never stall, so the
-	// buffer can hold more than writeBufCap writes.
+	// L3 dirty writebacks never stall, so the buffer can hold more than
+	// writeBufCap writes.
 	writeBuf    writeHeap
 	writeBufCap int
 
@@ -121,25 +119,12 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 
-	l3Cfg, l2Cfg, err := cfg.frontCaches()
+	l3Cfg, err := cfg.l3Cache()
 	if err != nil {
 		return nil, err
 	}
 	if s.l3, err = cache.New(l3Cfg); err != nil {
 		return nil, err
-	}
-	if cfg.L2Bytes > 0 {
-		s.l2Lat = cfg.L2Latency
-		if s.l2Lat == 0 {
-			s.l2Lat = 12
-		}
-		for i := 0; i < cfg.Cores; i++ {
-			l2, err := cache.New(l2Cfg)
-			if err != nil {
-				return nil, err
-			}
-			s.l2 = append(s.l2, l2)
-		}
 	}
 
 	s.predKind = cfg.resolvePredictor()
@@ -154,8 +139,8 @@ func NewSystem(cfg Config) (*System, error) {
 		s.footprint = memaddr.NewLineSet()
 	}
 
-	gens := cfg.Generators
-	if gens == nil {
+	s.gens = cfg.Generators
+	if s.gens == nil {
 		// One generator per rate-mode copy, at disjoint physical bases.
 		prof, _ := trace.ByName(cfg.Workload)
 		if cfg.GapScale > 1 {
@@ -171,15 +156,8 @@ func NewSystem(cfg Config) (*System, error) {
 			if err != nil {
 				return nil, err
 			}
-			gens = append(gens, g)
+			s.gens = append(s.gens, g)
 		}
-	}
-	for i, g := range gens {
-		var l2 *cache.Cache
-		if s.l2 != nil && i < len(s.l2) {
-			l2 = s.l2[i]
-		}
-		s.srcs = append(s.srcs, &directSource{gen: g, l2: l2})
 	}
 	return s, nil
 }
@@ -239,8 +217,8 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		return Result{}, s.warmErr
 	}
 
-	for i, src := range s.srcs {
-		c, err := cpu.New(i, s.cfg.CPU, src, s.eng, s, s.cfg.InstructionsPerCore)
+	for i, g := range s.gens {
+		c, err := cpu.New(i, s.cfg.CPU, g, s.eng, s, s.cfg.InstructionsPerCore)
 		if err != nil {
 			return Result{}, err
 		}
@@ -306,30 +284,23 @@ func (s *System) warm(ctx context.Context) error {
 		return s.replayWarm(ctx)
 	}
 	rec := s.rec
-	var ref cpu.FrontRef
 	for n := uint64(0); n < s.cfg.WarmupRefs; n++ {
 		if n&0xfff == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		for c, src := range s.srcs {
-			src.NextRef(&ref)
+		for c, g := range s.gens {
+			ref := g.Next()
 			kind, victim := warmSkip, memaddr.Line(0)
-			switch {
-			case ref.L2Hit:
-			case ref.Write:
-				// ref.L2WB is deliberately ignored: warmup streams contents
-				// only, and an L2 victim writeback installs no new line below.
+			if ref.Write {
 				if !s.l3.Probe(ref.Line, true) {
 					kind = warmWrite
 				}
-			default:
-				if hit, ev := s.l3.Access(ref.Line, false); !hit {
-					kind = warmRead
-					if ev.Valid && ev.Dirty {
-						kind, victim = warmVictim, ev.Line
-					}
+			} else if hit, ev := s.l3.Access(ref.Line, false); !hit {
+				kind = warmRead
+				if ev.Valid && ev.Dirty {
+					kind, victim = warmVictim, ev.Line
 				}
 			}
 			if kind == warmSkip {
@@ -357,9 +328,6 @@ func (s *System) endWarm() {
 	s.mem.Reset()
 	s.stacked.Reset()
 	s.l3.ResetStats()
-	for _, l2 := range s.l2 {
-		l2.ResetStats()
-	}
 	if s.org != nil {
 		s.org.ResetStats()
 	}
@@ -369,24 +337,9 @@ func (s *System) endWarm() {
 // the data arrives.
 //
 //alloyvet:hotpath
-func (s *System) Read(now sim.Cycle, core int, ref *cpu.FrontRef) sim.Cycle {
+func (s *System) Read(now sim.Cycle, core int, ref *trace.Ref) sim.Cycle {
 	if s.footprint != nil {
 		s.footprint.Add(ref.Line)
-	}
-	if s.l2 != nil {
-		// The private-L2 lookup already happened in the front-end; the
-		// record carries its outcome.
-		if ref.L2Hit {
-			return now + s.l2Lat
-		}
-		now += s.l2Lat // L2 miss detected after its lookup
-		if ref.L2WB {
-			// Private-L2 dirty victim written into the shared L3.
-			if !s.l3.Probe(ref.Victim, true) {
-				issueAt, _ := s.admitWrite(now + s.cfg.L3Latency)
-				s.writeBelow(issueAt, ref.Victim)
-			}
-		}
 	}
 	hit, ev := s.l3.Access(ref.Line, false)
 	if hit {
@@ -409,15 +362,9 @@ func (s *System) Read(now sim.Cycle, core int, ref *cpu.FrontRef) sim.Cycle {
 // the core until a slot frees.
 //
 //alloyvet:hotpath
-func (s *System) Write(now sim.Cycle, core int, ref *cpu.FrontRef) sim.Cycle {
+func (s *System) Write(now sim.Cycle, core int, ref *trace.Ref) sim.Cycle {
 	if s.footprint != nil {
 		s.footprint.Add(ref.Line)
-	}
-	if s.l2 != nil {
-		if ref.L2Hit {
-			return 0
-		}
-		now += s.l2Lat
 	}
 	if s.l3.Probe(ref.Line, true) {
 		return 0

@@ -509,34 +509,11 @@ func TestL3PolicyKnob(t *testing.T) {
 	}
 }
 
-func TestPrivateL2FiltersL3Traffic(t *testing.T) {
-	without := smallConfig("sphinx_r", DesignAlloy)
-	with := without
-	with.L2Bytes = 256 << 10 << 6 // 256 KB per core at paper scale (x64 for /Scale)
-	a := runOne(t, without)
-	b := runOne(t, with)
-	if b.L3.Accesses() >= a.L3.Accesses() {
-		t.Fatalf("private L2s did not filter L3 traffic: %d vs %d",
-			b.L3.Accesses(), a.L3.Accesses())
-	}
-	if b.ExecCycles >= a.ExecCycles {
-		t.Fatalf("private L2s did not help: %v vs %v", b.ExecCycles, a.ExecCycles)
-	}
-}
-
-func TestL2ValidationRejectsTiny(t *testing.T) {
-	cfg := smallConfig("sphinx_r", DesignAlloy)
-	cfg.L2Bytes = 1024 // far below one scaled set
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("tiny L2 accepted")
-	}
-}
-
 func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg := smallConfig("mcf_r", DesignAlloy)
 	cfg.Predictor = PredMAPG
 	cfg.DRAMCacheBytes = 512 << 20
-	cfg.L2Bytes = 16 << 20
+	cfg.WriteBufferEntries = 32
 	cfg.Stacked.Channels = 8
 
 	var buf strings.Builder
@@ -567,9 +544,11 @@ func TestLoadConfigRejectsInvalid(t *testing.T) {
 	if _, err := LoadConfig(strings.NewReader(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	// A -saveconfig file written while Config still had the sharded
-	// front-end's worker-count field: otherwise valid, but strict decoding
-	// must reject the removed key rather than silently drop it.
+	// A -saveconfig file written while Config still had the private-L2
+	// fields and the sharded front-end's worker-count field: otherwise
+	// valid, but strict decoding must reject the removed keys rather than
+	// silently drop them. It fails on the first private-L2 key, before it
+	// reaches Shards.
 	_, err := LoadConfigFile("testdata/saveconfig-with-shards.json")
 	if err == nil || !strings.Contains(err.Error(), "unknown field") {
 		t.Fatalf("config with a removed field: got %v, want an unknown-field error", err)

@@ -119,13 +119,11 @@ func TestPerBankColumnsSumToReads(t *testing.T) {
 // a pure function of the configuration, identical bytes across repeated
 // runs.
 func TestTimeSeriesDeterministic(t *testing.T) {
-	// A private L2 makes the front-end carry state between references.
 	cfg := DefaultConfig("mcf_r")
 	cfg.Design = DesignAlloy
 	cfg.InstructionsPerCore = 40_000
 	cfg.WarmupRefs = 3_000
 	cfg.GapScale = 2
-	cfg.L2Bytes = 1 << 20
 	export := func() string {
 		_, ts, _ := runWithTelemetry(t, cfg)
 		var sb strings.Builder

@@ -14,7 +14,7 @@ import (
 	"alloysim/internal/trace"
 )
 
-// The kind of a warmup front reference: what the L2 and L3 left for the
+// The kind of a warmup front reference: what the L3 left for the
 // DRAM-cache organization to see.
 const (
 	// warmRead: an L3 read miss that evicted no dirty line. The reference
@@ -26,15 +26,15 @@ const (
 	// warmWrite: an L3 write-probe miss. The reference goes to the
 	// organization as a write.
 	warmWrite
-	// warmSkip: an L2 hit, an L3 write-probe hit or an L3 read hit. The
-	// organization sees nothing, and a record stores nothing.
+	// warmSkip: an L3 write-probe hit or an L3 read hit. The organization
+	// sees nothing, and a record stores nothing.
 	warmSkip
 )
 
 // WarmRecord is one warmup front recorded for replay. Here the front
-// means the per-core generators, the private L2s and the shared L3, the
-// levels every warmup reference streams through before the DRAM-cache
-// organization sees it. The record holds:
+// means the per-core generators and the shared L3, the levels every
+// warmup reference streams through before the DRAM-cache organization
+// sees it. The record holds:
 //
 //   - one byte stream of the forwarded (non-skip) references, in the
 //     order warm makes their Warm calls. Each is a header byte naming
@@ -44,7 +44,7 @@ const (
 //     reference, so streams, strides and page runs take a byte or two;
 //   - the dirty L3 victims, in order, one per warmVictim reference;
 //   - the front after warmup's closing resets: a copy of each core's
-//     generator and private L2, and of the L3.
+//     generator and of the L3.
 //
 // The front never observes the design, the DRAM-cache size or the clock:
 // warmup stops the clock and takes nothing back from the organization's
@@ -53,7 +53,7 @@ const (
 // sequence the record describes. An organization's contents follow from
 // that sequence alone (the dramcache package rule), so it warms each of
 // them to exactly the contents direct warmup would. A replay runs no
-// generator, L2 or L3.
+// generator or L3.
 //
 // A design whose warmup touches nothing but its tag store can skip even
 // the Warm calls: a ContentsRecord holds such a store after warmup beside
@@ -70,7 +70,6 @@ type WarmRecord struct {
 	victims []memaddr.Line          // dirty L3 victims, one per warmVictim reference
 	prev    [warmCores]memaddr.Line // per core: the gathered line its last reference coded; recording only
 	gens    []trace.Generator       // per core: the generator after warmup
-	l2      []*cache.Cache          // per core: the private L2 after warmup; nil without L2s
 	l3      *cache.Cache            // the post-warmup L3; nil until the record is complete
 }
 
@@ -101,9 +100,9 @@ func (r *WarmRecord) Complete() bool { return r.l3 != nil }
 
 // FrontKey is everything the warmup front depends on: the reference
 // streams (workload, seed, scale, copies, gap scale), their length, and
-// the geometry and policy of the private L2s and the L3. Systems with
-// equal keys reach the same post-warmup front, so a WarmRecord of one
-// warms any other (ReplayWarmup).
+// the geometry and policy of the L3. Systems with equal keys reach the
+// same post-warmup front, so a WarmRecord of one warms any other
+// (ReplayWarmup).
 type FrontKey struct {
 	workload   string
 	seed       uint64
@@ -112,7 +111,6 @@ type FrontKey struct {
 	gapScale   uint32
 	warmupRefs uint64
 	l3         cache.Config
-	l2         cache.Config // zero without private L2s
 }
 
 // ContentsKey is everything a DRAM-cache tag store after warmup depends
@@ -144,7 +142,7 @@ func Keys(cfg Config) (FrontKey, ContentsKey, error) {
 	if cfg.Cores > warmCores {
 		return FrontKey{}, ContentsKey{}, fmt.Errorf("core: a warmup record names at most %d cores, but Config.Cores is %d", warmCores, cfg.Cores)
 	}
-	l3, l2, err := cfg.frontCaches()
+	l3, err := cfg.l3Cache()
 	if err != nil {
 		return FrontKey{}, ContentsKey{}, err
 	}
@@ -156,7 +154,6 @@ func Keys(cfg Config) (FrontKey, ContentsKey, error) {
 		gapScale:   cfg.GapScale,
 		warmupRefs: cfg.WarmupRefs,
 		l3:         l3,
-		l2:         l2,
 	}
 	if cfg.Design == DesignNone {
 		return f, ContentsKey{}, nil
@@ -269,7 +266,7 @@ func (s *System) RecordWarmup(rec *WarmRecord) error {
 
 // ReplayWarmup makes Run warm the System from a complete record instead of
 // simulating its front: the record's references and victims drive the
-// organization, and the recorded generators, L2s and L3 are copied in.
+// organization, and the recorded generators and L3 are copied in.
 // The System's front must match the recorder's; otherwise ReplayWarmup
 // returns an error and leaves the System unchanged.
 func (s *System) ReplayWarmup(rec *WarmRecord) error {
@@ -342,13 +339,10 @@ func (s *System) abandonRecord() {
 
 // complete seals the record with copies of the post-warmup front.
 func (r *WarmRecord) complete(s *System) {
-	for _, src := range s.srcs {
+	for _, g := range s.gens {
 		// front refused caller-provided generators, so every clone succeeds.
-		g, _ := trace.Clone(src.gen)
-		r.gens = append(r.gens, g)
-	}
-	for _, l2 := range s.l2 {
-		r.l2 = append(r.l2, l2.Clone())
+		c, _ := trace.Clone(g)
+		r.gens = append(r.gens, c)
 	}
 	r.l3 = s.l3.Clone()
 	// The record outlives the recording (a sweep keeps it until the last
@@ -401,18 +395,15 @@ func (s *System) replayWarm(ctx context.Context) error {
 }
 
 // restoreFront puts the replayed record's post-warmup front in place:
-// each core's generator, its L2 and the L3 copy the recorded ones into
-// the objects NewSystem built, allocating nothing and leaving the record
-// read-only for concurrent replays. The caches must copy in place anyway,
-// since RegisterMetrics closures and the sources hold their pointers.
+// each core's generator and the L3 copy the recorded ones into the
+// objects NewSystem built, allocating nothing and leaving the record
+// read-only for concurrent replays. The L3 must copy in place anyway,
+// since RegisterMetrics closures hold its pointer.
 func (s *System) restoreFront() {
 	rec := s.replay
-	for c, src := range s.srcs {
+	for c, g := range s.gens {
 		// front refused caller-provided generators, so every copy succeeds.
-		trace.Copy(src.gen, rec.gens[c])
-	}
-	for c, l2 := range s.l2 {
-		l2.CopyFrom(rec.l2[c])
+		trace.Copy(g, rec.gens[c])
 	}
 	s.l3.CopyFrom(rec.l3)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"alloysim/internal/cpu"
 	"alloysim/internal/invariants"
 	"alloysim/internal/memaddr"
 	"alloysim/internal/trace"
@@ -74,16 +73,15 @@ func replayRun(t *testing.T, cfg Config, rec *WarmRecord) Result {
 // warmed from a record made by another design's run, a directly warmed
 // System and a System recording its own front all produce the identical
 // Result. lbm_r brings writes and dirty L3 victims. The variants add the
-// private-L2 hit code and the other L3 policies whose state the record
-// copies; they keep QuickParams warmup but measure a fifth of its
-// instructions, which any difference in warm contents would still show.
+// other L3 policies whose state the record copies; they keep QuickParams
+// warmup but measure a fifth of its instructions, which any difference in
+// warm contents would still show.
 func TestWarmReplayMatchesDirect(t *testing.T) {
 	variants := []struct {
 		name   string
 		mutate func(*Config)
 	}{
 		{"default", func(*Config) {}},
-		{"l2", func(c *Config) { c.L2Bytes = 256 << 10 << 6; c.InstructionsPerCore /= 5 }},
 		{"l3-srrip", func(c *Config) { c.L3Policy = "srrip"; c.InstructionsPerCore /= 5 }},
 		{"l3-random", func(c *Config) { c.L3Policy = "random"; c.InstructionsPerCore /= 5 }},
 	}
@@ -288,46 +286,40 @@ func TestContentsKeys(t *testing.T) {
 	}
 }
 
-// TestWarmReplayRestoresFront requires a replayed System's sources to
+// TestWarmReplayRestoresFront requires a replayed System's generators to
 // continue exactly where a directly warmed System's do: the next 10k
-// FrontRefs of every core, L2 outcomes included, are equal. Putting the
-// front in place copies into the generators and caches NewSystem built,
-// so it allocates nothing, and doing it again changes nothing.
+// references of every core are equal. Putting the front in place copies
+// into the generators and the L3 NewSystem built, so it allocates nothing,
+// and doing it again changes nothing.
 func TestWarmReplayRestoresFront(t *testing.T) {
-	for _, l2 := range []uint64{0, 256 << 10 << 6} {
-		cfg := quickConfig("lbm_r", DesignAlloy)
-		cfg.L2Bytes = l2
-		_, rec := recordRun(t, cfg)
-		warmed := func(rec *WarmRecord) *System {
-			s, err := NewSystem(cfg)
-			if err == nil && rec != nil {
-				err = s.ReplayWarmup(rec)
-			}
-			if err == nil {
-				err = s.warm(context.Background())
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
+	cfg := quickConfig("lbm_r", DesignAlloy)
+	_, rec := recordRun(t, cfg)
+	warmed := func(rec *WarmRecord) *System {
+		s, err := NewSystem(cfg)
+		if err == nil && rec != nil {
+			err = s.ReplayWarmup(rec)
 		}
-		direct, replayed := warmed(nil), warmed(rec)
-		if n := testing.AllocsPerRun(10, replayed.restoreFront); n != 0 {
-			t.Errorf("L2Bytes %d: restoreFront allocated %.0f times, want 0", l2, n)
+		if err == nil {
+			err = s.warm(context.Background())
 		}
-		for c := range direct.srcs {
-			var a, b cpu.FrontRef
-			for i := 0; i < 10_000; i++ {
-				replayed.srcs[c].NextRef(&a)
-				direct.srcs[c].NextRef(&b)
-				if a != b {
-					t.Fatalf("L2Bytes %d core %d ref %d: replayed %+v, direct %+v", l2, c, i, a, b)
-				}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	direct, replayed := warmed(nil), warmed(rec)
+	if n := testing.AllocsPerRun(10, replayed.restoreFront); n != 0 {
+		t.Errorf("restoreFront allocated %.0f times, want 0", n)
+	}
+	for c := range direct.gens {
+		for i := 0; i < 10_000; i++ {
+			if a, b := replayed.gens[c].Next(), direct.gens[c].Next(); a != b {
+				t.Fatalf("core %d ref %d: replayed %+v, direct %+v", c, i, a, b)
 			}
 		}
-		if direct.l3.Stats() != replayed.l3.Stats() || direct.l3.Occupancy() != replayed.l3.Occupancy() {
-			t.Fatalf("L2Bytes %d: L3 after the streams differs", l2)
-		}
+	}
+	if direct.l3.Stats() != replayed.l3.Stats() || direct.l3.Occupancy() != replayed.l3.Occupancy() {
+		t.Fatal("L3 after the streams differs")
 	}
 }
 
@@ -400,7 +392,7 @@ func TestWarmRecordRefusesUncodableLines(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s.srcs[1].gen = highLines{s.srcs[1].gen}
+		s.gens[1] = highLines{s.gens[1]}
 		res, err := s.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -466,7 +458,6 @@ func TestWarmReplayRejectsOtherFronts(t *testing.T) {
 		{"seed", func(c *Config) { c.Seed++ }},
 		{"warmup", func(c *Config) { c.WarmupRefs++ }},
 		{"l3-policy", func(c *Config) { c.L3Policy = "lru" }},
-		{"l2", func(c *Config) { c.L2Bytes = 256 << 10 << 6 }},
 		{"workload", func(c *Config) { c.Workload = "lbm_r" }},
 		{"generators", withGenerators},
 	} {

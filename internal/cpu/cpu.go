@@ -14,65 +14,24 @@ import (
 	"fmt"
 
 	"alloysim/internal/invariants"
-	"alloysim/internal/memaddr"
 	"alloysim/internal/sim"
 	"alloysim/internal/trace"
 )
 
-// FrontRef is one reference record emitted by a core's front-end: the
-// trace reference plus the private-L2 outcome. The front-end (trace
-// generation and the private L2) is timing-independent: its state is a
-// pure function of the core's own reference stream, never of simulated
-// time, so warmup can consume the same stream with the clock stopped.
-type FrontRef struct {
-	Line   memaddr.Line // referenced line
-	PC     uint64       // address of the memory instruction
-	Victim memaddr.Line // dirty private-L2 victim (valid when L2WB)
-	Gap    uint32       // non-memory instructions since the previous ref
-	Write  bool
-	L2Hit  bool // the private L2 serviced this reference
-	L2WB   bool // the L2 fill evicted a dirty victim needing writeback
-}
-
-// RefSource produces a core's infinite FrontRef stream. NextRef writes the
-// next record into fr, the core's own, so the 40-byte record is never
-// copied on its way to the memory system.
-type RefSource interface {
-	NextRef(fr *FrontRef)
-}
-
-// genSource adapts a bare trace.Generator into a RefSource with no
-// private L2: every record misses.
-type genSource struct{ gen trace.Generator }
-
-func (s genSource) NextRef(fr *FrontRef) {
-	ref := s.gen.Next()
-	*fr = FrontRef{Line: ref.Line, PC: ref.PC, Gap: ref.Gap, Write: ref.Write}
-}
-
-// SourceFromGenerator wraps a trace generator as a RefSource for systems
-// without private L2s. A nil generator yields a nil source.
-func SourceFromGenerator(gen trace.Generator) RefSource {
-	if gen == nil {
-		return nil
-	}
-	return genSource{gen: gen}
-}
-
 // MemPort is the memory system as seen by a core: it services reads by
 // reporting the data-arrival cycle and absorbs writes. Both read the
-// reference in the core's own record and must not keep the pointer.
+// reference in the core's own Core.ref and must not keep the pointer.
 type MemPort interface {
 	// Read issues a demand load at cycle now and returns the cycle the
 	// data arrives (>= now). The memory system resolves the whole access
 	// synchronously — timing-wise the future is computed now, and the
 	// core accounts for its own completion at the returned cycle.
-	Read(now sim.Cycle, core int, ref *FrontRef) (done sim.Cycle)
+	Read(now sim.Cycle, core int, ref *trace.Ref) (done sim.Cycle)
 	// Write issues a store at cycle now. Stores do not block retirement,
 	// but a full downstream write buffer exerts backpressure: a non-zero
 	// return tells the core not to issue further references before that
 	// cycle (store-buffer stall).
-	Write(now sim.Cycle, core int, ref *FrontRef) (stallUntil sim.Cycle)
+	Write(now sim.Cycle, core int, ref *trace.Ref) (stallUntil sim.Cycle)
 }
 
 // Config sets the core's parameters.
@@ -118,7 +77,7 @@ func (c Config) Validate() error {
 type Core struct {
 	id     int
 	cfg    Config
-	src    RefSource
+	gen    trace.Generator
 	eng    *sim.Engine
 	port   MemPort
 	budget uint64 // instructions to retire
@@ -133,7 +92,6 @@ type Core struct {
 	finishAt    sim.Cycle
 
 	reads, writes uint64
-	onFinish      func(*Core)
 
 	// Pre-bound engine handlers: scheduling these allocates nothing
 	// (see sim.Handler). One issue event is pending at a time; complete
@@ -141,9 +99,9 @@ type Core struct {
 	issueEv    issueEvent
 	completeEv completeEvent
 
-	// ref is the record being issued: the front-end writes it in place
-	// and the memory port reads it there.
-	ref FrontRef
+	// ref is the reference being issued: the memory port reads it in
+	// place.
+	ref trace.Ref
 
 	// res[:nres] are the reserved completions of outstanding reads, in
 	// no particular order; the other outstanding reads' completions are
@@ -169,31 +127,24 @@ type completeEvent struct{ c *Core }
 func (ev *completeEvent) Fire(now sim.Cycle) { ev.c.readComplete(now) }
 
 // New creates a core that will retire `instructions` instructions,
-// consuming references from src.
-func New(id int, cfg Config, src RefSource, eng *sim.Engine, port MemPort, instructions uint64) (*Core, error) {
+// consuming references from gen.
+func New(id int, cfg Config, gen trace.Generator, eng *sim.Engine, port MemPort, instructions uint64) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if src == nil || eng == nil || port == nil {
-		return nil, fmt.Errorf("cpu: nil reference source, engine, or port")
+	if gen == nil || eng == nil || port == nil {
+		return nil, fmt.Errorf("cpu: nil generator, engine, or port")
 	}
-	c := &Core{id: id, cfg: cfg, src: src, eng: eng, port: port, budget: instructions}
+	c := &Core{id: id, cfg: cfg, gen: gen, eng: eng, port: port, budget: instructions}
 	c.issueEv.c = c
 	c.completeEv.c = c
 	return c, nil
 }
 
-// OnFinish registers a callback invoked when the core retires its budget
-// and drains all outstanding reads.
-func (c *Core) OnFinish(f func(*Core)) { c.onFinish = f }
-
 // Start schedules the core's first issue event.
 func (c *Core) Start() {
 	c.eng.ScheduleHandler(c.eng.Now(), &c.issueEv)
 }
-
-// ID returns the core's index.
-func (c *Core) ID() int { return c.id }
 
 // Finished reports whether the core has retired its budget and drained.
 func (c *Core) Finished() bool { return c.finished }
@@ -227,8 +178,8 @@ func (c *Core) issue(now sim.Cycle) {
 		return
 	}
 
+	c.ref = c.gen.Next()
 	ref := &c.ref
-	c.src.NextRef(ref)
 	c.retired += uint64(ref.Gap) + 1
 
 	var writeStall sim.Cycle
@@ -358,7 +309,4 @@ func (c *Core) maybeFinish(now sim.Cycle) {
 	}
 	c.finished = true
 	c.finishAt = now
-	if c.onFinish != nil {
-		c.onFinish(c)
-	}
 }

@@ -17,7 +17,7 @@ type fakePort struct {
 	maxInFlight int
 }
 
-func (p *fakePort) Read(now sim.Cycle, core int, ref *FrontRef) sim.Cycle {
+func (p *fakePort) Read(now sim.Cycle, core int, ref *trace.Ref) sim.Cycle {
 	p.reads = append(p.reads, ref.Line)
 	p.inFlight++
 	if p.inFlight > p.maxInFlight {
@@ -28,7 +28,7 @@ func (p *fakePort) Read(now sim.Cycle, core int, ref *FrontRef) sim.Cycle {
 	return done
 }
 
-func (p *fakePort) Write(now sim.Cycle, core int, ref *FrontRef) sim.Cycle {
+func (p *fakePort) Write(now sim.Cycle, core int, ref *trace.Ref) sim.Cycle {
 	p.writes = append(p.writes, ref.Line)
 	return 0
 }
@@ -46,7 +46,7 @@ func run(t *testing.T, cfg Config, p trace.Profile, instr uint64, lat sim.Cycle)
 	t.Helper()
 	eng := sim.NewEngine()
 	port := &fakePort{latency: lat}
-	core, err := New(0, cfg, SourceFromGenerator(p.MustBuild(1, 1, 0)), eng, port, instr)
+	core, err := New(0, cfg, p.MustBuild(1, 1, 0), eng, port, instr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestOutstandingBoundedByMLP(t *testing.T) {
 			}
 		},
 	}
-	core, err := New(0, Config{IPC: 4, MLP: 3}, SourceFromGenerator(testProfile(0, 0).MustBuild(1, 1, 0)), eng, port, 5000)
+	core, err := New(0, Config{IPC: 4, MLP: 3}, testProfile(0, 0).MustBuild(1, 1, 0), eng, port, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,25 +171,25 @@ type trackPort struct {
 	onRead  func(delta int)
 }
 
-func (p *trackPort) Read(now sim.Cycle, core int, ref *FrontRef) sim.Cycle {
+func (p *trackPort) Read(now sim.Cycle, core int, ref *trace.Ref) sim.Cycle {
 	p.onRead(+1)
 	done := now + p.latency
 	p.eng.ScheduleHandler(done, handlerFunc(func() { p.onRead(-1) }))
 	return done
 }
 
-func (p *trackPort) Write(now sim.Cycle, core int, ref *FrontRef) sim.Cycle { return 0 }
+func (p *trackPort) Write(now sim.Cycle, core int, ref *trace.Ref) sim.Cycle { return 0 }
 
+// TestFinishCallback: a core that retires its budget and drains is
+// Finished, with its finish time, once the engine has no event left.
 func TestFinishCallback(t *testing.T) {
 	eng := sim.NewEngine()
 	port := &fakePort{latency: 10}
-	core, _ := New(3, DefaultConfig(), SourceFromGenerator(testProfile(0.2, 5).MustBuild(1, 1, 0)), eng, port, 1000)
-	var finished *Core
-	core.OnFinish(func(c *Core) { finished = c })
+	core, _ := New(3, DefaultConfig(), testProfile(0.2, 5).MustBuild(1, 1, 0), eng, port, 1000)
 	core.Start()
 	eng.Run()
-	if finished == nil || finished.ID() != 3 {
-		t.Fatal("finish callback not invoked with the core")
+	if !core.Finished() {
+		t.Fatal("core did not finish when the engine drained")
 	}
 	if core.FinishTime() == 0 {
 		t.Fatal("finish time not recorded")
@@ -212,13 +212,13 @@ func TestWriteBackpressureStallsCore(t *testing.T) {
 	// time must reflect the backpressure.
 	eng := sim.NewEngine()
 	free := &fakePort{latency: 1}
-	coreA, _ := New(0, DefaultConfig(), SourceFromGenerator(testProfile(1.0, 0).MustBuild(1, 1, 0)), eng, free, 2000)
+	coreA, _ := New(0, DefaultConfig(), testProfile(1.0, 0).MustBuild(1, 1, 0), eng, free, 2000)
 	coreA.Start()
 	eng.Run()
 
 	eng2 := sim.NewEngine()
 	stall := &stallPort{stallBy: 500}
-	coreB, _ := New(0, DefaultConfig(), SourceFromGenerator(testProfile(1.0, 0).MustBuild(1, 1, 0)), eng2, stall, 2000)
+	coreB, _ := New(0, DefaultConfig(), testProfile(1.0, 0).MustBuild(1, 1, 0), eng2, stall, 2000)
 	coreB.Start()
 	eng2.Run()
 
@@ -231,10 +231,10 @@ func TestWriteBackpressureStallsCore(t *testing.T) {
 // stallPort pushes back on every write.
 type stallPort struct{ stallBy sim.Cycle }
 
-func (p *stallPort) Read(now sim.Cycle, core int, ref *FrontRef) sim.Cycle {
+func (p *stallPort) Read(now sim.Cycle, core int, ref *trace.Ref) sim.Cycle {
 	return now + 1
 }
 
-func (p *stallPort) Write(now sim.Cycle, core int, ref *FrontRef) sim.Cycle {
+func (p *stallPort) Write(now sim.Cycle, core int, ref *trace.Ref) sim.Cycle {
 	return now + p.stallBy
 }

@@ -5,6 +5,7 @@ import (
 
 	"alloysim/internal/memaddr"
 	"alloysim/internal/sim"
+	"alloysim/internal/trace"
 )
 
 // eagerCore is the core as it was before it reserved completions: it
@@ -13,7 +14,7 @@ import (
 type eagerCore struct {
 	id     int
 	cfg    Config
-	src    RefSource
+	gen    trace.Generator
 	eng    *sim.Engine
 	port   MemPort
 	budget uint64
@@ -26,7 +27,7 @@ type eagerCore struct {
 	finished    bool
 	finishAt    sim.Cycle
 
-	ref        FrontRef
+	ref        trace.Ref
 	issueEv    eagerIssue
 	completeEv eagerComplete
 }
@@ -39,8 +40,8 @@ type eagerComplete struct{ c *eagerCore }
 
 func (ev *eagerComplete) Fire(now sim.Cycle) { ev.c.readComplete(now) }
 
-func newEager(id int, cfg Config, src RefSource, eng *sim.Engine, port MemPort, instructions uint64) *eagerCore {
-	c := &eagerCore{id: id, cfg: cfg, src: src, eng: eng, port: port, budget: instructions}
+func newEager(id int, cfg Config, gen trace.Generator, eng *sim.Engine, port MemPort, instructions uint64) *eagerCore {
+	c := &eagerCore{id: id, cfg: cfg, gen: gen, eng: eng, port: port, budget: instructions}
 	c.issueEv.c = c
 	c.completeEv.c = c
 	return c
@@ -54,8 +55,8 @@ func (c *eagerCore) issue(now sim.Cycle) {
 		c.maybeFinish(now)
 		return
 	}
+	c.ref = c.gen.Next()
 	ref := &c.ref
-	c.src.NextRef(ref)
 	c.retired += uint64(ref.Gap) + 1
 	var writeStall sim.Cycle
 	if ref.Write {
@@ -131,7 +132,7 @@ func (p *gridPort) draw(core int) uint64 {
 	return x ^ x>>31
 }
 
-func (p *gridPort) Read(now sim.Cycle, core int, ref *FrontRef) sim.Cycle {
+func (p *gridPort) Read(now sim.Cycle, core int, ref *trace.Ref) sim.Cycle {
 	r := p.draw(core)
 	p.log = append(p.log, portCall{at: now, core: core, line: ref.Line})
 	grid := now/8 + 1 + sim.Ticks(int(r%24))
@@ -145,7 +146,7 @@ func (p *gridPort) Read(now sim.Cycle, core int, ref *FrontRef) sim.Cycle {
 	return done
 }
 
-func (p *gridPort) Write(now sim.Cycle, core int, ref *FrontRef) sim.Cycle {
+func (p *gridPort) Write(now sim.Cycle, core int, ref *trace.Ref) sim.Cycle {
 	r := p.draw(core)
 	p.log = append(p.log, portCall{at: now, core: core, line: ref.Line, write: true})
 	if r%5 == 0 {
@@ -178,9 +179,9 @@ func TestCoreMatchesEager(t *testing.T) {
 		var eager [cores]*eagerCore
 		var reserving [cores]*Core
 		for i := range reserving {
-			src := func() RefSource { return SourceFromGenerator(testProfile(0.3, 6).MustBuild(uint64(i+1), 1, 0)) }
-			eager[i] = newEager(i, cfg, src(), engE, portE, budget)
-			c, err := New(i, cfg, src(), engR, portR, budget)
+			gen := func() trace.Generator { return testProfile(0.3, 6).MustBuild(uint64(i+1), 1, 0) }
+			eager[i] = newEager(i, cfg, gen(), engE, portE, budget)
+			c, err := New(i, cfg, gen(), engR, portR, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,10 +222,10 @@ func TestCoreMatchesEager(t *testing.T) {
 // included.
 func TestNewAllocatesOnce(t *testing.T) {
 	eng := sim.NewEngine()
-	src := SourceFromGenerator(testProfile(0, 5).MustBuild(1, 1, 0))
+	gen := testProfile(0, 5).MustBuild(1, 1, 0)
 	port := &fakePort{}
 	n := testing.AllocsPerRun(100, func() {
-		if _, err := New(0, DefaultConfig(), src, eng, port, 10); err != nil {
+		if _, err := New(0, DefaultConfig(), gen, eng, port, 10); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -109,7 +109,8 @@ func (a *Alloy) rowOf(set int) uint64 { return uint64(set / a.setsPerRow) }
 // in the same TAD, so every DRAM access for a line must target the row
 // that holds the line's set. The expected row is recomputed from the
 // paper's geometry (28 TADs per 2 KB row, §4.1) independently of rowOf so
-// a future refactor cannot silently break Access and Fill in the same way.
+// a future refactor cannot silently break AccessInto and Fill in the same
+// way.
 func (a *Alloy) checkTAD(line memaddr.Line, set int, row uint64) {
 	if got := a.tags.SetOf(line); got != set {
 		invariants.Failf("dramcache: Alloy line %d accessed via set %d but maps to set %d", line, set, got)
@@ -120,19 +121,10 @@ func (a *Alloy) checkTAD(line memaddr.Line, set int, row uint64) {
 	}
 }
 
-// Access implements Organization: one DRAM access streams the TAD; the tag
-// arrives with the data, so the only serialization is the single-cycle tag
-// check. Consecutive sets share rows, so streaming access patterns produce
-// row-buffer hits (CAS + burst = 23 cycles instead of 41).
-//
-//alloyvet:hotpath
-func (a *Alloy) Access(now Cycle, line memaddr.Line, write bool) AccessResult {
-	var r AccessResult
-	a.AccessInto(now, line, write, &r)
-	return r
-}
-
-// AccessInto implements Organization; see Access for the flow.
+// AccessInto implements Organization: one DRAM access streams the TAD; the
+// tag arrives with the data, so the only serialization is the single-cycle
+// tag check. Consecutive sets share rows, so streaming access patterns
+// produce row-buffer hits (CAS + burst = 23 cycles instead of 41).
 //
 //alloyvet:hotpath
 func (a *Alloy) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult) {

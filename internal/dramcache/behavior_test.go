@@ -20,8 +20,8 @@ func TestAlloy2WayLRUWithinSet(t *testing.T) {
 	fillLine(t, o, a)
 	fillLine(t, o, b)
 	// Touch a so b is LRU, then insert c: b must be evicted.
-	o.Access(10000, a, false)
-	r := o.Access(20000, c, false)
+	access(o, 10000, a, false)
+	r := access(o, 20000, c, false)
 	if !r.Victim.Valid || r.Victim.Line != b {
 		t.Fatalf("victim %+v, want line %d (LRU)", r.Victim, b)
 	}
@@ -63,7 +63,7 @@ func TestAlloyWriteHitTrafficShape(t *testing.T) {
 	o, _ := NewAlloy(testCap, st)
 	fillLine(t, o, 7)
 	before := st.Stats()
-	r := o.Access(50000, 7, true)
+	r := access(o, 50000, 7, true)
 	after := st.Stats()
 	if !r.Hit {
 		t.Fatal("write to present line missed")
@@ -81,7 +81,7 @@ func TestLHMissStillReadsTags(t *testing.T) {
 	st := stacked()
 	o, _ := NewLHCache(testCap, st)
 	before := st.Stats().Reads
-	o.Access(0, 42, false) // cold miss
+	access(o, 0, 42, false) // cold miss
 	if st.Stats().Reads != before+1 {
 		t.Fatal("LH miss consumed no tag-read bandwidth")
 	}
@@ -91,7 +91,7 @@ func TestIdealLOMissConsumesNoBandwidth(t *testing.T) {
 	st := stacked()
 	o, _ := NewIdealLO(testCap, st)
 	before := st.Stats()
-	o.Access(0, 42, false) // cold miss
+	access(o, 0, 42, false) // cold miss
 	after := st.Stats()
 	if after.Reads != before.Reads || after.Writes != before.Writes {
 		t.Fatal("IDEAL-LO miss touched the stacked DRAM")
@@ -105,13 +105,13 @@ func TestSRAMTag1WayRowLocality(t *testing.T) {
 	st := stacked()
 	o, _ := NewSRAMTag(testCap, 1, st)
 	for l := memaddr.Line(0); l < 16; l++ {
-		o.Access(0, l, false) // misses allocate
+		access(o, 0, l, false) // misses allocate
 	}
 	st.Reset()
 	now := Cycle(0)
 	hits := 0
 	for l := memaddr.Line(0); l < 16; l++ {
-		r := o.Access(now, l, false)
+		r := access(o, now, l, false)
 		if r.RowHit {
 			hits++
 		}
@@ -160,7 +160,7 @@ func TestQuickAccessInvariants(t *testing.T) {
 			now := Cycle(0)
 			for _, l := range lines {
 				line := memaddr.Line(l)
-				r := o.Access(now, line, false)
+				r := access(o, now, line, false)
 				if r.TagKnown < now {
 					return false
 				}
@@ -183,7 +183,7 @@ func TestQuickAccessInvariants(t *testing.T) {
 func TestResetStatsClearsOrganization(t *testing.T) {
 	o, _ := NewAlloy(testCap, stacked())
 	fillLine(t, o, 9)
-	o.Access(1000, 9, false)
+	access(o, 1000, 9, false)
 	o.ResetStats()
 	if o.TagStats().Accesses() != 0 {
 		t.Fatal("tag stats survived reset")
@@ -202,7 +202,7 @@ func TestSeparateDevicesIndependent(t *testing.T) {
 	s1, s2 := stacked(), stacked()
 	a, _ := NewAlloy(testCap, s1)
 	b, _ := NewAlloy(testCap, s2)
-	a.Access(0, 1, false)
+	access(a, 0, 1, false)
 	if s2.Stats().Reads != 0 {
 		t.Fatal("device state leaked between instances")
 	}

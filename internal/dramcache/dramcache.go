@@ -95,14 +95,13 @@ type FillResult struct {
 type Organization interface {
 	// Name identifies the design in reports, e.g. "Alloy (1-way)".
 	Name() string
-	// Access performs a demand access arriving at cycle now.
-	Access(now Cycle, line memaddr.Line, write bool) AccessResult
-	// AccessInto is Access writing its result into r. It overwrites every
-	// field of r, so callers may reuse one result across accesses. It is
-	// the only hot-path entry point. r must point into caller-owned,
-	// long-lived storage (core.System keeps one scratch result per path):
-	// a pointer passed through an interface method escapes, so a stack
-	// variable's address costs one heap allocation per call.
+	// AccessInto performs a demand access arriving at cycle now and
+	// writes its result into r. It overwrites every field of r, so callers
+	// may reuse one result across accesses. r must point into
+	// caller-owned, long-lived storage (core.System keeps one scratch
+	// result per path): a pointer passed through an interface method
+	// escapes, so a stack variable's address costs one heap allocation per
+	// call.
 	AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult)
 	// Warm applies the contents effect of AccessInto(_, line, write, _):
 	// the tag store, its replacement state and any state that outlives
@@ -112,7 +111,7 @@ type Organization interface {
 	Warm(line memaddr.Line, write bool)
 	// Fill models the DRAM traffic of installing a line after its memory
 	// response arrives at cycle now. Contents were already reserved by the
-	// missing Access; Fill only charges the write traffic.
+	// missing AccessInto; Fill only charges the write traffic.
 	Fill(now Cycle, line memaddr.Line) FillResult
 	// Contains probes contents without side effects (used by the
 	// idealized MissMap and the Perfect predictor).

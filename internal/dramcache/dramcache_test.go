@@ -11,10 +11,17 @@ const testCap = 4 << 20 // 4 MB keeps tag arrays small in tests
 
 func stacked() *dram.DRAM { return dram.MustNew(dram.StackedConfig()) }
 
+// access is one demand access of o, its result returned by value.
+func access(o Organization, now Cycle, line memaddr.Line, write bool) AccessResult {
+	var r AccessResult
+	o.AccessInto(now, line, write, &r)
+	return r
+}
+
 // fill inserts a line so a later access hits.
 func fillLine(t *testing.T, o Organization, line memaddr.Line) {
 	t.Helper()
-	r := o.Access(0, line, false)
+	r := access(o, 0, line, false)
 	if r.Hit {
 		t.Fatalf("%s: line %d already present", o.Name(), line)
 	}
@@ -34,7 +41,7 @@ func TestSRAMTagHitLatencyMatchesFig3(t *testing.T) {
 	start := Cycle(100000)
 	// Bank rows are closed (the miss consumed no DRAM-cache bandwidth), so
 	// the hit pays the full ACT: 24 + 18 + 18 + 4 = 64.
-	r := o.Access(start, 1000, false)
+	r := access(o, start, 1000, false)
 	if !r.Hit {
 		t.Fatal("expected hit")
 	}
@@ -43,7 +50,7 @@ func TestSRAMTagHitLatencyMatchesFig3(t *testing.T) {
 	}
 	// With the row left open by that access, a second hit is CAS-only:
 	// 24 + 18 + 4 = 46.
-	r2 := o.Access(r.DataReady, 1000, false)
+	r2 := access(o, r.DataReady, 1000, false)
 	if got := r2.DataReady - r.DataReady; got != 46 {
 		t.Fatalf("open-row SRAM-Tag hit latency = %d, want 46", got)
 	}
@@ -57,7 +64,7 @@ func TestSRAMTagColdHit64Cycles(t *testing.T) {
 	o, _ := NewSRAMTag(testCap, 32, st)
 	fillLine(t, o, 1000)
 	st.Reset() // close all rows: the paper's isolated type-Y access
-	r := o.Access(0, 1000, false)
+	r := access(o, 0, 1000, false)
 	if got := r.DataReady; got != 64 {
 		t.Fatalf("cold SRAM-Tag hit latency = %d, want 64 (Fig 3b)", got)
 	}
@@ -73,7 +80,7 @@ func TestLHCacheColdHit71Cycles(t *testing.T) {
 	}
 	fillLine(t, o, 1000)
 	st.Reset()
-	r := o.Access(0, 1000, false)
+	r := access(o, 0, 1000, false)
 	if !r.Hit {
 		t.Fatal("expected hit")
 	}
@@ -94,7 +101,7 @@ func TestAlloyColdHit41Cycles(t *testing.T) {
 	}
 	fillLine(t, o, 1000)
 	st.Reset()
-	r := o.Access(0, 1000, false)
+	r := access(o, 0, 1000, false)
 	if !r.Hit {
 		t.Fatal("expected hit")
 	}
@@ -112,8 +119,8 @@ func TestAlloyRowHit23Cycles(t *testing.T) {
 	fillLine(t, o, 1000)
 	fillLine(t, o, 1001) // same row: 28 consecutive sets per row
 	st.Reset()
-	r1 := o.Access(0, 1000, false)
-	r2 := o.Access(r1.DataReady, 1001, false)
+	r1 := access(o, 0, 1000, false)
+	r2 := access(o, r1.DataReady, 1001, false)
 	if !r2.RowHit {
 		t.Fatal("consecutive line should be a row-buffer hit")
 	}
@@ -130,7 +137,7 @@ func TestIdealLOLatencies(t *testing.T) {
 	}
 	fillLine(t, o, 1000)
 	st.Reset()
-	r := o.Access(0, 1000, false)
+	r := access(o, 0, 1000, false)
 	if r.DataReady != 40 {
 		t.Fatalf("cold IDEAL-LO hit = %d, want 40", r.DataReady)
 	}
@@ -138,8 +145,8 @@ func TestIdealLOLatencies(t *testing.T) {
 		t.Fatalf("IDEAL-LO TagKnown = %d, want 0 (instant)", r.TagKnown)
 	}
 	fillLine(t, o, 1001)
-	r1 := o.Access(50000, 1000, false)
-	r2 := o.Access(r1.DataReady, 1001, false)
+	r1 := access(o, 50000, 1000, false)
+	r2 := access(o, r1.DataReady, 1001, false)
 	if got := r2.DataReady - r1.DataReady; got != 22 {
 		t.Fatalf("row-hit IDEAL-LO = %d, want 22", got)
 	}
@@ -147,7 +154,7 @@ func TestIdealLOLatencies(t *testing.T) {
 
 func TestMissDoesNotProduceData(t *testing.T) {
 	for _, o := range allOrgs(t) {
-		r := o.Access(0, 42, false)
+		r := access(o, 0, 42, false)
 		if r.Hit {
 			t.Errorf("%s: cold access hit", o.Name())
 		}
@@ -162,7 +169,7 @@ func TestMissDoesNotProduceData(t *testing.T) {
 
 func TestWriteMissDoesNotAllocate(t *testing.T) {
 	for _, o := range allOrgs(t) {
-		r := o.Access(0, 42, true)
+		r := access(o, 0, 42, true)
 		if r.Hit || r.Allocated {
 			t.Errorf("%s: write miss hit=%v allocated=%v", o.Name(), r.Hit, r.Allocated)
 		}
@@ -175,7 +182,7 @@ func TestWriteMissDoesNotAllocate(t *testing.T) {
 func TestWriteHitUpdatesInPlace(t *testing.T) {
 	for _, o := range allOrgs(t) {
 		fillLine(t, o, 7)
-		r := o.Access(1000, 7, true)
+		r := access(o, 1000, 7, true)
 		if !r.Hit {
 			t.Errorf("%s: write to present line missed", o.Name())
 			continue
@@ -191,7 +198,7 @@ func TestVictimReportedOnConflict(t *testing.T) {
 	o, _ := NewAlloy(testCap, st)
 	sets := uint64(testCap / 2048 * AlloyTADsPerRow)
 	fillLine(t, o, 5)
-	r := o.Access(0, memaddr.Line(5+sets), false) // same set
+	r := access(o, 0, memaddr.Line(5+sets), false) // same set
 	if !r.Victim.Valid || r.Victim.Line != 5 {
 		t.Fatalf("victim %+v, want line 5", r.Victim)
 	}
@@ -229,7 +236,7 @@ func TestAlloyTwoWay(t *testing.T) {
 	}
 	// Burst is doubled: cold access = ACT+CAS+10 = 46.
 	st.Reset()
-	r := o.Access(0, 5, false)
+	r := access(o, 0, 5, false)
 	if r.DataReady != 46 {
 		t.Fatalf("2-way cold hit = %d, want 46", r.DataReady)
 	}
@@ -243,7 +250,7 @@ func TestAlloyBurst8(t *testing.T) {
 	}
 	fillLine(t, o, 5)
 	st.Reset()
-	r := o.Access(0, 5, false)
+	r := access(o, 0, 5, false)
 	if r.DataReady != 44 { // 18+18+8
 		t.Fatalf("burst-8 cold hit = %d, want 44", r.DataReady)
 	}
@@ -257,8 +264,8 @@ func TestLHDirectMappedFasterThan29Way(t *testing.T) {
 	fillLine(t, lh1, 1000)
 	st1.Reset()
 	st2.Reset()
-	r29 := lh29.Access(0, 1000, false)
-	r1 := lh1.Access(0, 1000, false)
+	r29 := access(lh29, 0, 1000, false)
+	r1 := access(lh1, 0, 1000, false)
 	if r1.DataReady >= r29.DataReady {
 		t.Fatalf("LH 1-way (%d) not faster than 29-way (%d)", r1.DataReady, r29.DataReady)
 	}
@@ -272,12 +279,12 @@ func TestRowBufferLocalityContrast(t *testing.T) {
 	lh, _ := NewLHCache(testCap, stL)
 	now := Cycle(0)
 	for l := memaddr.Line(0); l < 2000; l++ {
-		r := alloy.Access(now, l, false)
+		r := access(alloy, now, l, false)
 		now = r.TagKnown
 	}
 	now = 0
 	for l := memaddr.Line(0); l < 2000; l++ {
-		r := lh.Access(now, l, false)
+		r := access(lh, now, l, false)
 		now = r.TagKnown
 	}
 	aHit := alloy.RowBufferHitRate()
@@ -337,7 +344,7 @@ func TestConstructorValidation(t *testing.T) {
 func TestHitLatencyMeanAccumulates(t *testing.T) {
 	o, _ := NewAlloy(testCap, stacked())
 	fillLine(t, o, 5)
-	o.Access(10000, 5, false)
+	access(o, 10000, 5, false)
 	if o.HitLatencyMean() <= 0 {
 		t.Fatal("hit latency mean not recorded")
 	}

@@ -76,15 +76,8 @@ func (d *IdealLO) CapacityBytes() uint64 {
 
 func (d *IdealLO) rowOf(set int) uint64 { return uint64(set / d.setsPerRow) }
 
-// Access implements Organization. The outcome is known immediately; hits
+// AccessInto implements Organization. The outcome is known immediately; hits
 // transfer exactly one line; misses consume no DRAM-cache bandwidth.
-func (d *IdealLO) Access(now Cycle, line memaddr.Line, write bool) AccessResult {
-	var r AccessResult
-	d.AccessInto(now, line, write, &r)
-	return r
-}
-
-// AccessInto implements Organization; see Access for the flow.
 //
 //alloyvet:hotpath
 func (d *IdealLO) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessResult) {

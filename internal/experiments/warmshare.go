@@ -14,8 +14,8 @@ import (
 )
 
 // Warm sharing: a point's warmup inputs are known before it runs. Its
-// front key (core.Keys) names the generators, private L2s and L3 every
-// warmup reference streams through; its contents key adds the DRAM-cache
+// front key (core.Keys) names the generators and L3 every warmup
+// reference streams through; its contents key adds the DRAM-cache
 // tag store, for the designs whose warmup touches nothing else. Prefetch
 // plans its whole list before it starts a point: it groups the points by
 // front key and then by contents key, and keeps a table, local to the

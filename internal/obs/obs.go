@@ -13,9 +13,9 @@
 //   - Each component lists its counters once, in a
 //     RegisterMetrics(Exporter, prefix) method that hands the Exporter a
 //     read-back closure per counter at setup. The Registry, TimeSeries
-//     and FlightRecorder all implement Exporter, so one list feeds
-//     /metrics, the phase time series and the flight recorder; lookups,
-//     sorting and formatting happen only at dump or sample time.
+//     and FlightRecorder all implement Exporter, so one list feeds the
+//     -metrics dump, the phase time series and the flight recorder;
+//     lookups, sorting and formatting happen only at dump or sample time.
 //   - The Tracer records fixed-size span records into a preallocated ring
 //     buffer; sampling is a deterministic 1-in-N counter, never a clock
 //     or RNG, so traced runs remain byte-reproducible.
@@ -44,8 +44,9 @@ import (
 
 // Exporter is the one hook through which a component publishes its
 // counters. Each component has a single RegisterMetrics(Exporter, prefix)
-// that lists them once; the Registry renders that list for /metrics, and
-// the TimeSeries and FlightRecorder sample it at epoch boundaries. Every
+// that lists them once; the Registry renders that list for the -metrics
+// dump, and the TimeSeries and FlightRecorder sample it at epoch
+// boundaries. Every
 // method takes a read-back closure over a field the component already
 // owns, so exporting changes nothing on the component's hot path.
 type Exporter interface {
