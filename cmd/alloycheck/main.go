@@ -93,9 +93,9 @@ func runProps(ctx context.Context, workloads string, instr uint64, slack float64
 		return true
 	}
 	if len(rep.Violations) > 0 {
-		// The black box for each tripped gate goes to stderr so stdout
+		// The telemetry of each tripped gate goes to stderr so stdout
 		// stays the stable report the harness parses.
-		if err := validate.WriteFlightRecordings(os.Stderr, rep); err != nil {
+		if err := validate.WriteTelemetry(os.Stderr, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "alloycheck: props: %v\n", err)
 		}
 	}

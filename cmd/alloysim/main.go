@@ -94,8 +94,7 @@ func main() {
 		traceCSV    = flag.String("trace-csv", "", "write the per-request latency-breakdown CSV to this file")
 		traceSample = flag.Uint64("trace-sample", 64, "trace 1 in N reads below the L3 (0 disables tracing)")
 		manifestOut = flag.String("manifest", "", "write a run-provenance manifest (JSON) to this file")
-		tsOut       = flag.String("timeseries", "", "write the epoch-resolved phase time series to this file (a .json path selects JSON instead of CSV)")
-		flightOut   = flag.String("flight", "", "attach the flight recorder and write its dump (recent epochs + sampled spans) to this file")
+		tsOut       = flag.String("timeseries", "", "write the epoch-resolved phase time series to this file as CSV, whatever its suffix")
 	)
 	flag.Parse()
 
@@ -206,12 +205,8 @@ func main() {
 	if *tsOut != "" {
 		ts = obs.NewTimeSeries(0)
 	}
-	var fr *obs.FlightRecorder
-	if *flightOut != "" {
-		fr = obs.NewFlightRecorder(0, 4096, 256)
-	}
 
-	res, err := run(ctx, cfg, reg, trc, ts, fr)
+	res, err := run(ctx, cfg, reg, trc, ts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "alloysim: %v\n", err)
 		os.Exit(1)
@@ -219,22 +214,12 @@ func main() {
 	report(res)
 
 	if *tsOut != "" {
-		write := ts.WriteCSV
-		if strings.HasSuffix(*tsOut, ".json") {
-			write = ts.WriteJSON
-		}
-		if err := writeExport(*tsOut, write); err != nil {
+		if err := writeExport(*tsOut, ts.WriteCSV); err != nil {
 			fmt.Fprintf(os.Stderr, "alloysim: timeseries: %v\n", err)
 			os.Exit(1)
 		}
 		if d := ts.Drops(); d > 0 {
 			fmt.Fprintf(os.Stderr, "alloysim: timeseries kept the first %d epochs (%d dropped)\n", ts.Len(), d)
-		}
-	}
-	if *flightOut != "" {
-		if err := writeExport(*flightOut, fr.WriteJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "alloysim: flight: %v\n", err)
-			os.Exit(1)
 		}
 	}
 
@@ -273,7 +258,7 @@ func main() {
 		bcfg := cfg
 		bcfg.Design = core.DesignNone
 		bcfg.Predictor = core.PredDefault
-		base, err := run(ctx, bcfg, nil, nil, nil, nil)
+		base, err := run(ctx, bcfg, nil, nil, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "alloysim: baseline: %v\n", err)
 			os.Exit(1)
@@ -283,14 +268,13 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, cfg core.Config, reg *obs.Registry, trc *obs.Tracer, ts *obs.TimeSeries, fr *obs.FlightRecorder) (core.Result, error) {
+func run(ctx context.Context, cfg core.Config, reg *obs.Registry, trc *obs.Tracer, ts *obs.TimeSeries) (core.Result, error) {
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return core.Result{}, err
 	}
 	sys.EnableObservability(reg, trc)
 	sys.EnableTimeSeries(ts)
-	sys.EnableFlightRecorder(fr)
 	return sys.RunContext(ctx)
 }
 

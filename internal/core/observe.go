@@ -19,8 +19,8 @@ func (s *System) EnableObservability(reg *obs.Registry, trc *obs.Tracer) {
 		return
 	}
 	s.export(reg)
-	// The samplers key every row by cycle and have no histogram form, so
-	// these three go to the registry alone.
+	// The time series keys every row by cycle and has no histogram form,
+	// so these three go to the registry alone.
 	reg.Counter("sim_engine_cycles_total", "current simulated cycle", func() uint64 { return s.eng.Now().Count() })
 	reg.RegisterHistogram("hit_latency_cycles", "DRAM-cache hit latency from L3-miss detection", s.hitLatHist)
 	reg.RegisterHistogram("miss_latency_cycles", "DRAM-cache miss latency from L3-miss detection", s.missLatHist)
@@ -29,38 +29,25 @@ func (s *System) EnableObservability(reg *obs.Registry, trc *obs.Tracer) {
 // EnableTimeSeries attaches a phase time-series sampler. Call it after
 // NewSystem and before Run; RunContext samples the registered columns at
 // epoch 0, at every cancelQuantum boundary, and once at drain, so the
-// exported series is a pure function of the configuration. Like
-// EnableObservability, registration captures read-back closures only;
-// simulation results are unchanged.
+// exported series is a pure function of the configuration. Its columns
+// are export's list plus, when there is a DRAM cache, one column per
+// stacked bank (the object of the paper's bank-occupancy analysis); the
+// off-chip device exports aggregates only, and the registry never
+// carries per-bank series. Like EnableObservability, registration
+// captures read-back closures only; simulation results are unchanged.
 func (s *System) EnableTimeSeries(ts *obs.TimeSeries) {
 	if ts == nil {
 		return
 	}
 	s.ts = ts
-	s.exportColumns(ts)
-}
-
-// EnableFlightRecorder attaches a flight recorder (alloysim -flight, or
-// validate's rerun of a point whose gate tripped): the same column set as
-// EnableTimeSeries sampled into a fixed ring of recent epochs, plus the
-// recorder's sparse lifecycle tracer installed as the system tracer when
-// no explicit one is attached (an explicit tracer wins; the recorder then
-// dumps without spans). Negligible cost: a few dozen closure reads per
-// 2^16 cycles and a 1-in-N counter probe per request. Like the other
-// exports, the recorder is read after the run.
-func (s *System) EnableFlightRecorder(fr *obs.FlightRecorder) {
-	if fr == nil {
-		return
-	}
-	s.fr = fr
-	s.exportColumns(fr)
-	if s.trc == nil {
-		s.trc = fr.Tracer()
+	s.export(ts)
+	if s.org != nil {
+		s.stacked.RegisterBankTimeSeries(ts, "dram_stacked")
 	}
 }
 
 // export hands every component's counters to x: the one list that the
-// registry, the time series and the flight recorder all read.
+// registry and the time series both read.
 func (s *System) export(x obs.Exporter) {
 	s.eng.RegisterMetrics(x, "sim_engine")
 	s.l3.RegisterMetrics(x, "l3")
@@ -76,28 +63,6 @@ func (s *System) export(x obs.Exporter) {
 	x.Gauge("read_latency_mean_cycles", "mean latency of reads serviced below the L3", func() float64 { return s.readLat.Value() })
 }
 
-// exportColumns is export plus, when there is a DRAM cache, one column
-// per stacked bank (the object of the paper's bank-occupancy analysis):
-// the phase samplers' schema. The off-chip device exports aggregates
-// only, and the registry never carries per-bank series.
-func (s *System) exportColumns(x obs.Exporter) {
-	s.export(x)
-	if s.org != nil {
-		s.stacked.RegisterBankTimeSeries(x, "dram_stacked")
-	}
-}
-
-// TimeSeries returns the attached sampler (nil when disabled); the CLIs
-// use it to export the series after the run.
-func (s *System) TimeSeries() *obs.TimeSeries { return s.ts }
-
-// FlightRecorder returns the attached recorder (nil when disabled).
-func (s *System) FlightRecorder() *obs.FlightRecorder { return s.fr }
-
-// Tracer returns the attached tracer (nil when tracing is off); the CLIs
-// use it to export the trace files after the run.
-func (s *System) Tracer() *obs.Tracer { return s.trc }
-
 // cyclesBetween returns b-a in raw cycles, saturating at zero. The trace
 // decomposition subtracts timestamps that are ordered on the critical
 // path by construction; saturation keeps a future model change from
@@ -107,14 +72,6 @@ func cyclesBetween(a, b sim.Cycle) uint64 {
 		return 0
 	}
 	return (b - a).Count()
-}
-
-// minCycle returns the earlier of two cycles.
-func minCycle(a, b sim.Cycle) sim.Cycle {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // dramSpans records the queue/bank/bus/burst segments of one DRAM access
@@ -186,10 +143,10 @@ func (s *System) traceRead(tid uint64, core int, lineAddr uint64, t0, t1, dataAt
 		if !res.Hit && memStart < lim {
 			lim = memStart
 		}
-		b.CacheQueue = cyclesBetween(t1, minCycle(res.First.Start, lim))
-		b.CacheBank = cyclesBetween(minCycle(res.First.Start, lim), minCycle(res.First.CASDone, lim))
-		b.CacheBus = cyclesBetween(minCycle(res.First.CASDone, lim), minCycle(res.First.BusStart, lim))
-		b.CacheBurst = cyclesBetween(minCycle(res.First.BusStart, lim), lim)
+		b.CacheQueue = cyclesBetween(t1, min(res.First.Start, lim))
+		b.CacheBank = cyclesBetween(min(res.First.Start, lim), min(res.First.CASDone, lim))
+		b.CacheBus = cyclesBetween(min(res.First.CASDone, lim), min(res.First.BusStart, lim))
+		b.CacheBurst = cyclesBetween(min(res.First.BusStart, lim), lim)
 	}
 	if usedMem && !res.Hit {
 		b.MemQueue = cyclesBetween(memStart, m.Start)

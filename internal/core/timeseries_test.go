@@ -8,41 +8,35 @@ import (
 	"alloysim/internal/obs"
 )
 
-// runWithTelemetry runs cfg with a TimeSeries and FlightRecorder attached
-// and returns the result plus both samplers.
-func runWithTelemetry(t *testing.T, cfg Config) (Result, *obs.TimeSeries, *obs.FlightRecorder) {
+// runWithTelemetry runs cfg with a TimeSeries attached and returns the
+// result plus the series.
+func runWithTelemetry(t *testing.T, cfg Config) (Result, *obs.TimeSeries) {
 	t.Helper()
 	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := obs.NewTimeSeries(1 << 12)
-	fr := obs.NewFlightRecorder(32, 1024, 256)
 	s.EnableTimeSeries(ts)
-	s.EnableFlightRecorder(fr)
 	r, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, ts, fr
+	return r, ts
 }
 
-// TestTelemetryInert is TestObservabilityInert for the phase samplers: a
-// run with a TimeSeries and a FlightRecorder (including its
-// sparse lifecycle tracer installed as the system tracer) must produce a
-// Result identical in every field to a plain run.
+// TestTelemetryInert is TestObservabilityInert for the phase time
+// series: a run with a TimeSeries attached must produce a Result
+// identical in every field to a plain run.
 func TestTelemetryInert(t *testing.T) {
 	cfg := smallConfig("mcf_r", DesignAlloy)
 	plain := runOne(t, cfg)
-	instr, ts, fr := runWithTelemetry(t, cfg)
+	instr, ts := runWithTelemetry(t, cfg)
 	if !reflect.DeepEqual(plain, instr) {
 		t.Fatalf("telemetry perturbed the simulation:\nplain %+v\ninstr %+v", plain, instr)
 	}
 	if ts.Len() < 2 {
 		t.Fatalf("TimeSeries sampled %d epochs, want >= 2 (epoch 0 + drain)", ts.Len())
-	}
-	if fr.Len() < 2 {
-		t.Fatalf("FlightRecorder retained %d epochs, want >= 2", fr.Len())
 	}
 }
 
@@ -51,7 +45,7 @@ func TestTelemetryInert(t *testing.T) {
 // run returned.
 func TestTimeSeriesReconcilesWithResult(t *testing.T) {
 	cfg := smallConfig("mcf_r", DesignAlloy)
-	res, ts, _ := runWithTelemetry(t, cfg)
+	res, ts := runWithTelemetry(t, cfg)
 	last := ts.Len() - 1
 	check := func(col string, want uint64) {
 		t.Helper()
@@ -97,7 +91,7 @@ func TestTimeSeriesReconcilesWithResult(t *testing.T) {
 // columns partition its total read count.
 func TestPerBankColumnsSumToReads(t *testing.T) {
 	cfg := smallConfig("mcf_r", DesignAlloy)
-	res, ts, _ := runWithTelemetry(t, cfg)
+	res, ts := runWithTelemetry(t, cfg)
 	last := ts.Len() - 1
 	var sum uint64
 	n := 0
@@ -125,12 +119,9 @@ func TestTimeSeriesDeterministic(t *testing.T) {
 	cfg.WarmupRefs = 3_000
 	cfg.GapScale = 2
 	export := func() string {
-		_, ts, _ := runWithTelemetry(t, cfg)
+		_, ts := runWithTelemetry(t, cfg)
 		var sb strings.Builder
 		if err := ts.WriteCSV(&sb); err != nil {
-			t.Fatal(err)
-		}
-		if err := ts.WriteJSON(&sb); err != nil {
 			t.Fatal(err)
 		}
 		return sb.String()
@@ -138,48 +129,4 @@ func TestTimeSeriesDeterministic(t *testing.T) {
 	if export() != export() {
 		t.Fatal("repeated runs exported different bytes")
 	}
-}
-
-// TestFlightRecorderCapturesRecentState: after a run the recorder's dump
-// contains the most recent epochs and parses as the documented schema.
-func TestFlightRecorderCapturesRecentState(t *testing.T) {
-	cfg := smallConfig("mcf_r", DesignAlloy)
-	_, ts, fr := runWithTelemetry(t, cfg)
-	var sb strings.Builder
-	if err := fr.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	dump := sb.String()
-	if !strings.Contains(dump, `"columns":["cycle","sim_engine_events_total"`) {
-		t.Fatalf("dump missing column header: %s", dump[:120])
-	}
-	if !strings.Contains(dump, `"spans_sampled":`) {
-		t.Fatal("dump missing spans section")
-	}
-	// The recorder's newest row is the same final epoch the TimeSeries
-	// kept, so their last cycles agree.
-	lastCycle := ts.Cycle(ts.Len() - 1)
-	if fr.Len() == 0 {
-		t.Fatal("empty recorder after run")
-	}
-	wantFrag := "[" + uitoa(lastCycle) + ","
-	if !strings.Contains(dump, wantFrag) {
-		t.Fatalf("dump missing final epoch row at cycle %d", lastCycle)
-	}
-}
-
-func uitoa(v uint64) string {
-	var sb strings.Builder
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	sb.Write(buf[i:])
-	return sb.String()
 }

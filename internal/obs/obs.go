@@ -12,20 +12,20 @@
 //     allocation-free.
 //   - Each component lists its counters once, in a
 //     RegisterMetrics(Exporter, prefix) method that hands the Exporter a
-//     read-back closure per counter at setup. The Registry, TimeSeries
-//     and FlightRecorder all implement Exporter, so one list feeds the
-//     -metrics dump, the phase time series and the flight recorder;
-//     lookups, sorting and formatting happen only at dump or sample time.
+//     read-back closure per counter at setup. The Registry and
+//     TimeSeries both implement Exporter, so one list feeds the -metrics
+//     dump and the phase time series; lookups, sorting and formatting
+//     happen only at dump or sample time.
 //   - The Tracer records fixed-size span records into a preallocated ring
 //     buffer; sampling is a deterministic 1-in-N counter, never a clock
 //     or RNG, so traced runs remain byte-reproducible.
 //
 // Everything here is single-writer by design, like the simulator it
 // instruments: one System owns one Registry and one Tracer. Every export
-// is a post-run artifact: a registry, time series or flight recorder is
-// read only by a reader that is synchronized with its writers — the CLIs
-// dumping after the run, or a read-back closure that locks its owner's
-// mutex (the experiments runner's counters). Nothing reads live fields
+// is a post-run artifact: a registry or time series is read only by a
+// reader that is synchronized with its writers — the CLIs dumping after
+// the run, or a read-back closure that locks its owner's mutex (the
+// experiments runner's counters). Nothing reads live fields
 // while a simulation runs, so hot-path writes stay plain single-writer
 // field increments — zero allocations and zero added cycles. SyncWriter
 // serializes log lines from the experiment runner's worker goroutines.
@@ -45,17 +45,16 @@ import (
 // Exporter is the one hook through which a component publishes its
 // counters. Each component has a single RegisterMetrics(Exporter, prefix)
 // that lists them once; the Registry renders that list for the -metrics
-// dump, and the TimeSeries and FlightRecorder sample it at epoch
-// boundaries. Every
-// method takes a read-back closure over a field the component already
-// owns, so exporting changes nothing on the component's hot path.
+// dump, and the TimeSeries samples it at epoch boundaries. Every method
+// takes a read-back closure over a field the component already owns, so
+// exporting changes nothing on the component's hot path.
 type Exporter interface {
 	// Counter exports a monotone event count.
 	Counter(name, help string, read func() uint64)
 	// Level exports an integral instantaneous level (occupancy, queue
-	// depth): a gauge in the registry, a column in the samplers.
+	// depth): a gauge in the registry, a column in the time series.
 	Level(name, help string, read func() uint64)
-	// Gauge exports a derived ratio or mean. The samplers skip it:
+	// Gauge exports a derived ratio or mean. The time series skips it:
 	// readers derive rates from the counters' epoch deltas.
 	Gauge(name, help string, read func() float64)
 }

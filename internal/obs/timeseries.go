@@ -13,77 +13,6 @@ type column struct {
 	read func() uint64
 }
 
-// columnStore is the state TimeSeries and FlightRecorder share: the
-// registered columns and one row-major sample buffer, allocated by grow
-// once sampling starts. The two samplers differ only in which row a
-// sample lands in (keep the oldest rows vs. a ring of the newest), in how
-// their buffer grows, and in their export format.
-type columnStore struct {
-	cols   []column
-	data   []uint64 // row-major: len(cycles) rows of len(cols); nil until the first sample
-	cycles []uint64 // one per allocated row
-	cap    int      // the most rows the sampler keeps
-	n      int      // rows retained
-	drops  uint64
-}
-
-// add registers a named column. Registration is cold-path and must
-// finish before the first sample; names follow the Registry charset and
-// duplicates panic, mirroring Registry.register.
-func (c *columnStore) add(name string, read func() uint64) {
-	if c.data != nil {
-		panic("obs: column registered after sampling started: " + name)
-	}
-	if !validName(name) {
-		panic("obs: invalid column name: " + name)
-	}
-	for _, col := range c.cols {
-		if col.name == name {
-			panic("obs: duplicate column: " + name)
-		}
-	}
-	c.cols = append(c.cols, column{name: name, read: read})
-}
-
-// grow reallocates the sample storage to hold rows rows, keeping the rows
-// written so far. Kept out of line so the per-epoch path itself never
-// allocates.
-//
-//go:noinline
-func (c *columnStore) grow(rows int) {
-	data := make([]uint64, rows*len(c.cols))
-	copy(data, c.data)
-	cycles := make([]uint64, rows)
-	copy(cycles, c.cycles)
-	c.data, c.cycles = data, cycles
-}
-
-// write snapshots every column into storage row r, which must exist, at
-// the given cycle.
-//
-//alloyvet:hotpath
-func (c *columnStore) write(r int, cycle uint64) {
-	c.cycles[r] = cycle
-	row := c.row(r)
-	for i := range c.cols {
-		row[i] = c.cols[i].read()
-	}
-}
-
-// row returns storage row r.
-func (c *columnStore) row(r int) []uint64 {
-	return c.data[r*len(c.cols) : (r+1)*len(c.cols)]
-}
-
-// names returns the registered column names in registration order.
-func (c *columnStore) names() []string {
-	names := make([]string, len(c.cols))
-	for i, col := range c.cols {
-		names[i] = col.name
-	}
-	return names
-}
-
 // TimeSeries samples registered columns at fixed cycle epochs into one
 // row-major buffer that grows by rows, doubling from firstRows up to its
 // capacity, so a short run allocates for the rows it keeps rather than
@@ -102,7 +31,12 @@ func (c *columnStore) names() []string {
 // exports can say so. Single-owner like Tracer: the simulation goroutine
 // samples, everyone else reads after the run.
 type TimeSeries struct {
-	columnStore
+	cols   []column
+	data   []uint64 // row-major: len(cycles) rows of len(cols); nil until the first sample
+	cycles []uint64 // one per allocated row
+	cap    int      // the most rows the series keeps
+	n      int      // rows retained
+	drops  uint64
 }
 
 // firstRows is how many rows a TimeSeries allocates at its first sample.
@@ -115,15 +49,29 @@ func NewTimeSeries(capacity int) *TimeSeries {
 	if capacity <= 0 {
 		capacity = 1 << 14
 	}
-	return &TimeSeries{columnStore{cap: capacity}}
+	return &TimeSeries{cap: capacity}
 }
 
 // Counter adds a column read through read; the help text is the
-// registry's and is not kept. Implements Exporter.
+// registry's and is not kept. Registration is cold-path and must finish
+// before the first sample; names follow the Registry charset and
+// duplicates panic, mirroring Registry.register. Implements Exporter.
 func (t *TimeSeries) Counter(name, help string, read func() uint64) {
-	if t != nil {
-		t.add(name, read)
+	if t == nil {
+		return
 	}
+	if t.data != nil {
+		panic("obs: column registered after sampling started: " + name)
+	}
+	if !validName(name) {
+		panic("obs: invalid column name: " + name)
+	}
+	for _, col := range t.cols {
+		if col.name == name {
+			panic("obs: duplicate column: " + name)
+		}
+	}
+	t.cols = append(t.cols, column{name: name, read: read})
 }
 
 // Level adds a column, exactly like Counter. Implements Exporter.
@@ -153,6 +101,36 @@ func (t *TimeSeries) Sample(cycle uint64) {
 	t.n++
 }
 
+// grow reallocates the sample storage to hold rows rows, keeping the rows
+// written so far. Kept out of line so the per-epoch path itself never
+// allocates.
+//
+//go:noinline
+func (t *TimeSeries) grow(rows int) {
+	data := make([]uint64, rows*len(t.cols))
+	copy(data, t.data)
+	cycles := make([]uint64, rows)
+	copy(cycles, t.cycles)
+	t.data, t.cycles = data, cycles
+}
+
+// write snapshots every column into storage row r, which must exist, at
+// the given cycle.
+//
+//alloyvet:hotpath
+func (t *TimeSeries) write(r int, cycle uint64) {
+	t.cycles[r] = cycle
+	row := t.row(r)
+	for i := range t.cols {
+		row[i] = t.cols[i].read()
+	}
+}
+
+// row returns storage row r.
+func (t *TimeSeries) row(r int) []uint64 {
+	return t.data[r*len(t.cols) : (r+1)*len(t.cols)]
+}
+
 // Len returns the number of retained epoch rows.
 func (t *TimeSeries) Len() int {
 	if t == nil {
@@ -175,7 +153,11 @@ func (t *TimeSeries) Columns() []string {
 	if t == nil {
 		return nil
 	}
-	return t.names()
+	names := make([]string, len(t.cols))
+	for i, col := range t.cols {
+		names[i] = col.name
+	}
+	return names
 }
 
 // Cycle returns the engine cycle of epoch row i.
@@ -229,39 +211,4 @@ func (t *TimeSeries) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders the series as one object with a fixed field order:
-// {"columns":[...],"drops":N,"rows":[[epoch,cycle,v...],...]}. Hand-
-// formatted for byte-identical output, like WriteChromeTrace. Nil-safe.
-func (t *TimeSeries) WriteJSON(w io.Writer) error {
-	var sb strings.Builder
-	sb.WriteString(`{"columns":["epoch","cycle"`)
-	if t != nil {
-		for _, c := range t.cols {
-			fmt.Fprintf(&sb, ",%q", c.name)
-		}
-	}
-	fmt.Fprintf(&sb, `],"drops":%d,"rows":[`, t.Drops())
-	if _, err := io.WriteString(w, sb.String()); err != nil {
-		return err
-	}
-	if t != nil {
-		for r := 0; r < t.n; r++ {
-			sb.Reset()
-			if r > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "\n[%d,%d", r, t.cycles[r])
-			for _, v := range t.row(r) {
-				fmt.Fprintf(&sb, ",%d", v)
-			}
-			sb.WriteByte(']')
-			if _, err := io.WriteString(w, sb.String()); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
 }

@@ -139,14 +139,6 @@ func (t *Tracer) SetRunID(id string) {
 	t.runID = id
 }
 
-// RunID returns the correlation tag set by SetRunID.
-func (t *Tracer) RunID() string {
-	if t == nil {
-		return ""
-	}
-	return t.runID
-}
-
 // Sample decides whether the next memory request is traced. It returns a
 // nonzero request ID for sampled requests and 0 otherwise; callers
 // thread the ID through the request's lifecycle and skip all recording

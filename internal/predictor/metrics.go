@@ -3,8 +3,8 @@ package predictor
 import "alloysim/internal/obs"
 
 // RegisterMetrics exports the four Table 5 outcome quadrants and the
-// overall accuracy under the given prefix (e.g. "predictor"). The
-// samplers keep only the quadrants; per-epoch accuracy is derived from
+// overall accuracy under the given prefix (e.g. "predictor"). The time
+// series keeps only the quadrants; per-epoch accuracy is derived from
 // their deltas (correct = mem_pred_mem + cache_pred_cache).
 func (a *Accuracy) RegisterMetrics(x obs.Exporter, prefix string) {
 	x.Counter(prefix+"_mem_pred_mem_total", "serviced by memory, predicted memory (correct)", func() uint64 { return a.MemPredMem })

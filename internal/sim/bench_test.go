@@ -152,47 +152,3 @@ func BenchmarkEngineMixedMetricsOn(b *testing.B) {
 	b.StopTimer()
 	e.Run()
 }
-
-// BenchmarkEngineMixedFlightOn repeats the mixed blend with the flight
-// recorder in the configuration alloysim -flight and validate's gate-trip
-// rerun attach: the handler's counter is a recorded column, every event
-// is offered to the recorder's sparse tracer (1-in-4096), and an epoch
-// row is sampled each time the clock crosses a 2^16-cycle boundary — the
-// engine's real quantum cadence. The CI guard holds this at 0 allocs/op
-// (once the ring is allocated) and within 3% of BenchmarkEngineMixed: attaching the
-// recorder has to leave the event loop's cost where it was.
-func BenchmarkEngineMixedFlightOn(b *testing.B) {
-	e := NewEngine()
-	fr := obs.NewFlightRecorder(0, 4096, 256)
-	h := &meteredBenchHandler{trc: fr.Tracer()}
-	fr.Counter("fired_total", "", h.fired.Value)
-	e.ScheduleHandler(WheelSpan+1, h)
-	e.Run()
-	fr.Sample(e.Now().Count()) // allocate the ring before measuring, like the epoch-0 sample
-	b.ReportAllocs()
-	b.ResetTimer()
-	// In the real system the quantum loop samples between 2^16-cycle
-	// quanta, off the per-event path. Chunking reproduces that cadence:
-	// the inner loop is byte-for-byte the BenchmarkEngineMixed blend, and
-	// the recorder samples only between chunks.
-	for i := 0; i < b.N; {
-		end := i + 1<<16
-		if end > b.N {
-			end = b.N
-		}
-		for ; i < end; i++ {
-			switch i % 6 {
-			case 0:
-				e.ScheduleHandler(e.Now()+WheelSpan+100, h)
-			case 1:
-				e.ScheduleHandler(e.Now(), h)
-			default:
-				e.ScheduleHandler(e.Now()+Cycle(1+i%200), h)
-			}
-			e.Step()
-		}
-		fr.Sample(e.Now().Count())
-	}
-	b.StopTimer()
-	e.Run()
-}

@@ -18,11 +18,13 @@ import (
 type Violation struct {
 	Property string
 	Detail   string
-	// Flight is the violating point's flight-recorder dump (JSON: last
-	// epochs of every phase counter plus sampled request spans), taken by
-	// simulating the point again with a recorder attached. It answers
-	// "what was the simulator doing when the gate tripped".
-	Flight string
+	// Telemetry is the violating point's phase time series as CSV (every
+	// exported counter at every epoch) followed by its Chrome trace of
+	// sampled request spans, the two files alloysim's -timeseries and
+	// -trace write, taken by simulating the point again with both
+	// attached. It answers "what was the simulator doing when the gate
+	// tripped".
+	Telemetry string
 }
 
 func (v Violation) String() string { return v.Property + ": " + v.Detail }
@@ -233,15 +235,15 @@ func RunProperties(ctx context.Context, opt PropertyOptions) (PropertyReport, er
 			return res, fmt.Errorf("validate: %s/%s/%s/%d: %w", w, d, pk, mb, err)
 		}
 		if vs := CheckResultInvariants(res); len(vs) > 0 {
-			// A tripped gate gets the run's black box attached: the final
+			// A tripped gate gets the run's telemetry attached: the
 			// epochs that produced the violating counters.
 			pt := experiments.Point{Workload: w, Design: d, Predictor: pk, CacheMB: mb}
-			_, dump, err := flightRerun(ctx, p, pt)
+			_, dump, err := telemetryRerun(ctx, p, pt)
 			if err != nil {
-				return res, fmt.Errorf("validate: %s/%s/%s/%d: flight rerun: %w", w, d, pk, mb, err)
+				return res, fmt.Errorf("validate: %s/%s/%s/%d: telemetry rerun: %w", w, d, pk, mb, err)
 			}
 			for i := range vs {
-				vs[i].Flight = dump
+				vs[i].Telemetry = dump
 			}
 			rep.Violations = append(rep.Violations, vs...)
 		}
@@ -423,24 +425,27 @@ func RunProperties(ctx context.Context, opt PropertyOptions) (PropertyReport, er
 	return rep, nil
 }
 
-// flightRerun simulates pt again under p with a flight recorder attached
-// and returns the result and the recorder's dump. The simulator is
-// deterministic, so the rerun reproduces the runner's simulation of pt
-// exactly and the dump shows that run's final epochs; only a tripped
+// telemetryRerun simulates pt again under p with a time series and a
+// tracer (one read in 4096, the last 256 spans) attached, and returns the
+// result and the dump: the series as CSV followed by the Chrome trace.
+// The simulator is deterministic, so the rerun reproduces the runner's
+// simulation of pt exactly and the dump shows that run; only a tripped
 // gate pays for the second run.
-func flightRerun(ctx context.Context, p experiments.Params, pt experiments.Point) (core.Result, string, error) {
+func telemetryRerun(ctx context.Context, p experiments.Params, pt experiments.Point) (core.Result, string, error) {
 	sys, err := core.NewSystem(p.Config(pt))
 	if err != nil {
 		return core.Result{}, "", err
 	}
-	fr := obs.NewFlightRecorder(64, 4096, 256)
-	sys.EnableFlightRecorder(fr)
+	ts, trc := obs.NewTimeSeries(0), obs.NewTracer(4096, 256)
+	sys.EnableObservability(nil, trc)
+	sys.EnableTimeSeries(ts)
 	res, err := sys.RunContext(ctx)
 	if err != nil {
 		return core.Result{}, "", err
 	}
 	var sb strings.Builder
-	fr.WriteJSON(&sb) //nolint:errcheck // strings.Builder cannot fail
+	ts.WriteCSV(&sb)          //nolint:errcheck // strings.Builder cannot fail
+	trc.WriteChromeTrace(&sb) //nolint:errcheck // strings.Builder cannot fail
 	return res, sb.String(), nil
 }
 
@@ -459,8 +464,8 @@ func WriteReport(w io.Writer, rep PropertyReport) error {
 	}
 	for _, v := range rep.Violations {
 		suffix := ""
-		if v.Flight != "" {
-			suffix = " [flight recording attached]"
+		if v.Telemetry != "" {
+			suffix = " [telemetry attached]"
 		}
 		if _, err := fmt.Fprintf(w, "  VIOLATION %s%s\n", v, suffix); err != nil {
 			return err
@@ -469,14 +474,14 @@ func WriteReport(w io.Writer, rep PropertyReport) error {
 	return nil
 }
 
-// WriteFlightRecordings renders the flight dump of each violation that
+// WriteTelemetry renders the telemetry dump of each violation that
 // carries one — the detail view behind WriteReport's attachment notes.
-func WriteFlightRecordings(w io.Writer, rep PropertyReport) error {
+func WriteTelemetry(w io.Writer, rep PropertyReport) error {
 	for _, v := range rep.Violations {
-		if v.Flight == "" {
+		if v.Telemetry == "" {
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "flight recording for %s:\n%s\n", v.Property, v.Flight); err != nil {
+		if _, err := fmt.Fprintf(w, "telemetry for %s:\n%s\n", v.Property, v.Telemetry); err != nil {
 			return err
 		}
 	}

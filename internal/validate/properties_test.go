@@ -2,9 +2,11 @@ package validate
 
 import (
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"alloysim/internal/core"
@@ -134,9 +136,10 @@ func TestPointConfigFollowsRunnerCacheSize(t *testing.T) {
 }
 
 // TestGateTripFlightReproducesRun: the rerun that gives a tripped gate its
-// flight recording reproduces the runner's result for the point exactly,
-// here for a point whose warmup a Prefetch replayed from the baseline's
-// recorded front, and its dump holds the run's final epochs.
+// telemetry reproduces the runner's result for the point exactly, here
+// for a point whose warmup a Prefetch replayed from the baseline's
+// recorded front, and its dump is the run's time series as CSV followed
+// by its Chrome trace.
 func TestGateTripFlightReproducesRun(t *testing.T) {
 	ctx := context.Background()
 	p := experiments.QuickParams()
@@ -154,21 +157,62 @@ func TestGateTripFlightReproducesRun(t *testing.T) {
 		t.Fatalf("runner replayed %d warmups, want 1", n)
 	}
 
-	got, dump, err := flightRerun(ctx, p, experiments.Point{Workload: "mcf_r", Design: core.DesignAlloy})
+	got, dump, err := telemetryRerun(ctx, p, experiments.Point{Workload: "mcf_r", Design: core.DesignAlloy})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("rerun result differs from the runner's:\n%+v\nvs\n%+v", got, want)
 	}
+	series, trace, ok := strings.Cut(dump, "{")
+	if !ok {
+		t.Fatalf("dump holds no trace: %.200s", dump)
+	}
+	rows, err := csv.NewReader(strings.NewReader(series)).ReadAll()
+	if err != nil {
+		t.Fatalf("series is not valid CSV: %v\n%.200s", err, series)
+	}
+	if len(rows) < 2 || len(rows[0]) < 3 || rows[0][0] != "epoch" || rows[0][1] != "cycle" {
+		t.Fatalf("series has %d rows: %.200s", len(rows), series)
+	}
 	var parsed struct {
-		Columns []string   `json:"columns"`
-		Rows    [][]uint64 `json:"rows"`
+		TraceEvents []struct {
+			Ph string `json:"ph"`
+		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal([]byte(dump), &parsed); err != nil {
-		t.Fatalf("dump is not valid JSON: %v\n%.200s", err, dump)
+	if err := json.Unmarshal([]byte("{"+trace), &parsed); err != nil {
+		t.Fatalf("trace is not valid JSON: %v\n%.200s", err, trace)
 	}
-	if len(parsed.Columns) < 2 || parsed.Columns[0] != "cycle" || len(parsed.Rows) == 0 {
-		t.Fatalf("dump has %d columns and %d epoch rows: %.200s", len(parsed.Columns), len(parsed.Rows), dump)
+	if len(parsed.TraceEvents) == 0 || parsed.TraceEvents[0].Ph != "X" {
+		t.Fatalf("trace holds no spans: %.200s", trace)
+	}
+}
+
+// TestWriteReportMarksAttachedTelemetry renders a report whose first
+// violation carries telemetry and whose second does not: only the first
+// report line ends with the attachment note, and the dump writer prints
+// only the first violation's dump, headed by its property.
+func TestWriteReportMarksAttachedTelemetry(t *testing.T) {
+	rep := PropertyReport{Checked: 7, Violations: []Violation{
+		{Property: "conservation", Detail: "reads 3 != 4", Telemetry: "epoch,cycle\n0,0\n"},
+		{Property: "monotone", Detail: "hit rate fell"},
+	}}
+	var report strings.Builder
+	if err := WriteReport(&report, rep); err != nil {
+		t.Fatal(err)
+	}
+	const wantReport = "properties: 7 checks, 2 violations\n" +
+		"  VIOLATION conservation: reads 3 != 4 [telemetry attached]\n" +
+		"  VIOLATION monotone: hit rate fell\n"
+	if got := report.String(); got != wantReport {
+		t.Fatalf("report:\n%s\nwant:\n%s", got, wantReport)
+	}
+	var dumps strings.Builder
+	if err := WriteTelemetry(&dumps, rep); err != nil {
+		t.Fatal(err)
+	}
+	const wantDumps = "telemetry for conservation:\nepoch,cycle\n0,0\n\n"
+	if got := dumps.String(); got != wantDumps {
+		t.Fatalf("dumps:\n%q\nwant:\n%q", got, wantDumps)
 	}
 }

@@ -198,10 +198,9 @@ func IsHotpath(fn *ast.FuncDecl) bool {
 }
 
 // IsHot reports whether fn, declared in a package named pkg, is on the
-// hot path: annotated //alloyvet:hotpath, or one of the implicitly hot
-// per-epoch Sample methods of obs.TimeSeries and obs.FlightRecorder,
-// which run inside the engine's quantum loop whether or not the
-// annotation survives edits. Matching is by package name, so analyzer
+// hot path: annotated //alloyvet:hotpath, or the implicitly hot
+// per-epoch Sample method of obs.TimeSeries, which runs inside the
+// engine's quantum loop whether or not the annotation survives edits. Matching is by package name, so analyzer
 // testdata can stand in a stub obs package.
 func IsHot(pkg string, fn *ast.FuncDecl) bool {
 	if IsHotpath(fn) {
@@ -215,7 +214,7 @@ func IsHot(pkg string, fn *ast.FuncDecl) bool {
 		t = s.X
 	}
 	id, ok := t.(*ast.Ident)
-	return ok && (id.Name == "TimeSeries" || id.Name == "FlightRecorder")
+	return ok && id.Name == "TimeSeries"
 }
 
 // allowedNames parses "//alloyvet:allow(a,b)" into {"a","b"}; a non-allow

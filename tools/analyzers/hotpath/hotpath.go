@@ -14,8 +14,8 @@
 //     registry reads it through a closure registered once at setup.
 //
 // A function is hot when anzkit.IsHot says so: annotated
-// //alloyvet:hotpath, or a Sample method of obs.TimeSeries or
-// obs.FlightRecorder, which are hot with or without the annotation.
+// //alloyvet:hotpath, or the Sample method of obs.TimeSeries, which is
+// hot with or without the annotation.
 //
 // Blocks guarded by the invariants idiom — `if invariants.Enabled { ... }`
 // or `if invariants.Enabled && cond { ... }` — are exempt: invariants.Enabled

@@ -11,10 +11,10 @@ type Registry struct{ byName map[string]int }
 
 func (r *Registry) Counter(name, help string) *Counter { return &Counter{} }
 
-// TimeSeries and FlightRecorder mirror the real phase-telemetry sinks.
-// Their Sample methods are implicitly hot — the analyzer checks them with
-// no annotation — and these clean, preallocated-index-write bodies must
-// stay silent, matching the real implementations.
+// TimeSeries mirrors the real phase-telemetry sink. Its Sample method is
+// implicitly hot — the analyzer checks it with no annotation — and this
+// clean, preallocated-index-write body must stay silent, matching the
+// real implementation.
 type TimeSeries struct {
 	rows   int
 	cycles []uint64
@@ -25,17 +25,4 @@ func (t *TimeSeries) Sample(cycle uint64) {
 	t.cycles[t.rows] = cycle
 	t.data[t.rows] = cycle
 	t.rows++
-}
-
-type FlightRecorder struct {
-	head   int
-	cycles []uint64
-}
-
-func (f *FlightRecorder) Sample(cycle uint64) {
-	f.cycles[f.head] = cycle
-	f.head++
-	if f.head == len(f.cycles) {
-		f.head = 0
-	}
 }

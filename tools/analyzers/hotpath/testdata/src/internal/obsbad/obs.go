@@ -1,7 +1,7 @@
 // Package obs (in a second directory, same package name) carries the
-// failing goldens for the implicit sample-path rule: Sample methods on
-// obs.TimeSeries and obs.FlightRecorder are hot even with no
-// //alloyvet:hotpath annotation anywhere in sight.
+// failing goldens for the implicit sample-path rule: the Sample method on
+// obs.TimeSeries is hot even with no //alloyvet:hotpath annotation
+// anywhere in sight.
 package obs
 
 type TimeSeries struct {
@@ -10,16 +10,6 @@ type TimeSeries struct {
 
 func (t *TimeSeries) Sample(cycle uint64) {
 	t.cycles = append(t.cycles, cycle) // want `append result escapes to t.cycles`
-}
-
-type FlightRecorder struct {
-	rows [][]uint64
-}
-
-func (f *FlightRecorder) Sample(cycle uint64) {
-	row := make([]uint64, 4) // a heap escape: the escape gate's, not this analyzer's
-	row[0] = cycle
-	f.rows = append(f.rows, row) // want `append result escapes to f.rows`
 }
 
 // Reset is an ordinary method on the same type: not a sample path, not
