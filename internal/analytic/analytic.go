@@ -43,31 +43,6 @@ func BreakEvenHitRate(baseHitRate, hitLatency, latFactor float64) (float64, bool
 	return h, h <= 1 && h >= 0
 }
 
-// Fig1Point is one sample of a Figure 1 latency curve.
-type Fig1Point struct {
-	HitRate    float64
-	AvgLatency float64
-}
-
-// Fig1Curve samples AvgLatency over hit rates 0..1. Degenerate sample
-// counts are clamped rather than propagated: points <= 0 returns an empty
-// curve and points == 1 returns the single midpoint sample (the i/(points-1)
-// spacing is undefined with one point and would divide by zero).
-func Fig1Curve(hitLatency float64, points int) []Fig1Point {
-	if points <= 0 {
-		return nil
-	}
-	if points == 1 {
-		return []Fig1Point{{HitRate: 0.5, AvgLatency: AvgLatency(0.5, hitLatency)}}
-	}
-	out := make([]Fig1Point, points)
-	for i := range out {
-		h := float64(i) / float64(points-1)
-		out[i] = Fig1Point{HitRate: h, AvgLatency: AvgLatency(h, hitLatency)}
-	}
-	return out
-}
-
 // Timing collects the Figure 3 latency constants, in processor cycles.
 type Timing struct {
 	MemACT, MemCAS, MemBus       float64 // off-chip: 36, 36, 16

@@ -102,34 +102,20 @@ func TestBreakEvenRejectsNonFiniteInputs(t *testing.T) {
 	}
 }
 
-func TestFig1CurveDegeneratePointCounts(t *testing.T) {
-	if c := Fig1Curve(0.1, 0); len(c) != 0 {
-		t.Fatalf("points=0 returned %d samples, want empty", len(c))
-	}
-	if c := Fig1Curve(0.1, -3); len(c) != 0 {
-		t.Fatalf("points=-3 returned %d samples, want empty", len(c))
-	}
-	c := Fig1Curve(0.1, 1)
-	if len(c) != 1 {
-		t.Fatalf("points=1 returned %d samples, want 1", len(c))
-	}
-	if math.IsNaN(c[0].HitRate) || math.IsNaN(c[0].AvgLatency) {
-		t.Fatalf("points=1 sample is NaN: %+v", c[0])
-	}
-}
-
+// TestFig1CurveShape: Figure 1's curve, AvgLatency over hit rates 0 to
+// 1, starts at memory latency and falls as the hit rate rises.
 func TestFig1CurveShape(t *testing.T) {
-	curve := Fig1Curve(0.1, 11)
-	if len(curve) != 11 {
-		t.Fatalf("curve has %d points, want 11", len(curve))
+	prev := AvgLatency(0, 0.1)
+	if prev != 1 {
+		t.Fatalf("AvgLatency at hit rate 0 = %v, want memory latency 1", prev)
 	}
-	if curve[0].AvgLatency != 1 {
-		t.Fatal("curve should start at memory latency")
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i].AvgLatency >= curve[i-1].AvgLatency {
-			t.Fatal("average latency should fall as hit rate rises")
+	for i := 1; i <= 10; i++ {
+		h := float64(i) / 10
+		got := AvgLatency(h, 0.1)
+		if got >= prev {
+			t.Fatalf("AvgLatency(%v) = %v, not below %v at the lower hit rate", h, got, prev)
 		}
+		prev = got
 	}
 }
 

@@ -9,12 +9,21 @@ import (
 )
 
 // fixedPort answers every read after a fixed latency and never stalls a
-// write; it records nothing, so it allocates nothing.
-type fixedPort struct{ latency sim.Cycle }
+// write; it only counts the references it sees, so it allocates nothing.
+type fixedPort struct {
+	latency sim.Cycle
+	refs    uint64
+}
 
-func (p *fixedPort) Read(now sim.Cycle, core int, ref *trace.Ref) sim.Cycle { return now + p.latency }
+func (p *fixedPort) Read(now sim.Cycle, core int, ref *trace.Ref) sim.Cycle {
+	p.refs++
+	return now + p.latency
+}
 
-func (p *fixedPort) Write(now sim.Cycle, core int, ref *trace.Ref) sim.Cycle { return 0 }
+func (p *fixedPort) Write(now sim.Cycle, core int, ref *trace.Ref) sim.Cycle {
+	p.refs++
+	return 0
+}
 
 // BenchmarkIssue times a core's reference path: one core reads the gobmk_r
 // profile's generator at the default 1/64 scale against a fixedPort. One
@@ -25,18 +34,18 @@ func (p *fixedPort) Write(now sim.Cycle, core int, ref *trace.Ref) sim.Cycle { r
 func BenchmarkIssue(b *testing.B) {
 	prof, _ := trace.ByName("gobmk_r")
 	eng := sim.NewEngine()
-	c, err := New(0, DefaultConfig(), prof.MustBuild(1, 64, 0), eng, &fixedPort{latency: 200}, math.MaxUint64)
+	port := &fixedPort{latency: 200}
+	c, err := New(0, DefaultConfig(), prof.MustBuild(1, 64, 0), eng, port, math.MaxUint64)
 	if err != nil {
 		b.Fatal(err)
 	}
-	refs := func() uint64 { return c.Reads() + c.Writes() }
 	c.Start()
-	for refs() < 4096 { // prime the engine's wheel and event pool
+	for port.refs < 4096 { // prime the engine's wheel and event pool
 		eng.Step()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for end := refs() + uint64(b.N); refs() < end; {
+	for end := port.refs + uint64(b.N); port.refs < end; {
 		eng.Step()
 	}
 }

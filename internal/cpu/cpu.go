@@ -91,8 +91,6 @@ type Core struct {
 	finished    bool
 	finishAt    sim.Cycle
 
-	reads, writes uint64
-
 	// Pre-bound engine handlers: scheduling these allocates nothing
 	// (see sim.Handler). One issue event is pending at a time; complete
 	// events may overlap up to MLP deep, but carry no per-event state.
@@ -155,12 +153,6 @@ func (c *Core) FinishTime() sim.Cycle { return c.finishAt }
 // Retired returns instructions retired so far.
 func (c *Core) Retired() uint64 { return c.retired }
 
-// Reads returns demand loads issued.
-func (c *Core) Reads() uint64 { return c.reads }
-
-// Writes returns stores issued.
-func (c *Core) Writes() uint64 { return c.writes }
-
 // issue processes one trace reference; it runs as an engine event.
 //
 //alloyvet:hotpath
@@ -184,10 +176,8 @@ func (c *Core) issue(now sim.Cycle) {
 
 	var writeStall sim.Cycle
 	if ref.Write {
-		c.writes++
 		writeStall = c.port.Write(now, c.id, ref)
 	} else {
-		c.reads++
 		c.outstanding++
 		// Read may schedule events of its own; the completion's number
 		// comes after theirs, as a completion scheduled here would.

@@ -189,18 +189,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestBusUtilization(t *testing.T) {
-	d := MustNew(StackedConfig())
-	r := d.AccessLine(0, 0, false)
-	u := d.BusUtilization(r.Done)
-	if u <= 0 || u > 1 {
-		t.Fatalf("utilization %v out of (0,1]", u)
-	}
-	if d.BusUtilization(0) != 0 {
-		t.Fatal("utilization with zero elapsed should be 0")
-	}
-}
-
 // Property: latency is always at least CAS + burst and completion times per
 // bank are monotone in arrival order.
 func TestQuickLatencyFloor(t *testing.T) {

@@ -51,13 +51,9 @@ func TestChargeSystemShares(t *testing.T) {
 	if sys.TotalNJ() <= 0 {
 		t.Fatal("no energy charged")
 	}
-	share := sys.OffChipShare()
-	if share <= 0.5 || share >= 1 {
-		t.Fatalf("off-chip share %v, want in (0.5, 1) for equal access counts", share)
-	}
-	var zero System
-	if zero.OffChipShare() != 0 {
-		t.Fatal("zero system should report 0 share")
+	off, stacked := sys.OffChip.TotalNJ(), sys.Stacked.TotalNJ()
+	if stacked <= 0 || off <= stacked {
+		t.Fatalf("off-chip %v nJ, stacked %v nJ: want off-chip above a nonzero stacked share for equal access counts", off, stacked)
 	}
 }
 

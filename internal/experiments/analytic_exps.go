@@ -39,7 +39,7 @@ func runFig1(_ context.Context, _ *Runner, w io.Writer) error {
 		tab := stats.NewTable("HitRate", "Base AvgLat", "Opt-A AvgLat (1.4x lat, +20pp hit)")
 		for h := 0.0; h <= 1.0001; h += 0.1 {
 			base := analytic.AvgLatency(h, scenario.hitLatency)
-			withA := analytic.AvgLatency(minF(h+0.2, 1), scenario.hitLatency*1.4)
+			withA := analytic.AvgLatency(min(h+0.2, 1), scenario.hitLatency*1.4)
 			tab.AddRow(fmt.Sprintf("%.0f%%", h*100), base, withA)
 		}
 		fmt.Fprint(w, tab.String())
@@ -47,13 +47,6 @@ func runFig1(_ context.Context, _ *Runner, w io.Writer) error {
 		fmt.Fprintf(w, "Break-even hit rate for opt A at 50%% base hit rate: %.0f%% (achievable: %v)\n\n", behr*100, ok)
 	}
 	return nil
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func runFig3(_ context.Context, _ *Runner, w io.Writer) error {

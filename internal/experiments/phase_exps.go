@@ -120,7 +120,7 @@ func phaseRows(ts *obs.TimeSeries) []phaseRow {
 		count = phaseMaxRows
 	}
 	for i := 1; i <= count; i++ {
-		sel = append(sel, 1+(i-1)*(n-2)/maxInt(count-1, 1))
+		sel = append(sel, 1+(i-1)*(n-2)/max(count-1, 1))
 	}
 	sel[len(sel)-1] = n - 1
 
@@ -166,11 +166,4 @@ func phaseRows(ts *obs.TimeSeries) []phaseRow {
 		prev = e
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

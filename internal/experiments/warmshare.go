@@ -18,33 +18,33 @@ import (
 // reference streams through; its contents key adds the DRAM-cache
 // tag store, for the designs whose warmup touches nothing else. Prefetch
 // plans its whole list before it starts a point: it groups the points by
-// front key and then by contents key, and keeps a table, local to the
-// call, with one entry per key that two or more listed points share. One
-// point makes an entry's record and the others reuse it: a front is
-// recorded once and replayed, a tag store is recorded once and copied.
+// front key and then by contents key, and gives each key that two or more
+// listed points share one entry, local to the call. One point makes an
+// entry's record and the others reuse it: a front is recorded once and
+// replayed, a tag store is recorded once and copied.
 // An entry is wanted, being made by one point, or ready. A worker starts
 // a point only when the entries it can reuse are ready, or when no one is
 // making them and the point will. A point publishes what it made when its
 // warmup ends, not when its measured phase ends, and a point that returns
 // without publishing gives its role up to the next listed point that
-// wants it. An entry leaves the table once the last listed point that
-// shares its key has started and no one is making it; the points reusing
-// its record hold the record itself. A point whose keys no other listed
-// point shares gets the zero plan and warms directly, as a Run memo miss
-// does.
+// wants it. Only two things hold an entry: the listed points that share
+// its key, each until it starts (listedPoint.front and contents), and the
+// plan of the point making its record, until publish zeroes it; the
+// points reusing the record hold the record itself. So an entry is freed
+// once the last point that shares its key has started and no one is
+// making it. A point whose keys no other listed point shares gets the
+// zero plan and warms directly, as a Run memo miss does.
 
 // entry is a record that listed points share: a warmup front
 // (core.WarmRecord), or a tag store warmed through one
 // (core.ContentsRecord). While a point makes it, done is open; done
 // closes when that point publishes the record, which makes the entry
-// ready, or gives it up, which makes it wanted again. needs counts the
-// listed points not yet started that use it.
+// ready, or gives it up, which makes it wanted again.
 type entry struct {
 	front *core.WarmRecord    // a front entry's record
 	store core.ContentsRecord // a tag-store entry's record
 	ready bool
 	done  chan struct{}
-	needs int
 }
 
 // warmPlan is how one listed point warms. It replays a ready front
@@ -71,13 +71,12 @@ type listedPoint struct {
 	plan     warmPlan
 }
 
-// sweep is one Prefetch call: its grouped points and the table of the
-// records they share.
+// sweep is one Prefetch call: its grouped points, which hold the entries
+// they share.
 type sweep struct {
 	mu sync.Mutex
 	// l is fixed once newSweep returns; its points change under mu.
-	l     []listedPoint   //alloyvet:owner newSweep
-	table map[*entry]bool //alloyvet:guard mu
+	l []listedPoint //alloyvet:owner newSweep
 }
 
 // storeKey names a contents key within one list: the first listed point
@@ -128,10 +127,10 @@ func (r *Runner) Prefetch(ctx context.Context, points []Point) error {
 
 // newSweep lists the points Prefetch starts: normalized, deduped and not
 // memoized, grouped by front key and then by contents key, each in order
-// of first appearance. It adds a table entry for each key two or more of
-// them share.
+// of first appearance. It gives each key two or more of them share an
+// entry.
 func (r *Runner) newSweep(points []Point) *sweep {
-	s := &sweep{l: make([]listedPoint, 0, len(points)), table: make(map[*entry]bool)}
+	s := &sweep{l: make([]listedPoint, 0, len(points))}
 	seen := make(map[Point]bool, len(points))
 	fronts := make(map[core.FrontKey]int) // a front key's first point in s.l
 	stores := make(map[storeKey]int)      // a contents key's first point
@@ -146,14 +145,14 @@ func (r *Runner) newSweep(points []Point) *sweep {
 		// A point without keys fails in NewSystem before it warms.
 		if f, c, err := core.Keys(r.p.Config(key)); err == nil {
 			if j, ok := fronts[f]; ok {
-				lp.group[0], lp.front = j, share(s.table, &s.l[j].front)
+				lp.group[0], lp.front = j, share(&s.l[j].front)
 			} else {
 				fronts[f] = n
 			}
 			if c != (core.ContentsKey{}) {
 				k := storeKey{lp.group[0], c.Tags()}
 				if j, ok := stores[k]; ok {
-					lp.group[1], lp.contents = j, share(s.table, &s.l[j].contents)
+					lp.group[1], lp.contents = j, share(&s.l[j].contents)
 				} else {
 					stores[k] = n
 				}
@@ -168,14 +167,12 @@ func (r *Runner) newSweep(points []Point) *sweep {
 }
 
 // share returns the entry of a key for one more listed point, given the
-// entry field of the key's first point, and adds the entry to the table
-// when this point is the key's second.
-func share(table map[*entry]bool, first **entry) *entry {
+// entry field of the key's first point, and makes the entry when this
+// point is the key's second.
+func share(first **entry) *entry {
 	if *first == nil {
-		*first = &entry{needs: 1}
-		table[*first] = true
+		*first = &entry{}
 	}
-	(*first).needs++
 	return *first
 }
 
@@ -247,10 +244,11 @@ func (lp *listedPoint) waitsOn() chan struct{} {
 	return nil
 }
 
-// startLocked marks the point started, drops its needs and gives it its
-// plan: copy a ready store record; otherwise make the store record it
-// shares, and replay its front or record it. The point lets go of its
-// entries, so one the table drops is freed once its last user is done.
+// startLocked marks the point started and gives it its plan: copy a
+// ready store record; otherwise make the store record it shares, and
+// replay its front or record it. The point lets go of its entries, so
+// each is freed once the last point that shares it has started and no
+// plan is making it.
 func (s *sweep) startLocked(lp *listedPoint) {
 	lp.started = true
 	f, c := lp.front, lp.contents
@@ -269,22 +267,6 @@ func (s *sweep) startLocked(lp *listedPoint) {
 		c.done = make(chan struct{})
 		lp.plan.contents = c
 	}
-	if f != nil {
-		f.needs--
-		s.settleLocked(f)
-	}
-	if c != nil {
-		c.needs--
-		s.settleLocked(c)
-	}
-}
-
-// settleLocked drops an entry from the table once no listed point that
-// has not started needs it and no point is making it.
-func (s *sweep) settleLocked(e *entry) {
-	if e.needs == 0 && e.done == nil {
-		delete(s.table, e)
-	}
 }
 
 // publish ends a point's part in its sweep: each record it made becomes
@@ -300,22 +282,21 @@ func (p *warmPlan) publish() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if f != nil {
-		s.publishLocked(f, f.front.Complete())
+		f.publishLocked(f.front.Complete())
 	}
 	if c != nil {
-		s.publishLocked(c, c.store.Complete())
+		c.publishLocked(c.store.Complete())
 	}
 }
 
-// publishLocked ends the making of an entry's record: ready when it is
-// complete, given up otherwise.
-func (s *sweep) publishLocked(e *entry, complete bool) {
+// publishLocked ends the making of the entry's record, under its sweep's
+// mu: ready when it is complete, given up otherwise.
+func (e *entry) publishLocked(complete bool) {
 	close(e.done)
 	e.done = nil
 	if e.ready = complete; !complete {
 		e.front, e.store = nil, core.ContentsRecord{}
 	}
-	s.settleLocked(e)
 }
 
 // simulatePoint is the real point execution: build a system from the

@@ -31,6 +31,35 @@ func runConfig(t *testing.T, cfg core.Config) core.Result {
 	return res
 }
 
+// checkStartedHoldNoEntries requires, under s.mu, that no started point of
+// s holds an entry: a point lets go of its entries when it starts, so an
+// entry outlives the sweep's points only through a plan making it.
+func checkStartedHoldNoEntries(t *testing.T, s *sweep, when string) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.l {
+		if lp := &s.l[i]; lp.started && (lp.front != nil || lp.contents != nil) {
+			t.Errorf("%s started point %s still holds an entry", when, lp.pt)
+		}
+	}
+}
+
+// checkSweepLetGo requires, once a sweep is over, that every point of s
+// started and that its entries are held by nothing: no point holds one
+// and every plan is zero.
+func checkSweepLetGo(t *testing.T, s *sweep) {
+	t.Helper()
+	checkStartedHoldNoEntries(t, s, "after the sweep")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.l {
+		if lp := &s.l[i]; !lp.started || lp.plan != (warmPlan{}) {
+			t.Errorf("after the sweep point %s: started %v, plan %+v; want started with the zero plan", lp.pt, lp.started, lp.plan)
+		}
+	}
+}
+
 // checkMemoMatchesDirect requires every point's memoized result to equal
 // a directly warmed simulation of it.
 func checkMemoMatchesDirect(t *testing.T, r *Runner, pts []Point) {
@@ -139,7 +168,7 @@ func TestPrefetchGroupsByFront(t *testing.T) {
 
 // TestPrefetchPastWarmCores runs a sweep at more cores than a warm
 // record's header can name (core.WarmRecord names 8). Such points have no
-// keys (core.Keys), so the sweep's table stays empty and every point gets
+// keys (core.Keys), so no listed point holds an entry and every point gets
 // the zero plan: all warm directly, in parallel, none fails, and every
 // result equals a direct run.
 func TestPrefetchPastWarmCores(t *testing.T) {
@@ -152,8 +181,10 @@ func TestPrefetchPastWarmCores(t *testing.T) {
 		pts = append(pts, Point{Workload: "mcf_r", Design: d})
 	}
 	s := r.newSweep(pts)
-	if n := len(s.table); n != 0 {
-		t.Errorf("the sweep's table holds %d entries, want none", n)
+	for _, lp := range s.l {
+		if lp.front != nil || lp.contents != nil {
+			t.Errorf("listed point %s holds an entry, want none", lp.pt)
+		}
 	}
 	r.simulate = func(ctx context.Context, pt Point, plan *warmPlan) (core.Result, error) {
 		if plan.replay != nil || plan.copy != nil || plan.front != nil || plan.contents != nil {
@@ -171,31 +202,21 @@ func TestPrefetchPastWarmCores(t *testing.T) {
 }
 
 // TestFrontCacheBounded runs five workloads' points on two workers and
-// checks, whenever a point starts its simulation and after the sweep,
-// that the sweep's table holds no ready record that no listed point not
-// yet started needs. Each front is recorded once all the same: every
-// point but a workload's first replays, and IDEAL-LO copies Alloy's
-// store.
+// checks that records are let go: whenever a point starts its simulation
+// no started point holds an entry, and after the sweep every plan is
+// zero, so nothing but the points not yet started ever holds a ready
+// record. Each front is recorded once all the same: every point but a
+// workload's first replays, and IDEAL-LO copies Alloy's store.
 func TestFrontCacheBounded(t *testing.T) {
 	p := microParams()
 	p.Parallelism = 2
 	r := NewRunner(p)
-	check := func(s *sweep, when string) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		//alloyvet:allow(determinism) assertions are per-entry and order-independent
-		for e := range s.table {
-			if e.ready && e.needs == 0 {
-				t.Errorf("%s the table holds a ready record no unstarted point needs", when)
-			}
-		}
-	}
 	var (
 		mu   sync.Mutex
 		last *sweep
 	)
 	r.simulate = func(ctx context.Context, pt Point, plan *warmPlan) (core.Result, error) {
-		check(plan.s, "when "+pt.String()+" starts")
+		checkStartedHoldNoEntries(t, plan.s, "when "+pt.String()+" starts,")
 		mu.Lock()
 		last = plan.s
 		mu.Unlock()
@@ -213,19 +234,14 @@ func TestFrontCacheBounded(t *testing.T) {
 	if m := r.Metrics(); m.WarmReplays != 15 || m.WarmCopies != 5 {
 		t.Errorf("%d replays and %d copies, want 15 and 5", m.WarmReplays, m.WarmCopies)
 	}
-	last.mu.Lock()
-	defer last.mu.Unlock()
-	if n := len(last.table); n != 0 {
-		t.Errorf("after the sweep its table holds %d entries", n)
-	}
+	checkSweepLetGo(t, last)
 }
 
 // TestTakeFrontLifecycle walks one shared front through its states under
 // Prefetch: claimed by the first listed point, which records it, while
 // the second waits on it; given up when the first returns without
-// publishing, which wakes the waiter and passes the role to it; and
-// dropped from the table once the last point that shares it has started
-// and given it up.
+// publishing, which wakes the waiter and passes the role to it; and let
+// go once the last point that shares it has started and given it up.
 func TestTakeFrontLifecycle(t *testing.T) {
 	r := NewRunner(microParams())
 	s := r.newSweep([]Point{{Workload: "lbm_r", Design: core.DesignNone}, {Workload: "lbm_r", Design: core.DesignAlloy}})
@@ -250,13 +266,12 @@ func TestTakeFrontLifecycle(t *testing.T) {
 	}
 	lp.plan.publish()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if lp, wait := s.pickLocked(); lp != nil || wait != nil {
+	lp, wait = s.pickLocked()
+	s.mu.Unlock()
+	if lp != nil || wait != nil {
 		t.Fatalf("picked %+v, wait %v; want every point started", lp, wait)
 	}
-	if len(s.table) != 0 {
-		t.Fatalf("after the sweep the table holds %d entries, want 0", len(s.table))
-	}
+	checkSweepLetGo(t, s)
 	if m := r.Metrics(); m.WarmReplays != 0 {
 		t.Fatalf("%d replays counted, want 0", m.WarmReplays)
 	}
@@ -301,7 +316,8 @@ func TestPrefetchWarmsOncePerKey(t *testing.T) {
 // producer hands its role to the next point in grouped order that wants
 // it: no point waits forever, the other points match direct runs, and
 // only the failed points are reported. A cancellation stops the sweep
-// with no failure record and leaves nothing in flight in the table.
+// with no failure record and leaves no record a plan made still being
+// made.
 func TestPrefetchHandsRolesOn(t *testing.T) {
 	pts := []Point{
 		{Workload: "mcf_r", Design: core.DesignNone},
@@ -366,12 +382,23 @@ func TestPrefetchHandsRolesOn(t *testing.T) {
 		r := NewRunner(p)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		var s *sweep
+		var (
+			mu   sync.Mutex
+			s    *sweep
+			made []*entry // every entry a plan made
+		)
 		r.simulate = func(sctx context.Context, pt Point, plan *warmPlan) (core.Result, error) {
+			mu.Lock()
+			for _, e := range []*entry{plan.front, plan.contents} {
+				if e != nil {
+					made = append(made, e)
+				}
+			}
 			if pt.Design == core.DesignNone {
 				s = plan.s
 				cancel()
 			}
+			mu.Unlock()
 			return r.simulatePoint(sctx, pt, plan)
 		}
 		if err := r.Prefetch(ctx, pts); !errors.Is(err, context.Canceled) {
@@ -380,10 +407,12 @@ func TestPrefetchHandsRolesOn(t *testing.T) {
 		if recs := r.FailureRecords(); len(recs) != 0 {
 			t.Fatalf("cancelled points left failure records: %+v", recs)
 		}
+		if len(made) == 0 {
+			t.Fatal("no plan made a record")
+		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		//alloyvet:allow(determinism) assertions are per-entry and order-independent
-		for e := range s.table {
+		for _, e := range made {
 			if e.done != nil {
 				t.Fatal("after the cancel a record is still being made")
 			}

@@ -1,26 +1,14 @@
 // Package memaddr provides the address arithmetic shared by the cache and
-// DRAM models: line/byte conversions, set indexing (including the Alloy
-// Cache's non-power-of-two residue indexing from §4.1 of the paper), and the
-// folded-XOR hash used by the MAP-I predictor.
+// DRAM models: set indexing (including the Alloy Cache's non-power-of-two
+// residue indexing from §4.1 of the paper), and the folded-XOR hash used
+// by the MAP-I predictor.
 package memaddr
 
 // LineSizeBytes is the cache line size used throughout the paper (64 B).
 const LineSizeBytes = 64
 
-// LineShift is log2(LineSizeBytes).
-const LineShift = 6
-
-// Addr is a physical byte address.
-type Addr uint64
-
-// Line is a physical line address (byte address >> LineShift).
+// Line is a physical line address (byte address / LineSizeBytes).
 type Line uint64
-
-// LineOf returns the line containing the byte address.
-func LineOf(a Addr) Line { return Line(a >> LineShift) }
-
-// ByteAddr returns the first byte address of the line.
-func (l Line) ByteAddr() Addr { return Addr(l) << LineShift }
 
 // Mod computes l mod n for a non-power-of-two divisor. The hardware
 // implementation the paper sketches (residue arithmetic, 28 = 32-4) is
@@ -78,16 +66,3 @@ const (
 	scatterMult = 0x9E3779B97F4A7C15 // odd → bijective modulo 2^57
 	gatherMult  = 0xF1DE83E19937733D // scatterMult * gatherMult == 1 mod 2^64
 )
-
-// IsPow2 reports whether v is a positive power of two.
-func IsPow2(v uint64) bool { return v != 0 && v&(v-1) == 0 }
-
-// Log2 returns floor(log2(v)); Log2(0) is 0.
-func Log2(v uint64) uint {
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}

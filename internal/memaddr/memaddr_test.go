@@ -5,37 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestLineOfRoundTrip(t *testing.T) {
-	cases := []struct {
-		addr Addr
-		line Line
-	}{
-		{0, 0},
-		{63, 0},
-		{64, 1},
-		{65, 1},
-		{127, 1},
-		{128, 2},
-		{1 << 30, 1 << 24},
-	}
-	for _, c := range cases {
-		if got := LineOf(c.addr); got != c.line {
-			t.Errorf("LineOf(%d) = %d, want %d", c.addr, got, c.line)
-		}
-	}
-}
-
-func TestByteAddrIsLineAligned(t *testing.T) {
-	f := func(l uint32) bool {
-		line := Line(l)
-		b := line.ByteAddr()
-		return b%LineSizeBytes == 0 && LineOf(b) == line
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestModNonPow2(t *testing.T) {
 	// 28 sets per row is the Alloy Cache layout.
 	if got := Line(28).Mod(28); got != 0 {
@@ -91,28 +60,6 @@ func TestFoldXOREdges(t *testing.T) {
 	}
 	if FoldXOR(42, 100) != 42 {
 		t.Error("bits>64 should be identity")
-	}
-}
-
-func TestIsPow2(t *testing.T) {
-	for _, v := range []uint64{1, 2, 4, 1024, 1 << 40} {
-		if !IsPow2(v) {
-			t.Errorf("IsPow2(%d) = false, want true", v)
-		}
-	}
-	for _, v := range []uint64{0, 3, 28, 29, 1023} {
-		if IsPow2(v) {
-			t.Errorf("IsPow2(%d) = true, want false", v)
-		}
-	}
-}
-
-func TestLog2(t *testing.T) {
-	cases := map[uint64]uint{1: 0, 2: 1, 4: 2, 7: 2, 8: 3, 64: 6, 2048: 11}
-	for v, want := range cases {
-		if got := Log2(v); got != want {
-			t.Errorf("Log2(%d) = %d, want %d", v, got, want)
-		}
 	}
 }
 
