@@ -11,6 +11,10 @@
 //   - IdealLO: the latency-optimized upper bound — transfers exactly one
 //     line per hit with no latency overheads.
 //
+// Three organizations from beyond the paper, Banshee, Gemini and TDRAM
+// (DESIGN.md §16), implement the same interface, and the registry in
+// manager.go builds all seven under 13 design names.
+//
 // Each organization layers its access-flow timing over a contents model
 // (internal/cache) and charges all its DRAM traffic — tag reads, data
 // bursts, replacement updates, fills — to the shared stacked-DRAM device
