@@ -22,6 +22,7 @@ import (
 	"text/tabwriter"
 
 	"alloysim/internal/core"
+	"alloysim/internal/dramcache"
 	"alloysim/internal/obs"
 	"alloysim/internal/trace"
 )
@@ -69,7 +70,7 @@ func loadTraces(dir string, cores int) ([]trace.Generator, error) {
 func main() {
 	var (
 		workload  = flag.String("workload", "mcf_r", "workload profile name (-list to enumerate)")
-		design    = flag.String("design", "alloy", "DRAM cache design: none, sram-32, sram-1, lh-29, lh-29-rand, lh-1, alloy, alloy-2, alloy-b8, ideal-lo, ideal-lo-notag, banshee, gemini, tdram")
+		design    = flag.String("design", "alloy", "DRAM cache design: none, "+strings.Join(dramcache.Names(), ", "))
 		pred      = flag.String("pred", "", "predictor: sam, pam, map-g, map-i, perfect, missmap (default: paper pairing)")
 		dcPolicy  = flag.String("dcpolicy", "", "DRAM-cache replacement policy override for the set-associative designs (lh-29, gemini): lru, random, bip, dip, nru, srrip, brrip, ship")
 		cacheMB   = flag.Uint64("cache", 256, "DRAM cache size in MB (paper scale)")

@@ -30,12 +30,12 @@ type fillEvent struct {
 // Fire implements sim.Handler.
 func (f *fillEvent) Fire(now sim.Cycle) {
 	s := f.s
-	res := s.org.Fill(now, f.line)
+	done := s.org.Fill(now, f.line)
 	if f.tid != 0 {
-		s.trc.Span(f.tid, obs.SpanFill, f.core, uint64(f.line), now.Count(), cyclesBetween(now, res.Done), false)
+		s.trc.Span(f.tid, obs.SpanFill, f.core, uint64(f.line), now.Count(), cyclesBetween(now, done), false)
 	}
 	if f.victim.Valid && f.victim.Dirty {
-		s.scheduleWriteback(res.Done, f.victim.Line)
+		s.scheduleWriteback(done, f.victim.Line)
 	}
 	f.next = s.fillFree
 	s.fillFree = f

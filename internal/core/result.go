@@ -5,7 +5,6 @@ import (
 
 	"alloysim/internal/cache"
 	"alloysim/internal/dram"
-	"alloysim/internal/dramcache"
 	"alloysim/internal/predictor"
 )
 
@@ -123,9 +122,7 @@ func (s *System) collect() Result {
 		if reads > 0 {
 			r.DCReadHitRate = float64(ts.Hits-ts.WriteHits) / float64(reads)
 		}
-		if rb, ok := s.org.(dramcache.RowBufferHitRater); ok {
-			r.RowBufferHitRate = rb.RowBufferHitRate()
-		}
+		r.RowBufferHitRate = s.org.RowBufferHitRate()
 	}
 	if s.footprint != nil {
 		r.FootprintBytes = s.footprint.Count() * 64

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"alloysim/internal/dramcache"
 	"alloysim/internal/sim"
 	"alloysim/internal/trace"
 )
@@ -96,6 +97,24 @@ func TestDefaultPredictorPairings(t *testing.T) {
 	cfg.Predictor = PredPAM
 	if cfg.resolvePredictor() != PredPAM {
 		t.Error("explicit predictor not honored")
+	}
+}
+
+// TestDesignsNameEveryRegisteredDesign holds Designs, the paper-order list
+// the design tests and the validate fuzzer iterate, to the dramcache
+// table: the baseline first, then exactly the registered designs.
+func TestDesignsNameEveryRegisteredDesign(t *testing.T) {
+	ds := Designs()
+	if ds[0] != DesignNone {
+		t.Fatalf("Designs()[0] = %q, want %q", ds[0], DesignNone)
+	}
+	var names []string
+	for _, d := range ds[1:] {
+		names = append(names, string(d))
+	}
+	slices.Sort(names)
+	if want := dramcache.Names(); !slices.Equal(names, want) {
+		t.Fatalf("Designs() after the baseline, sorted, is %v; dramcache registers %v", names, want)
 	}
 }
 

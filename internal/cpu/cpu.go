@@ -144,10 +144,8 @@ func (c *Core) Start() {
 	c.eng.ScheduleHandler(c.eng.Now(), &c.issueEv)
 }
 
-// Finished reports whether the core has retired its budget and drained.
-func (c *Core) Finished() bool { return c.finished }
-
-// FinishTime returns the cycle the core finished (valid once Finished).
+// FinishTime returns the cycle the core finished (valid once it has
+// retired its budget and drained).
 func (c *Core) FinishTime() sim.Cycle { return c.finishAt }
 
 // Retired returns instructions retired so far.

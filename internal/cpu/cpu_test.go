@@ -76,7 +76,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestCoreRetiresBudget(t *testing.T) {
 	core, _, _ := run(t, DefaultConfig(), testProfile(0, 10), 10000, 100)
-	if !core.Finished() {
+	if !core.finished {
 		t.Fatal("core did not finish")
 	}
 	if core.Retired() < 10000 {
@@ -188,7 +188,7 @@ func TestFinishCallback(t *testing.T) {
 	core, _ := New(3, DefaultConfig(), testProfile(0.2, 5).MustBuild(1, 1, 0), eng, port, 1000)
 	core.Start()
 	eng.Run()
-	if !core.Finished() {
+	if !core.finished {
 		t.Fatal("core did not finish when the engine drained")
 	}
 	if core.FinishTime() == 0 {

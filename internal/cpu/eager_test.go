@@ -211,8 +211,8 @@ func TestCoreMatchesEager(t *testing.T) {
 			t.Fatalf("MLP %d: reserving made %d calls, eager %d", mlp, len(portR.log), len(portE.log))
 		}
 		for i, c := range reserving {
-			if !c.Finished() || !eager[i].finished || c.FinishTime() != eager[i].finishAt {
-				t.Fatalf("MLP %d core %d: finished %v at %d, eager %v at %d", mlp, i, c.Finished(), c.FinishTime(), eager[i].finished, eager[i].finishAt)
+			if !c.finished || !eager[i].finished || c.FinishTime() != eager[i].finishAt {
+				t.Fatalf("MLP %d core %d: finished %v at %d, eager %v at %d", mlp, i, c.finished, c.FinishTime(), eager[i].finished, eager[i].finishAt)
 			}
 		}
 	}

@@ -170,7 +170,6 @@ func (b *bank) precharge(at, tRAS Cycle) {
 
 type channel struct {
 	busReady   Cycle
-	busBusy    Cycle // cumulative data-bus busy cycles
 	writeReady Cycle // low-priority write-drain rail
 }
 
@@ -206,7 +205,6 @@ type Result struct {
 	CASDone  Cycle // cycle the column access completes (first data ready)
 	BusStart Cycle // cycle the data burst begins on the channel bus
 	RowHit   bool
-	Latency  Cycle // Done minus arrival, includes queueing
 }
 
 // DRAM is a multi-channel device instance.
@@ -353,13 +351,12 @@ func (d *DRAM) AccessRowInto(now Cycle, row uint64, burst Cycle, write bool, out
 		casDone := start + (d.cfg.TACT+d.cfg.TCAS)/8
 		done := casDone + burst
 		c.writeReady = done
-		c.busBusy += burst
 		d.stats.BusBusy += burst
 		// Field by field: a composite literal is built in a stack
 		// temporary and copied out with 16-byte loads that straddle its
 		// 8-byte stores, which the CPU cannot forward.
 		out.Done, out.Start, out.CASDone, out.BusStart = done, start, casDone, casDone
-		out.RowHit, out.Latency = false, done-now
+		out.RowHit = false
 		return
 	}
 	d.stats.Reads++
@@ -424,13 +421,12 @@ func (d *DRAM) AccessRowInto(now Cycle, row uint64, burst Cycle, write bool, out
 	}
 	done := busStart + burst
 	c.busReady = done
-	c.busBusy += burst
 	d.stats.BusBusy += burst
 	b.ready = bankNext
 	b.lastUse = casDone
 
 	out.Done, out.Start, out.CASDone, out.BusStart = done, start, casDone, busStart
-	out.RowHit, out.Latency = rowHit, done-now
+	out.RowHit = rowHit
 }
 
 // refreshAdjust pushes a command start time out of any refresh window.

@@ -33,8 +33,8 @@ func TestPaperLatencyOffChip(t *testing.T) {
 	// CAS+BUS = 52 cycles.
 	d := MustNew(OffChipConfig())
 	r := d.AccessLine(0, 0, false)
-	if r.Latency != 88 {
-		t.Fatalf("cold (type Y) latency = %d, want 88", r.Latency)
+	if r.Done != 88 {
+		t.Fatalf("cold (type Y) latency = %d, want 88", r.Done)
 	}
 	if r.RowHit {
 		t.Fatal("cold access reported row hit")
@@ -44,8 +44,8 @@ func TestPaperLatencyOffChip(t *testing.T) {
 	if !r2.RowHit {
 		t.Fatal("same-row access not a row hit")
 	}
-	if r2.Latency != 52 {
-		t.Fatalf("row-hit (type X) latency = %d, want 52", r2.Latency)
+	if got := r2.Done - r.Done; got != 52 {
+		t.Fatalf("row-hit (type X) latency = %d, want 52", got)
 	}
 }
 
@@ -54,12 +54,12 @@ func TestPaperLatencyStacked(t *testing.T) {
 	// in CAS+BUS = 22 cycles on the stacked device.
 	d := MustNew(StackedConfig())
 	r := d.AccessLine(0, 0, false)
-	if r.Latency != 40 {
-		t.Fatalf("stacked cold latency = %d, want 40", r.Latency)
+	if r.Done != 40 {
+		t.Fatalf("stacked cold latency = %d, want 40", r.Done)
 	}
 	r2 := d.AccessLine(r.Done, 1, false)
-	if r2.Latency != 22 {
-		t.Fatalf("stacked row-hit latency = %d, want 22", r2.Latency)
+	if got := r2.Done - r.Done; got != 22 {
+		t.Fatalf("stacked row-hit latency = %d, want 22", got)
 	}
 }
 
@@ -81,8 +81,8 @@ func TestRowConflictPaysPrecharge(t *testing.T) {
 	// Latency must include precharge: >= tRP + tACT + tCAS + burst. tRAS
 	// may add more.
 	min := cfg.TRP + cfg.TACT + cfg.TCAS + cfg.BurstLine
-	if r2.Latency < min {
-		t.Fatalf("conflict latency %d < minimum %d", r2.Latency, min)
+	if got := r2.Done - r1.Done; got < min {
+		t.Fatalf("conflict latency %d < minimum %d", got, min)
 	}
 	if d.Stats().RowConflict != 1 {
 		t.Fatalf("RowConflict = %d, want 1", d.Stats().RowConflict)
@@ -203,7 +203,7 @@ func TestQuickLatencyFloor(t *testing.T) {
 			}
 			row := uint64(rw % 64)
 			r := d.AccessRow(now, row, cfg.BurstLine, false)
-			if r.Latency < cfg.TCAS+cfg.BurstLine {
+			if r.Done-now < cfg.TCAS+cfg.BurstLine {
 				return false
 			}
 			bankKey := row % uint64(cfg.Channels*cfg.BanksPerChannel)

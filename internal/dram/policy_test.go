@@ -59,8 +59,8 @@ func TestIdleBankAutoCloses(t *testing.T) {
 	far := Cycle(100_000)
 	r := d.AccessRow(far, stride, cfg.BurstLine, false)
 	want := cfg.TACT + cfg.TCAS + cfg.BurstLine
-	if r.Latency != want {
-		t.Fatalf("post-idle conflict latency = %d, want clean %d", r.Latency, want)
+	if got := r.Done - far; got != want {
+		t.Fatalf("post-idle conflict latency = %d, want clean %d", got, want)
 	}
 }
 

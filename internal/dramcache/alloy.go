@@ -1,9 +1,6 @@
 package dramcache
 
 import (
-	"fmt"
-
-	"alloysim/internal/cache"
 	"alloysim/internal/dram"
 	"alloysim/internal/invariants"
 	"alloysim/internal/memaddr"
@@ -28,82 +25,18 @@ const AlloyBurst = 5
 // second pillar of its latency advantage.
 type Alloy struct {
 	base
-	assoc      int
-	setsPerRow int
-	burst      Cycle
-	name       string
+	burst Cycle // one access's TADs: the TAD burst times the ways
 }
 
-// AlloyOption configures the Alloy Cache.
-type AlloyOption func(*alloyParams)
-
-type alloyParams struct {
-	assoc int
-	burst Cycle
+// newAlloy returns the constructor of an Alloy Cache whose TAD takes
+// burst bus cycles. The §6.5 ablation uses 8 (128 B, power-of-two DDR
+// restriction) instead of AlloyBurst; the §6.7 two-way ablation streams
+// both of a set's TADs from the same row.
+func newAlloy(burst Cycle) func(base) Organization {
+	return func(b base) Organization {
+		return &Alloy{base: b, burst: burst * sim.Ticks(b.tags.Config().Assoc)}
+	}
 }
-
-// AlloyWithBurst overrides the TAD burst length in bus cycles. The §6.5
-// ablation uses 8 (128 B, power-of-two DDR restriction) instead of 5.
-func AlloyWithBurst(b Cycle) AlloyOption { return func(p *alloyParams) { p.burst = b } }
-
-// AlloyWithAssoc selects 1 (default) or 2 ways. The §6.7 two-way ablation
-// streams two TADs per access (double burst) from the same row.
-func AlloyWithAssoc(a int) AlloyOption { return func(p *alloyParams) { p.assoc = a } }
-
-// NewAlloy builds an Alloy Cache of the given capacity.
-func NewAlloy(capacityBytes uint64, stacked *dram.DRAM, opts ...AlloyOption) (*Alloy, error) {
-	p := alloyParams{assoc: 1, burst: AlloyBurst}
-	for _, o := range opts {
-		o(&p)
-	}
-	if p.assoc != 1 && p.assoc != 2 {
-		return nil, fmt.Errorf("dramcache: Alloy supports assoc 1 or 2, got %d", p.assoc)
-	}
-	if p.burst == 0 {
-		return nil, fmt.Errorf("dramcache: Alloy burst must be positive")
-	}
-	cfg, err := alloyTags(capacityBytes, stacked.Config(), p.assoc)
-	if err != nil {
-		return nil, err
-	}
-	tags, err := cache.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	a := &Alloy{
-		assoc:      p.assoc,
-		setsPerRow: AlloyTADsPerRow / p.assoc,
-		burst:      p.burst * sim.Ticks(p.assoc),
-	}
-	a.tags = tags
-	a.stacked = stacked
-	switch {
-	case p.assoc == 2:
-		a.name = "Alloy (2-way)"
-	case p.burst != AlloyBurst:
-		a.name = fmt.Sprintf("Alloy (burst-%d)", p.burst)
-	default:
-		a.name = "Alloy"
-	}
-	return a, nil
-}
-
-// alloyTags is the tag store of an Alloy Cache with the given ways, and of
-// TDRAM: 28 TADs per row.
-func alloyTags(capacityBytes uint64, stacked dram.Config, assoc int) (cache.Config, error) {
-	return rowTags(capacityBytes, stacked, AlloyTADsPerRow, assoc, "lru", 0)
-}
-
-// Name implements Organization.
-func (a *Alloy) Name() string { return a.name }
-
-// CapacityBytes implements Organization.
-func (a *Alloy) CapacityBytes() uint64 {
-	return uint64(a.tags.Config().Lines()) * memaddr.LineSizeBytes
-}
-
-//alloyvet:hotpath
-func (a *Alloy) rowOf(set int) uint64 { return uint64(set / a.setsPerRow) }
 
 // checkTAD asserts tag/data co-residency: an Alloy set's tag and data live
 // in the same TAD, so every DRAM access for a line must target the row
@@ -115,7 +48,7 @@ func (a *Alloy) checkTAD(line memaddr.Line, set int, row uint64) {
 	if got := a.tags.SetOf(line); got != set {
 		invariants.Failf("dramcache: Alloy line %d accessed via set %d but maps to set %d", line, set, got)
 	}
-	want := uint64(set / (AlloyTADsPerRow / a.assoc))
+	want := uint64(set / (AlloyTADsPerRow / a.tags.Config().Assoc))
 	if row != want {
 		invariants.Failf("dramcache: Alloy tag/data co-residency broken: set %d lives in row %d, accessed row %d", set, want, row)
 	}
@@ -137,7 +70,6 @@ func (a *Alloy) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessRe
 	*r = AccessResult{}
 	a.stacked.AccessRowInto(now, row, a.burst, false, &r.First)
 	r.TagKnown = r.First.Done + TagCheckCycles
-	r.RowHit = r.First.RowHit
 	r.Probed = true
 
 	hit, ev := a.contents(line, write)
@@ -158,12 +90,11 @@ func (a *Alloy) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessRe
 // Fill implements Organization: installing a line writes one TAD burst.
 // No victim-selection read is needed — the victim was identified by the
 // demand access that streamed the TAD (the PAM path reads it regardless).
-func (a *Alloy) Fill(now Cycle, line memaddr.Line) FillResult {
+func (a *Alloy) Fill(now Cycle, line memaddr.Line) Cycle {
 	set := a.tags.SetOf(line)
 	row := a.rowOf(set)
 	if invariants.Enabled {
 		a.checkTAD(line, set, row)
 	}
-	res := a.stacked.AccessRow(now, row, a.burst, true)
-	return FillResult{Done: res.Done}
+	return a.stacked.AccessRow(now, row, a.burst, true).Done
 }

@@ -2,7 +2,6 @@ package dramcache
 
 import (
 	"alloysim/internal/cache"
-	"alloysim/internal/dram"
 	"alloysim/internal/invariants"
 	"alloysim/internal/memaddr"
 	"alloysim/internal/obs"
@@ -38,44 +37,15 @@ const BansheeDefaultThreshold = 2
 // for the page-table-walk cost of the tag lookup.
 type Banshee struct {
 	base
-	setsPerRow int
-	threshold  uint8
-	freq       []uint8 // per hashed page: saturating miss counter
-	bypassed   stats.Counter
-	admitted   stats.Counter
+	threshold uint8
+	freq      []uint8 // per hashed page: saturating miss counter
+	bypassed  stats.Counter
+	admitted  stats.Counter
 }
 
-// NewBanshee builds a Banshee cache of the given capacity.
-func NewBanshee(capacityBytes uint64, stacked *dram.DRAM) (*Banshee, error) {
-	linesPerRow := stacked.Config().LinesPerRow() // no in-DRAM tag overhead
-	cfg, err := rowTags(capacityBytes, stacked.Config(), linesPerRow, 1, "lru", 0)
-	if err != nil {
-		return nil, err
-	}
-	tags, err := cache.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	b := &Banshee{
-		setsPerRow: linesPerRow,
-		threshold:  BansheeDefaultThreshold,
-		freq:       make([]uint8, 1<<bansheeFreqBits),
-	}
-	b.tags = tags
-	b.stacked = stacked
-	return b, nil
+func newBanshee(b base) Organization {
+	return &Banshee{base: b, threshold: BansheeDefaultThreshold, freq: make([]uint8, 1<<bansheeFreqBits)}
 }
-
-// Name implements Organization.
-func (b *Banshee) Name() string { return "Banshee" }
-
-// CapacityBytes implements Organization.
-func (b *Banshee) CapacityBytes() uint64 {
-	return uint64(b.tags.Config().Lines()) * memaddr.LineSizeBytes
-}
-
-//alloyvet:hotpath
-func (b *Banshee) rowOf(set int) uint64 { return uint64(set / b.setsPerRow) }
 
 //alloyvet:hotpath
 func (b *Banshee) freqIndex(line memaddr.Line) uint64 {
@@ -100,7 +70,7 @@ func (b *Banshee) AccessInto(now Cycle, line memaddr.Line, write bool, r *Access
 	switch {
 	case hit:
 		b.stacked.AccessRowInto(r.TagKnown, b.rowOf(b.tags.SetOf(line)), b.stacked.BurstLine(), write, &r.First)
-		r.Hit, r.DataReady, r.RowHit = true, r.First.Done, r.First.RowHit
+		r.Hit, r.DataReady = true, r.First.Done
 		r.Probed = true
 	case admitted:
 		r.Victim, r.Allocated = ev, true
@@ -150,18 +120,9 @@ func (b *Banshee) contents(line memaddr.Line, write bool) (hit, admitted bool, e
 
 // Fill implements Organization: one line write; tags live on-chip, so no
 // tag traffic is charged.
-func (b *Banshee) Fill(now Cycle, line memaddr.Line) FillResult {
-	res := b.stacked.AccessRow(now, b.rowOf(b.tags.SetOf(line)), b.stacked.BurstLine(), true)
-	return FillResult{Done: res.Done}
+func (b *Banshee) Fill(now Cycle, line memaddr.Line) Cycle {
+	return b.stacked.AccessRow(now, b.rowOf(b.tags.SetOf(line)), b.stacked.BurstLine(), true).Done
 }
-
-// BypassedFills returns the number of read misses the fill filter kept out
-// of the cache.
-func (b *Banshee) BypassedFills() uint64 { return b.bypassed.Value() }
-
-// AdmittedFills returns the number of read misses that crossed the
-// admission threshold and allocated a frame.
-func (b *Banshee) AdmittedFills() uint64 { return b.admitted.Value() }
 
 // ResetStats implements Organization; the fill-filter counters are state,
 // not statistics, and survive the reset like cache contents do.

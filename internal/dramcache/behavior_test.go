@@ -14,7 +14,7 @@ import (
 
 func TestAlloy2WayLRUWithinSet(t *testing.T) {
 	st := stacked()
-	o, _ := NewAlloy(testCap, st, AlloyWithAssoc(2))
+	o, _ := build[*Alloy]("alloy-2", testCap, st)
 	sets := uint64(testCap / 2048 * AlloyTADsPerRow / 2)
 	a, b, c := memaddr.Line(5), memaddr.Line(5+sets), memaddr.Line(5+2*sets)
 	fillLine(t, o, a)
@@ -32,7 +32,7 @@ func TestAlloy2WayLRUWithinSet(t *testing.T) {
 
 func TestLHFillWritesTagAndData(t *testing.T) {
 	st := stacked()
-	o, _ := NewLHCache(testCap, st)
+	o, _ := build[*LHCache]("lh-29", testCap, st)
 	before := st.Stats()
 	o.Fill(0, 1234)
 	after := st.Stats()
@@ -46,7 +46,7 @@ func TestLHFillWritesTagAndData(t *testing.T) {
 
 func TestSRAMFillWritesDataOnly(t *testing.T) {
 	st := stacked()
-	o, _ := NewSRAMTag(testCap, 32, st)
+	o, _ := build[*SRAMTag]("sram-32", testCap, st)
 	before := st.Stats()
 	o.Fill(0, 1234)
 	after := st.Stats()
@@ -60,7 +60,7 @@ func TestSRAMFillWritesDataOnly(t *testing.T) {
 
 func TestAlloyWriteHitTrafficShape(t *testing.T) {
 	st := stacked()
-	o, _ := NewAlloy(testCap, st)
+	o, _ := build[*Alloy]("alloy", testCap, st)
 	fillLine(t, o, 7)
 	before := st.Stats()
 	r := access(o, 50000, 7, true)
@@ -79,7 +79,7 @@ func TestLHMissStillReadsTags(t *testing.T) {
 	// §5.1: "even on a DRAM cache miss, we still need to read the tags
 	// anyway to select a victim line".
 	st := stacked()
-	o, _ := NewLHCache(testCap, st)
+	o, _ := build[*LHCache]("lh-29", testCap, st)
 	before := st.Stats().Reads
 	access(o, 0, 42, false) // cold miss
 	if st.Stats().Reads != before+1 {
@@ -89,7 +89,7 @@ func TestLHMissStillReadsTags(t *testing.T) {
 
 func TestIdealLOMissConsumesNoBandwidth(t *testing.T) {
 	st := stacked()
-	o, _ := NewIdealLO(testCap, st)
+	o, _ := build[*IdealLO]("ideal-lo", testCap, st)
 	before := st.Stats()
 	access(o, 0, 42, false) // cold miss
 	after := st.Stats()
@@ -103,7 +103,7 @@ func TestSRAMTag1WayRowLocality(t *testing.T) {
 	// row, so a streaming hit sequence gets row-buffer hits — the
 	// "indirect" benefit Table 1 credits to de-optimization.
 	st := stacked()
-	o, _ := NewSRAMTag(testCap, 1, st)
+	o, _ := build[*SRAMTag]("sram-1", testCap, st)
 	for l := memaddr.Line(0); l < 16; l++ {
 		access(o, 0, l, false) // misses allocate
 	}
@@ -112,7 +112,7 @@ func TestSRAMTag1WayRowLocality(t *testing.T) {
 	hits := 0
 	for l := memaddr.Line(0); l < 16; l++ {
 		r := access(o, now, l, false)
-		if r.RowHit {
+		if r.First.RowHit {
 			hits++
 		}
 		now = r.DataReady
@@ -125,19 +125,11 @@ func TestSRAMTag1WayRowLocality(t *testing.T) {
 func TestCapacityInvariant(t *testing.T) {
 	// For the same raw DRAM budget: SRAM-Tag (32 lines/row) > LH (29) >
 	// Alloy/IDEAL-LO (28); NoTagOverhead recovers the full 32.
-	st := stacked()
-	sram, _ := NewSRAMTag(testCap, 32, st)
-	lh, _ := NewLHCache(testCap, st)
-	alloy, _ := NewAlloy(testCap, st)
-	ideal, _ := NewIdealLO(testCap, st)
-	noTag, _ := NewIdealLO(testCap, st, IdealNoTagOverhead())
-	if !(sram.CapacityBytes() > lh.CapacityBytes() &&
-		lh.CapacityBytes() > alloy.CapacityBytes() &&
-		alloy.CapacityBytes() == ideal.CapacityBytes() &&
-		noTag.CapacityBytes() == sram.CapacityBytes()) {
-		t.Fatalf("capacity ordering broken: sram=%d lh=%d alloy=%d ideal=%d notag=%d",
-			sram.CapacityBytes(), lh.CapacityBytes(), alloy.CapacityBytes(),
-			ideal.CapacityBytes(), noTag.CapacityBytes())
+	sram, lh, alloy := lines(t, "sram-32"), lines(t, "lh-29"), lines(t, "alloy")
+	ideal, noTag := lines(t, "ideal-lo"), lines(t, "ideal-lo-notag")
+	if !(sram > lh && lh > alloy && alloy == ideal && noTag == sram) {
+		t.Fatalf("capacity ordering broken: sram=%d lh=%d alloy=%d ideal=%d notag=%d lines",
+			sram, lh, alloy, ideal, noTag)
 	}
 }
 
@@ -145,17 +137,8 @@ func TestCapacityInvariant(t *testing.T) {
 // the future, or allocates with the line present afterwards; TagKnown is
 // never before the access time.
 func TestQuickAccessInvariants(t *testing.T) {
-	orgs := []func() Organization{
-		func() Organization { o, _ := NewSRAMTag(testCap, 32, stacked()); return o },
-		func() Organization { o, _ := NewLHCache(testCap, stacked()); return o },
-		func() Organization { o, _ := NewAlloy(testCap, stacked()); return o },
-		func() Organization { o, _ := NewIdealLO(testCap, stacked()); return o },
-		func() Organization { o, _ := NewBanshee(testCap, stacked()); return o },
-		func() Organization { o, _ := NewGemini(testCap, stacked()); return o },
-		func() Organization { o, _ := NewTDRAM(testCap, stacked()); return o },
-	}
-	for _, mk := range orgs {
-		o := mk()
+	for _, n := range []string{"sram-32", "lh-29", "alloy", "ideal-lo", "banshee", "gemini", "tdram"} {
+		o := buildDesign(t, n)
 		f := func(lines []uint16) bool {
 			now := Cycle(0)
 			for _, l := range lines {
@@ -175,20 +158,20 @@ func TestQuickAccessInvariants(t *testing.T) {
 			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-			t.Errorf("%s: %v", o.Name(), err)
+			t.Errorf("%s: %v", n, err)
 		}
 	}
 }
 
 func TestResetStatsClearsOrganization(t *testing.T) {
-	o, _ := NewAlloy(testCap, stacked())
+	o, _ := build[*Alloy]("alloy", testCap, stacked())
 	fillLine(t, o, 9)
 	access(o, 1000, 9, false)
 	o.ResetStats()
 	if o.TagStats().Accesses() != 0 {
 		t.Fatal("tag stats survived reset")
 	}
-	if o.HitLatencyMean() != 0 {
+	if o.hitLat.Value() != 0 {
 		t.Fatal("hit latency survived reset")
 	}
 	if !o.Contains(9) {
@@ -200,8 +183,8 @@ func TestResetStatsClearsOrganization(t *testing.T) {
 // share one device instance's bank state in tests that compare them.
 func TestSeparateDevicesIndependent(t *testing.T) {
 	s1, s2 := stacked(), stacked()
-	a, _ := NewAlloy(testCap, s1)
-	b, _ := NewAlloy(testCap, s2)
+	a, _ := build[*Alloy]("alloy", testCap, s1)
+	b, _ := build[*Alloy]("alloy", testCap, s2)
 	access(a, 0, 1, false)
 	if s2.Stats().Reads != 0 {
 		t.Fatal("device state leaked between instances")

@@ -12,8 +12,12 @@
 //     line per hit with no latency overheads.
 //
 // Three organizations from beyond the paper, Banshee, Gemini and TDRAM
-// (DESIGN.md §16), implement the same interface, and the registry in
-// manager.go builds all seven under 13 design names.
+// (DESIGN.md §16), implement the same interface. One table in manager.go
+// names all seven under 13 design names: each entry gives the lines a
+// design keeps per row, its ways and its replacement policy, and the
+// organization built around that tag store. Build and TagConfig derive
+// the store from the entry the same way; Gemini, whose two regions split
+// the rows, derives its own.
 //
 // Each organization layers its access-flow timing over a contents model
 // (internal/cache) and charges all its DRAM traffic — tag reads, data
@@ -44,8 +48,6 @@
 package dramcache
 
 import (
-	"fmt"
-
 	"alloysim/internal/cache"
 	"alloysim/internal/dram"
 	"alloysim/internal/memaddr"
@@ -77,8 +79,6 @@ type AccessResult struct {
 	// Allocated reports whether a miss reserved a frame (read misses do;
 	// write misses are forwarded to memory without allocation).
 	Allocated bool
-	// RowHit reports whether the first DRAM access hit an open row.
-	RowHit bool
 	// First is the timing of the first stacked-DRAM access the
 	// organization issued for this request (the tag-line read for
 	// LH-Cache, the TAD stream for Alloy, the data read for SRAM-Tag and
@@ -90,15 +90,8 @@ type AccessResult struct {
 	Probed bool
 }
 
-// FillResult describes the completion of fill traffic.
-type FillResult struct {
-	Done Cycle
-}
-
 // Organization is a DRAM cache design.
 type Organization interface {
-	// Name identifies the design in reports, e.g. "Alloy (1-way)".
-	Name() string
 	// AccessInto performs a demand access arriving at cycle now and
 	// writes its result into r. It overwrites every field of r, so callers
 	// may reuse one result across accesses. r must point into
@@ -114,19 +107,18 @@ type Organization interface {
 	// statistic beyond the tag store's own. Warmup's entry point.
 	Warm(line memaddr.Line, write bool)
 	// Fill models the DRAM traffic of installing a line after its memory
-	// response arrives at cycle now. Contents were already reserved by the
-	// missing AccessInto; Fill only charges the write traffic.
-	Fill(now Cycle, line memaddr.Line) FillResult
+	// response arrives at cycle now, and returns the cycle that traffic
+	// completes. Contents were already reserved by the missing AccessInto;
+	// Fill only charges the write traffic.
+	Fill(now Cycle, line memaddr.Line) Cycle
 	// Contains probes contents without side effects (used by the
 	// idealized MissMap and the Perfect predictor).
 	Contains(line memaddr.Line) bool
 	// TagStats exposes hit/miss counters.
 	TagStats() cache.Stats
-	// HitLatencyMean is the mean cache-internal hit latency in cycles
-	// (excludes predictor/MissMap serialization, which the system adds).
-	HitLatencyMean() float64
-	// CapacityBytes is the data capacity of the organization.
-	CapacityBytes() uint64
+	// RowBufferHitRate is the fraction of demand accesses whose first
+	// DRAM access hit an open row.
+	RowBufferHitRate() float64
 	// ResetStats zeroes counters while keeping contents; separates warmup
 	// from measurement.
 	ResetStats()
@@ -135,28 +127,24 @@ type Organization interface {
 	RegisterMetrics(x obs.Exporter, prefix string)
 }
 
-// rowTags is the tag store of a design that keeps linesPerRow lines of
-// each stacked row, in sets of assoc ways under the given policy and seed.
-// Every constructor's store comes from it, as does TagConfig's.
-func rowTags(capacityBytes uint64, stacked dram.Config, linesPerRow, assoc int, policy string, seed uint64) (cache.Config, error) {
-	rows := capacityBytes / uint64(stacked.RowBytes)
-	if rows == 0 {
-		return cache.Config{}, fmt.Errorf("dramcache: capacity %d smaller than one row", capacityBytes)
-	}
-	return cache.Config{Sets: int(rows) * linesPerRow / assoc, Assoc: assoc, Policy: policy, Seed: seed}, nil
-}
-
 // base carries the machinery shared by all organizations.
 type base struct {
-	tags    *cache.Cache
-	stacked *dram.DRAM
-	hitLat  stats.Mean
-	rowHits stats.Counter
-	accs    stats.Counter
+	tags       *cache.Cache
+	stacked    *dram.DRAM
+	setsPerRow int        // consecutive sets that share one stacked row
+	hitLat     stats.Mean // cache-internal hit latency, predictor excluded
+	rowHits    stats.Counter
+	accs       stats.Counter
 }
 
 func (b *base) Contains(line memaddr.Line) bool { return b.tags.Contains(line) }
 func (b *base) stackedStats() dram.Stats        { return b.stacked.Stats() }
+func (b *base) tagStore() *cache.Cache          { return b.tags }
+
+// rowOf maps a set index to the stacked-DRAM row holding it.
+//
+//alloyvet:hotpath
+func (b *base) rowOf(set int) uint64 { return uint64(set / b.setsPerRow) }
 
 // ResetStats implements Organization.
 func (b *base) ResetStats() {
@@ -165,8 +153,7 @@ func (b *base) ResetStats() {
 	b.rowHits = stats.Counter{}
 	b.accs = stats.Counter{}
 }
-func (b *base) TagStats() cache.Stats   { return b.tags.Stats() }
-func (b *base) HitLatencyMean() float64 { return b.hitLat.Value() }
+func (b *base) TagStats() cache.Stats { return b.tags.Stats() }
 
 // contents is the contents step of every design whose contents are one
 // tag store: a write probes (a hit updates the line in place, a miss is
@@ -192,7 +179,7 @@ func (b *base) Warm(line memaddr.Line, write bool) { b.contents(line, write) }
 //alloyvet:hotpath
 func (b *base) observe(r *AccessResult, start Cycle) {
 	b.accs.Inc()
-	if r.RowHit {
+	if r.First.RowHit {
 		b.rowHits.Inc()
 	}
 	if r.Hit {
@@ -200,9 +187,9 @@ func (b *base) observe(r *AccessResult, start Cycle) {
 	}
 }
 
-// RowBufferHitRate returns the fraction of demand accesses whose first
-// DRAM access hit an open row — the statistic behind the paper's "56% on
-// average for direct-mapped vs <0.1% for set-per-row" observation (§2.7).
+// RowBufferHitRate implements Organization. It is the statistic behind
+// the paper's "56% on average for direct-mapped vs <0.1% for set-per-row"
+// observation (§2.7).
 func (b *base) RowBufferHitRate() float64 {
 	if b.accs.Value() == 0 {
 		return 0
@@ -222,10 +209,4 @@ func (b *base) RegisterMetrics(x obs.Exporter, prefix string) {
 	x.Counter(prefix+"_row_buffer_hits_total", "demand accesses whose first DRAM access hit an open row", func() uint64 { return b.rowHits.Value() })
 	x.Gauge(prefix+"_row_buffer_hit_rate", "row-buffer hit fraction of demand accesses", func() float64 { return b.RowBufferHitRate() })
 	x.Gauge(prefix+"_hit_latency_mean_cycles", "mean cache-internal hit latency", func() float64 { return b.hitLat.Value() })
-}
-
-// RowBufferHitRater is implemented by organizations exposing row-locality
-// statistics.
-type RowBufferHitRater interface {
-	RowBufferHitRate() float64
 }

@@ -11,6 +11,16 @@ const testCap = 4 << 20 // 4 MB keeps tag arrays small in tests
 
 func stacked() *dram.DRAM { return dram.MustNew(dram.StackedConfig()) }
 
+// build constructs the named design over st as its organization type.
+func build[T Organization](name string, capacity uint64, st *dram.DRAM) (T, error) {
+	o, err := Build(name, Params{CapacityBytes: capacity, Stacked: st})
+	if err != nil {
+		var none T
+		return none, err
+	}
+	return o.(T), nil
+}
+
 // access is one demand access of o, its result returned by value.
 func access(o Organization, now Cycle, line memaddr.Line, write bool) AccessResult {
 	var r AccessResult
@@ -23,17 +33,17 @@ func fillLine(t *testing.T, o Organization, line memaddr.Line) {
 	t.Helper()
 	r := access(o, 0, line, false)
 	if r.Hit {
-		t.Fatalf("%s: line %d already present", o.Name(), line)
+		t.Fatalf("%T: line %d already present", o, line)
 	}
 	if !r.Allocated {
-		t.Fatalf("%s: read miss did not allocate", o.Name())
+		t.Fatalf("%T: read miss did not allocate", o)
 	}
 }
 
 func TestSRAMTagHitLatencyMatchesFig3(t *testing.T) {
 	// Figure 3(b): SRAM-Tag services a hit in TSL(24) + ACT(18) + CAS(18)
 	// + burst(4) = 64 cycles when the row is closed.
-	o, err := NewSRAMTag(testCap, 32, stacked())
+	o, err := build[*SRAMTag]("sram-32", testCap, stacked())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +71,7 @@ func TestSRAMTagHitLatencyMatchesFig3(t *testing.T) {
 
 func TestSRAMTagColdHit64Cycles(t *testing.T) {
 	st := stacked()
-	o, _ := NewSRAMTag(testCap, 32, st)
+	o, _ := build[*SRAMTag]("sram-32", testCap, st)
 	fillLine(t, o, 1000)
 	st.Reset() // close all rows: the paper's isolated type-Y access
 	r := access(o, 0, 1000, false)
@@ -74,7 +84,7 @@ func TestLHCacheColdHit71Cycles(t *testing.T) {
 	// Figure 3(c) minus the 24-cycle MissMap (charged by the system):
 	// ACT(18)+CAS(18)+3 tag lines(12)+check(1)+CAS(18)+burst(4) = 71.
 	st := stacked()
-	o, err := NewLHCache(testCap, st)
+	o, err := build[*LHCache]("lh-29", testCap, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +105,7 @@ func TestLHCacheColdHit71Cycles(t *testing.T) {
 func TestAlloyColdHit41Cycles(t *testing.T) {
 	// Figure 3(d)-like: one TAD burst, ACT(18)+CAS(18)+burst(5) = 41.
 	st := stacked()
-	o, err := NewAlloy(testCap, st)
+	o, err := build[*Alloy]("alloy", testCap, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +125,13 @@ func TestAlloyColdHit41Cycles(t *testing.T) {
 
 func TestAlloyRowHit23Cycles(t *testing.T) {
 	st := stacked()
-	o, _ := NewAlloy(testCap, st)
+	o, _ := build[*Alloy]("alloy", testCap, st)
 	fillLine(t, o, 1000)
 	fillLine(t, o, 1001) // same row: 28 consecutive sets per row
 	st.Reset()
 	r1 := access(o, 0, 1000, false)
 	r2 := access(o, r1.DataReady, 1001, false)
-	if !r2.RowHit {
+	if !r2.First.RowHit {
 		t.Fatal("consecutive line should be a row-buffer hit")
 	}
 	if got := r2.DataReady - r1.DataReady; got != 23 {
@@ -131,7 +141,7 @@ func TestAlloyRowHit23Cycles(t *testing.T) {
 
 func TestIdealLOLatencies(t *testing.T) {
 	st := stacked()
-	o, err := NewIdealLO(testCap, st)
+	o, err := build[*IdealLO]("ideal-lo", testCap, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,49 +163,52 @@ func TestIdealLOLatencies(t *testing.T) {
 }
 
 func TestMissDoesNotProduceData(t *testing.T) {
-	for _, o := range allOrgs(t) {
+	for _, n := range paperDesigns {
+		o := buildDesign(t, n)
 		r := access(o, 0, 42, false)
 		if r.Hit {
-			t.Errorf("%s: cold access hit", o.Name())
+			t.Errorf("%s: cold access hit", n)
 		}
 		if !r.Allocated {
-			t.Errorf("%s: read miss did not allocate", o.Name())
+			t.Errorf("%s: read miss did not allocate", n)
 		}
 		if !o.Contains(42) {
-			t.Errorf("%s: allocated line not present", o.Name())
+			t.Errorf("%s: allocated line not present", n)
 		}
 	}
 }
 
 func TestWriteMissDoesNotAllocate(t *testing.T) {
-	for _, o := range allOrgs(t) {
+	for _, n := range paperDesigns {
+		o := buildDesign(t, n)
 		r := access(o, 0, 42, true)
 		if r.Hit || r.Allocated {
-			t.Errorf("%s: write miss hit=%v allocated=%v", o.Name(), r.Hit, r.Allocated)
+			t.Errorf("%s: write miss hit=%v allocated=%v", n, r.Hit, r.Allocated)
 		}
 		if o.Contains(42) {
-			t.Errorf("%s: write miss allocated", o.Name())
+			t.Errorf("%s: write miss allocated", n)
 		}
 	}
 }
 
 func TestWriteHitUpdatesInPlace(t *testing.T) {
-	for _, o := range allOrgs(t) {
+	for _, n := range paperDesigns {
+		o := buildDesign(t, n)
 		fillLine(t, o, 7)
 		r := access(o, 1000, 7, true)
 		if !r.Hit {
-			t.Errorf("%s: write to present line missed", o.Name())
+			t.Errorf("%s: write to present line missed", n)
 			continue
 		}
 		if r.DataReady <= 1000 {
-			t.Errorf("%s: write hit DataReady %d not in the future", o.Name(), r.DataReady)
+			t.Errorf("%s: write hit DataReady %d not in the future", n, r.DataReady)
 		}
 	}
 }
 
 func TestVictimReportedOnConflict(t *testing.T) {
 	st := stacked()
-	o, _ := NewAlloy(testCap, st)
+	o, _ := build[*Alloy]("alloy", testCap, st)
 	sets := uint64(testCap / 2048 * AlloyTADsPerRow)
 	fillLine(t, o, 5)
 	r := access(o, 0, memaddr.Line(5+sets), false) // same set
@@ -208,22 +221,22 @@ func TestVictimReportedOnConflict(t *testing.T) {
 }
 
 func TestFillChargesTraffic(t *testing.T) {
-	for _, o := range allOrgs(t) {
+	for _, n := range paperDesigns {
+		o := buildDesign(t, n)
 		st := o.(interface{ stackedStats() dram.Stats })
 		before := st.stackedStats().Writes
-		res := o.Fill(0, 99)
-		if res.Done == 0 {
-			t.Errorf("%s: fill completed instantly", o.Name())
+		if o.Fill(0, 99) == 0 {
+			t.Errorf("%s: fill completed instantly", n)
 		}
 		if st.stackedStats().Writes <= before {
-			t.Errorf("%s: fill did not write to stacked DRAM", o.Name())
+			t.Errorf("%s: fill did not write to stacked DRAM", n)
 		}
 	}
 }
 
 func TestAlloyTwoWay(t *testing.T) {
 	st := stacked()
-	o, err := NewAlloy(testCap, st, AlloyWithAssoc(2))
+	o, err := build[*Alloy]("alloy-2", testCap, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +257,7 @@ func TestAlloyTwoWay(t *testing.T) {
 
 func TestAlloyBurst8(t *testing.T) {
 	st := stacked()
-	o, err := NewAlloy(testCap, st, AlloyWithBurst(8))
+	o, err := build[*Alloy]("alloy-b8", testCap, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +271,8 @@ func TestAlloyBurst8(t *testing.T) {
 
 func TestLHDirectMappedFasterThan29Way(t *testing.T) {
 	st1, st2 := stacked(), stacked()
-	lh29, _ := NewLHCache(testCap, st1)
-	lh1, _ := NewLHCache(testCap, st2, LHWithAssoc(1))
+	lh29, _ := build[*LHCache]("lh-29", testCap, st1)
+	lh1, _ := build[*LHCache]("lh-1", testCap, st2)
 	fillLine(t, lh29, 1000)
 	fillLine(t, lh1, 1000)
 	st1.Reset()
@@ -275,8 +288,8 @@ func TestRowBufferLocalityContrast(t *testing.T) {
 	// Streaming through consecutive lines: Alloy gets row hits, LH 29-way
 	// essentially none (§2.7: 56% vs <0.1%).
 	stA, stL := stacked(), stacked()
-	alloy, _ := NewAlloy(testCap, stA)
-	lh, _ := NewLHCache(testCap, stL)
+	alloy, _ := build[*Alloy]("alloy", testCap, stA)
+	lh, _ := build[*LHCache]("lh-29", testCap, stL)
 	now := Cycle(0)
 	for l := memaddr.Line(0); l < 2000; l++ {
 		r := access(alloy, now, l, false)
@@ -297,55 +310,50 @@ func TestRowBufferLocalityContrast(t *testing.T) {
 	}
 }
 
+// lines is the line count of a design's tag store at testCap.
+func lines(t *testing.T, name string) int {
+	t.Helper()
+	return TagStore(buildDesign(t, name)).Config().Lines()
+}
+
 func TestCapacityBytes(t *testing.T) {
-	st := stacked()
-	rows := uint64(testCap / 2048)
-	alloy, _ := NewAlloy(testCap, st)
-	if got := alloy.CapacityBytes(); got != rows*AlloyTADsPerRow*64 {
-		t.Fatalf("Alloy capacity %d, want %d", got, rows*AlloyTADsPerRow*64)
+	rows := testCap / 2048
+	for _, c := range []struct {
+		name        string
+		linesPerRow int
+	}{{"alloy", AlloyTADsPerRow}, {"lh-29", 29}, {"sram-32", 32}} {
+		if got := lines(t, c.name); got != rows*c.linesPerRow {
+			t.Fatalf("%s holds %d lines, want %d", c.name, got, rows*c.linesPerRow)
+		}
 	}
-	lh, _ := NewLHCache(testCap, st)
-	if got := lh.CapacityBytes(); got != rows*29*64 {
-		t.Fatalf("LH capacity %d, want %d", got, rows*29*64)
-	}
-	sram, _ := NewSRAMTag(testCap, 32, st)
-	if got := sram.CapacityBytes(); got != rows*32*64 {
-		t.Fatalf("SRAM-Tag capacity %d, want %d", got, rows*32*64)
-	}
-	idealNoTag, _ := NewIdealLO(testCap, st, IdealNoTagOverhead())
-	ideal, _ := NewIdealLO(testCap, st)
-	if idealNoTag.CapacityBytes() <= ideal.CapacityBytes() {
+	if lines(t, "ideal-lo-notag") <= lines(t, "ideal-lo") {
 		t.Fatal("NoTagOverhead should increase capacity")
 	}
 }
 
 func TestConstructorValidation(t *testing.T) {
 	st := stacked()
-	if _, err := NewSRAMTag(testCap, 7, st); err == nil {
-		t.Error("SRAM-Tag with assoc 7 accepted")
-	}
-	if _, err := NewSRAMTag(100, 32, st); err == nil {
+	if _, err := build[*SRAMTag]("sram-32", 100, st); err == nil {
 		t.Error("sub-row SRAM-Tag capacity accepted")
 	}
-	if _, err := NewLHCache(testCap, st, LHWithAssoc(5)); err == nil {
-		t.Error("LH with assoc 5 accepted")
-	}
-	if _, err := NewAlloy(testCap, st, AlloyWithAssoc(4)); err == nil {
-		t.Error("Alloy with assoc 4 accepted")
-	}
-	if _, err := NewAlloy(testCap, st, AlloyWithBurst(0)); err == nil {
-		t.Error("Alloy with burst 0 accepted")
-	}
-	if _, err := NewIdealLO(100, st); err == nil {
+	if _, err := build[*IdealLO]("ideal-lo", 100, st); err == nil {
 		t.Error("sub-row IdealLO capacity accepted")
+	}
+	if _, err := build[*Gemini]("gemini", 2048, st); err == nil {
+		t.Error("one-row Gemini capacity accepted")
+	}
+	half := dram.StackedConfig()
+	half.RowBytes = 1024
+	if _, err := build[*SRAMTag]("sram-32", testCap, dram.MustNew(half)); err == nil {
+		t.Error("32-way SRAM-Tag set wider than a 16-line row accepted")
 	}
 }
 
-func TestHitLatencyMeanAccumulates(t *testing.T) {
-	o, _ := NewAlloy(testCap, stacked())
+func TestHitLatencyAccumulates(t *testing.T) {
+	o, _ := build[*Alloy]("alloy", testCap, stacked())
 	fillLine(t, o, 5)
 	access(o, 10000, 5, false)
-	if o.HitLatencyMean() <= 0 {
+	if o.hitLat.Value() <= 0 {
 		t.Fatal("hit latency mean not recorded")
 	}
 	if o.TagStats().Hits != 1 {
@@ -353,32 +361,6 @@ func TestHitLatencyMeanAccumulates(t *testing.T) {
 	}
 }
 
-// allOrgs builds one instance of every organization for shared behavioral
-// tests, each with its own stacked device.
-func allOrgs(t *testing.T) []Organization {
-	t.Helper()
-	var orgs []Organization
-	mk := func(o Organization, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		orgs = append(orgs, o)
-	}
-	mk(NewSRAMTag(testCap, 32, stacked()))
-	mk(NewSRAMTag(testCap, 1, stacked()))
-	o, err := NewLHCache(testCap, stacked())
-	mk(o, err)
-	o2, err := NewLHCache(testCap, stacked(), LHWithAssoc(1))
-	mk(o2, err)
-	o3, err := NewLHCache(testCap, stacked(), LHWithPolicy("random"))
-	mk(o3, err)
-	a, err := NewAlloy(testCap, stacked())
-	mk(a, err)
-	a2, err := NewAlloy(testCap, stacked(), AlloyWithAssoc(2))
-	mk(a2, err)
-	i1, err := NewIdealLO(testCap, stacked())
-	mk(i1, err)
-	i2, err := NewIdealLO(testCap, stacked(), IdealNoTagOverhead())
-	mk(i2, err)
-	return orgs
-}
+// paperDesigns are the designs of the paper's comparisons that allocate on
+// every read miss, for shared behavioral tests.
+var paperDesigns = []string{"sram-32", "sram-1", "lh-29", "lh-1", "lh-29-rand", "alloy", "alloy-2", "ideal-lo", "ideal-lo-notag"}

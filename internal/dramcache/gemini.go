@@ -33,74 +33,40 @@ type Gemini struct {
 	dm          *cache.Cache // direct-mapped region (TAD layout)
 	sa          *cache.Cache // set-associative region (Loh-Hill layout)
 	dmRows      uint64
-	dmBurst     Cycle
 	steer       []uint8
 	saMisrouted stats.Counter // accesses that found the line in the unpredicted region
-	name        string
 }
 
-// GeminiOption configures a Gemini cache.
-type GeminiOption func(*geminiParams)
-
-type geminiParams struct {
-	policy string
-	seed   uint64
-}
-
-// GeminiWithPolicy selects the set-associative region's replacement policy
-// ("srrip" default; any policy.Known name).
-func GeminiWithPolicy(policy string) GeminiOption { return func(p *geminiParams) { p.policy = policy } }
-
-// GeminiWithSeed seeds stochastic replacement in the set-associative
-// region; 0 keeps the legacy fixed seed.
-func GeminiWithSeed(seed uint64) GeminiOption { return func(p *geminiParams) { p.seed = seed } }
-
-// NewGemini builds a Gemini cache of the given capacity. The capacity must
-// span at least two rows — one per region.
-func NewGemini(capacityBytes uint64, stacked *dram.DRAM, opts ...GeminiOption) (*Gemini, error) {
-	p := geminiParams{policy: "srrip"}
-	for _, o := range opts {
-		o(&p)
+// newGemini builds a Gemini cache from p. Its regions split the rows, so
+// it derives its own two stores: three quarters of the rows, at least
+// one, hold TADs direct-mapped under LRU, and the rest hold 29-way sets
+// under SRRIP or p.Policy, seeded by p.Seed. The capacity must span at
+// least two rows, one per region.
+func newGemini(p Params) (Organization, error) {
+	policy := p.Policy
+	if policy == "" {
+		policy = "srrip"
 	}
-	rows := capacityBytes / uint64(stacked.Config().RowBytes)
+	rows := p.CapacityBytes / uint64(p.Stacked.Config().RowBytes)
 	if rows < 2 {
-		return nil, fmt.Errorf("dramcache: Gemini needs at least two rows (one per region), capacity %d holds %d", capacityBytes, rows)
+		return nil, fmt.Errorf("dramcache: Gemini needs at least two rows (one per region), capacity %d holds %d", p.CapacityBytes, rows)
 	}
 	dmRows := rows * 3 / 4
-	if dmRows == 0 {
-		dmRows = 1
-	}
-	saRows := rows - dmRows
 	dm, err := cache.New(cache.Config{Sets: int(dmRows) * AlloyTADsPerRow, Assoc: 1, Policy: "lru"})
 	if err != nil {
 		return nil, err
 	}
-	sa, err := cache.New(cache.Config{Sets: int(saRows), Assoc: LHDataLinesPerRow, Policy: p.policy, Seed: p.seed})
+	sa, err := cache.New(cache.Config{Sets: int(rows - dmRows), Assoc: LHDataLinesPerRow, Policy: policy, Seed: p.Seed})
 	if err != nil {
 		return nil, err
 	}
-	g := &Gemini{
-		dm:      dm,
-		sa:      sa,
-		dmRows:  dmRows,
-		dmBurst: AlloyBurst,
-		steer:   make([]uint8, 1<<geminiSteerBits),
-		name:    "Gemini",
-	}
-	if p.policy != "srrip" {
-		g.name = fmt.Sprintf("Gemini (%s)", p.policy)
-	}
-	g.tags = dm // base fallback; all tag-touching methods are overridden
-	g.stacked = stacked
-	return g, nil
-}
-
-// Name implements Organization.
-func (g *Gemini) Name() string { return g.name }
-
-// CapacityBytes implements Organization.
-func (g *Gemini) CapacityBytes() uint64 {
-	return uint64(g.dm.Config().Lines()+g.sa.Config().Lines()) * memaddr.LineSizeBytes
+	return &Gemini{
+		base:   base{stacked: p.Stacked},
+		dm:     dm,
+		sa:     sa,
+		dmRows: dmRows,
+		steer:  make([]uint8, 1<<geminiSteerBits),
+	}, nil
 }
 
 //alloyvet:hotpath
@@ -134,7 +100,7 @@ func (g *Gemini) trainToward(line memaddr.Line, sa bool) {
 //
 //alloyvet:hotpath
 func (g *Gemini) probeDM(t Cycle, line memaddr.Line, res *dram.Result) (tagKnown Cycle) {
-	g.stacked.AccessRowInto(t, g.dmRowOf(g.dm.SetOf(line)), g.dmBurst, false, res)
+	g.stacked.AccessRowInto(t, g.dmRowOf(g.dm.SetOf(line)), AlloyBurst, false, res)
 	return res.Done + TagCheckCycles
 }
 
@@ -166,7 +132,6 @@ func (g *Gemini) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessR
 	} else {
 		tagKnown = g.probeDM(now, line, &r.First)
 	}
-	r.RowHit = r.First.RowHit
 	inFirst := (st.saFirst && st.inSA) || (!st.saFirst && st.inDM)
 
 	if !inFirst && (st.inDM || st.inSA) {
@@ -181,7 +146,6 @@ func (g *Gemini) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessR
 			// nothing. Thread it into First so hitIn's read path consumes
 			// the misrouted burst, not the first probe's.
 			r.First = second
-			r.RowHit = second.RowHit
 		} else {
 			tagKnown = g.probeSA(tagKnown, line, &second)
 		}
@@ -301,19 +265,17 @@ func (g *Gemini) hitIn(tagKnown Cycle, line memaddr.Line, write, hitSA bool, r *
 // missing AccessInto reserved the frame in — one TAD burst for the
 // direct-mapped region, tag read plus data-and-tag write for the
 // set-associative region.
-func (g *Gemini) Fill(now Cycle, line memaddr.Line) FillResult {
+func (g *Gemini) Fill(now Cycle, line memaddr.Line) Cycle {
 	if g.sa.Contains(line) {
 		burst := g.stacked.BurstLine()
 		row := g.saRowOf(g.sa.SetOf(line))
 		tagRead := g.stacked.AccessRow(now, row, LHTagLines*burst, false)
-		write := g.stacked.AccessRow(tagRead.Done+TagCheckCycles, row, burst+1, true)
-		return FillResult{Done: write.Done}
+		return g.stacked.AccessRow(tagRead.Done+TagCheckCycles, row, burst+1, true).Done
 	}
 	if invariants.Enabled && !g.dm.Contains(line) {
 		invariants.Failf("dramcache: Gemini fill of line %d not reserved in either region", line)
 	}
-	res := g.stacked.AccessRow(now, g.dmRowOf(g.dm.SetOf(line)), g.dmBurst, true)
-	return FillResult{Done: res.Done}
+	return g.stacked.AccessRow(now, g.dmRowOf(g.dm.SetOf(line)), AlloyBurst, true).Done
 }
 
 // Contains implements Organization across both regions.

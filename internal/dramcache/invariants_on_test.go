@@ -32,7 +32,7 @@ func mustPanicInv(t *testing.T, substr string, f func()) {
 
 func TestAlloyTADCoResidencyPanics(t *testing.T) {
 	d := dram.MustNew(dram.StackedConfig())
-	a, err := NewAlloy(1<<20, d)
+	a, err := build[*Alloy]("alloy", 1<<20, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestAlloyTADCoResidencyPanics(t *testing.T) {
 
 func TestAlloyFillCoResidencyPanics(t *testing.T) {
 	d := dram.MustNew(dram.StackedConfig())
-	a, err := NewAlloy(1<<20, d)
+	a, err := build[*Alloy]("alloy", 1<<20, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestAlloyFillCoResidencyPanics(t *testing.T) {
 
 func TestAlloyLegalAccessDoesNotPanic(t *testing.T) {
 	d := dram.MustNew(dram.StackedConfig())
-	a, err := NewAlloy(1<<20, d)
+	a, err := build[*Alloy]("alloy", 1<<20, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestAlloyLegalAccessDoesNotPanic(t *testing.T) {
 
 func TestTDRAMCoResidencyPanics(t *testing.T) {
 	d := dram.MustNew(dram.StackedConfig())
-	td, err := NewTDRAM(1<<20, d)
+	td, err := build[*TDRAM]("tdram", 1<<20, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestTDRAMCoResidencyPanics(t *testing.T) {
 
 func TestTDRAMFillCoResidencyPanics(t *testing.T) {
 	d := dram.MustNew(dram.StackedConfig())
-	td, err := NewTDRAM(1<<20, d)
+	td, err := build[*TDRAM]("tdram", 1<<20, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestTDRAMFillCoResidencyPanics(t *testing.T) {
 
 func TestGeminiDualResidencyPanics(t *testing.T) {
 	d := dram.MustNew(dram.StackedConfig())
-	g, err := NewGemini(1<<20, d)
+	g, err := build[*Gemini]("gemini", 1<<20, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,23 +102,11 @@ func TestGeminiDualResidencyPanics(t *testing.T) {
 
 func TestZooLegalAccessDoesNotPanic(t *testing.T) {
 	d := dram.MustNew(dram.StackedConfig())
-	orgs := []Organization{}
-	if b, err := NewBanshee(1<<20, d); err == nil {
-		orgs = append(orgs, b)
-	} else {
-		t.Fatal(err)
-	}
-	if g, err := NewGemini(1<<20, d); err == nil {
-		orgs = append(orgs, g)
-	} else {
-		t.Fatal(err)
-	}
-	if td, err := NewTDRAM(1<<20, d); err == nil {
-		orgs = append(orgs, td)
-	} else {
-		t.Fatal(err)
-	}
-	for _, o := range orgs {
+	for _, n := range []string{"banshee", "gemini", "tdram"} {
+		o, err := build[Organization](n, 1<<20, d)
+		if err != nil {
+			t.Fatal(err)
+		}
 		now := Cycle(0)
 		for i := 0; i < 128; i++ {
 			r := access(o, now, memaddr.Line(i*37), i%4 == 0)

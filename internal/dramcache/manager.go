@@ -8,7 +8,7 @@ import (
 	"alloysim/internal/dram"
 )
 
-// Params is the builder input for the design registry: everything an
+// Params is the builder input for the design table: everything an
 // organization needs at construction time. Policy and Seed feed the
 // design×replacement-policy cross-product — designs that expose no
 // replacement choice reject a non-empty Policy instead of silently
@@ -25,38 +25,98 @@ type Params struct {
 	Seed uint64
 }
 
-// Builder constructs one organization from Params.
-type Builder func(Params) (Organization, error)
+// design is one entry of the design table: the tag store a design keeps
+// in the stacked rows, and the organization it builds around that store.
+type design struct {
+	linesPerRow int    // lines of each row the store keeps; 0 keeps every line
+	ways        int    // ways per set
+	policy      string // replacement policy, with seed 0
+	// anyPolicy lets Params.Policy, seeded by Params.Seed, replace policy.
+	// Every other design rejects a policy.
+	anyPolicy bool
+	// trains marks a design whose Warm also trains state beside its tag
+	// store (Banshee's page counters, Gemini's steering table), so that
+	// TagConfig does not cover it.
+	trains bool
+	// org builds the organization around its store.
+	org func(base) Organization
+	// build, when set, builds the organization from Params with a store
+	// derivation of its own: Gemini's two regions split the rows.
+	build func(Params) (Organization, error)
+}
 
-// registry maps design names (the core.Design strings) to builders. It is
-// populated at init time and read-only afterwards, in the style of gem5's
-// PolicyManager: one lookup point for the whole design zoo.
-var registry = map[string]Builder{}
+// designs maps each design name (a core.Design string) to its entry, in
+// the style of gem5's PolicyManager: one lookup point for the whole
+// design zoo. Lines per row, ways and policies are the paper's (Table 1,
+// §6.5, §6.7, Table 7) and the zoo's (DESIGN.md §16).
+var designs = map[string]design{
+	"sram-32": {ways: 32, policy: "dip", org: newSRAMTag},
+	"sram-1":  {ways: 1, policy: "dip", org: newSRAMTag},
+	"lh-29":   {linesPerRow: LHDataLinesPerRow, ways: LHDataLinesPerRow, policy: "dip", anyPolicy: true, org: newLHCache},
+	// Table 1's random de-optimization keeps seed 0 whatever Params.Seed
+	// is: its committed results depend on that fixed eviction sequence.
+	"lh-29-rand":     {linesPerRow: LHDataLinesPerRow, ways: LHDataLinesPerRow, policy: "random", org: newLHCache},
+	"lh-1":           {linesPerRow: LHDataLinesPerRow, ways: 1, policy: "dip", org: newLHCache},
+	"alloy":          {linesPerRow: AlloyTADsPerRow, ways: 1, policy: "lru", org: newAlloy(AlloyBurst)},
+	"alloy-2":        {linesPerRow: AlloyTADsPerRow, ways: 2, policy: "lru", org: newAlloy(AlloyBurst)},
+	"alloy-b8":       {linesPerRow: AlloyTADsPerRow, ways: 1, policy: "lru", org: newAlloy(8)},
+	"tdram":          {linesPerRow: AlloyTADsPerRow, ways: 1, policy: "lru", org: newTDRAM},
+	"ideal-lo":       {linesPerRow: AlloyTADsPerRow, ways: 1, policy: "lru", org: newIdealLO},
+	"ideal-lo-notag": {ways: 1, policy: "lru", org: newIdealLO},
+	"banshee":        {ways: 1, policy: "lru", trains: true, org: newBanshee},
+	"gemini":         {trains: true, build: newGemini},
+}
 
-// Register adds a design builder under a name. It panics on duplicates —
-// two designs claiming one name is a programming error, not a runtime
-// condition.
-func Register(name string, b Builder) {
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("dramcache: design %q registered twice", name))
+// store derives the tag store design name keeps in capacityBytes of
+// stacked DRAM under the given policy override and seed, and how many of
+// its sets share one row.
+func (d design) store(name string, capacityBytes uint64, stacked dram.Config, policy string, seed uint64) (cfg cache.Config, setsPerRow int, err error) {
+	switch {
+	case policy == "":
+		policy, seed = d.policy, 0
+	case !d.anyPolicy:
+		return cache.Config{}, 0, fmt.Errorf("dramcache: design %q has no replacement-policy choice (got %q)", name, policy)
 	}
-	registry[name] = b
+	rows := capacityBytes / uint64(stacked.RowBytes)
+	if rows == 0 {
+		return cache.Config{}, 0, fmt.Errorf("dramcache: capacity %d smaller than one row", capacityBytes)
+	}
+	lines := d.linesPerRow
+	if lines == 0 {
+		lines = stacked.LinesPerRow()
+	}
+	setsPerRow = lines / d.ways
+	if setsPerRow == 0 {
+		return cache.Config{}, 0, fmt.Errorf("dramcache: design %q keeps %d-way sets in rows, but a %d B row holds %d of its lines", name, d.ways, stacked.RowBytes, lines)
+	}
+	return cache.Config{Sets: int(rows) * setsPerRow, Assoc: d.ways, Policy: policy, Seed: seed}, setsPerRow, nil
 }
 
 // Build constructs the named design.
 func Build(name string, p Params) (Organization, error) {
-	b, ok := registry[name]
+	d, ok := designs[name]
 	if !ok {
 		return nil, fmt.Errorf("dramcache: unknown design %q (known: %v)", name, Names())
 	}
-	return b(p)
+	if d.build != nil {
+		return d.build(p)
+	}
+	cfg, setsPerRow, err := d.store(name, p.CapacityBytes, p.Stacked.Config(), p.Policy, p.Seed)
+	if err != nil {
+		return nil, err
+	}
+	tags, err := cache.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return d.org(base{tags: tags, stacked: p.Stacked, setsPerRow: setsPerRow}), nil
 }
 
-// Names lists every registered design in sorted order.
+// Names lists every design in sorted order.
 func Names() []string {
-	names := make([]string, 0, len(registry))
+	names := make([]string, 0, len(designs))
 	//alloyvet:allow(determinism) collection order is irrelevant: sorted below
-	for n := range registry {
+	for n := range designs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -84,53 +144,18 @@ func SeedFor(design, policy string) uint64 {
 	return h
 }
 
-// fixedPolicy wraps a builder for a design with no replacement choice: a
-// policy override is a configuration error, not a no-op.
-func fixedPolicy(name string, build Builder) Builder {
-	return func(p Params) (Organization, error) {
-		if p.Policy != "" {
-			return nil, fmt.Errorf("dramcache: design %q has no replacement-policy choice (got %q)", name, p.Policy)
-		}
-		return build(p)
-	}
-}
-
 // TagConfig returns the tag store Build(name, p) gives a design whose
-// contents are that store alone: every registered design but banshee and
-// gemini, whose Warm also trains page counters or a steering table. It
-// takes p's capacity, policy and seed and the stacked device's geometry,
-// and builds nothing. ok is false for banshee, gemini and unknown names.
-// The cases pass each design the options its builder below passes its
-// constructor, and TestTagConfigMatchesBuild holds them to it.
+// contents are that store alone: every design but banshee and gemini,
+// whose Warm also trains page counters or a steering table. It takes p's
+// capacity, policy and seed and the stacked device's geometry, derives
+// the store as Build does, and builds nothing. ok is false for banshee,
+// gemini and unknown names.
 func TagConfig(name string, capacityBytes uint64, stacked dram.Config, policy string, seed uint64) (cfg cache.Config, ok bool, err error) {
-	fixed := true
-	switch name {
-	case "sram-32":
-		cfg, err = sramTags(capacityBytes, stacked, 32)
-	case "sram-1":
-		cfg, err = sramTags(capacityBytes, stacked, 1)
-	case "lh-29":
-		fixed = false
-		if policy == "" {
-			policy, seed = "dip", 0
-		}
-		cfg, err = rowTags(capacityBytes, stacked, LHDataLinesPerRow, LHDataLinesPerRow, policy, seed)
-	case "lh-29-rand":
-		cfg, err = rowTags(capacityBytes, stacked, LHDataLinesPerRow, LHDataLinesPerRow, "random", 0)
-	case "lh-1":
-		cfg, err = rowTags(capacityBytes, stacked, LHDataLinesPerRow, 1, "dip", 0)
-	case "alloy", "alloy-b8", "tdram":
-		cfg, err = alloyTags(capacityBytes, stacked, 1)
-	case "alloy-2":
-		cfg, err = alloyTags(capacityBytes, stacked, 2)
-	case "ideal-lo", "ideal-lo-notag":
-		cfg, err = rowTags(capacityBytes, stacked, idealLinesPerRow(stacked, name == "ideal-lo-notag"), 1, "lru", 0)
-	default:
+	d, ok := designs[name]
+	if !ok || d.trains {
 		return cache.Config{}, false, nil
 	}
-	if err == nil && fixed && policy != "" {
-		err = fmt.Errorf("dramcache: design %q has no replacement-policy choice (got %q)", name, policy)
-	}
+	cfg, _, err = d.store(name, capacityBytes, stacked, policy, seed)
 	return cfg, err == nil, err
 }
 
@@ -140,71 +165,10 @@ func TagConfig(name string, capacityBytes uint64, stacked dram.Config, policy st
 // equal TagConfig, which then holds what its own warmup would have left.
 func TagStore(org Organization) *cache.Cache {
 	switch o := org.(type) {
-	case *SRAMTag:
-		return o.tags
-	case *LHCache:
-		return o.tags
-	case *Alloy:
-		return o.tags
-	case *IdealLO:
-		return o.tags
-	case *TDRAM:
-		return o.tags
+	case *Banshee, *Gemini:
+		return nil
+	case interface{ tagStore() *cache.Cache }:
+		return o.tagStore()
 	}
 	return nil
-}
-
-func init() {
-	Register("sram-32", fixedPolicy("sram-32", func(p Params) (Organization, error) {
-		return NewSRAMTag(p.CapacityBytes, 32, p.Stacked)
-	}))
-	Register("sram-1", fixedPolicy("sram-1", func(p Params) (Organization, error) {
-		return NewSRAMTag(p.CapacityBytes, 1, p.Stacked)
-	}))
-	Register("lh-29", func(p Params) (Organization, error) {
-		var opts []LHOption
-		if p.Policy != "" {
-			opts = append(opts, LHWithPolicy(p.Policy), LHWithSeed(p.Seed))
-		}
-		return NewLHCache(p.CapacityBytes, p.Stacked, opts...)
-	})
-	Register("lh-29-rand", fixedPolicy("lh-29-rand", func(p Params) (Organization, error) {
-		// Deliberately unseeded: the Table 1 de-optimization's committed
-		// results depend on the legacy fixed eviction sequence.
-		return NewLHCache(p.CapacityBytes, p.Stacked, LHWithPolicy("random"))
-	}))
-	Register("lh-1", fixedPolicy("lh-1", func(p Params) (Organization, error) {
-		return NewLHCache(p.CapacityBytes, p.Stacked, LHWithAssoc(1))
-	}))
-	Register("alloy", fixedPolicy("alloy", func(p Params) (Organization, error) {
-		return NewAlloy(p.CapacityBytes, p.Stacked)
-	}))
-	Register("alloy-2", fixedPolicy("alloy-2", func(p Params) (Organization, error) {
-		return NewAlloy(p.CapacityBytes, p.Stacked, AlloyWithAssoc(2))
-	}))
-	Register("alloy-b8", fixedPolicy("alloy-b8", func(p Params) (Organization, error) {
-		return NewAlloy(p.CapacityBytes, p.Stacked, AlloyWithBurst(8))
-	}))
-	Register("ideal-lo", fixedPolicy("ideal-lo", func(p Params) (Organization, error) {
-		return NewIdealLO(p.CapacityBytes, p.Stacked)
-	}))
-	Register("ideal-lo-notag", fixedPolicy("ideal-lo-notag", func(p Params) (Organization, error) {
-		return NewIdealLO(p.CapacityBytes, p.Stacked, IdealNoTagOverhead())
-	}))
-	Register("banshee", fixedPolicy("banshee", func(p Params) (Organization, error) {
-		return NewBanshee(p.CapacityBytes, p.Stacked)
-	}))
-	Register("gemini", func(p Params) (Organization, error) {
-		var opts []GeminiOption
-		if p.Policy != "" {
-			opts = append(opts, GeminiWithPolicy(p.Policy))
-		}
-		if p.Seed != 0 {
-			opts = append(opts, GeminiWithSeed(p.Seed))
-		}
-		return NewGemini(p.CapacityBytes, p.Stacked, opts...)
-	})
-	Register("tdram", fixedPolicy("tdram", func(p Params) (Organization, error) {
-		return NewTDRAM(p.CapacityBytes, p.Stacked)
-	}))
 }

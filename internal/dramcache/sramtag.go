@@ -1,10 +1,6 @@
 package dramcache
 
 import (
-	"fmt"
-
-	"alloysim/internal/cache"
-	"alloysim/internal/dram"
 	"alloysim/internal/memaddr"
 )
 
@@ -16,58 +12,9 @@ import (
 // locality is destroyed; the direct-mapped variant of Table 1 regains it.
 type SRAMTag struct {
 	base
-	assoc       int
-	setsPerRow  int
-	linesPerRow int
-	name        string
 }
 
-// NewSRAMTag builds an SRAM-Tag cache of the given capacity. assoc must be
-// 32 (paper default, set-per-row) or 1 (Table 1's de-optimized variant).
-func NewSRAMTag(capacityBytes uint64, assoc int, stacked *dram.DRAM) (*SRAMTag, error) {
-	if assoc != 1 && assoc != 32 {
-		return nil, fmt.Errorf("dramcache: SRAM-Tag supports assoc 1 or 32, got %d", assoc)
-	}
-	linesPerRow := stacked.Config().LinesPerRow() // 32 with 2 KB rows
-	cfg, err := sramTags(capacityBytes, stacked.Config(), assoc)
-	if err != nil {
-		return nil, err
-	}
-	tags, err := cache.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s := &SRAMTag{
-		assoc:       assoc,
-		linesPerRow: linesPerRow,
-		name:        fmt.Sprintf("SRAM-Tag (%d-way)", assoc),
-	}
-	s.tags = tags
-	s.stacked = stacked
-	if assoc == 32 {
-		s.setsPerRow = 1 // whole set occupies the row
-	} else {
-		s.setsPerRow = linesPerRow // 32 consecutive sets per row
-	}
-	return s, nil
-}
-
-// sramTags is the SRAM tag array of the given ways over every line of
-// each row, under DIP.
-func sramTags(capacityBytes uint64, stacked dram.Config, assoc int) (cache.Config, error) {
-	return rowTags(capacityBytes, stacked, stacked.LinesPerRow(), assoc, "dip", 0)
-}
-
-// Name implements Organization.
-func (s *SRAMTag) Name() string { return s.name }
-
-// CapacityBytes implements Organization.
-func (s *SRAMTag) CapacityBytes() uint64 {
-	return uint64(s.tags.Config().Lines()) * memaddr.LineSizeBytes
-}
-
-// rowOf maps a set index to the stacked-DRAM row holding it.
-func (s *SRAMTag) rowOf(set int) uint64 { return uint64(set / s.setsPerRow) }
+func newSRAMTag(b base) Organization { return &SRAMTag{b} }
 
 // AccessInto implements Organization. The tag store resolves hit/miss after
 // SRAMTagLatency cycles; a hit then reads the data line from the stacked
@@ -83,7 +30,7 @@ func (s *SRAMTag) AccessInto(now Cycle, line memaddr.Line, write bool, r *Access
 	if hit {
 		// A write hit updates the line in place, a read hit reads it.
 		s.stacked.AccessRowInto(tagKnown, s.rowOf(set), s.stacked.BurstLine(), write, &r.First)
-		r.Hit, r.DataReady, r.RowHit = true, r.First.Done, r.First.RowHit
+		r.Hit, r.DataReady = true, r.First.Done
 		r.Probed = true
 	} else if !write {
 		r.Victim, r.Allocated = ev, true
@@ -93,8 +40,6 @@ func (s *SRAMTag) AccessInto(now Cycle, line memaddr.Line, write bool, r *Access
 
 // Fill implements Organization: the SRAM tag update is free; the data
 // write occupies the stacked DRAM for one line burst.
-func (s *SRAMTag) Fill(now Cycle, line memaddr.Line) FillResult {
-	set := s.tags.SetOf(line)
-	res := s.stacked.AccessRow(now, s.rowOf(set), s.stacked.BurstLine(), true)
-	return FillResult{Done: res.Done}
+func (s *SRAMTag) Fill(now Cycle, line memaddr.Line) Cycle {
+	return s.stacked.AccessRow(now, s.rowOf(s.tags.SetOf(line)), s.stacked.BurstLine(), true).Done
 }

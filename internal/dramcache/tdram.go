@@ -1,7 +1,6 @@
 package dramcache
 
 import (
-	"alloysim/internal/cache"
 	"alloysim/internal/dram"
 	"alloysim/internal/invariants"
 	"alloysim/internal/memaddr"
@@ -21,35 +20,9 @@ import (
 // the dedicated tag path (latency and bus occupancy), not a capacity win.
 type TDRAM struct {
 	base
-	setsPerRow int
 }
 
-// NewTDRAM builds a tag-enhanced DRAM cache of the given capacity.
-func NewTDRAM(capacityBytes uint64, stacked *dram.DRAM) (*TDRAM, error) {
-	cfg, err := alloyTags(capacityBytes, stacked.Config(), 1)
-	if err != nil {
-		return nil, err
-	}
-	tags, err := cache.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	t := &TDRAM{setsPerRow: AlloyTADsPerRow}
-	t.tags = tags
-	t.stacked = stacked
-	return t, nil
-}
-
-// Name implements Organization.
-func (t *TDRAM) Name() string { return "TDRAM" }
-
-// CapacityBytes implements Organization.
-func (t *TDRAM) CapacityBytes() uint64 {
-	return uint64(t.tags.Config().Lines()) * memaddr.LineSizeBytes
-}
-
-//alloyvet:hotpath
-func (t *TDRAM) rowOf(set int) uint64 { return uint64(set / t.setsPerRow) }
+func newTDRAM(b base) Organization { return &TDRAM{b} }
 
 // checkRow asserts tag/data co-residency: the dedicated tag path returns
 // the tag of the very row/column the data access targets, so every DRAM
@@ -85,7 +58,6 @@ func (t *TDRAM) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessRe
 		// line; a hit then writes the updated data back (row open).
 		t.stacked.AccessRowInto(now, row, 1, false, &r.First)
 		r.TagKnown = r.First.CASDone + TagCheckCycles
-		r.RowHit = r.First.RowHit
 		r.Probed = true
 		if hit, _ := t.contents(line, true); hit {
 			var wr dram.Result
@@ -100,7 +72,6 @@ func (t *TDRAM) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessRe
 	// Dedicated tag path: the outcome resolves with the column access, not
 	// after the burst drains (Alloy learns it only at First.Done).
 	r.TagKnown = r.First.CASDone + TagCheckCycles
-	r.RowHit = r.First.RowHit
 	r.Probed = true
 	hit, ev := t.contents(line, false)
 	if hit {
@@ -113,12 +84,11 @@ func (t *TDRAM) AccessInto(now Cycle, line memaddr.Line, write bool, r *AccessRe
 
 // Fill implements Organization: one line-sized write; the tag rides the
 // dedicated path for free.
-func (t *TDRAM) Fill(now Cycle, line memaddr.Line) FillResult {
+func (t *TDRAM) Fill(now Cycle, line memaddr.Line) Cycle {
 	set := t.tags.SetOf(line)
 	row := t.rowOf(set)
 	if invariants.Enabled {
 		t.checkRow(line, set, row)
 	}
-	res := t.stacked.AccessRow(now, row, t.stacked.BurstLine(), true)
-	return FillResult{Done: res.Done}
+	return t.stacked.AccessRow(now, row, t.stacked.BurstLine(), true).Done
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"alloysim/internal/dram"
 	"alloysim/internal/memaddr"
 )
 
@@ -12,7 +13,7 @@ import (
 
 func TestTDRAMHitLatencyAndEarlyTag(t *testing.T) {
 	st := stacked()
-	o, err := NewTDRAM(testCap, st)
+	o, err := build[*TDRAM]("tdram", testCap, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +40,8 @@ func TestTDRAMHitLatencyAndEarlyTag(t *testing.T) {
 
 func TestTDRAMMissResolvesBeforeAlloy(t *testing.T) {
 	at, tt := stacked(), stacked()
-	a, _ := NewAlloy(testCap, at)
-	d, _ := NewTDRAM(testCap, tt)
+	a, _ := build[*Alloy]("alloy", testCap, at)
+	d, _ := build[*TDRAM]("tdram", testCap, tt)
 	ra := access(a, 0, 42, false)
 	rd := access(d, 0, 42, false)
 	if ra.Hit || rd.Hit {
@@ -49,14 +50,14 @@ func TestTDRAMMissResolvesBeforeAlloy(t *testing.T) {
 	if rd.TagKnown >= ra.TagKnown {
 		t.Fatalf("TDRAM miss resolved at %d, Alloy at %d; dedicated tag path should be earlier", rd.TagKnown, ra.TagKnown)
 	}
-	if a.CapacityBytes() != d.CapacityBytes() {
-		t.Fatalf("capacities differ: Alloy %d, TDRAM %d (both should use 28 lines/row)", a.CapacityBytes(), d.CapacityBytes())
+	if a.tags.Config().Lines() != d.tags.Config().Lines() {
+		t.Fatalf("capacities differ: Alloy %d lines, TDRAM %d (both should use 28 lines/row)", a.tags.Config().Lines(), d.tags.Config().Lines())
 	}
 }
 
 func TestTDRAMFillWritesOneLine(t *testing.T) {
 	st := stacked()
-	o, _ := NewTDRAM(testCap, st)
+	o, _ := build[*TDRAM]("tdram", testCap, st)
 	before := st.Stats()
 	o.Fill(0, 1234)
 	after := st.Stats()
@@ -68,7 +69,7 @@ func TestTDRAMFillWritesOneLine(t *testing.T) {
 
 func TestBansheeFillFilterAdmitsOnSecondMiss(t *testing.T) {
 	st := stacked()
-	o, err := NewBanshee(testCap, st)
+	o, err := build[*Banshee]("banshee", testCap, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +84,8 @@ func TestBansheeFillFilterAdmitsOnSecondMiss(t *testing.T) {
 	if st.Stats() != before {
 		t.Fatal("bypassed miss consumed stacked bandwidth")
 	}
-	if o.BypassedFills() != 1 || o.AdmittedFills() != 0 {
-		t.Fatalf("filter counters: bypassed=%d admitted=%d, want 1/0", o.BypassedFills(), o.AdmittedFills())
+	if o.bypassed.Value() != 1 || o.admitted.Value() != 0 {
+		t.Fatalf("filter counters: bypassed=%d admitted=%d, want 1/0", o.bypassed.Value(), o.admitted.Value())
 	}
 	r = access(o, 100, 42, false)
 	if r.Hit || !r.Allocated {
@@ -93,8 +94,8 @@ func TestBansheeFillFilterAdmitsOnSecondMiss(t *testing.T) {
 	if !o.Contains(42) {
 		t.Fatal("admitted line not resident")
 	}
-	if o.AdmittedFills() != 1 {
-		t.Fatalf("admitted = %d, want 1", o.AdmittedFills())
+	if o.admitted.Value() != 1 {
+		t.Fatalf("admitted = %d, want 1", o.admitted.Value())
 	}
 	// Hit reads exactly one line; tags are on-chip.
 	before = st.Stats()
@@ -111,7 +112,7 @@ func TestBansheeFillFilterAdmitsOnSecondMiss(t *testing.T) {
 }
 
 func TestBansheeHotPageAdmitsSubsequentLinesOnFirstMiss(t *testing.T) {
-	o, _ := NewBanshee(testCap, stacked())
+	o, _ := build[*Banshee]("banshee", testCap, stacked())
 	// Two misses on line 42 heat its page past the threshold.
 	access(o, 0, 42, false)
 	access(o, 100, 42, false)
@@ -136,7 +137,7 @@ func TestBansheeHotPageAdmitsSubsequentLinesOnFirstMiss(t *testing.T) {
 }
 
 func TestBansheeWriteMissDoesNotTrainFilter(t *testing.T) {
-	o, _ := NewBanshee(testCap, stacked())
+	o, _ := build[*Banshee]("banshee", testCap, stacked())
 	access(o, 0, 42, true) // write miss: forwarded, no counter bump
 	r := access(o, 10, 42, false)
 	if r.Allocated {
@@ -145,16 +146,14 @@ func TestBansheeWriteMissDoesNotTrainFilter(t *testing.T) {
 }
 
 func TestBansheeCapacityHasNoTagOverhead(t *testing.T) {
-	st := stacked()
-	b, _ := NewBanshee(testCap, st)
-	a, _ := NewAlloy(testCap, st)
-	if b.CapacityBytes() <= a.CapacityBytes() {
-		t.Fatalf("Banshee capacity %d not above Alloy's %d; page-table tags free the in-row tag space", b.CapacityBytes(), a.CapacityBytes())
+	b, _ := build[*Banshee]("banshee", testCap, stacked())
+	if got, a := b.tags.Config().Lines(), lines(t, "alloy"); got <= a {
+		t.Fatalf("Banshee capacity %d lines not above Alloy's %d; page-table tags free the in-row tag space", got, a)
 	}
 }
 
 func TestGeminiSteersConflictingLinesToSA(t *testing.T) {
-	o, err := NewGemini(testCap, stacked())
+	o, err := build[*Gemini]("gemini", testCap, stacked())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func TestGeminiSteersConflictingLinesToSA(t *testing.T) {
 }
 
 func TestGeminiRegionsDisjointAndStatsSum(t *testing.T) {
-	o, _ := NewGemini(testCap, stacked())
+	o, _ := build[*Gemini]("gemini", testCap, stacked())
 	now := Cycle(0)
 	for l := memaddr.Line(0); l < 64; l++ {
 		access(o, now, l, false)
@@ -208,7 +207,7 @@ func TestGeminiRegionsDisjointAndStatsSum(t *testing.T) {
 }
 
 func TestGeminiMisroutedHitSerializesSecondProbe(t *testing.T) {
-	o, _ := NewGemini(testCap, stacked())
+	o, _ := build[*Gemini]("gemini", testCap, stacked())
 	// Force a line into the SA region, then clear its steering so the next
 	// access probes DM first and must chase into SA.
 	idx := o.steerIndex(77)
@@ -232,7 +231,7 @@ func TestGeminiMisroutedHitSerializesSecondProbe(t *testing.T) {
 }
 
 func TestGeminiMisroutedDMHitConsumesDMProbe(t *testing.T) {
-	o, _ := NewGemini(testCap, stacked())
+	o, _ := build[*Gemini]("gemini", testCap, stacked())
 	// Default steering installs into the DM region.
 	fillLine(t, o, 55)
 	if !o.dm.Contains(55) {
@@ -257,7 +256,7 @@ func TestGeminiMisroutedDMHitConsumesDMProbe(t *testing.T) {
 	}
 	// And the misroute serialization penalty reaches hit latency: an
 	// identical twin that probes DM directly finishes strictly earlier.
-	o2, _ := NewGemini(testCap, stacked())
+	o2, _ := build[*Gemini]("gemini", testCap, stacked())
 	fillLine(t, o2, 55)
 	clean := access(o2, 100000, 55, false)
 	if !clean.Hit {
@@ -270,7 +269,7 @@ func TestGeminiMisroutedDMHitConsumesDMProbe(t *testing.T) {
 
 func TestGeminiFillRoutesByRegion(t *testing.T) {
 	st := stacked()
-	o, _ := NewGemini(testCap, st)
+	o, _ := build[*Gemini]("gemini", testCap, st)
 	// DM install: fill writes one TAD burst, no tag read.
 	fillLine(t, o, 5)
 	if !o.dm.Contains(5) {
@@ -298,6 +297,11 @@ func TestGeminiFillRoutesByRegion(t *testing.T) {
 	}
 }
 
+// TestRegistryBuildsEveryDesign builds every design at several
+// capacities and seeds. A design TagConfig covers has the store it names,
+// under its own policy with seed 0 whatever Params.Seed is, and banshee
+// and gemini, whose contents are more than a tag store, are neither
+// covered nor have a TagStore.
 func TestRegistryBuildsEveryDesign(t *testing.T) {
 	names := Names()
 	if !sort.StringsAreSorted(names) {
@@ -307,42 +311,73 @@ func TestRegistryBuildsEveryDesign(t *testing.T) {
 		t.Fatalf("registry holds %d designs, want 13: %v", len(names), names)
 	}
 	for _, n := range names {
-		o, err := Build(n, Params{CapacityBytes: testCap, Stacked: stacked()})
-		if err != nil {
-			t.Errorf("Build(%q): %v", n, err)
-			continue
-		}
-		if o == nil || o.Name() == "" {
-			t.Errorf("Build(%q) returned a nameless organization", n)
+		for _, capacity := range []uint64{testCap, 64 << 20 / 64, 1 << 30 / 64, 3 * 2048} {
+			for _, seed := range []uint64{0, 7, SeedFor(n, "")} {
+				st := stacked()
+				o, err := Build(n, Params{CapacityBytes: capacity, Stacked: st, Seed: seed})
+				if err != nil {
+					t.Fatalf("Build(%q, cap %d, seed %d): %v", n, capacity, seed, err)
+				}
+				cfg, ok, err := TagConfig(n, capacity, st.Config(), "", seed)
+				if err != nil {
+					t.Fatalf("TagConfig(%q, cap %d, seed %d): %v", n, capacity, seed, err)
+				}
+				if n == "banshee" || n == "gemini" {
+					if ok || TagStore(o) != nil {
+						t.Fatalf("%s: TagConfig covered %v, TagStore %v; want neither", n, ok, TagStore(o))
+					}
+					continue
+				}
+				if got := TagStore(o).Config(); !ok || got != cfg || got.Seed != 0 {
+					t.Fatalf("%s cap %d seed %d: built store %+v, TagConfig %+v (covered %v), want equal with seed 0", n, capacity, seed, got, cfg, ok)
+				}
+			}
 		}
 	}
 	if _, err := Build("bogus", Params{CapacityBytes: testCap, Stacked: stacked()}); err == nil {
 		t.Error("Build(bogus) should fail")
 	}
+	if _, ok, _ := TagConfig("bogus", testCap, dram.StackedConfig(), "", 0); ok {
+		t.Error("TagConfig(bogus) covered")
+	}
 }
 
+// TestRegistryPolicyOverrides checks that only lh-29 and gemini take a
+// replacement policy, that Build and TagConfig refuse the same ones, and
+// that lh-29's store then takes the policy and Params.Seed.
 func TestRegistryPolicyOverrides(t *testing.T) {
-	st := stacked()
-	// Policy-capable designs accept the override…
-	for _, n := range []string{"lh-29", "gemini"} {
-		o, err := Build(n, Params{CapacityBytes: testCap, Stacked: st, Policy: "ship", Seed: 7})
-		if err != nil {
-			t.Errorf("Build(%q, ship): %v", n, err)
-			continue
-		}
-		if o == nil {
-			t.Errorf("Build(%q, ship) returned nil", n)
-		}
-	}
-	// …fixed designs reject it instead of silently ignoring it.
-	for _, n := range []string{"alloy", "sram-32", "banshee", "tdram", "lh-29-rand"} {
-		if _, err := Build(n, Params{CapacityBytes: testCap, Stacked: st, Policy: "lru"}); err == nil {
-			t.Errorf("Build(%q, lru) should reject the policy override", n)
+	for _, n := range Names() {
+		chooses := n == "lh-29" || n == "gemini"
+		for _, policy := range []string{"lru", "random", "ship"} {
+			for _, seed := range []uint64{0, 7, SeedFor(n, policy)} {
+				st := stacked()
+				o, berr := Build(n, Params{CapacityBytes: testCap, Stacked: st, Policy: policy, Seed: seed})
+				// Fixed designs reject the override instead of silently
+				// ignoring it.
+				if (berr == nil) != chooses {
+					t.Fatalf("Build(%q, %s): error %v", n, policy, berr)
+				}
+				if n == "banshee" || n == "gemini" {
+					continue // no TagConfig
+				}
+				cfg, ok, err := TagConfig(n, testCap, st.Config(), policy, seed)
+				if (berr != nil) != (err != nil) {
+					t.Fatalf("%s policy %q seed %d: Build error %v, TagConfig error %v", n, policy, seed, berr, err)
+				}
+				if berr != nil {
+					continue
+				}
+				if got := TagStore(o).Config(); !ok || got != cfg || got.Policy != policy || got.Seed != seed {
+					t.Fatalf("%s policy %q seed %d: built store %+v, TagConfig %+v (covered %v)", n, policy, seed, got, cfg, ok)
+				}
+			}
 		}
 	}
 	// Unknown policies surface the policy package's error.
-	if _, err := Build("gemini", Params{CapacityBytes: testCap, Stacked: st, Policy: "bogus"}); err == nil {
-		t.Error("Build(gemini, bogus) should fail")
+	for _, n := range []string{"lh-29", "gemini"} {
+		if _, err := Build(n, Params{CapacityBytes: testCap, Stacked: stacked(), Policy: "bogus"}); err == nil {
+			t.Errorf("Build(%s, bogus) should fail", n)
+		}
 	}
 }
 
@@ -360,50 +395,5 @@ func TestSeedForStableAndDistinct(t *testing.T) {
 	// The delimiter keeps ("ab","c") and ("a","bc") apart.
 	if SeedFor("ab", "c") == SeedFor("a", "bc") {
 		t.Fatal("SeedFor concatenation ambiguity")
-	}
-}
-
-// TestTagConfigMatchesBuild holds TagConfig to what Build builds: for every
-// registered design, at several capacities, policies and seeds, a design
-// TagConfig covers has the store it names, and banshee and gemini, whose
-// contents are more than a tag store, are not covered. A policy a design
-// refuses is refused by both.
-func TestTagConfigMatchesBuild(t *testing.T) {
-	covered := 0
-	for _, n := range Names() {
-		for _, capacity := range []uint64{testCap, 64 << 20 / 64, 1 << 30 / 64, 3 * 2048} {
-			for _, policy := range []string{"", "lru", "random", "ship"} {
-				for _, seed := range []uint64{0, 7, SeedFor(n, policy)} {
-					st := stacked()
-					org, berr := Build(n, Params{CapacityBytes: capacity, Stacked: st, Policy: policy, Seed: seed})
-					cfg, ok, err := TagConfig(n, capacity, st.Config(), policy, seed)
-					if n == "banshee" || n == "gemini" {
-						if ok || err != nil {
-							t.Fatalf("TagConfig(%q) = %+v, %v, %v; want not covered", n, cfg, ok, err)
-						}
-						if berr == nil && TagStore(org) != nil {
-							t.Fatalf("TagStore(%s) is not nil", n)
-						}
-						continue
-					}
-					if (berr != nil) != (err != nil) {
-						t.Fatalf("%s cap %d policy %q seed %d: Build error %v, TagConfig error %v", n, capacity, policy, seed, berr, err)
-					}
-					if berr != nil {
-						continue
-					}
-					if !ok {
-						t.Fatalf("TagConfig(%q) not covered", n)
-					}
-					if got := TagStore(org).Config(); got != cfg {
-						t.Fatalf("%s cap %d policy %q seed %d: built store %+v, TagConfig %+v", n, capacity, policy, seed, got, cfg)
-					}
-					covered++
-				}
-			}
-		}
-	}
-	if covered == 0 {
-		t.Fatal("no design was covered")
 	}
 }

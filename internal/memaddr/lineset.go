@@ -94,9 +94,6 @@ func (s *LineSet) Count() uint64 {
 	return uint64(n)
 }
 
-// Pages returns the number of unique 4 KB pages touched.
-func (s *LineSet) Pages() int { return s.used }
-
 func (s *LineSet) grow() {
 	oldPages, oldWords := s.pages, s.words
 	size := 2 * len(oldPages)

@@ -420,9 +420,6 @@ func (p *DIP) Miss(set int) {
 // Victim implements Policy.
 func (p *DIP) Victim(set int) int { return p.lru.Victim(set) }
 
-// PSEL exposes the selector value for tests and diagnostics.
-func (p *DIP) PSEL() int32 { return p.psel }
-
 // NRU is not-recently-used replacement with one reference bit per line.
 // It is not used by any paper configuration but serves as a cheap
 // comparison point in ablations and tests.

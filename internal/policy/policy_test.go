@@ -130,12 +130,12 @@ func TestDIPDuelingConvergesToLRU(t *testing.T) {
 	// same small working set. LRU-dedicated sets stop missing; BIP sets
 	// keep missing; PSEL should fall toward LRU.
 	p := NewDIP(64, 4)
-	start := p.PSEL()
+	start := p.psel
 	for i := 0; i < 500; i++ {
 		p.Miss(1) // set 1 is BIP-dedicated: vote LRU
 	}
-	if p.PSEL() >= start {
-		t.Fatalf("PSEL did not move toward LRU: %d -> %d", start, p.PSEL())
+	if p.psel >= start {
+		t.Fatalf("PSEL did not move toward LRU: %d -> %d", start, p.psel)
 	}
 	if p.usesBIP(5) {
 		t.Fatal("follower set should use LRU after BIP-dedicated misses")
@@ -157,14 +157,14 @@ func TestDIPPSELSaturates(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		p.Miss(0)
 	}
-	if p.PSEL() != 1023 {
-		t.Fatalf("PSEL = %d, want saturation at 1023", p.PSEL())
+	if p.psel != 1023 {
+		t.Fatalf("PSEL = %d, want saturation at 1023", p.psel)
 	}
 	for i := 0; i < 5000; i++ {
 		p.Miss(1)
 	}
-	if p.PSEL() != 0 {
-		t.Fatalf("PSEL = %d, want saturation at 0", p.PSEL())
+	if p.psel != 0 {
+		t.Fatalf("PSEL = %d, want saturation at 0", p.psel)
 	}
 }
 

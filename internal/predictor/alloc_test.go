@@ -20,7 +20,7 @@ func TestPredictUpdateZeroAllocs(t *testing.T) {
 			p.Update(core, pc, line, !hit)
 		}
 		if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
-			t.Errorf("%s: Predict+Update allocated %.2f allocs/op, want 0", p.Name(), allocs)
+			t.Errorf("%T: Predict+Update allocated %.2f allocs/op, want 0", p, allocs)
 		}
 	}
 }

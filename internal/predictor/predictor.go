@@ -42,8 +42,6 @@ const MACTEntries = 256
 // Predictor decides, per L3 read miss, whether to serialize (predicted
 // cache hit) or access memory in parallel (predicted memory access).
 type Predictor interface {
-	// Name identifies the predictor in reports.
-	Name() string
 	// Predict returns whether the line is predicted to hit in the DRAM
 	// cache, and the prediction latency in cycles.
 	Predict(core int, pc uint64, line memaddr.Line) (cacheHit bool, latency Cycle)
@@ -55,9 +53,6 @@ type Predictor interface {
 // conventional caches operate. Zero latency, zero storage.
 type SAM struct{}
 
-// Name implements Predictor.
-func (SAM) Name() string { return "SAM" }
-
 // Predict implements Predictor.
 func (SAM) Predict(int, uint64, memaddr.Line) (bool, Cycle) { return true, 0 }
 
@@ -67,9 +62,6 @@ func (SAM) Update(int, uint64, memaddr.Line, bool) {}
 // PAM always predicts a memory access: every L3 miss probes memory in
 // parallel with the cache, doubling memory traffic (Table 5).
 type PAM struct{}
-
-// Name implements Predictor.
-func (PAM) Name() string { return "PAM" }
 
 // Predict implements Predictor.
 func (PAM) Predict(int, uint64, memaddr.Line) (bool, Cycle) { return false, 0 }
@@ -92,9 +84,6 @@ func NewMAPG(cores int) *MAPG {
 	}
 	return m
 }
-
-// Name implements Predictor.
-func (*MAPG) Name() string { return "MAP-G" }
 
 // Predict implements Predictor: MSB set → predict memory (PAM).
 func (m *MAPG) Predict(core int, _ uint64, _ memaddr.Line) (bool, Cycle) {
@@ -133,9 +122,6 @@ func NewMAPI(cores int) *MAPI {
 	return m
 }
 
-// Name implements Predictor.
-func (*MAPI) Name() string { return "MAP-I" }
-
 func (m *MAPI) index(pc uint64) uint64 { return memaddr.FoldXOR(pc, 8) }
 
 // Predict implements Predictor.
@@ -155,10 +141,6 @@ func (m *MAPI) Update(core int, pc uint64, _ memaddr.Line, cacheHit bool) {
 	}
 }
 
-// StorageBytesPerCore returns MAP-I's per-core storage cost (96 bytes, as
-// reported in the paper's abstract).
-func (m *MAPI) StorageBytesPerCore() int { return MACTEntries * macBits / 8 }
-
 // ContainsFunc reports whether a line is currently present in the DRAM
 // cache; both oracles below are built on it.
 type ContainsFunc func(memaddr.Line) bool
@@ -168,9 +150,6 @@ type ContainsFunc func(memaddr.Line) bool
 type Perfect struct {
 	Contains ContainsFunc
 }
-
-// Name implements Predictor.
-func (Perfect) Name() string { return "Perfect" }
 
 // Predict implements Predictor.
 func (p Perfect) Predict(_ int, _ uint64, line memaddr.Line) (bool, Cycle) {
@@ -187,9 +166,6 @@ func (Perfect) Update(int, uint64, memaddr.Line, bool) {}
 type MissMap struct {
 	Contains ContainsFunc
 }
-
-// Name implements Predictor.
-func (MissMap) Name() string { return "MissMap" }
 
 // Predict implements Predictor.
 func (m MissMap) Predict(_ int, _ uint64, line memaddr.Line) (bool, Cycle) {

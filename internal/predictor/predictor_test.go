@@ -103,9 +103,9 @@ func TestMAPIDistinguishesPCs(t *testing.T) {
 }
 
 func TestMAPIStorage96Bytes(t *testing.T) {
-	p := NewMAPI(8)
-	if p.StorageBytesPerCore() != 96 {
-		t.Fatalf("MAP-I storage = %d bytes/core, want 96", p.StorageBytesPerCore())
+	// 256 entries of 3-bit counters, as reported in the paper's abstract.
+	if got := MACTEntries * macBits / 8; got != 96 {
+		t.Fatalf("MAP-I storage = %d bytes/core, want 96", got)
 	}
 }
 
