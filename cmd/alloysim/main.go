@@ -14,7 +14,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -44,29 +43,6 @@ func buildConfigFromFlags(workload, design, pred, dcPolicy string, cacheMB, scal
 	return cfg
 }
 
-// loadTraces builds one Replay generator per core from dir/core%d.trace.
-func loadTraces(dir string, cores int) ([]trace.Generator, error) {
-	gens := make([]trace.Generator, 0, cores)
-	for i := 0; i < cores; i++ {
-		path := filepath.Join(dir, fmt.Sprintf("core%d.trace", i))
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		refs, err := trace.ReadFile(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		r, err := trace.NewReplay(refs)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		gens = append(gens, r)
-	}
-	return gens, nil
-}
-
 func main() {
 	var (
 		workload  = flag.String("workload", "mcf_r", "workload profile name (-list to enumerate)")
@@ -82,7 +58,6 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "workload seed")
 		baseline  = flag.Bool("baseline", false, "also run the no-cache baseline and report speedup")
 		footprint = flag.Bool("footprint", false, "track unique lines touched")
-		traceDir  = flag.String("tracedir", "", "replay core%d.trace files from this directory instead of synthetic generators")
 		timeout   = flag.Duration("timeout", 0, "abort the simulation after this wall time (0 = none)")
 		confIn    = flag.String("config", "", "load the full configuration from a JSON file (other flags are ignored)")
 		confOut   = flag.String("saveconfig", "", "write the effective configuration to a JSON file and exit")
@@ -90,7 +65,7 @@ func main() {
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
-		metricsOut  = flag.String("metrics", "", `write a metrics dump at exit ("-" = stdout; a .json path selects JSON instead of Prometheus text)`)
+		metricsOut  = flag.String("metrics", "", `write a metrics dump at exit in Prometheus text format, whatever the path's suffix ("-" = stdout)`)
 		traceOut    = flag.String("trace", "", "write a Chrome trace_event JSON of sampled requests (load in Perfetto / chrome://tracing)")
 		traceCSV    = flag.String("trace-csv", "", "write the per-request latency-breakdown CSV to this file")
 		traceSample = flag.Uint64("trace-sample", 64, "trace 1 in N reads below the L3 (0 disables tracing)")
@@ -157,14 +132,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *confOut)
 		return
-	}
-	if *traceDir != "" {
-		gens, err := loadTraces(*traceDir, cfg.Cores)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "alloysim: %v\n", err)
-			os.Exit(1)
-		}
-		cfg.Generators = gens
 	}
 
 	// Ctrl-C / SIGTERM and -timeout cancel the simulation between engine
@@ -292,23 +259,13 @@ func writeExport(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// dumpMetrics writes the registry in Prometheus text exposition format,
-// or as a flat JSON object when the destination path ends in ".json".
+// dumpMetrics writes the registry in Prometheus text exposition format.
 // "-" selects stdout.
 func dumpMetrics(dest string, reg *obs.Registry) error {
-	w := io.Writer(os.Stdout)
-	if dest != "-" {
-		f, err := os.Create(dest)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if dest == "-" {
+		return reg.WritePrometheus(os.Stdout)
 	}
-	if strings.HasSuffix(dest, ".json") {
-		return reg.WriteJSON(w)
-	}
-	return reg.WritePrometheus(w)
+	return writeExport(dest, reg.WritePrometheus)
 }
 
 func report(r core.Result) {

@@ -2,16 +2,13 @@ package main
 
 // Integration tests that exercise full-system behavior across module
 // boundaries: conservation properties (every read issued is completed),
-// cross-design invariants, trace-capture equivalence, and the end-to-end
-// determinism guarantee the whole repository depends on.
+// cross-design invariants, and the end-to-end determinism guarantee the
+// whole repository depends on.
 
 import (
-	"bytes"
 	"testing"
 
 	"alloysim/internal/core"
-	"alloysim/internal/memaddr"
-	"alloysim/internal/trace"
 )
 
 func tinyCfg(workload string, d core.Design) core.Config {
@@ -110,58 +107,6 @@ func TestPerfectPredictorDominatesAll(t *testing.T) {
 			t.Errorf("%s (%.0f) beat the perfect predictor (%.0f) by >2%%",
 				p, r.ExecCycles, perfect.ExecCycles)
 		}
-	}
-}
-
-// TestCapturedTraceMatchesLiveRun: replaying a captured trace must
-// reproduce the live generator's run exactly (same refs → same cycles).
-func TestCapturedTraceMatchesLiveRun(t *testing.T) {
-	const workload = "sphinx_r"
-	cfg := tinyCfg(workload, core.DesignAlloy)
-
-	live := runCfg(t, cfg)
-
-	prof, _ := trace.ByName(workload)
-	copySpan := memaddr.Line(prof.FootprintLines()/cfg.Scale + uint64(len(prof.Components)) + 1)
-	gens := make([]trace.Generator, 0, cfg.Cores)
-	// Capture generously: warmup + enough refs for the measured phase.
-	need := int(cfg.WarmupRefs) + int(cfg.InstructionsPerCore) // gap >= 1 instr/ref
-	for i := 0; i < cfg.Cores; i++ {
-		g, err := prof.Build(cfg.Seed+uint64(i)*0x9e37, cfg.Scale, memaddr.Line(i)*copySpan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// GapScale is applied inside NewSystem for profile-built
-		// generators; captured traces must bake it in themselves.
-		scaled := prof
-		scaled.GapMean *= cfg.GapScale
-		g, err = scaled.Build(cfg.Seed+uint64(i)*0x9e37, cfg.Scale, memaddr.Line(i)*copySpan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := trace.WriteFile(&buf, trace.Capture(g, need)); err != nil {
-			t.Fatal(err)
-		}
-		refs, err := trace.ReadFile(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, err := trace.NewReplay(refs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gens = append(gens, rp)
-	}
-	replayCfg := cfg
-	replayCfg.Generators = gens
-	replay := runCfg(t, replayCfg)
-
-	if replay.ExecCycles != live.ExecCycles {
-		t.Fatalf("replay exec %.0f != live %.0f", replay.ExecCycles, live.ExecCycles)
-	}
-	if replay.DCReadHitRate != live.DCReadHitRate {
-		t.Fatalf("replay hit rate %v != live %v", replay.DCReadHitRate, live.DCReadHitRate)
 	}
 }
 

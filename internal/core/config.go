@@ -135,12 +135,6 @@ type Config struct {
 	Seed uint64
 	// TrackFootprint enables unique-line counting (Table 3); costs memory.
 	TrackFootprint bool
-
-	// Generators, when non-nil, overrides the profile-built reference
-	// streams with caller-provided ones (e.g. trace.Replay of captured
-	// trace files). Must contain exactly Cores entries. Workload is then
-	// used only as a label and need not name a known profile.
-	Generators []trace.Generator
 }
 
 // The values NewSystem gives a zero Config.WriteBufferEntries and an
@@ -175,12 +169,8 @@ func DefaultConfig(workload string) Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Generators == nil {
-		if _, ok := trace.ByName(c.Workload); !ok {
-			return fmt.Errorf("core: unknown workload %q", c.Workload)
-		}
-	} else if len(c.Generators) != c.Cores {
-		return fmt.Errorf("core: %d generators provided for %d cores", len(c.Generators), c.Cores)
+	if _, ok := trace.ByName(c.Workload); !ok {
+		return fmt.Errorf("core: unknown workload %q", c.Workload)
 	}
 	if c.Cores <= 0 {
 		return fmt.Errorf("core: Cores must be positive, got %d", c.Cores)

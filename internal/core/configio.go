@@ -10,35 +10,23 @@ import (
 
 // Config serialization: a run's full specification can be saved to JSON
 // and reloaded later, so experiments are reproducible from a single file
-// (cmd/alloysim's -config / -saveconfig flags). Generators are runtime
-// objects and are deliberately not serialized; captured traces serve that
-// role (cmd/tracegen).
-
-// MarshalJSON-friendly view: Config is all plain data except Generators.
-type configJSON struct {
-	Config
-	// Shadow the unserializable field.
-	Generators interface{} `json:"Generators,omitempty"`
-}
+// (cmd/alloysim's -config / -saveconfig flags). Config is plain data.
 
 // SaveConfig writes the configuration as indented JSON.
 func SaveConfig(w io.Writer, cfg Config) error {
-	cfg.Generators = nil
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(configJSON{Config: cfg})
+	return enc.Encode(cfg)
 }
 
 // LoadConfig parses a configuration saved by SaveConfig and validates it.
 func LoadConfig(r io.Reader) (Config, error) {
-	var cj configJSON
+	var cfg Config
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cj); err != nil {
+	if err := dec.Decode(&cfg); err != nil {
 		return Config{}, fmt.Errorf("core: parsing config: %w", err)
 	}
-	cfg := cj.Config
-	cfg.Generators = nil
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
 	}
@@ -46,12 +34,11 @@ func LoadConfig(r io.Reader) (Config, error) {
 }
 
 // Fingerprint returns a short stable hash over the run-defining
-// parameters: the saved-config JSON without Generators, which are runtime
-// state. Run manifests record it so any results file can be matched
-// against the exact configuration that produced it.
+// parameters: the saved-config JSON. Run manifests record it so any
+// results file can be matched against the exact configuration that
+// produced it.
 func (c Config) Fingerprint() string {
-	c.Generators = nil
-	data, err := json.Marshal(configJSON{Config: c})
+	data, err := json.Marshal(c)
 	if err != nil {
 		// Config is plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("core: fingerprinting config: %v", err))

@@ -12,7 +12,7 @@ import (
 	"alloysim/internal/obs"
 )
 
-var updateSchema = flag.Bool("update", false, "rewrite testdata/export-schema.txt from the current code")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current code")
 
 const schemaFile = "testdata/export-schema.txt"
 
@@ -78,20 +78,27 @@ func TestExportSchema(t *testing.T) {
 	for _, s := range order {
 		fmt.Fprintf(&got, "== %s\n%s", strings.Join(designs[s], " "), s)
 	}
-	if *updateSchema {
-		if err := os.WriteFile(schemaFile, []byte(got.String()), 0o644); err != nil {
+	checkGolden(t, schemaFile, got.String())
+}
+
+// checkGolden compares got with the golden file at path, and reports the
+// first line that differs. With -update it rewrites the file instead.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(schemaFile)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() == string(want) {
+	if got == string(want) {
 		return
 	}
-	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(g) || i < len(w); i++ {
 		var gl, wl string
 		if i < len(g) {
@@ -101,7 +108,7 @@ func TestExportSchema(t *testing.T) {
 			wl = w[i]
 		}
 		if gl != wl {
-			t.Fatalf("%s line %d:\ngot  %q\nwant %q\n(rerun with -update if the change is intended)", schemaFile, i+1, gl, wl)
+			t.Fatalf("%s line %d:\ngot  %q\nwant %q\n(rerun with -update if the change is intended)", path, i+1, gl, wl)
 		}
 	}
 }

@@ -136,25 +136,22 @@ func NewSystem(cfg Config) (*System, error) {
 		s.footprint = memaddr.NewLineSet()
 	}
 
-	s.gens = cfg.Generators
-	if s.gens == nil {
-		// One generator per rate-mode copy, at disjoint physical bases.
-		prof, _ := trace.ByName(cfg.Workload)
-		if cfg.GapScale > 1 {
-			scaled := uint64(prof.GapMean) * uint64(cfg.GapScale)
-			if scaled > uint64(^uint32(0)) {
-				return nil, fmt.Errorf("core: GapScale %d overflows the %q gap mean %d", cfg.GapScale, cfg.Workload, prof.GapMean)
-			}
-			prof.GapMean = uint32(scaled)
+	// One generator per rate-mode copy, at disjoint physical bases.
+	prof, _ := trace.ByName(cfg.Workload)
+	if cfg.GapScale > 1 {
+		scaled := uint64(prof.GapMean) * uint64(cfg.GapScale)
+		if scaled > uint64(^uint32(0)) {
+			return nil, fmt.Errorf("core: GapScale %d overflows the %q gap mean %d", cfg.GapScale, cfg.Workload, prof.GapMean)
 		}
-		copySpan := memaddr.Line(prof.FootprintLines()/cfg.Scale + uint64(len(prof.Components)) + 1)
-		for i := 0; i < cfg.Cores; i++ {
-			g, err := prof.Build(cfg.Seed+uint64(i)*0x9e37, cfg.Scale, memaddr.Line(i)*copySpan)
-			if err != nil {
-				return nil, err
-			}
-			s.gens = append(s.gens, g)
+		prof.GapMean = uint32(scaled)
+	}
+	copySpan := memaddr.Line(prof.FootprintLines()/cfg.Scale + uint64(len(prof.Components)) + 1)
+	for i := 0; i < cfg.Cores; i++ {
+		g, err := prof.Build(cfg.Seed+uint64(i)*0x9e37, cfg.Scale, memaddr.Line(i)*copySpan)
+		if err != nil {
+			return nil, err
 		}
+		s.gens = append(s.gens, g)
 	}
 	return s, nil
 }

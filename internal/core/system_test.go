@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -11,7 +10,6 @@ import (
 
 	"alloysim/internal/dramcache"
 	"alloysim/internal/sim"
-	"alloysim/internal/trace"
 )
 
 // smallConfig returns a fast configuration for tests.
@@ -493,28 +491,6 @@ func TestIdealLONoTagCapacityAdvantage(t *testing.T) {
 	}
 }
 
-func TestGeneratorOverrideValidation(t *testing.T) {
-	cfg := smallConfig("sphinx_r", DesignAlloy)
-	prof, _ := trace.ByName("sphinx_r")
-	cfg.Generators = []trace.Generator{prof.MustBuild(1, 64, 0)} // wrong count
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("generator count mismatch accepted")
-	}
-	// Correct count with an arbitrary label works even for unknown names.
-	cfg.Workload = "captured-trace"
-	cfg.Generators = nil
-	for i := 0; i < cfg.Cores; i++ {
-		cfg.Generators = append(cfg.Generators, prof.MustBuild(uint64(i+1), 64, 0))
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("valid generator override rejected: %v", err)
-	}
-	r := runOne(t, cfg)
-	if r.Workload != "captured-trace" {
-		t.Fatalf("workload label lost: %q", r.Workload)
-	}
-}
-
 func TestL3PolicyKnob(t *testing.T) {
 	cfg := smallConfig("gcc_r", DesignNone)
 	cfg.L3Policy = "srrip"
@@ -543,8 +519,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Generators = nil
-	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", cfg) {
+	if got != cfg {
 		t.Fatalf("round trip changed config:\n got %+v\nwant %+v", got, cfg)
 	}
 	// The loaded config must actually run.

@@ -131,14 +131,10 @@ type ContentsKey struct {
 // NewSystem(cfg) would build, without building it. The contents key is
 // zero for the baseline and for designs whose warmup also trains state
 // beside the tag store (banshee's page counters, gemini's steering).
-// Caller-provided generators have no keys: their streams are not a
-// function of the configuration. Nor has a System of more cores than a
-// record's header can name (warmCores): its warmup cannot be recorded, so
-// no other System can reuse it.
+// A System of more cores than a record's header can name (warmCores) has
+// no keys: its warmup cannot be recorded, so no other System can reuse
+// it.
 func Keys(cfg Config) (FrontKey, ContentsKey, error) {
-	if cfg.Generators != nil {
-		return FrontKey{}, ContentsKey{}, errors.New("core: warmup records need profile-built generators, but Config.Generators is set")
-	}
 	if cfg.Cores > warmCores {
 		return FrontKey{}, ContentsKey{}, fmt.Errorf("core: a warmup record names at most %d cores, but Config.Cores is %d", warmCores, cfg.Cores)
 	}
@@ -340,7 +336,8 @@ func (s *System) abandonRecord() {
 // complete seals the record with copies of the post-warmup front.
 func (r *WarmRecord) complete(s *System) {
 	for _, g := range s.gens {
-		// front refused caller-provided generators, so every clone succeeds.
+		// NewSystem builds every generator from a profile, so every clone
+		// succeeds.
 		c, _ := trace.Clone(g)
 		r.gens = append(r.gens, c)
 	}
@@ -402,7 +399,8 @@ func (s *System) replayWarm(ctx context.Context) error {
 func (s *System) restoreFront() {
 	rec := s.replay
 	for c, g := range s.gens {
-		// front refused caller-provided generators, so every copy succeeds.
+		// NewSystem builds every generator from a profile, so every copy
+		// succeeds.
 		trace.Copy(g, rec.gens[c])
 	}
 	s.l3.CopyFrom(rec.l3)

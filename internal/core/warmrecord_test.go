@@ -21,16 +21,6 @@ func quickConfig(workload string, d Design) Config {
 	return cfg
 }
 
-// withGenerators gives cfg caller-provided streams: the same profile's
-// generators, built outside the System.
-func withGenerators(cfg *Config) {
-	prof, _ := trace.ByName(cfg.Workload)
-	cfg.Generators = nil
-	for i := 0; i < cfg.Cores; i++ {
-		cfg.Generators = append(cfg.Generators, prof.MustBuild(cfg.Seed+uint64(i)*0x9e37, cfg.Scale, 0))
-	}
-}
-
 // recordRun runs cfg while recording its warmup front.
 func recordRun(t *testing.T, cfg Config) (Result, *WarmRecord) {
 	t.Helper()
@@ -459,7 +449,6 @@ func TestWarmReplayRejectsOtherFronts(t *testing.T) {
 		{"warmup", func(c *Config) { c.WarmupRefs++ }},
 		{"l3-policy", func(c *Config) { c.L3Policy = "lru" }},
 		{"workload", func(c *Config) { c.Workload = "lbm_r" }},
-		{"generators", withGenerators},
 	} {
 		cfg := base
 		tc.mutate(&cfg)
@@ -481,15 +470,7 @@ func TestWarmReplayRejectsOtherFronts(t *testing.T) {
 	if err := s.ReplayWarmup(rec); err != nil {
 		t.Fatalf("same front refused: %v", err)
 	}
-	// Recording needs a key too, and an incomplete record cannot replay.
-	gen := base
-	withGenerators(&gen)
-	if s, err = NewSystem(gen); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RecordWarmup(&WarmRecord{}); err == nil {
-		t.Error("RecordWarmup accepted caller-provided generators")
-	}
+	// An incomplete record cannot replay, and a used one cannot record.
 	if s, err = NewSystem(base); err != nil {
 		t.Fatal(err)
 	}

@@ -13,11 +13,11 @@
 //
 // Three organizations from beyond the paper, Banshee, Gemini and TDRAM
 // (DESIGN.md §16), implement the same interface. One table in manager.go
-// names all seven under 13 design names: each entry gives the lines a
-// design keeps per row, its ways and its replacement policy, and the
-// organization built around that tag store. Build and TagConfig derive
-// the store from the entry the same way; Gemini, whose two regions split
-// the rows, derives its own.
+// names all seven under 13 design names: each entry gives a design's row
+// layout, its ways and its replacement policy, and the organization built
+// around that tag store. Build and TagConfig derive the store from the
+// entry the same way, and refuse a row its layout does not fit; Gemini,
+// whose two regions split the rows, derives its own.
 //
 // Each organization layers its access-flow timing over a contents model
 // (internal/cache) and charges all its DRAM traffic — tag reads, data

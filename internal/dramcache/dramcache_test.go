@@ -344,8 +344,22 @@ func TestConstructorValidation(t *testing.T) {
 	}
 	half := dram.StackedConfig()
 	half.RowBytes = 1024
-	if _, err := build[*SRAMTag]("sram-32", testCap, dram.MustNew(half)); err == nil {
+	narrow := dram.MustNew(half)
+	if _, err := build[*SRAMTag]("sram-32", testCap, narrow); err == nil {
 		t.Error("32-way SRAM-Tag set wider than a 16-line row accepted")
+	}
+	// A fixed layout must fit the row: LH-Cache's 29 data lines behind 3
+	// tag lines take 2,048 B, and Alloy's 28 TADs 2,016 B. The designs
+	// that keep every line of the row follow its size.
+	for _, name := range []string{"lh-29", "lh-29-rand", "lh-1", "alloy", "alloy-2", "alloy-b8", "tdram", "ideal-lo", "gemini"} {
+		if _, err := build[Organization](name, testCap, narrow); err == nil {
+			t.Errorf("%s laid out in a 1024 B row accepted", name)
+		}
+	}
+	for _, name := range []string{"sram-1", "ideal-lo-notag", "banshee"} {
+		if _, err := build[Organization](name, testCap, narrow); err != nil {
+			t.Errorf("%s in a 1024 B row: %v", name, err)
+		}
 	}
 }
 

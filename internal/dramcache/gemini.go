@@ -40,14 +40,21 @@ type Gemini struct {
 // newGemini builds a Gemini cache from p. Its regions split the rows, so
 // it derives its own two stores: three quarters of the rows, at least
 // one, hold TADs direct-mapped under LRU, and the rest hold 29-way sets
-// under SRRIP or p.Policy, seeded by p.Seed. The capacity must span at
-// least two rows, one per region.
+// under SRRIP or p.Policy, seeded by p.Seed. Both layouts must fit a row,
+// and the capacity must span at least two rows, one per region.
 func newGemini(p Params) (Organization, error) {
 	policy := p.Policy
 	if policy == "" {
 		policy = "srrip"
 	}
-	rows := p.CapacityBytes / uint64(p.Stacked.Config().RowBytes)
+	rowBytes := p.Stacked.Config().RowBytes
+	if err := alloyLayout.fit("gemini", rowBytes); err != nil {
+		return nil, err
+	}
+	if err := lhLayout.fit("gemini", rowBytes); err != nil {
+		return nil, err
+	}
+	rows := p.CapacityBytes / uint64(rowBytes)
 	if rows < 2 {
 		return nil, fmt.Errorf("dramcache: Gemini needs at least two rows (one per region), capacity %d holds %d", p.CapacityBytes, rows)
 	}

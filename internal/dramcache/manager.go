@@ -6,6 +6,7 @@ import (
 
 	"alloysim/internal/cache"
 	"alloysim/internal/dram"
+	"alloysim/internal/memaddr"
 )
 
 // Params is the builder input for the design table: everything an
@@ -28,9 +29,9 @@ type Params struct {
 // design is one entry of the design table: the tag store a design keeps
 // in the stacked rows, and the organization it builds around that store.
 type design struct {
-	linesPerRow int    // lines of each row the store keeps; 0 keeps every line
-	ways        int    // ways per set
-	policy      string // replacement policy, with seed 0
+	row    layout // the store's fixed row layout; the zero layout keeps every line
+	ways   int    // ways per set
+	policy string // replacement policy, with seed 0
 	// anyPolicy lets Params.Policy, seeded by Params.Seed, replace policy.
 	// Every other design rejects a policy.
 	anyPolicy bool
@@ -45,23 +46,43 @@ type design struct {
 	build func(Params) (Organization, error)
 }
 
+// layout is a fixed arrangement of a tag store in each stacked row: the
+// lines it keeps there, and the bytes they and their tags take.
+type layout struct{ lines, bytes int }
+
+// The two fixed layouts, both laid out for a 2 KB row: LH-Cache's 29 data
+// lines behind 3 tag lines (2,048 B), and Alloy's 28 TADs (2,016 B).
+var (
+	lhLayout    = layout{lines: LHDataLinesPerRow, bytes: (LHDataLinesPerRow + LHTagLines) * memaddr.LineSizeBytes}
+	alloyLayout = layout{lines: AlloyTADsPerRow, bytes: AlloyTADsPerRow * TADBytes}
+)
+
+// fit reports an error when the layout does not fit in a row of rowBytes.
+// A larger row stays under-filled.
+func (l layout) fit(name string, rowBytes int) error {
+	if l.bytes > rowBytes {
+		return fmt.Errorf("dramcache: design %q keeps %d lines in %d B of each row, but a row is %d B", name, l.lines, l.bytes, rowBytes)
+	}
+	return nil
+}
+
 // designs maps each design name (a core.Design string) to its entry, in
 // the style of gem5's PolicyManager: one lookup point for the whole
-// design zoo. Lines per row, ways and policies are the paper's (Table 1,
+// design zoo. Row layouts, ways and policies are the paper's (Table 1,
 // §6.5, §6.7, Table 7) and the zoo's (DESIGN.md §16).
 var designs = map[string]design{
 	"sram-32": {ways: 32, policy: "dip", org: newSRAMTag},
 	"sram-1":  {ways: 1, policy: "dip", org: newSRAMTag},
-	"lh-29":   {linesPerRow: LHDataLinesPerRow, ways: LHDataLinesPerRow, policy: "dip", anyPolicy: true, org: newLHCache},
+	"lh-29":   {row: lhLayout, ways: LHDataLinesPerRow, policy: "dip", anyPolicy: true, org: newLHCache},
 	// Table 1's random de-optimization keeps seed 0 whatever Params.Seed
 	// is: its committed results depend on that fixed eviction sequence.
-	"lh-29-rand":     {linesPerRow: LHDataLinesPerRow, ways: LHDataLinesPerRow, policy: "random", org: newLHCache},
-	"lh-1":           {linesPerRow: LHDataLinesPerRow, ways: 1, policy: "dip", org: newLHCache},
-	"alloy":          {linesPerRow: AlloyTADsPerRow, ways: 1, policy: "lru", org: newAlloy(AlloyBurst)},
-	"alloy-2":        {linesPerRow: AlloyTADsPerRow, ways: 2, policy: "lru", org: newAlloy(AlloyBurst)},
-	"alloy-b8":       {linesPerRow: AlloyTADsPerRow, ways: 1, policy: "lru", org: newAlloy(8)},
-	"tdram":          {linesPerRow: AlloyTADsPerRow, ways: 1, policy: "lru", org: newTDRAM},
-	"ideal-lo":       {linesPerRow: AlloyTADsPerRow, ways: 1, policy: "lru", org: newIdealLO},
+	"lh-29-rand":     {row: lhLayout, ways: LHDataLinesPerRow, policy: "random", org: newLHCache},
+	"lh-1":           {row: lhLayout, ways: 1, policy: "dip", org: newLHCache},
+	"alloy":          {row: alloyLayout, ways: 1, policy: "lru", org: newAlloy(AlloyBurst)},
+	"alloy-2":        {row: alloyLayout, ways: 2, policy: "lru", org: newAlloy(AlloyBurst)},
+	"alloy-b8":       {row: alloyLayout, ways: 1, policy: "lru", org: newAlloy(8)},
+	"tdram":          {row: alloyLayout, ways: 1, policy: "lru", org: newTDRAM},
+	"ideal-lo":       {row: alloyLayout, ways: 1, policy: "lru", org: newIdealLO},
 	"ideal-lo-notag": {ways: 1, policy: "lru", org: newIdealLO},
 	"banshee":        {ways: 1, policy: "lru", trains: true, org: newBanshee},
 	"gemini":         {trains: true, build: newGemini},
@@ -81,9 +102,11 @@ func (d design) store(name string, capacityBytes uint64, stacked dram.Config, po
 	if rows == 0 {
 		return cache.Config{}, 0, fmt.Errorf("dramcache: capacity %d smaller than one row", capacityBytes)
 	}
-	lines := d.linesPerRow
+	lines := d.row.lines
 	if lines == 0 {
 		lines = stacked.LinesPerRow()
+	} else if err := d.row.fit(name, stacked.RowBytes); err != nil {
+		return cache.Config{}, 0, err
 	}
 	setsPerRow = lines / d.ways
 	if setsPerRow == 0 {

@@ -35,8 +35,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"alloysim/internal/stats"
@@ -229,41 +227,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders the metrics as a single flat JSON object in sorted
-// name order (expvar style). Histograms expand into count/mean/max and
-// p50/p95/p99 quantile fields.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("{")
-	first := true
-	field := func(name, val string) {
-		if !first {
-			b.WriteString(",")
-		}
-		first = false
-		fmt.Fprintf(&b, "%q:%s", name, val)
-	}
-	for _, m := range r.sorted() {
-		switch m.kind {
-		case kindCounter:
-			field(m.name, strconv.FormatUint(m.counter(), 10))
-		case kindGauge:
-			field(m.name, formatFloat(m.value()))
-		case kindHistogram:
-			h := m.hist
-			field(m.name+"_count", fmt.Sprintf("%d", h.N()))
-			field(m.name+"_mean", formatFloat(h.Mean()))
-			field(m.name+"_max", fmt.Sprintf("%d", h.Max()))
-			field(m.name+"_p50", formatFloat(h.Quantile(0.50)))
-			field(m.name+"_p95", formatFloat(h.Quantile(0.95)))
-			field(m.name+"_p99", formatFloat(h.Quantile(0.99)))
-		}
-	}
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // formatFloat renders a float compactly and deterministically: integers

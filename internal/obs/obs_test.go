@@ -95,38 +95,6 @@ func TestWritePrometheusSortedAndParsable(t *testing.T) {
 	}
 }
 
-func TestWriteJSONValid(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total", "", func() uint64 { return 9 })
-	r.Counter("big_total", "", func() uint64 { return 1<<53 + 1 })
-	r.Gauge("g", "", func() float64 { return 0.5 })
-	h := stats.NewHistogram(4, 16)
-	for i := uint64(1); i <= 10; i++ {
-		h.Observe(i)
-	}
-	r.RegisterHistogram("h", "", h)
-
-	var b bytes.Buffer
-	if err := r.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]float64
-	if err := json.Unmarshal(b.Bytes(), &m); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, b.String())
-	}
-	if m["c_total"] != 9 || m["g"] != 0.5 || m["h_count"] != 10 {
-		t.Fatalf("unexpected values: %v", m)
-	}
-	if m["h_mean"] != 5.5 {
-		t.Fatalf("h_mean = %v, want 5.5", m["h_mean"])
-	}
-	// Counters render from their uint64 read, exactly as WritePrometheus
-	// does: a float64 round trip would print 2^53+1 as 2^53.
-	if want := `"big_total":9007199254740993,`; !strings.Contains(b.String(), want) {
-		t.Fatalf("missing %s in %s", want, b.String())
-	}
-}
-
 func TestTracerSamplingDeterministic(t *testing.T) {
 	tr := NewTracer(3, 16)
 	var ids []uint64

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -87,12 +86,6 @@ func (h *Histogram) Observe(v uint64) {
 // N returns the number of samples observed.
 func (h *Histogram) N() uint64 { return h.mean.N() }
 
-// Mean returns the mean of all samples.
-func (h *Histogram) Mean() float64 { return h.mean.Value() }
-
-// Max returns the largest observed sample.
-func (h *Histogram) Max() uint64 { return h.max }
-
 // Percentile returns an upper bound on the p-th percentile at bucket
 // resolution. p is clamped to (0, 100]: out-of-range requests resolve to
 // the first or last sample's bucket rather than an arbitrary edge (a
@@ -121,46 +114,6 @@ func (h *Histogram) Percentile(p float64) uint64 {
 		}
 	}
 	return h.max
-}
-
-// Quantile returns an interpolated estimate of the p-th quantile
-// (0 <= p <= 1). Within the bucket containing the target rank the value is
-// interpolated linearly, so unlike Percentile the result is not pinned to
-// bucket edges. Samples beyond the last bucket resolve to the observed
-// maximum, and interpolation never exceeds it: a wide bucket holding few
-// samples would otherwise extrapolate past every value actually seen
-// (one sample v=5 in a width-100 bucket gave Quantile(1.0) == 100).
-// Returns 0 when the histogram is empty; p is clamped to [0, 1].
-func (h *Histogram) Quantile(p float64) float64 {
-	total := h.mean.N()
-	if total == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := p * float64(total)
-	var cum uint64
-	for i, b := range h.buckets {
-		if b == 0 {
-			continue
-		}
-		next := cum + b
-		if float64(next) >= rank {
-			lo := float64(uint64(i) * h.width)
-			frac := (rank - float64(cum)) / float64(b)
-			v := lo + frac*float64(h.width)
-			if max := float64(h.max); v > max {
-				v = max
-			}
-			return v
-		}
-		cum = next
-	}
-	return float64(h.max)
 }
 
 // WriteText renders the histogram in the Prometheus text exposition
@@ -281,17 +234,6 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// SortedKeys returns map keys in sorted order; handy for deterministic
-// iteration when rendering results.
-func SortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Bars renders a horizontal ASCII bar chart: one row per (label, value),

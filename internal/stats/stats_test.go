@@ -40,12 +40,12 @@ func TestHistogramBasics(t *testing.T) {
 	if h.N() != 5 {
 		t.Fatalf("N = %d, want 5", h.N())
 	}
-	if h.Max() != 200 {
-		t.Fatalf("Max = %d, want 200", h.Max())
+	if h.max != 200 {
+		t.Fatalf("max = %d, want 200", h.max)
 	}
 	wantMean := float64(5+15+15+95+200) / 5
-	if math.Abs(h.Mean()-wantMean) > 1e-9 {
-		t.Fatalf("Mean = %v, want %v", h.Mean(), wantMean)
+	if math.Abs(h.mean.Value()-wantMean) > 1e-9 {
+		t.Fatalf("mean = %v, want %v", h.mean.Value(), wantMean)
 	}
 	if h.over != 1 {
 		t.Fatalf("overflow count = %d, want 1", h.over)
@@ -110,67 +110,6 @@ func TestHistogramPercentileClampsP(t *testing.T) {
 	}
 	if got := h.Percentile(200); got != 60 {
 		t.Errorf("Percentile(200) = %d, want 60 (clamped to the last sample)", got)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(1, 1000)
-	for i := uint64(1); i <= 100; i++ {
-		h.Observe(i)
-	}
-	// Uniform 1..100 with width-1 buckets: quantiles interpolate to ~100p.
-	for _, tc := range []struct{ p, want float64 }{
-		{0.50, 50}, {0.95, 95}, {0.99, 99}, {1.0, 100},
-	} {
-		got := h.Quantile(tc.p)
-		if math.Abs(got-tc.want) > 1.0 {
-			t.Errorf("Quantile(%v) = %v, want ~%v", tc.p, got, tc.want)
-		}
-	}
-	// Clamping and empty behavior.
-	if h.Quantile(-1) > h.Quantile(0.01) {
-		t.Error("Quantile(-1) not clamped to 0")
-	}
-	if h.Quantile(2) != h.Quantile(1) {
-		t.Error("Quantile(2) not clamped to 1")
-	}
-	var empty Histogram
-	if empty.Quantile(0.5) != 0 {
-		t.Error("empty Quantile should be 0")
-	}
-
-	// Samples beyond the last bucket resolve to the observed max.
-	small := NewHistogram(10, 2)
-	small.Observe(5)
-	small.Observe(500)
-	if got := small.Quantile(1); got != 500 {
-		t.Errorf("overflow Quantile(1) = %v, want 500", got)
-	}
-}
-
-func TestHistogramQuantileNeverExceedsMax(t *testing.T) {
-	// Regression: one sample v=5 in a width-100 bucket interpolated
-	// Quantile(1.0) to the bucket's upper edge (100), above Max() == 5.
-	h := NewHistogram(100, 8)
-	h.Observe(5)
-	if got := h.Quantile(1.0); got != 5 {
-		t.Errorf("Quantile(1.0) = %v, want 5 (the only observed value)", got)
-	}
-
-	// Property: Quantile(p) <= float64(Max()) for every p and any sample
-	// set, including values overflowing the bucket range.
-	f := func(samples []uint16, p float64) bool {
-		if len(samples) == 0 {
-			return true
-		}
-		hq := NewHistogram(7, 16)
-		for _, s := range samples {
-			hq.Observe(uint64(s))
-		}
-		return hq.Quantile(math.Mod(math.Abs(p), 1.5)) <= float64(hq.Max())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -259,14 +198,6 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("table has %d lines, want 4:\n%s", len(lines), s)
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]float64{"b": 1, "a": 2, "c": 3}
-	ks := SortedKeys(m)
-	if ks[0] != "a" || ks[1] != "b" || ks[2] != "c" {
-		t.Fatalf("SortedKeys = %v", ks)
 	}
 }
 

@@ -289,10 +289,19 @@ func (p Profile) MustBuild(seed, scale uint64, base memaddr.Line) Generator {
 	return g
 }
 
+// Capture materializes the next n references of a generator.
+func Capture(g Generator, n int) []Ref {
+	refs := make([]Ref, n)
+	for i := range refs {
+		refs[i] = g.Next()
+	}
+	return refs
+}
+
 // Clone returns an independent copy of a profile-built generator (Build):
 // the copy emits exactly the references the original emits next, and
 // advancing either leaves the other unchanged. Any other Generator, such
-// as a file Replay, reports false.
+// as a test's fake, reports false.
 func Clone(g Generator) (Generator, bool) {
 	c := new(gen)
 	if !Copy(c, g) {

@@ -440,14 +440,22 @@ func TestCloneContinuesTheStream(t *testing.T) {
 			}
 		}
 	}
-	r, err := NewReplay([]Ref{{Line: 1}})
-	if err != nil {
-		t.Fatal(err)
+	// A generator that is not profile-built, even one wrapping a
+	// profile-built generator, can be neither cloned nor copied.
+	g := All()[0].MustBuild(1, 64, 0)
+	other := struct{ Generator }{All()[0].MustBuild(1, 64, 0)}
+	if _, ok := Clone(other); ok {
+		t.Fatal("Clone accepted a generator that is not profile-built")
 	}
-	if _, ok := Clone(r); ok {
-		t.Fatal("Clone accepted a file replay")
+	if Copy(g, other) || Copy(other, g) {
+		t.Fatal("Copy accepted a generator that is not profile-built")
 	}
-	if g := All()[0].MustBuild(1, 64, 0); Copy(g, r) || Copy(r, g) {
-		t.Fatal("Copy accepted a file replay")
+}
+
+func TestCaptureLength(t *testing.T) {
+	p, _ := ByName("sphinx_r")
+	refs := Capture(p.MustBuild(1, 64, 0), 123)
+	if len(refs) != 123 {
+		t.Fatalf("captured %d, want 123", len(refs))
 	}
 }
